@@ -158,19 +158,31 @@ def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff @ diff)
 
 
+#: Rows labelled per step of :func:`label_points`.  Bounds its temporary to
+#: one (rows, k, d) float64 array whatever the number of rows.
+_LABEL_CHUNK_ROWS = 1024
+
+
 def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid for every row, vectorized.
 
     Ties break toward the lowest centroid index (argmin semantics).  This is
     the single labeling code path used everywhere so that map tasks, final
     assignments, and evaluation always agree bit-for-bit.
+
+    Rows are labelled in chunks of ``_LABEL_CHUNK_ROWS``.  Each row's
+    squared distances are the same sum over its own d differences as in one
+    (n, k, d) broadcast, so labels do not depend on the chunking.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    # (n, k) matrix of squared distances; n and k stay small enough per block
-    # that the dense intermediate is cheap.
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1).astype(np.int64)
+    labels = np.empty(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], _LABEL_CHUNK_ROWS):
+        stop = start + _LABEL_CHUNK_ROWS
+        diff = points[start:stop, None, :] - centroids[None, :, :]
+        np.square(diff, out=diff)
+        np.argmin(diff.sum(axis=2), axis=1, out=labels[start:stop])
+    return labels
 
 
 def nearest_centroid(x: np.ndarray, centroid_set: CentroidSet) -> int:

@@ -2,7 +2,11 @@
 
 The dataset is decomposed into fixed-size row blocks; map tasks compute
 per-block cluster statistics (counts and coordinate sums) and the reduce
-step merges them in ascending block order before adding noise.  Because the
+step merges them in ascending block order before adding noise.  Each
+iteration is one labelling pass over the data: the same pass also sums
+every row's squared distance to its nearest centroid, which is the NICV of
+the centroids it labels against (the previous iteration's result), and a
+final pass gives the assignment and the report's NICV.  Because the
 block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
 partition count only controls how blocks are grouped onto threads.
@@ -36,10 +40,9 @@ from dpkmeans.core import (
     ClusterAggregate,
     Dataset,
     InvalidInputError,
-    assign_labels,
     label_points,
 )
-from dpkmeans.evaluation import RunReport, nicv
+from dpkmeans.evaluation import RunReport
 from dpkmeans.mechanism import (
     BudgetLedger,
     LaplaceSampler,
@@ -135,7 +138,7 @@ def map_assign(
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         return {}
-    counts, sums = _block_partials(points, centroid_set.centroids, centroid_set.k)
+    _, counts, sums, _ = _block_partials(points, centroid_set.centroids, centroid_set.k)
     return {
         j: ClusterAggregate(cluster_index=j, count=float(counts[j]), sums=sums[j])
         for j in range(centroid_set.k)
@@ -143,16 +146,21 @@ def map_assign(
     }
 
 
-def _block_partials(
-    points: np.ndarray, centroids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+_Partials = tuple[np.ndarray, np.ndarray, np.ndarray, float]
+
+
+def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Partials:
+    """Map task for one block: labels, counts, sums and the sum of every
+    row's squared distance to its nearest centroid."""
     labels = label_points(points, centroids)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.zeros((k, centroids.shape[1]), dtype=np.float64)
-    # Unbuffered in-order accumulation: each row is added exactly once, in
-    # dataset order within the block.
-    np.add.at(sums, labels, points)
-    return counts, sums
+    sums = np.empty((k, centroids.shape[1]), dtype=np.float64)
+    # Each row is added exactly once, in dataset order within the block, as
+    # an unbuffered np.add.at would, so the sums are bit-identical to it.
+    for j in range(points.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=k)
+    diff = points - centroids[labels]
+    return labels, counts, sums, float((diff * diff).sum())
 
 
 def _reduce_cluster_full(
@@ -286,40 +294,43 @@ class _BlockAggregator:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def aggregate(self, centroids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-cluster counts and sums, merged in ascending block order."""
-        if self._executor is None:
-            per_block = [
+    def labelling_pass(
+        self, centroids: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """One pass over every block against ``centroids``.
+
+        Returns the exact per-cluster counts and sums, the sum over all rows
+        of the squared distance to the nearest centroid, and the labels.
+        Block partials merge in ascending block order, so every result is
+        independent of the partition count.
+        """
+
+        def work(blocks) -> list[_Partials]:
+            return [
                 _block_partials(self._points[s:e], centroids, k)
-                for s, e in self._spans
+                for s, e in (self._spans[b] for b in blocks)
             ]
+
+        if self._executor is None:
+            per_block = work(range(len(self._spans)))
         else:
-
-            def work(group: np.ndarray) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
-                return [
-                    (
-                        int(b),
-                        _block_partials(
-                            self._points[self._spans[b][0] : self._spans[b][1]],
-                            centroids,
-                            k,
-                        ),
-                    )
-                    for b in group
-                ]
-
-            indexed: list[tuple[int, tuple[np.ndarray, np.ndarray]]] = []
-            for chunk in self._executor.map(work, self._groups):
-                indexed.extend(chunk)
-            indexed.sort(key=lambda item: item[0])
-            per_block = [partial for _, partial in indexed]
+            # Groups are consecutive block ranges and map() keeps their
+            # order, so the partials arrive in ascending block order.
+            per_block = [
+                partial
+                for group in self._executor.map(work, self._groups)
+                for partial in group
+            ]
 
         counts = np.zeros(k, dtype=np.float64)
         sums = np.zeros((k, centroids.shape[1]), dtype=np.float64)
-        for block_counts, block_sums in per_block:
+        sq_dist = 0.0
+        for _, block_counts, block_sums, block_sq_dist in per_block:
             counts += block_counts
             sums += block_sums
-        return counts, sums
+            sq_dist += block_sq_dist
+        labels = np.concatenate([p[0] for p in per_block])
+        return counts, sums, sq_dist, labels
 
 
 class _Run:
@@ -331,6 +342,7 @@ class _Run:
         self.config = config
         self.trace: list[IterationTrace] = []
         self.iter_ms: list[float] = []
+        self.final_ms = 0.0
         self._agg = _BlockAggregator(data, config)
 
     def close(self) -> None:
@@ -348,7 +360,8 @@ class _Run:
         exact: list[ClusterAggregate] | None = None,
         noisy: list[ClusterAggregate] | None = None,
     ) -> None:
-        cs = CentroidSet(centroids=after, noisy=False)
+        """Trace one iteration.  Its ``nicv_after`` is filled in by the next
+        labelling pass, which labels every row against ``after``."""
         self.trace.append(
             IterationTrace(
                 iteration=iteration,
@@ -356,13 +369,30 @@ class _Run:
                 budget_charged=budget,
                 noise_draws=draws,
                 centroid_shift=shift,
-                nicv_after=nicv(self.data, cs, assign_labels(self.data, cs)),
+                nicv_after=float("nan"),
                 centroids_before=None if before is None else before.copy(),
                 centroids_after=after.copy(),
                 exact_aggregates=exact,
                 noisy_aggregates=noisy,
             )
         )
+
+    def _labelling_pass(
+        self, centroids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        counts, sums, sq_dist, labels = self._agg.labelling_pass(centroids, self.k)
+        self.trace[-1].nicv_after = sq_dist / self.data.n_rows
+        return counts, sums, labels
+
+    def finish(
+        self, centroids: np.ndarray, noisy: bool
+    ) -> tuple[CentroidSet, Assignment, float]:
+        """Final pass: the assignment to ``centroids`` and its NICV."""
+        t0 = time.perf_counter()
+        _, _, labels = self._labelling_pass(centroids)
+        self.final_ms = 1e3 * (time.perf_counter() - t0)
+        final = CentroidSet(centroids=centroids, noisy=noisy)
+        return final, Assignment(labels=labels), self.trace[-1].nicv_after
 
     def lloyd_step(
         self,
@@ -374,7 +404,7 @@ class _Run:
     ) -> tuple[np.ndarray, int, list[ClusterAggregate], list[ClusterAggregate] | None]:
         """One assign/reduce pass; returns (new centroids, draws, exact, noisy)."""
         config = self.config
-        counts, sums = self._agg.aggregate(centroids, self.k)
+        counts, sums, _ = self._labelling_pass(centroids)
         new = np.empty_like(centroids)
         draws = 0
         exact_aggs: list[ClusterAggregate] = []
@@ -426,18 +456,6 @@ def _validate_run(data: Dataset, k: int, config: EngineConfig) -> None:
         raise InvalidInputError(
             f"n_partitions={config.n_partitions} exceeds {data.n_rows} rows"
         )
-
-
-def _finish(
-    data: Dataset,
-    centroids: np.ndarray,
-    noisy: bool,
-    report: RunReport,
-) -> tuple[CentroidSet, Assignment, RunReport]:
-    final = CentroidSet(centroids=centroids, noisy=noisy)
-    assignment = assign_labels(data, final)
-    report.nicv = nicv(data, final, assignment)
-    return final, assignment, report
 
 
 def run_edpdcs(
@@ -516,6 +534,7 @@ def run_edpdcs(
                 noisy if config.diagnostics else None,
             )
             centroids = new
+        final, assignment, final_nicv = run.finish(centroids, noisy=True)
     finally:
         run.close()
 
@@ -529,16 +548,16 @@ def run_edpdcs(
         k=k,
         n_partitions=config.n_partitions,
         iterations_run=plan.iterations,
-        nicv=float("nan"),
+        nicv=final_nicv,
         budget_spent=ledger.spent,
         budget_remaining=ledger.remaining,
         plan=plan.to_dict(),
         iterations=[t.to_dict() for t in run.trace],
         config=_replay_config(config, planner_inputs, canopy_params),
         notes=list(init.notes),
-        timings_ms=_timings(init_ms, run.iter_ms, t_start),
+        timings_ms=_timings(init_ms, run.iter_ms, run.final_ms, t_start),
     )
-    return _finish(data, centroids, True, report)
+    return final, assignment, report
 
 
 def run_baseline(
@@ -701,6 +720,9 @@ def run_baseline(
                 if shift < config.nonprivate_shift_tol:
                     notes.append(f"converged at iteration {t}")
                     break
+        final, assignment, final_nicv = run.finish(
+            centroids, noisy=variant is not Variant.NONPRIVATE
+        )
     finally:
         run.close()
 
@@ -713,16 +735,16 @@ def run_baseline(
         k=k,
         n_partitions=config.n_partitions,
         iterations_run=iterations_run,
-        nicv=float("nan"),
+        nicv=final_nicv,
         budget_spent=ledger.spent if ledger is not None else 0.0,
         budget_remaining=ledger.remaining if ledger is not None else 0.0,
         plan=plan.to_dict() if plan is not None else None,
         iterations=[t.to_dict() for t in run.trace],
         config=_replay_config(config, planner_inputs, canopy_resolved),
         notes=notes,
-        timings_ms=_timings(init_ms, run.iter_ms, t_start),
+        timings_ms=_timings(init_ms, run.iter_ms, run.final_ms, t_start),
     )
-    return _finish(data, centroids, variant is not Variant.NONPRIVATE, report)
+    return final, assignment, report
 
 
 def _replay_config(
@@ -764,10 +786,13 @@ def _replay_config(
     return out
 
 
-def _timings(init_ms: float, iter_ms: list[float], t_start: float) -> dict:
+def _timings(
+    init_ms: float, iter_ms: list[float], final_ms: float, t_start: float
+) -> dict:
     return {
         "note": "wall clock; excluded from reproducibility comparisons",
         "init_ms": init_ms,
         "iterations_ms": iter_ms,
+        "final_ms": final_ms,
         "total_ms": 1e3 * (time.perf_counter() - t_start),
     }

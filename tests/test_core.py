@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dpkmeans import core
 from dpkmeans.core import (
     Assignment,
     CentroidSet,
@@ -161,6 +164,57 @@ class TestAssignLabels:
         cs = CentroidSet(centroids=np.zeros((2, 5)))
         with pytest.raises(InvalidInputError):
             assign_labels(small_blobs, cs)
+
+
+def _broadcast_labels(points, centroids):
+    # One-shot (n, k, d) broadcast: the formula label_points must reproduce.
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+class TestLabelPointsChunks:
+    CHUNK = core._LABEL_CHUNK_ROWS
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (4, 2), (9, 5), (16, 20)])
+    def test_bit_equal_to_one_shot_broadcast_across_chunks(self, d, k):
+        rng = np.random.Generator(np.random.PCG64(d * 100 + k))
+        pts = rng.random((3 * self.CHUNK + 17, d))
+        centroids = rng.random((k, d))
+        got = label_points(pts, centroids)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
+
+    def test_ties_at_chunk_boundaries_prefer_lowest_index(self):
+        rng = np.random.Generator(np.random.PCG64(1))
+        pts = rng.random((3 * self.CHUNK + 17, 2)) * 0.1
+        # Rows at 0.5 are exactly as far from centroids 1 and 3, and nearer
+        # to them than to 0 and 2 (points near the origin go to 0).
+        centroids = np.array([[0.0, 0.0], [0.25, 0.5], [0.9, 0.9], [0.75, 0.5]])
+        tied = [self.CHUNK - 1, self.CHUNK, 2 * self.CHUNK - 1, 2 * self.CHUNK]
+        pts[tied] = 0.5
+        got = label_points(pts, centroids)
+        assert got[tied].tolist() == [1, 1, 1, 1]
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
+
+    def test_temporary_bounded_by_one_chunk(self):
+        n, d, k = 40_000, 16, 20
+        rng = np.random.Generator(np.random.PCG64(2))
+        pts, centroids = rng.random((n, d)), rng.random((k, d))
+        chunk_bytes = self.CHUNK * k * d * 8
+        # The bound is under an eighth of the one-shot (n, k, d) temporary.
+        assert 8 * 4 * chunk_bytes < n * k * d * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            label_points(pts, centroids)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk_bytes
+
+    def test_no_rows(self):
+        assert label_points(np.empty((0, 3)), np.zeros((2, 3))).shape == (0,)
 
 
 class TestDataset:

@@ -1,8 +1,19 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
+from dpkmeans import engine
 from dpkmeans.canopy import CanopyParams, select_initial_centroids
-from dpkmeans.core import CentroidSet, ClusterAggregate, Dataset, InvalidInputError
+from dpkmeans.core import (
+    CentroidSet,
+    ClusterAggregate,
+    Dataset,
+    InvalidInputError,
+    assign_labels,
+    label_points,
+)
 from dpkmeans.engine import (
     EngineConfig,
     Variant,
@@ -74,6 +85,23 @@ class TestMapAssign:
         assert sum(a.count for a in out.values()) == 321.0
         total = sum(a.sums for a in out.values())
         assert total == pytest.approx(pts.sum(axis=0))
+
+
+class TestBlockPartials:
+    @pytest.mark.parametrize("d,k", [(4, 2), (6, 5), (16, 20), (1, 7)])
+    def test_sums_bit_equal_to_unbuffered_add_at(self, d, k):
+        rng = np.random.Generator(np.random.PCG64(d * 31 + k))
+        pts = rng.random((4096, d))
+        centroids = rng.random((k, d))
+        centroids[-1] = 50.0  # never nearest: an empty cluster
+        labels, counts, sums, sq_dist = engine._block_partials(pts, centroids, k)
+        want = np.zeros((k, d))
+        np.add.at(want, label_points(pts, centroids), pts)
+        assert np.array_equal(sums, want)
+        assert counts[-1] == 0.0 and not sums[-1].any()
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        diff = pts - centroids[labels]
+        assert sq_dist == float((diff * diff).sum())
 
 
 class TestReduceCluster:
@@ -303,6 +331,67 @@ class TestRunEdpdcs:
         assert cs.centroids[0] == pytest.approx(
             small_blobs.points.mean(axis=0), abs=1e-6
         )
+
+
+def _run_variant(data, k, variant, epsilon, **config):
+    cfg = EngineConfig(variant=variant, master_seed=2, **config)
+    if variant is Variant.EDPDCS:
+        inputs = PlannerInputs(
+            n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
+        )
+        return run_edpdcs(data, k, inputs, config=cfg)
+    return run_baseline(data, k, epsilon, cfg)
+
+
+class TestLabellingPasses:
+    @pytest.mark.parametrize(
+        "variant,epsilon",
+        [
+            (Variant.EDPDCS, 3.0),
+            (Variant.RF_DPKM, 3.0),
+            (Variant.RU_DPKM, 1.0),
+            (Variant.RU_DPKM, 1e9),  # converges before the cap
+            (Variant.NONPRIVATE, None),  # converges before the cap
+        ],
+    )
+    def test_nicv_after_is_nicv_of_centroids_after(self, variant, epsilon):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        cs, labels, report = _run_variant(data, 4, variant, epsilon, n_partitions=2)
+        if epsilon in (None, 1e9):
+            assert any("converged" in n for n in report.notes)
+        for it in report.iterations:
+            after = CentroidSet(centroids=np.array(it["centroids_after"]))
+            want = nicv(data, after, assign_labels(data, after))
+            assert math.isclose(it["nicv_after"], want, rel_tol=1e-12)
+        assert report.nicv == report.iterations[-1]["nicv_after"]
+        assert np.array_equal(labels.labels, assign_labels(data, cs).labels)
+
+    def test_edpdcs_labels_every_row_once_per_planned_iteration(self, monkeypatch):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        rows = []
+
+        def counting(points, centroids):
+            rows.append(len(points))
+            return label_points(points, centroids)
+
+        monkeypatch.setattr(engine, "label_points", counting)
+        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 3.0)
+        assert sum(rows) == report.iterations_run * data.n_rows
+        assert max(rows) <= engine.MAP_BLOCK_ROWS
+
+    def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
+        def slow(points, centroids):
+            time.sleep(0.02)
+            return label_points(points, centroids)
+
+        monkeypatch.setattr(engine, "label_points", slow)
+        for variant, epsilon in [(Variant.EDPDCS, 1.0), (Variant.NONPRIVATE, None)]:
+            _, _, report = _run_variant(small_blobs, 3, variant, epsilon)
+            t = report.timings_ms
+            assert t["final_ms"] >= 20.0
+            spans = t["init_ms"] + sum(t["iterations_ms"]) + t["final_ms"]
+            assert spans <= t["total_ms"]
+            assert "timings_ms" not in report.comparable_json()
 
 
 class TestRunBaselineRf:

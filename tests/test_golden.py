@@ -1,0 +1,130 @@
+"""Golden regression: every variant's results pinned to recorded values.
+
+``golden_engine.json`` was recorded from the engine as it was before
+labelling became blockwise (one (n, k, d) broadcast per full-data
+labelling, trace NICV re-labelled after every iteration).  Centroids,
+noise draws, budget charges, the ledger and the final labels must still
+match it bit for bit.  The NICV fields only move by floating-point
+summation order, so they are compared to a relative 1e-12.
+
+Regenerate the fixture only when results are meant to change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import math
+import os
+
+import pytest
+
+from dpkmeans.engine import (
+    MAP_BLOCK_ROWS,
+    EngineConfig,
+    Variant,
+    run_baseline,
+    run_edpdcs,
+)
+from dpkmeans.ingestion import synthetic_blobs
+from dpkmeans.planner import PlannerInputs
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "golden_engine.json")
+NICV_RTOL = 1e-12
+
+#: name -> (synthetic_blobs args, k, epsilon).  ``blobs`` spans three map
+#: blocks and has d >= 8; ``blood`` is the 748 x 4 reference shape.
+SHAPES = {
+    "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0),
+    "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0),
+}
+VARIANTS = [v.value for v in Variant]
+_NICV_KEYS = ("nicv", "nicv_after")
+
+
+def _run(shape: str, variant: str, n_partitions: int):
+    blob_args, k, eps = SHAPES[shape]
+    data = synthetic_blobs(**blob_args)
+    config = EngineConfig(
+        variant=Variant(variant), n_partitions=n_partitions, master_seed=3, threads=2
+    )
+    if variant == "EDPDCS":
+        inputs = PlannerInputs(
+            n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=eps
+        )
+        return run_edpdcs(data, k, inputs, config=config)
+    epsilon = None if variant == "NONPRIVATE" else eps
+    return run_baseline(data, k, epsilon, config)
+
+
+def _strip_nicv(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_nicv(v) for k, v in obj.items() if k not in _NICV_KEYS}
+    if isinstance(obj, list):
+        return [_strip_nicv(v) for v in obj]
+    return obj
+
+
+def _summary(shape: str, variant: str, n_partitions: int) -> dict:
+    cs, assignment, report = _run(shape, variant, n_partitions)
+    comparable = json.loads(report.comparable_json())
+    return {
+        "iterations": [
+            {
+                "centroids_after": it["centroids_after"],
+                "noise_draws": it["noise_draws"],
+                "budget_charged": it["budget_charged"],
+                "nicv_after": it["nicv_after"],
+            }
+            for it in report.iterations
+        ],
+        "centroids": cs.centroids.tolist(),
+        "labels_sha256": hashlib.sha256(
+            assignment.labels.astype("<i8").tobytes()
+        ).hexdigest(),
+        "budget_spent": report.budget_spent,
+        "budget_remaining": report.budget_remaining,
+        "nicv": report.nicv,
+        # Everything else the report releases (plan, notes, config, shifts).
+        "rest_sha256": hashlib.sha256(
+            json.dumps(_strip_nicv(comparable), sort_keys=True).encode()
+        ).hexdigest(),
+    }
+
+
+def _golden() -> dict:
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+def test_blobs_shape_spans_more_than_two_blocks():
+    assert SHAPES["blobs"][0]["n_rows"] > 2 * MAP_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_partitions", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_matches_golden(shape, variant, n_partitions):
+    want = _golden()[shape][variant]
+    got = _summary(shape, variant, n_partitions)
+    assert math.isclose(got.pop("nicv"), want.pop("nicv"), rel_tol=NICV_RTOL)
+    got_iters, want_iters = got.pop("iterations"), want.pop("iterations")
+    assert len(got_iters) == len(want_iters)
+    for g, w in zip(got_iters, want_iters):
+        assert math.isclose(g.pop("nicv_after"), w.pop("nicv_after"), rel_tol=NICV_RTOL)
+        assert g == w
+    assert got == want
+
+
+def _record() -> None:
+    golden = {
+        shape: {variant: _summary(shape, variant, 1) for variant in VARIANTS}
+        for shape in sorted(SHAPES)
+    }
+    with open(FIXTURE, "w") as fh:
+        json.dump(golden, fh, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    _record()
