@@ -132,35 +132,23 @@ class ClusterAggregate:
         if self.sums.ndim != 1:
             raise InvalidInputError("sums must be a 1-D vector")
 
-    def merge(self, other: "ClusterAggregate") -> "ClusterAggregate":
-        """Combine two partial aggregates for the same cluster."""
-        if other.cluster_index != self.cluster_index:
-            raise InvalidInputError(
-                f"cannot merge aggregates for clusters "
-                f"{self.cluster_index} and {other.cluster_index}"
-            )
-        return ClusterAggregate(
-            cluster_index=self.cluster_index,
-            count=self.count + other.count,
-            sums=self.sums + other.sums,
-        )
 
-
-def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidInputError(
-            f"expected two 1-D vectors of equal length, got {a.shape} and {b.shape}"
-        )
-    diff = a - b
-    return float(diff @ diff)
-
-
-#: Rows labelled per step of :func:`label_points`.  Bounds its temporary to
-#: one (rows, k, d) float64 array whatever the number of rows.
+#: Rows labelled per step of :func:`label_points`.  Bounds its temporaries to
+#: one (rows, k) float64 array, plus one (rows, k, d) array for the rows the
+#: filter cannot settle, whatever the number of rows.
 _LABEL_CHUNK_ROWS = 1024
+
+#: Unit roundoff of float64, and its smallest positive value, twice the most
+#: a product that underflows can lose.
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _label_exact(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid by each row's directly summed squared distances."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    np.square(diff, out=diff)
+    return np.argmin(diff.sum(axis=2), axis=1)
 
 
 def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -170,30 +158,66 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     the single labeling code path used everywhere so that map tasks, final
     assignments, and evaluation always agree bit-for-bit.
 
-    Rows are labelled in chunks of ``_LABEL_CHUNK_ROWS``.  Each row's
-    squared distances are the same sum over its own d differences as in one
-    (n, k, d) broadcast, so labels do not depend on the chunking.
+    The labels are those of :func:`_label_exact`, which sums each row's d
+    squared differences to every centroid, and they do not depend on the
+    chunking.  Rows go through in chunks of ``_LABEL_CHUNK_ROWS``.  A matrix
+    product first computes, for each centroid c and row x, the filter value
+    F = ||c||^2 - 2 c.x, which is the squared distance less ||x||^2 and so
+    orders the centroids of a row the same way.  A row whose two smallest F
+    lie more than ``tau`` apart keeps the filter's pick; the other rows, and
+    with them every exact tie, are labelled by :func:`_label_exact`.
+
+    Why the filter cannot change a label.  Let u = 2^-53,
+    g_m = m u / (1 - m u), D_j = ||x - c_j||^2, and S = the largest ||x|| of
+    the chunk plus the largest ||c_j||, so that D_j <= S^2 and
+    |F_j| <= S^2 in exact arithmetic.  A computed dot product of length d
+    is within g_d |a|.|b| of the true one in any summation order, with or
+    without fused multiply-adds (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.1), so:
+
+    - the exact path's value E_j, a sum of d rounded squares of rounded
+      differences, is within g_{d+2} D_j <= g_{d+2} S^2 of D_j;
+    - the computed F_j, two dot products and one addition, is within
+      g_{d+1} S^2 of D_j - ||x||^2.
+
+    If the two smallest F of a row, at b and at some j, differ by G, then
+    for every j != b, E_j - E_b >= G - 2 (g_{d+1} + g_{d+2}) S^2, which is
+    positive once G > 4 g_{d+2} S^2: b is then the exact path's strict
+    argmin.  ``tau`` = 8 (d + 2) (u S^2 + eta) is twice that bound.  The
+    margin covers the rounding of S, of G and of ``tau`` itself.  eta, the
+    smallest subnormal, covers underflow: one comparison rests on at most 6d
+    products or fused multiply-adds, and each that underflows loses at most
+    eta / 2.  A row whose F overflows has a NaN or infinite gap and is
+    refined too.  The bound assumes nothing about where the points or
+    centroids lie.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    labels = np.empty(points.shape[0], dtype=np.int64)
-    for start in range(0, points.shape[0], _LABEL_CHUNK_ROWS):
-        stop = start + _LABEL_CHUNK_ROWS
-        diff = points[start:stop, None, :] - centroids[None, :, :]
-        np.square(diff, out=diff)
-        np.argmin(diff.sum(axis=2), axis=1, out=labels[start:stop])
+    n, d = points.shape
+    labels = np.empty(n, dtype=np.int64)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_norm = np.sqrt(c_sq.max())
+    x_sq = np.einsum("ij,ij->i", points, points)
+    minus_2c = -2.0 * centroids
+    for start in range(0, n, _LABEL_CHUNK_ROWS):
+        stop = min(start + _LABEL_CHUNK_ROWS, n)
+        x = points[start:stop]
+        # (k, rows): the reductions run along axis 0, in contiguous passes
+        # that stay cheap when k is small.
+        f = minus_2c @ x.T
+        f += c_sq[:, None]
+        best = f.argmin(axis=0)
+        cols = np.arange(stop - start)
+        first = f[best, cols]
+        f[best, cols] = np.inf
+        gap = f.min(axis=0) - first
+        s = np.sqrt(x_sq[start:stop].max()) + c_norm
+        tau = 8 * (d + 2) * (_UNIT_ROUNDOFF * s * s + _SMALLEST_SUBNORMAL)
+        refine = ~(gap > tau)
+        if refine.any():
+            best[refine] = _label_exact(x[refine], centroids)
+        labels[start:stop] = best
     return labels
-
-
-def nearest_centroid(x: np.ndarray, centroid_set: CentroidSet) -> int:
-    """Index of the centroid closest to a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != centroid_set.n_dims:
-        raise InvalidInputError(
-            f"point of length {x.shape} does not match centroid "
-            f"dimensionality {centroid_set.n_dims}"
-        )
-    return int(label_points(x[None, :], centroid_set.centroids)[0])
 
 
 def assign_labels(data: Dataset, centroid_set: CentroidSet) -> Assignment:

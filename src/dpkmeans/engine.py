@@ -29,7 +29,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -127,25 +126,6 @@ def block_spans(n_rows: int, block_rows: int = MAP_BLOCK_ROWS) -> list[tuple[int
     return [(s, min(s + block_rows, n_rows)) for s in range(0, n_rows, block_rows)]
 
 
-def map_assign(
-    points: np.ndarray, centroid_set: CentroidSet
-) -> dict[int, ClusterAggregate]:
-    """Map task: per-cluster count and coordinate sums for one partition.
-
-    Clusters with no local members are omitted, so an empty partition
-    yields an empty map.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        return {}
-    _, counts, sums, _ = _block_partials(points, centroid_set.centroids, centroid_set.k)
-    return {
-        j: ClusterAggregate(cluster_index=j, count=float(counts[j]), sums=sums[j])
-        for j in range(centroid_set.k)
-        if counts[j] > 0
-    }
-
-
 _Partials = tuple[np.ndarray, np.ndarray, np.ndarray, float]
 
 
@@ -164,7 +144,7 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
 
 
 def _reduce_cluster_full(
-    partials: Sequence[ClusterAggregate],
+    exact: ClusterAggregate,
     epsilon_dim: float,
     epsilon_count: float,
     sampler: LaplaceSampler | None,
@@ -173,57 +153,29 @@ def _reduce_cluster_full(
     prev_centroid: np.ndarray,
     min_count: float = 1.0,
     clamp: bool = True,
-) -> tuple[np.ndarray, ClusterAggregate, ClusterAggregate | None]:
-    """Reduce one cluster; returns (centroid, exact merged, noisy or None)."""
-    if not partials:
-        raise InvalidInputError("reduce needs at least one partial aggregate")
-    merged = partials[0]
-    for part in partials[1:]:
-        merged = merged.merge(part)
+) -> tuple[np.ndarray, ClusterAggregate | None]:
+    """Reduce step for one cluster: perturb its exact aggregate, recompute
+    the mean; returns (centroid, noisy aggregate or None).
+
+    ``exact`` is the cluster's count and sums over the whole dataset, as
+    the labelling pass merged them in ascending block order.  Under privacy
+    the count and sums receive Laplace noise before the division, the
+    denominator is floored at ``min_count``, and the centroid is clamped
+    back into the unit cube when ``clamp`` is set.  Without privacy an
+    empty cluster keeps its previous centroid.
+    """
     if dp_enabled:
         if sampler is None:
             raise InvalidInputError("dp-enabled reduce needs a sampler")
-        noisy = perturb_aggregate(merged, epsilon_count, epsilon_dim, sampler)
+        noisy = perturb_aggregate(exact, epsilon_count, epsilon_dim, sampler)
         denom = max(noisy.count, min_count)
         centroid = noisy.sums / denom
         if clamp:
             centroid = np.clip(centroid, 0.0, 1.0)
-        return centroid, merged, noisy
-    if merged.count == 0.0:
-        return np.array(prev_centroid, dtype=np.float64, copy=True), merged, None
-    return merged.sums / merged.count, merged, None
-
-
-def reduce_cluster(
-    partials: Sequence[ClusterAggregate],
-    epsilon_dim: float,
-    epsilon_count: float,
-    sampler: LaplaceSampler | None,
-    dp_enabled: bool,
-    *,
-    prev_centroid: np.ndarray,
-    min_count: float = 1.0,
-    clamp: bool = True,
-) -> np.ndarray:
-    """Reduce step for one cluster: merge partials, perturb, recompute mean.
-
-    Partials are merged strictly in the order given (callers pass ascending
-    block order).  Under privacy the merged count and sums receive Laplace
-    noise before the division, the denominator is floored at ``min_count``,
-    and the centroid is clamped back into the unit cube when ``clamp`` is
-    set.  Without privacy an empty cluster keeps its previous centroid.
-    """
-    centroid, _, _ = _reduce_cluster_full(
-        partials,
-        epsilon_dim,
-        epsilon_count,
-        sampler,
-        dp_enabled,
-        prev_centroid=prev_centroid,
-        min_count=min_count,
-        clamp=clamp,
-    )
-    return centroid
+        return centroid, noisy
+    if exact.count == 0.0:
+        return np.array(prev_centroid, dtype=np.float64, copy=True), None
+    return exact.sums / exact.count, None
 
 
 @dataclass
@@ -415,11 +367,11 @@ class _Run:
                 if dp_enabled
                 else None
             )
-            partial = ClusterAggregate(
+            exact_j = ClusterAggregate(
                 cluster_index=j, count=float(counts[j]), sums=sums[j]
             )
-            new[j], exact_j, noisy_j = _reduce_cluster_full(
-                [partial],
+            new[j], noisy_j = _reduce_cluster_full(
+                exact_j,
                 epsilon_dim if dp_enabled else 1.0,
                 epsilon_count if dp_enabled else 1.0,
                 sampler,

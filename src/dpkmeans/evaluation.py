@@ -13,7 +13,7 @@ import json
 import logging
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
@@ -68,7 +68,12 @@ class RunReport:
     timings_ms: dict
 
     def to_dict(self, include_timings: bool = True) -> dict:
-        out = asdict(self)
+        """The report's fields by name.
+
+        The dict is new but shares the report's lists and dicts, which hold
+        only JSON values, so callers copy what they mean to change.
+        """
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if not include_timings:
             out.pop("timings_ms", None)
         return out

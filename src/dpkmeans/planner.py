@@ -181,6 +181,15 @@ def iteration_count(epsilon_total: float, epsilon_m: float, t_cap: int = DEFAULT
 def make_plan(inputs: PlannerInputs) -> BudgetPlan:
     """Build the full budget schedule for one run.
 
+    Neighbouring datasets differ by adding or removing one row.  That row
+    lies in [0, 1]^d and joins one cluster, so it changes one count by 1
+    and that cluster's d coordinate sums by at most 1 each: an iteration's
+    released statistics have L1 sensitivity d + 1, and the d + 1 shares of
+    ``epsilon / T`` spend ``epsilon / T`` per iteration.  Under replace-one
+    neighbours a row can leave one cluster and join another, which doubles
+    the sensitivity to 2 (d + 1), so the same plan protects only
+    2 * epsilon.
+
     When an override for epsilon_m is supplied and disagrees with the
     closed form by more than 1%, the discrepancy is logged (the override
     still wins; it exists precisely to reproduce externally published

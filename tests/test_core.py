@@ -2,20 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpkmeans import core
 from dpkmeans.core import (
     Assignment,
     CentroidSet,
-    ClusterAggregate,
     Dataset,
     InvalidInputError,
     assign_labels,
     label_points,
-    nearest_centroid,
-    squared_distance,
 )
+from dpkmeans.engine import _block_partials
 
 
 def _squared_distance_oracle(a, b):
@@ -26,17 +24,28 @@ def _squared_distance_oracle(a, b):
     return total
 
 
+def _sq_dist(a, b):
+    """The squared distance the map task sums for NICV, for one row and one
+    centroid."""
+    a, b = np.array([a], dtype=float), np.array([b], dtype=float)
+    return _block_partials(a, b, 1)[3]
+
+
+def _nearest(x, centroid_set):
+    return int(label_points(np.asarray(x)[None, :], centroid_set.centroids)[0])
+
+
 class TestSquaredDistance:
     def test_identity(self):
-        assert squared_distance(np.array([0.0, 0.0]), np.array([0.0, 0.0])) == 0.0
+        assert _sq_dist(np.array([0.0, 0.0]), np.array([0.0, 0.0])) == 0.0
 
     def test_unit_hypercube_diagonal(self):
-        assert squared_distance(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 2.0
+        assert _sq_dist(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 2.0
 
     def test_hand_arithmetic(self):
         a = [0.1, 0.2, 0.3]
         b = [0.4, 0.0, 0.3]
-        got = squared_distance(np.array(a), np.array(b))
+        got = _sq_dist(np.array(a), np.array(b))
         assert got == pytest.approx(0.13, rel=1e-12)
         assert got == pytest.approx(_squared_distance_oracle(a, b), rel=1e-14)
 
@@ -45,15 +54,9 @@ class TestSquaredDistance:
         rng = np.random.Generator(np.random.PCG64(seed))
         a = rng.random(7)
         b = rng.random(7)
-        assert squared_distance(a, b) == pytest.approx(
+        assert _sq_dist(a, b) == pytest.approx(
             _squared_distance_oracle(a, b), rel=1e-13
         )
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            squared_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(InvalidInputError):
-            squared_distance(np.zeros((2, 2)), np.zeros((2, 2)))
 
     @given(
         st.lists(
@@ -68,26 +71,26 @@ class TestSquaredDistance:
     def test_symmetry_and_nonnegativity(self, pairs):
         a = np.array([p[0] for p in pairs])
         b = np.array([p[1] for p in pairs])
-        d_ab = squared_distance(a, b)
-        assert d_ab == squared_distance(b, a)
+        d_ab = _sq_dist(a, b)
+        assert d_ab == _sq_dist(b, a)
         assert d_ab >= 0.0
         if np.array_equal(a, b):
             assert d_ab == 0.0
 
     def test_zero_iff_equal(self):
         a = np.array([0.5, 0.25])
-        assert squared_distance(a, a) == 0.0
-        assert squared_distance(a, a + 1e-9) > 0.0
+        assert _sq_dist(a, a) == 0.0
+        assert _sq_dist(a, a + 1e-9) > 0.0
 
 
 class TestNearestCentroid:
     def test_strictly_closer(self):
         cs = CentroidSet(centroids=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        assert nearest_centroid(np.array([0.1, 0.1]), cs) == 0
+        assert _nearest(np.array([0.1, 0.1]), cs) == 0
 
     def test_equidistant_breaks_to_lowest_index(self):
         cs = CentroidSet(centroids=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        assert nearest_centroid(np.array([0.5, 0.5]), cs) == 0
+        assert _nearest(np.array([0.5, 0.5]), cs) == 0
 
     def test_brute_force_three_centroids(self):
         # Note: a query at exactly 0.9 per coordinate ties centroids 1 and 2
@@ -97,19 +100,19 @@ class TestNearestCentroid:
             centroids=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.8, 0.8, 0.8]])
         )
         x = np.array([0.85, 0.85, 0.85])
-        dists = [squared_distance(x, c) for c in cs.centroids]
+        dists = [_sq_dist(x, c) for c in cs.centroids]
         assert dists.index(min(dists)) == 2
-        assert nearest_centroid(x, cs) == 2
+        assert _nearest(x, cs) == 2
 
     def test_exact_tie_between_later_centroids_takes_lower(self):
         cs = CentroidSet(
             centroids=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.8, 0.8, 0.8]])
         )
         x = np.array([0.9, 0.9, 0.9])
-        d1 = squared_distance(x, cs.centroids[1])
-        d2 = squared_distance(x, cs.centroids[2])
+        d1 = _sq_dist(x, cs.centroids[1])
+        d2 = _sq_dist(x, cs.centroids[2])
         assert d1 == d2
-        assert nearest_centroid(x, cs) == 1
+        assert _nearest(x, cs) == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_per_point_scan(self, seed):
@@ -120,7 +123,7 @@ class TestNearestCentroid:
             expected = min(
                 range(4), key=lambda j: _squared_distance_oracle(x, centroids[j])
             )
-            assert nearest_centroid(x, cs) == expected
+            assert _nearest(x, cs) == expected
 
     def test_monotone_transform_invariance(self):
         # argmin under sqrt(distance) equals argmin under squared distance
@@ -128,10 +131,10 @@ class TestNearestCentroid:
         centroids = rng.random((5, 2))
         cs = CentroidSet(centroids=centroids)
         for x in rng.random((25, 2)):
-            by_sq = nearest_centroid(x, cs)
+            by_sq = _nearest(x, cs)
             by_abs = int(
                 np.argmin(
-                    [np.sqrt(squared_distance(x, c)) for c in centroids]
+                    [np.sqrt(_sq_dist(x, c)) for c in centroids]
                 )
             )
             assert by_sq == by_abs
@@ -139,7 +142,7 @@ class TestNearestCentroid:
     def test_dimension_mismatch(self):
         cs = CentroidSet(centroids=np.array([[0.0, 0.0]]))
         with pytest.raises(InvalidInputError):
-            nearest_centroid(np.array([0.1, 0.2, 0.3]), cs)
+            assign_labels(Dataset(points=np.array([[0.1, 0.2, 0.3]])), cs)
 
 
 class TestAssignLabels:
@@ -153,7 +156,9 @@ class TestAssignLabels:
         cs = CentroidSet(centroids=small_blobs.points[10:13].copy())
         asg = assign_labels(small_blobs, cs)
         for i in range(0, small_blobs.n_rows, 37):
-            assert asg.labels[i] == nearest_centroid(small_blobs.points[i], cs)
+            x = small_blobs.points[i]
+            dists = [_squared_distance_oracle(x, c) for c in cs.centroids]
+            assert asg.labels[i] == dists.index(min(dists))
 
     def test_label_points_ties_prefer_lowest_index(self):
         pts = np.array([[0.5, 0.5]])
@@ -217,6 +222,125 @@ class TestLabelPointsChunks:
         assert label_points(np.empty((0, 3)), np.zeros((2, 3))).shape == (0,)
 
 
+@st.composite
+def _labelling_inputs(draw):
+    """Rows and centroids built to sit on or near bisectors: coordinates on a
+    dyadic grid, centroids that repeat one another or copy a data row,
+    exactly or 1e-9 away, and centroids far outside the unit cube."""
+    n = draw(st.integers(0, 40))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    coord = st.one_of(
+        st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0]),
+        st.floats(-1.0, 2.0, allow_nan=False),
+    )
+    vec = st.lists(coord, min_size=d, max_size=d).map(np.array)
+    points = np.array(draw(st.lists(vec, min_size=n, max_size=n))).reshape(n, d)
+    centroids = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["grid", "far", "row", "jittered row", "repeat"]))
+        if kind in ("row", "jittered row") and n:
+            c = points[draw(st.integers(0, n - 1))].copy()
+            if kind == "jittered row":
+                c += 1e-9 * draw(st.sampled_from([-1.0, 1.0]))
+        elif kind == "repeat" and centroids:
+            c = centroids[draw(st.integers(0, len(centroids) - 1))].copy()
+        elif kind == "far":
+            c = draw(vec) * draw(st.sampled_from([-1e6, 1e3, 1e6]))
+        else:
+            c = draw(vec)
+        centroids.append(c)
+    return points, np.array(centroids).reshape(k, d)
+
+
+class TestLabelPointsFilter:
+    CHUNK = core._LABEL_CHUNK_ROWS
+
+    @settings(max_examples=200, deadline=None)
+    @given(_labelling_inputs())
+    def test_bit_equal_to_broadcast_oracle(self, inputs):
+        points, centroids = inputs
+        got = label_points(points, centroids)
+        assert np.array_equal(got, _broadcast_labels(points, centroids))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "duplicate centroids",
+            "dyadic bisectors",
+            "rows as centroids",
+            "jittered rows as centroids",
+            "far centroids",
+            "one far centroid",
+            "underflowing products",
+        ],
+    )
+    def test_adversarial_inputs_match_oracle_across_chunks(self, case):
+        rng = np.random.Generator(np.random.PCG64(7))
+        n, d = 2 * self.CHUNK + 5, 3
+        pts = rng.random((n, d))
+        if case == "duplicate centroids":
+            centroids = rng.random((4, d))[[0, 1, 0, 2, 1, 3]]
+        elif case == "dyadic bisectors":
+            pts = rng.integers(0, 9, (n, d)) / 8.0
+            centroids = rng.integers(0, 5, (6, d)) / 4.0
+        elif case == "rows as centroids":
+            centroids = pts[rng.choice(n, 6, replace=False)]
+        elif case == "jittered rows as centroids":
+            centroids = pts[rng.choice(n, 6, replace=False)]
+            centroids = centroids + 1e-9 * rng.standard_normal((6, d))
+        elif case == "far centroids":
+            centroids = rng.uniform(-1e6, 1e6, (6, d))
+        elif case == "underflowing products":
+            # Squared distances near 1e-320 are subnormal: rounding there
+            # loses absolute, not relative, precision.
+            pts = pts * 1e-160
+            centroids = rng.random((6, d)) * 1e-160
+        else:
+            # One centroid at 1e6 widens the bound of every row (S ~ 1e6),
+            # so rows near the bisectors of the near centroids go through
+            # the exact path.
+            centroids = np.vstack([rng.random((5, d)), np.full((1, d), 1e6)])
+        got = label_points(pts, centroids)
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
+
+    @pytest.mark.parametrize(
+        "n,d,k", [(0, 3, 2), (0, 1, 1), (5, 1, 1), (1029, 1, 4), (7, 4, 1)]
+    )
+    def test_degenerate_shapes(self, n, d, k):
+        rng = np.random.Generator(np.random.PCG64(n + 10 * d + 100 * k))
+        pts, centroids = rng.random((n, d)), rng.random((k, d))
+        got = label_points(pts, centroids)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
+
+    def _count_exact_rows(self, monkeypatch) -> list[int]:
+        rows: list[int] = []
+        exact = core._label_exact
+
+        def counting(points, centroids):
+            rows.append(points.shape[0])
+            return exact(points, centroids)
+
+        monkeypatch.setattr(core, "_label_exact", counting)
+        return rows
+
+    def test_ties_go_through_the_exact_path(self, monkeypatch):
+        rows = self._count_exact_rows(monkeypatch)
+        pts = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.8]])
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert label_points(pts, centroids).tolist() == [0, 0, 1]
+        assert rows == [1]
+
+    def test_clear_rows_skip_the_exact_path(self, monkeypatch):
+        rows = self._count_exact_rows(monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(3))
+        pts, centroids = rng.random((4096, 16)), rng.random((20, 16))
+        got = label_points(pts, centroids)
+        assert rows == []
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
+
+
 class TestDataset:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
@@ -260,18 +384,3 @@ class TestCentroidSetAndAssignment:
     def test_assignment_rejects_2d(self):
         with pytest.raises(InvalidInputError):
             Assignment(labels=np.zeros((2, 2), dtype=np.int64))
-
-
-class TestClusterAggregate:
-    def test_merge_adds_counts_and_sums(self):
-        a = ClusterAggregate(cluster_index=1, count=2.0, sums=np.array([1.0, 2.0]))
-        b = ClusterAggregate(cluster_index=1, count=3.0, sums=np.array([0.5, 0.5]))
-        merged = a.merge(b)
-        assert merged.count == 5.0
-        assert np.array_equal(merged.sums, np.array([1.5, 2.5]))
-
-    def test_merge_rejects_mismatched_clusters(self):
-        a = ClusterAggregate(cluster_index=0, count=1.0, sums=np.zeros(2))
-        b = ClusterAggregate(cluster_index=1, count=1.0, sums=np.zeros(2))
-        with pytest.raises(InvalidInputError):
-            a.merge(b)

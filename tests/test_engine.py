@@ -18,8 +18,6 @@ from dpkmeans.engine import (
     EngineConfig,
     Variant,
     block_spans,
-    map_assign,
-    reduce_cluster,
     run_baseline,
     run_edpdcs,
 )
@@ -32,6 +30,9 @@ CORNERS = Dataset(
     points=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
     normalized=True,
 )
+
+
+_reduce = engine._reduce_cluster_full
 
 
 def _agg(j, count, sums):
@@ -57,34 +58,36 @@ class TestBlockSpans:
 class TestMapAssign:
     def test_two_cluster_example(self):
         pts = np.array([[0.0, 0.1], [0.1, 0.0], [0.9, 1.0]])
-        cs = CentroidSet(centroids=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        out = map_assign(pts, cs)
-        assert set(out) == {0, 1}
-        assert out[0].count == 2.0
-        assert out[0].sums == pytest.approx([0.1, 0.1])
-        assert out[1].count == 1.0
-        assert out[1].sums == pytest.approx([0.9, 1.0])
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
+        labels, counts, sums, sq_dist = engine._block_partials(pts, centroids, 2)
+        assert labels.tolist() == [0, 0, 1]
+        assert counts.tolist() == [2.0, 1.0]
+        assert sums[0] == pytest.approx([0.1, 0.1])
+        assert sums[1] == pytest.approx([0.9, 1.0])
+        assert sq_dist == pytest.approx(0.01 + 0.01 + 0.01)
 
-    def test_empty_cluster_omitted(self):
+    def test_empty_cluster_has_zero_count_and_sums(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0]])
-        cs = CentroidSet(centroids=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        out = map_assign(pts, cs)
-        assert set(out) == {0}
-        assert out[0].count == 2.0
-        assert out[0].sums == pytest.approx([0.1, 0.0])
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
+        _, counts, sums, _ = engine._block_partials(pts, centroids, 2)
+        assert counts.tolist() == [2.0, 0.0]
+        assert sums[0] == pytest.approx([0.1, 0.0])
+        assert sums[1].tolist() == [0.0, 0.0]
 
     def test_empty_partition_yields_empty_map(self):
-        cs = CentroidSet(centroids=np.array([[0.5, 0.5]]))
-        assert map_assign(np.empty((0, 2)), cs) == {}
+        labels, counts, sums, sq_dist = engine._block_partials(
+            np.empty((0, 2)), np.array([[0.5, 0.5]]), 1
+        )
+        assert labels.shape == (0,)
+        assert counts.tolist() == [0.0] and sums.tolist() == [[0.0, 0.0]]
+        assert sq_dist == 0.0
 
     def test_counts_total_the_partition(self):
         rng = np.random.Generator(np.random.PCG64(0))
         pts = rng.random((321, 3))
-        cs = CentroidSet(centroids=rng.random((4, 3)))
-        out = map_assign(pts, cs)
-        assert sum(a.count for a in out.values()) == 321.0
-        total = sum(a.sums for a in out.values())
-        assert total == pytest.approx(pts.sum(axis=0))
+        _, counts, sums, _ = engine._block_partials(pts, rng.random((4, 3)), 4)
+        assert counts.sum() == 321.0
+        assert sums.sum(axis=0) == pytest.approx(pts.sum(axis=0))
 
 
 class TestBlockPartials:
@@ -106,8 +109,8 @@ class TestBlockPartials:
 
 class TestReduceCluster:
     def test_plain_mean_without_privacy(self):
-        c = reduce_cluster(
-            [_agg(0, 4, [2.0, 3.0])],
+        c, noisy = _reduce(
+            _agg(0, 4, [2.0, 3.0]),
             None,
             None,
             None,
@@ -115,18 +118,35 @@ class TestReduceCluster:
             prev_centroid=np.zeros(2),
         )
         assert c == pytest.approx([0.5, 0.75])
+        assert noisy is None
 
     def test_merge_is_left_fold_over_given_order(self):
-        parts = [_agg(0, 1, [0.1, 0.2]), _agg(0, 2, [0.5, 0.1]), _agg(0, 1, [0.2, 0.5])]
-        c = reduce_cluster(
-            parts, None, None, None, False, prev_centroid=np.zeros(2)
-        )
-        assert c == pytest.approx([0.2, 0.2])
+        # The reduce's input is the labelling pass's merge of the block
+        # partials, added in ascending block order whatever the partitions.
+        rng = np.random.Generator(np.random.PCG64(4))
+        data = Dataset(points=rng.random((9000, 3)), normalized=True)
+        centroids = rng.random((4, 3))
+        counts = np.zeros(4)
+        sums = np.zeros((4, 3))
+        for start, stop in block_spans(data.n_rows):
+            _, c, s, _ = engine._block_partials(data.points[start:stop], centroids, 4)
+            counts += c
+            sums += s
+        for parts in (1, 2, 3):
+            agg = engine._BlockAggregator(
+                data, EngineConfig(n_partitions=parts, threads=2)
+            )
+            try:
+                got_counts, got_sums, _, _ = agg.labelling_pass(centroids, 4)
+            finally:
+                agg.close()
+            assert np.array_equal(got_counts, counts)
+            assert np.array_equal(got_sums, sums)
 
     def test_empty_cluster_keeps_previous_centroid(self):
         prev = np.array([0.3, 0.7])
-        c = reduce_cluster(
-            [_agg(0, 0, [0.0, 0.0])], None, None, None, False, prev_centroid=prev
+        c, _ = _reduce(
+            _agg(0, 0, [0.0, 0.0]), None, None, None, False, prev_centroid=prev
         )
         assert np.array_equal(c, prev)
         c[0] = -1.0  # must be a copy
@@ -134,8 +154,8 @@ class TestReduceCluster:
 
     def test_vanishing_noise_matches_exact_mean(self):
         sampler = LaplaceSampler(rng_seed=0)
-        c = reduce_cluster(
-            [_agg(0, 4, [2.0, 3.0])],
+        c, _ = _reduce(
+            _agg(0, 4, [2.0, 3.0]),
             1e12,
             1e12,
             sampler,
@@ -149,8 +169,8 @@ class TestReduceCluster:
         # pushing the noisy count below the floor.
         eps_count, eps_dim = 0.1, 0.5
         sums = np.array([1.2, 0.4])
-        c = reduce_cluster(
-            [_agg(0, 2, sums)],
+        c, noisy = _reduce(
+            _agg(0, 2, sums),
             eps_dim,
             eps_count,
             LaplaceSampler(rng_seed=2),
@@ -164,10 +184,12 @@ class TestReduceCluster:
         assert 2.0 + count_noise < 1.0  # denominator hits the min_count floor
         expected = np.clip((sums + dim_noise) / 1.0, 0.0, 1.0)
         assert np.array_equal(c, expected)
+        assert noisy.count == 2.0 + count_noise
+        assert np.array_equal(noisy.sums, sums + dim_noise)
 
     def test_clamp_keeps_unit_cube(self):
-        c = reduce_cluster(
-            [_agg(0, 1, [0.9, 0.1])],
+        c, _ = _reduce(
+            _agg(0, 1, [0.9, 0.1]),
             0.01,
             0.01,
             LaplaceSampler(rng_seed=5),
@@ -178,8 +200,8 @@ class TestReduceCluster:
 
     def test_clamp_can_be_disabled(self):
         kwargs = dict(prev_centroid=np.zeros(2), min_count=1.0)
-        clamped = reduce_cluster(
-            [_agg(0, 1, [0.9, 0.1])],
+        clamped, _ = _reduce(
+            _agg(0, 1, [0.9, 0.1]),
             0.01,
             0.01,
             LaplaceSampler(rng_seed=5),
@@ -187,8 +209,8 @@ class TestReduceCluster:
             clamp=True,
             **kwargs,
         )
-        raw = reduce_cluster(
-            [_agg(0, 1, [0.9, 0.1])],
+        raw, _ = _reduce(
+            _agg(0, 1, [0.9, 0.1]),
             0.01,
             0.01,
             LaplaceSampler(rng_seed=5),
@@ -199,14 +221,10 @@ class TestReduceCluster:
         assert np.any(raw != clamped)
         assert np.array_equal(np.clip(raw, 0.0, 1.0), clamped)
 
-    def test_no_partials_rejected(self):
-        with pytest.raises(InvalidInputError):
-            reduce_cluster([], None, None, None, False, prev_centroid=np.zeros(2))
-
     def test_dp_without_sampler_rejected(self):
         with pytest.raises(InvalidInputError):
-            reduce_cluster(
-                [_agg(0, 1, [0.5, 0.5])],
+            _reduce(
+                _agg(0, 1, [0.5, 0.5]),
                 1.0,
                 1.0,
                 None,

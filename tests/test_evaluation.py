@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -116,6 +117,32 @@ class TestRunReport:
             small_blobs, 3, inputs, config=EngineConfig(variant=Variant.EDPDCS, master_seed=1)
         )[2]
         assert a.comparable_json() != b.comparable_json()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_json_equals_that_of_deep_copied_fields(self, small_blobs, variant):
+        cfg = EngineConfig(
+            variant=variant, n_partitions=2, master_seed=4, diagnostics=True
+        )
+        if variant is Variant.EDPDCS:
+            inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
+            report = run_edpdcs(small_blobs, 3, inputs, config=cfg)[2]
+        else:
+            eps = None if variant is Variant.NONPRIVATE else 1.0
+            report = run_baseline(small_blobs, 3, eps, cfg)[2]
+        deep = dataclasses.asdict(report)
+        comparable = {
+            k: v for k, v in deep.items() if k not in ("timings_ms", "n_partitions")
+        }
+        comparable["config"] = {
+            k: v
+            for k, v in deep["config"].items()
+            if k not in ("n_partitions", "threads")
+        }
+        assert report.comparable_json() == json.dumps(
+            comparable, indent=2, sort_keys=True
+        )
+        # Serializing left the report's own fields as they were.
+        assert report.to_json() == json.dumps(deep, indent=2, sort_keys=True)
 
 
 class TestCompareVariants:

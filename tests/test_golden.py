@@ -1,21 +1,26 @@
 """Golden regression: every variant's results pinned to recorded values.
 
-``golden_engine.json`` was recorded from the engine as it was before
-labelling became blockwise (one (n, k, d) broadcast per full-data
-labelling, trace NICV re-labelled after every iteration).  Centroids,
-noise draws, budget charges, the ledger and the final labels must still
-match it bit for bit.  The NICV fields only move by floating-point
-summation order, so they are compared to a relative 1e-12.
+The ``blobs`` and ``blood`` cases of ``golden_engine.json`` were recorded
+from the engine as it was before labelling became blockwise (one
+(n, k, d) broadcast per full-data labelling, trace NICV re-labelled after
+every iteration).  The ``wide`` cases were recorded from the blockwise
+engine while ``label_points`` still computed every (row, centroid)
+distance directly, before it filtered through a matrix product.
+Centroids, noise draws, budget charges, the ledger and the final labels
+must still match the fixture bit for bit.  The NICV fields of the older
+cases moved by floating-point summation order, so NICV is compared to a
+relative 1e-12.
 
-Regenerate the fixture only when results are meant to change::
+Regenerate a shape's cases only when results are meant to change::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py wide
 """
 
 import hashlib
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -32,18 +37,28 @@ from dpkmeans.planner import PlannerInputs
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_engine.json")
 NICV_RTOL = 1e-12
 
-#: name -> (synthetic_blobs args, k, epsilon).  ``blobs`` spans three map
-#: blocks and has d >= 8; ``blood`` is the 748 x 4 reference shape.
-SHAPES = {
-    "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0),
-    "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0),
-}
 VARIANTS = [v.value for v in Variant]
+
+#: name -> (synthetic_blobs args, k, epsilon, variants).  ``blobs`` spans
+#: three map blocks and has d >= 8; ``blood`` is the 748 x 4 reference
+#: shape; ``wide`` has the d and k of the threaded benchmark, with wider
+#: blobs than its own, so that exact Lloyd runs 21 iterations.
+SHAPES = {
+    "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0, VARIANTS),
+    "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0, VARIANTS),
+    "wide": (
+        dict(n_rows=20_000, n_dims=16, n_centers=20, seed=5, spread=0.1),
+        20,
+        3.0,
+        ["EDPDCS", "NONPRIVATE"],
+    ),
+}
+CASES = [(shape, variant) for shape in sorted(SHAPES) for variant in SHAPES[shape][3]]
 _NICV_KEYS = ("nicv", "nicv_after")
 
 
 def _run(shape: str, variant: str, n_partitions: int):
-    blob_args, k, eps = SHAPES[shape]
+    blob_args, k, eps, _ = SHAPES[shape]
     data = synthetic_blobs(**blob_args)
     config = EngineConfig(
         variant=Variant(variant), n_partitions=n_partitions, master_seed=3, threads=2
@@ -102,8 +117,7 @@ def test_blobs_shape_spans_more_than_two_blocks():
 
 
 @pytest.mark.parametrize("n_partitions", [1, 2])
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("shape,variant", CASES)
 def test_matches_golden(shape, variant, n_partitions):
     want = _golden()[shape][variant]
     got = _summary(shape, variant, n_partitions)
@@ -116,15 +130,16 @@ def test_matches_golden(shape, variant, n_partitions):
     assert got == want
 
 
-def _record() -> None:
-    golden = {
-        shape: {variant: _summary(shape, variant, 1) for variant in VARIANTS}
-        for shape in sorted(SHAPES)
-    }
+def _record(shapes) -> None:
+    golden = _golden()
+    for shape in shapes:
+        golden[shape] = {
+            variant: _summary(shape, variant, 1) for variant in SHAPES[shape][3]
+        }
     with open(FIXTURE, "w") as fh:
         json.dump(golden, fh, sort_keys=True)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:] or sorted(SHAPES))
