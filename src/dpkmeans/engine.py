@@ -11,14 +11,16 @@ block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
 partition count only controls how blocks are grouped onto threads.
 
-Four run variants share this machinery:
+One Lloyd loop runs all four variants.  A variant is an initialization,
+a list of (iteration, epsilon or None) steps and an optional stop rule:
 
 - ``EDPDCS``: canopy initialization (charged as the first iteration) plus
   planner-scheduled noisy Lloyd steps at a uniform per-iteration budget.
 - ``RF_DPKM``: random-row initialization, planner-scheduled noisy steps.
 - ``RU_DPKM``: random-row initialization, budget-halving schedule with a
   convergence stop and a reported residual.
-- ``NONPRIVATE``: exact Lloyd from noise-free canopy initialization.
+- ``NONPRIVATE``: exact Lloyd steps (epsilon None) with a convergence stop
+  from noise-free canopy initialization.
 """
 
 from __future__ import annotations
@@ -145,10 +147,7 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
 
 def _reduce_cluster_full(
     exact: ClusterAggregate,
-    epsilon_dim: float,
-    epsilon_count: float,
-    sampler: LaplaceSampler | None,
-    dp_enabled: bool,
+    noise: tuple[float, LaplaceSampler] | None,
     *,
     prev_centroid: np.ndarray,
     min_count: float = 1.0,
@@ -158,68 +157,24 @@ def _reduce_cluster_full(
     the mean; returns (centroid, noisy aggregate or None).
 
     ``exact`` is the cluster's count and sums over the whole dataset, as
-    the labelling pass merged them in ascending block order.  Under privacy
-    the count and sums receive Laplace noise before the division, the
+    the labelling pass merged them in ascending block order.  ``noise`` is
+    None for an exact step; otherwise it is the budget share of each of the
+    cluster's d + 1 statistics and the cluster's noise stream.  The count
+    and sums then receive Laplace noise before the division, the
     denominator is floored at ``min_count``, and the centroid is clamped
-    back into the unit cube when ``clamp`` is set.  Without privacy an
-    empty cluster keeps its previous centroid.
+    back into the unit cube when ``clamp`` is set.  Without noise an empty
+    cluster keeps its previous centroid.
     """
-    if dp_enabled:
-        if sampler is None:
-            raise InvalidInputError("dp-enabled reduce needs a sampler")
-        noisy = perturb_aggregate(exact, epsilon_count, epsilon_dim, sampler)
-        denom = max(noisy.count, min_count)
-        centroid = noisy.sums / denom
+    if noise is not None:
+        share, sampler = noise
+        noisy = perturb_aggregate(exact, share, share, sampler)
+        centroid = noisy.sums / max(noisy.count, min_count)
         if clamp:
             centroid = np.clip(centroid, 0.0, 1.0)
         return centroid, noisy
     if exact.count == 0.0:
         return np.array(prev_centroid, dtype=np.float64, copy=True), None
     return exact.sums / exact.count, None
-
-
-@dataclass
-class IterationTrace:
-    """Diagnostic record of one engine iteration (JSON-ready via to_dict)."""
-
-    iteration: int
-    phase: str
-    budget_charged: float | None
-    noise_draws: int
-    centroid_shift: float | None
-    nicv_after: float
-    centroids_before: np.ndarray | None
-    centroids_after: np.ndarray
-    exact_aggregates: list[ClusterAggregate] | None = None
-    noisy_aggregates: list[ClusterAggregate] | None = None
-
-    def to_dict(self) -> dict:
-        def agg_list(aggs: list[ClusterAggregate] | None):
-            if aggs is None:
-                return None
-            return [
-                {
-                    "cluster_index": a.cluster_index,
-                    "count": a.count,
-                    "sums": a.sums.tolist(),
-                }
-                for a in aggs
-            ]
-
-        return {
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "budget_charged": self.budget_charged,
-            "noise_draws": self.noise_draws,
-            "centroid_shift": self.centroid_shift,
-            "nicv_after": self.nicv_after,
-            "centroids_before": None
-            if self.centroids_before is None
-            else self.centroids_before.tolist(),
-            "centroids_after": self.centroids_after.tolist(),
-            "exact_aggregates": agg_list(self.exact_aggregates),
-            "noisy_aggregates": agg_list(self.noisy_aggregates),
-        }
 
 
 class _BlockAggregator:
@@ -285,109 +240,6 @@ class _BlockAggregator:
         return counts, sums, sq_dist, labels
 
 
-class _Run:
-    """Shared state and helpers for one engine run."""
-
-    def __init__(self, data: Dataset, k: int, config: EngineConfig):
-        self.data = data
-        self.k = k
-        self.config = config
-        self.trace: list[IterationTrace] = []
-        self.iter_ms: list[float] = []
-        self.final_ms = 0.0
-        self._agg = _BlockAggregator(data, config)
-
-    def close(self) -> None:
-        self._agg.close()
-
-    def record(
-        self,
-        iteration: int,
-        phase: str,
-        budget: float | None,
-        draws: int,
-        shift: float | None,
-        before: np.ndarray | None,
-        after: np.ndarray,
-        exact: list[ClusterAggregate] | None = None,
-        noisy: list[ClusterAggregate] | None = None,
-    ) -> None:
-        """Trace one iteration.  Its ``nicv_after`` is filled in by the next
-        labelling pass, which labels every row against ``after``."""
-        self.trace.append(
-            IterationTrace(
-                iteration=iteration,
-                phase=phase,
-                budget_charged=budget,
-                noise_draws=draws,
-                centroid_shift=shift,
-                nicv_after=float("nan"),
-                centroids_before=None if before is None else before.copy(),
-                centroids_after=after.copy(),
-                exact_aggregates=exact,
-                noisy_aggregates=noisy,
-            )
-        )
-
-    def _labelling_pass(
-        self, centroids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts, sums, sq_dist, labels = self._agg.labelling_pass(centroids, self.k)
-        self.trace[-1].nicv_after = sq_dist / self.data.n_rows
-        return counts, sums, labels
-
-    def finish(
-        self, centroids: np.ndarray, noisy: bool
-    ) -> tuple[CentroidSet, Assignment, float]:
-        """Final pass: the assignment to ``centroids`` and its NICV."""
-        t0 = time.perf_counter()
-        _, _, labels = self._labelling_pass(centroids)
-        self.final_ms = 1e3 * (time.perf_counter() - t0)
-        final = CentroidSet(centroids=centroids, noisy=noisy)
-        return final, Assignment(labels=labels), self.trace[-1].nicv_after
-
-    def lloyd_step(
-        self,
-        centroids: np.ndarray,
-        iteration: int,
-        epsilon_dim: float | None,
-        epsilon_count: float | None,
-        dp_enabled: bool,
-    ) -> tuple[np.ndarray, int, list[ClusterAggregate], list[ClusterAggregate] | None]:
-        """One assign/reduce pass; returns (new centroids, draws, exact, noisy)."""
-        config = self.config
-        counts, sums, _ = self._labelling_pass(centroids)
-        new = np.empty_like(centroids)
-        draws = 0
-        exact_aggs: list[ClusterAggregate] = []
-        noisy_aggs: list[ClusterAggregate] = []
-        for j in range(self.k):
-            sampler = (
-                LaplaceSampler(derive_stream_seed(config.master_seed, iteration, j))
-                if dp_enabled
-                else None
-            )
-            exact_j = ClusterAggregate(
-                cluster_index=j, count=float(counts[j]), sums=sums[j]
-            )
-            new[j], noisy_j = _reduce_cluster_full(
-                exact_j,
-                epsilon_dim if dp_enabled else 1.0,
-                epsilon_count if dp_enabled else 1.0,
-                sampler,
-                dp_enabled,
-                prev_centroid=centroids[j],
-                min_count=config.min_count,
-                clamp=config.clamp_centroids,
-            )
-            exact_aggs.append(exact_j)
-            if noisy_j is not None:
-                noisy_aggs.append(noisy_j)
-            if sampler is not None:
-                draws += sampler.draw_count
-        return new, draws, exact_aggs, (noisy_aggs if dp_enabled else None)
-
-
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
     """Largest Euclidean movement of any single centroid."""
     return float(np.sqrt(((new - old) ** 2).sum(axis=1)).max())
@@ -399,7 +251,160 @@ def _random_row_centroids(data: Dataset, k: int, seed: int) -> np.ndarray:
     return data.points[np.sort(idx)].copy()
 
 
-def _validate_run(data: Dataset, k: int, config: EngineConfig) -> None:
+def _aggregates(aggs: list[ClusterAggregate]) -> list[dict]:
+    return [
+        {"cluster_index": a.cluster_index, "count": a.count, "sums": a.sums.tolist()}
+        for a in aggs
+    ]
+
+
+def _run_lloyd(
+    data: Dataset,
+    k: int,
+    config: EngineConfig,
+    start: np.ndarray,
+    steps: list[tuple[int, float | None]],
+    stop: tuple[float, str] | None,
+    *,
+    t_start: float,
+    ledger: BudgetLedger | None = None,
+    plan: BudgetPlan | None = None,
+    init_budget: float | None = None,
+    init_draws: int = 0,
+    notes: list[str],
+    replay: dict,
+) -> tuple[CentroidSet, Assignment, RunReport]:
+    """The Lloyd loop every variant runs, from ``start`` through ``steps``.
+
+    Each step is an (iteration, epsilon) pair.  A step with an epsilon is
+    charged to ``ledger`` before its labelling pass reads any data, and each
+    cluster's count and d sums each get epsilon / (d + 1) of it; a step
+    with ``None`` is exact.  ``stop``, when given, is a shift tolerance and
+    the note (formatted with ``t`` and ``shift``) written when a step moves
+    no centroid further than it.  The initialization is traced as the
+    iteration before the first step.  Every trace entry's ``nicv_after`` is
+    filled in by the next labelling pass, which labels every row against
+    that entry's centroids; the last is the final pass, which gives the
+    assignment and the report's NICV.
+    """
+    trace = [
+        {
+            "iteration": steps[0][0] - 1,
+            "phase": "init",
+            "budget_charged": init_budget,
+            "noise_draws": init_draws,
+            "centroid_shift": None,
+            "centroids_before": None,
+            "centroids_after": start.tolist(),
+            "exact_aggregates": None,
+            "noisy_aggregates": None,
+        }
+    ]
+    init_ms = 1e3 * (time.perf_counter() - t_start)
+    iter_ms: list[float] = []
+    centroids = start
+    aggregator = _BlockAggregator(data, config)
+    try:
+        for t, epsilon in steps:
+            t0 = time.perf_counter()
+            share = None
+            if epsilon is not None:
+                ledger.charge(f"iteration-{t}", epsilon)
+                share = epsilon / (data.n_dims + 1)
+            counts, sums, sq_dist, _ = aggregator.labelling_pass(centroids, k)
+            trace[-1]["nicv_after"] = sq_dist / data.n_rows
+            new = np.empty_like(centroids)
+            draws = 0
+            exact_aggs: list[ClusterAggregate] = []
+            noisy_aggs: list[ClusterAggregate] = []
+            for j in range(k):
+                exact = ClusterAggregate(
+                    cluster_index=j, count=float(counts[j]), sums=sums[j]
+                )
+                noise = None
+                if share is not None:
+                    seed = derive_stream_seed(config.master_seed, t, j)
+                    noise = (share, LaplaceSampler(seed))
+                new[j], noisy = _reduce_cluster_full(
+                    exact,
+                    noise,
+                    prev_centroid=centroids[j],
+                    min_count=config.min_count,
+                    clamp=config.clamp_centroids,
+                )
+                exact_aggs.append(exact)
+                if noisy is not None:
+                    noisy_aggs.append(noisy)
+                    draws += noise[1].draw_count
+            shift = _max_shift(centroids, new)
+            iter_ms.append(1e3 * (time.perf_counter() - t0))
+            exact_trace = noisy_trace = None
+            if config.diagnostics:
+                exact_trace = _aggregates(exact_aggs)
+                noisy_trace = None if share is None else _aggregates(noisy_aggs)
+            trace.append(
+                {
+                    "iteration": t,
+                    "phase": "lloyd",
+                    "budget_charged": epsilon,
+                    "noise_draws": draws,
+                    "centroid_shift": shift,
+                    "centroids_before": centroids.tolist(),
+                    "centroids_after": new.tolist(),
+                    "exact_aggregates": exact_trace,
+                    "noisy_aggregates": noisy_trace,
+                }
+            )
+            centroids = new
+            if stop is not None and shift < stop[0]:
+                notes.append(stop[1].format(t=t, shift=shift))
+                break
+        t0 = time.perf_counter()
+        _, _, sq_dist, labels = aggregator.labelling_pass(centroids, k)
+        trace[-1]["nicv_after"] = sq_dist / data.n_rows
+        final_ms = 1e3 * (time.perf_counter() - t0)
+    finally:
+        aggregator.close()
+
+    if config.variant is Variant.RU_DPKM:
+        notes.append(f"residual budget {ledger.remaining:.6g} left by halving schedule")
+    elif ledger is not None:
+        ledger.assert_fully_spent()
+    report = RunReport(
+        variant=config.variant.value,
+        epsilon=None if ledger is None else ledger.total,
+        master_seed=config.master_seed,
+        n_rows=data.n_rows,
+        n_dims=data.n_dims,
+        k=k,
+        n_partitions=config.n_partitions,
+        iterations_run=trace[-1]["iteration"],
+        nicv=trace[-1]["nicv_after"],
+        budget_spent=0.0 if ledger is None else ledger.spent,
+        budget_remaining=0.0 if ledger is None else ledger.remaining,
+        plan=None if plan is None else plan.to_dict(),
+        iterations=trace,
+        config=replay,
+        notes=notes,
+        timings_ms={
+            "note": "wall clock; excluded from reproducibility comparisons",
+            "init_ms": init_ms,
+            "iterations_ms": iter_ms,
+            "final_ms": final_ms,
+            "total_ms": 1e3 * (time.perf_counter() - t_start),
+        },
+    )
+    final = CentroidSet(centroids=centroids, noisy=ledger is not None)
+    return final, Assignment(labels=labels), report
+
+
+def _validate_run(
+    data: Dataset,
+    k: int,
+    config: EngineConfig,
+    planner_inputs: PlannerInputs | None = None,
+    initial_centroids: CentroidSet | None = None,
+) -> None:
     if not data.normalized:
         raise InvalidInputError("engine requires min-max normalized data")
     if k < 1 or k > data.n_rows:
@@ -408,6 +413,18 @@ def _validate_run(data: Dataset, k: int, config: EngineConfig) -> None:
         raise InvalidInputError(
             f"n_partitions={config.n_partitions} exceeds {data.n_rows} rows"
         )
+    if planner_inputs is not None:
+        inputs = planner_inputs
+        if (inputs.n_rows, inputs.n_dims, inputs.k) != (data.n_rows, data.n_dims, k):
+            raise InvalidInputError(
+                "planner inputs (N, d, k) do not match the dataset and k supplied"
+            )
+    if initial_centroids is not None:
+        shape = initial_centroids.centroids.shape
+        if shape != (k, data.n_dims):
+            raise InvalidInputError(
+                f"initial centroids have shape {shape}, expected ({k}, {data.n_dims})"
+            )
 
 
 def run_edpdcs(
@@ -429,15 +446,7 @@ def run_edpdcs(
     config = config or EngineConfig(variant=Variant.EDPDCS)
     if config.variant is not Variant.EDPDCS:
         raise InvalidInputError(f"run_edpdcs cannot run variant {config.variant}")
-    _validate_run(data, k, config)
-    if (
-        planner_inputs.n_rows != data.n_rows
-        or planner_inputs.n_dims != data.n_dims
-        or planner_inputs.k != k
-    ):
-        raise InvalidInputError(
-            "planner inputs (N, d, k) do not match the dataset and k supplied"
-        )
+    _validate_run(data, k, config, planner_inputs)
     canopy_params = with_resolved_seed(
         canopy_params or CanopyParams(),
         derive_stream_seed(config.master_seed, 0, 0),
@@ -446,70 +455,30 @@ def run_edpdcs(
     t_start = time.perf_counter()
     plan = make_plan(planner_inputs)
     ledger = BudgetLedger(total=plan.epsilon_total)
-
-    init_sampler = LaplaceSampler(derive_stream_seed(config.master_seed, 1, 0))
     init = select_initial_centroids(
         data,
         k,
         canopy_params,
         plan,
-        init_sampler,
-        dp_enabled=True,
+        LaplaceSampler(derive_stream_seed(config.master_seed, 1, 0)),
         fill_seed=derive_stream_seed(config.master_seed, 0, 1),
     )
     ledger.charge("init", plan.epsilon_per_iter)
-    init_ms = 1e3 * (time.perf_counter() - t_start)
-
-    centroids = np.array(init.centroids.centroids, copy=True)
-    run = _Run(data, k, config)
-    run.record(
-        1, "init", plan.epsilon_per_iter, init.noise_draws, None, None, centroids
-    )
-    try:
-        for t in range(2, plan.iterations + 1):
-            t0 = time.perf_counter()
-            ledger.charge(f"iteration-{t}", plan.epsilon_per_iter)
-            new, draws, exact, noisy = run.lloyd_step(
-                centroids, t, plan.epsilon_dim, plan.epsilon_count, True
-            )
-            shift = _max_shift(centroids, new)
-            run.iter_ms.append(1e3 * (time.perf_counter() - t0))
-            run.record(
-                t,
-                "lloyd",
-                plan.epsilon_per_iter,
-                draws,
-                shift,
-                centroids,
-                new,
-                exact if config.diagnostics else None,
-                noisy if config.diagnostics else None,
-            )
-            centroids = new
-        final, assignment, final_nicv = run.finish(centroids, noisy=True)
-    finally:
-        run.close()
-
-    ledger.assert_fully_spent()
-    report = RunReport(
-        variant=Variant.EDPDCS.value,
-        epsilon=plan.epsilon_total,
-        master_seed=config.master_seed,
-        n_rows=data.n_rows,
-        n_dims=data.n_dims,
-        k=k,
-        n_partitions=config.n_partitions,
-        iterations_run=plan.iterations,
-        nicv=final_nicv,
-        budget_spent=ledger.spent,
-        budget_remaining=ledger.remaining,
-        plan=plan.to_dict(),
-        iterations=[t.to_dict() for t in run.trace],
-        config=_replay_config(config, planner_inputs, canopy_params),
+    return _run_lloyd(
+        data,
+        k,
+        config,
+        init.centroids.centroids,
+        [(t, plan.epsilon_per_iter) for t in range(2, plan.iterations + 1)],
+        None,
+        t_start=t_start,
+        ledger=ledger,
+        plan=plan,
+        init_budget=plan.epsilon_per_iter,
+        init_draws=init.noise_draws,
         notes=list(init.notes),
-        timings_ms=_timings(init_ms, run.iter_ms, run.final_ms, t_start),
+        replay=_replay_config(config, planner_inputs, canopy_params),
     )
-    return final, assignment, report
 
 
 def run_baseline(
@@ -530,7 +499,7 @@ def run_baseline(
     the largest centroid movement drops below ``ru_shift_tol``; whatever
     the halving schedule leaves unspent is reported as residual.
     NONPRIVATE runs exact Lloyd to convergence from noise-free canopy
-    initialization.
+    initialization and takes no epsilon.
 
     ``initial_centroids`` overrides the variant's own initialization, which
     is how like-for-like comparisons pin both runs to the same start.
@@ -538,8 +507,11 @@ def run_baseline(
     variant = config.variant
     if variant is Variant.EDPDCS:
         raise InvalidInputError("use run_edpdcs for the EDPDCS variant")
-    _validate_run(data, k, config)
-    if variant is not Variant.NONPRIVATE:
+    _validate_run(data, k, config, planner_inputs, initial_centroids)
+    if variant is Variant.NONPRIVATE:
+        if epsilon is not None:
+            raise InvalidInputError("NONPRIVATE spends no budget; pass epsilon=None")
+    else:
         if epsilon is None or epsilon <= 0.0:
             raise InvalidInputError(f"variant {variant.value} needs a positive epsilon")
         if planner_inputs is not None and planner_inputs.epsilon_total != epsilon:
@@ -550,153 +522,60 @@ def run_baseline(
     t_start = time.perf_counter()
     notes: list[str] = []
     plan: BudgetPlan | None = None
-    ledger: BudgetLedger | None = None
     canopy_resolved: CanopyParams | None = None
-
-    if variant is Variant.NONPRIVATE:
-        if initial_centroids is None:
-            canopy_resolved = with_resolved_seed(
-                canopy_params or CanopyParams(),
-                derive_stream_seed(config.master_seed, 0, 0),
-            )
-            init = select_initial_centroids(
-                data,
-                k,
-                canopy_resolved,
-                None,
-                None,
-                dp_enabled=False,
-                fill_seed=derive_stream_seed(config.master_seed, 0, 1),
-            )
-            centroids = np.array(init.centroids.centroids, copy=True)
-            notes.extend(init.notes)
-        else:
-            centroids = np.array(initial_centroids.centroids, copy=True)
-            notes.append("started from supplied centroids")
-    else:
-        ledger = BudgetLedger(total=epsilon)
-        if variant is Variant.RF_DPKM:
-            inputs = planner_inputs or PlannerInputs(
-                n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
-            )
-            planner_inputs = inputs
-            plan = make_plan(inputs)
-        if initial_centroids is None:
-            centroids = _random_row_centroids(
-                data, k, derive_stream_seed(config.master_seed, 0, 1)
-            )
-        else:
-            centroids = np.array(initial_centroids.centroids, copy=True)
-            notes.append("started from supplied centroids")
-
-    init_ms = 1e3 * (time.perf_counter() - t_start)
-    run = _Run(data, k, config)
-    run.record(0, "init", None, 0, None, None, centroids)
-    iterations_run = 0
-
-    try:
-        if variant is Variant.RF_DPKM:
-            per_iter = epsilon / plan.iterations
-            share = per_iter / (data.n_dims + 1)
-            for t in range(1, plan.iterations + 1):
-                t0 = time.perf_counter()
-                ledger.charge(f"iteration-{t}", per_iter)
-                new, draws, exact, noisy = run.lloyd_step(
-                    centroids, t, share, share, True
-                )
-                shift = _max_shift(centroids, new)
-                iterations_run = t
-                run.iter_ms.append(1e3 * (time.perf_counter() - t0))
-                run.record(
-                    t,
-                    "lloyd",
-                    per_iter,
-                    draws,
-                    shift,
-                    centroids,
-                    new,
-                    exact if config.diagnostics else None,
-                    noisy if config.diagnostics else None,
-                )
-                centroids = new
-            ledger.assert_fully_spent()
-        elif variant is Variant.RU_DPKM:
-            for t in range(1, config.ru_max_iters + 1):
-                t0 = time.perf_counter()
-                per_iter = epsilon / (2.0 ** (t + 1))
-                ledger.charge(f"iteration-{t}", per_iter)
-                share = per_iter / (data.n_dims + 1)
-                new, draws, exact, noisy = run.lloyd_step(
-                    centroids, t, share, share, True
-                )
-                shift = _max_shift(centroids, new)
-                iterations_run = t
-                run.iter_ms.append(1e3 * (time.perf_counter() - t0))
-                run.record(
-                    t,
-                    "lloyd",
-                    per_iter,
-                    draws,
-                    shift,
-                    centroids,
-                    new,
-                    exact if config.diagnostics else None,
-                    noisy if config.diagnostics else None,
-                )
-                centroids = new
-                if shift < config.ru_shift_tol:
-                    notes.append(f"converged at iteration {t} (shift {shift:.3g})")
-                    break
-            notes.append(
-                f"residual budget {ledger.remaining:.6g} left by halving schedule"
-            )
-        else:  # NONPRIVATE
-            for t in range(1, config.nonprivate_max_iters + 1):
-                t0 = time.perf_counter()
-                new, _, exact, _ = run.lloyd_step(centroids, t, None, None, False)
-                shift = _max_shift(centroids, new)
-                iterations_run = t
-                run.iter_ms.append(1e3 * (time.perf_counter() - t0))
-                run.record(
-                    t,
-                    "lloyd",
-                    None,
-                    0,
-                    shift,
-                    centroids,
-                    new,
-                    exact if config.diagnostics else None,
-                    None,
-                )
-                centroids = new
-                if shift < config.nonprivate_shift_tol:
-                    notes.append(f"converged at iteration {t}")
-                    break
-        final, assignment, final_nicv = run.finish(
-            centroids, noisy=variant is not Variant.NONPRIVATE
+    if variant is Variant.RF_DPKM:
+        planner_inputs = planner_inputs or PlannerInputs(
+            n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
         )
-    finally:
-        run.close()
+        plan = make_plan(planner_inputs)
+        steps = [(t, plan.epsilon_per_iter) for t in range(1, plan.iterations + 1)]
+        stop = None
+    elif variant is Variant.RU_DPKM:
+        steps = [
+            (t, epsilon / 2.0 ** (t + 1)) for t in range(1, config.ru_max_iters + 1)
+        ]
+        stop = (config.ru_shift_tol, "converged at iteration {t} (shift {shift:.3g})")
+    else:
+        steps = [(t, None) for t in range(1, config.nonprivate_max_iters + 1)]
+        stop = (config.nonprivate_shift_tol, "converged at iteration {t}")
 
-    report = RunReport(
-        variant=variant.value,
-        epsilon=epsilon,
-        master_seed=config.master_seed,
-        n_rows=data.n_rows,
-        n_dims=data.n_dims,
-        k=k,
-        n_partitions=config.n_partitions,
-        iterations_run=iterations_run,
-        nicv=final_nicv,
-        budget_spent=ledger.spent if ledger is not None else 0.0,
-        budget_remaining=ledger.remaining if ledger is not None else 0.0,
-        plan=plan.to_dict() if plan is not None else None,
-        iterations=[t.to_dict() for t in run.trace],
-        config=_replay_config(config, planner_inputs, canopy_resolved),
+    if initial_centroids is not None:
+        start = initial_centroids.centroids
+        notes.append("started from supplied centroids")
+    elif variant is Variant.NONPRIVATE:
+        canopy_resolved = with_resolved_seed(
+            canopy_params or CanopyParams(),
+            derive_stream_seed(config.master_seed, 0, 0),
+        )
+        init = select_initial_centroids(
+            data,
+            k,
+            canopy_resolved,
+            None,
+            None,
+            dp_enabled=False,
+            fill_seed=derive_stream_seed(config.master_seed, 0, 1),
+        )
+        start = init.centroids.centroids
+        notes.extend(init.notes)
+    else:
+        start = _random_row_centroids(
+            data, k, derive_stream_seed(config.master_seed, 0, 1)
+        )
+
+    return _run_lloyd(
+        data,
+        k,
+        config,
+        start,
+        steps,
+        stop,
+        t_start=t_start,
+        ledger=None if epsilon is None else BudgetLedger(total=epsilon),
+        plan=plan,
         notes=notes,
-        timings_ms=_timings(init_ms, run.iter_ms, run.final_ms, t_start),
+        replay=_replay_config(config, planner_inputs, canopy_resolved),
     )
-    return final, assignment, report
 
 
 def _replay_config(
@@ -737,14 +616,3 @@ def _replay_config(
         }
     return out
 
-
-def _timings(
-    init_ms: float, iter_ms: list[float], final_ms: float, t_start: float
-) -> dict:
-    return {
-        "note": "wall clock; excluded from reproducibility comparisons",
-        "init_ms": init_ms,
-        "iterations_ms": iter_ms,
-        "final_ms": final_ms,
-        "total_ms": 1e3 * (time.perf_counter() - t_start),
-    }

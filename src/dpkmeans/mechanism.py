@@ -88,11 +88,6 @@ class LaplaceSampler:
         return float(self.draw_many(1, scale)[0])
 
 
-def sample_laplace(sampler: LaplaceSampler, scale: float) -> float:
-    """Functional wrapper around :meth:`LaplaceSampler.draw`."""
-    return sampler.draw(scale)
-
-
 def perturb_aggregate(
     aggregate: ClusterAggregate,
     epsilon_count: float,
@@ -188,8 +183,3 @@ class BudgetLedger:
                 f"budget not fully spent: remaining {self.remaining:.6g} "
                 f"of {self.total:.6g}"
             )
-
-
-def ledger_charge(ledger: BudgetLedger, phase: str, amount: float) -> BudgetLedger:
-    """Functional wrapper around :meth:`BudgetLedger.charge`."""
-    return ledger.charge(phase, amount)

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkmeans import engine
 from dpkmeans.canopy import CanopyParams, select_initial_centroids
@@ -109,14 +110,7 @@ class TestBlockPartials:
 
 class TestReduceCluster:
     def test_plain_mean_without_privacy(self):
-        c, noisy = _reduce(
-            _agg(0, 4, [2.0, 3.0]),
-            None,
-            None,
-            None,
-            False,
-            prev_centroid=np.zeros(2),
-        )
+        c, noisy = _reduce(_agg(0, 4, [2.0, 3.0]), None, prev_centroid=np.zeros(2))
         assert c == pytest.approx([0.5, 0.75])
         assert noisy is None
 
@@ -145,9 +139,7 @@ class TestReduceCluster:
 
     def test_empty_cluster_keeps_previous_centroid(self):
         prev = np.array([0.3, 0.7])
-        c, _ = _reduce(
-            _agg(0, 0, [0.0, 0.0]), None, None, None, False, prev_centroid=prev
-        )
+        c, _ = _reduce(_agg(0, 0, [0.0, 0.0]), None, prev_centroid=prev)
         assert np.array_equal(c, prev)
         c[0] = -1.0  # must be a copy
         assert prev[0] == 0.3
@@ -155,31 +147,24 @@ class TestReduceCluster:
     def test_vanishing_noise_matches_exact_mean(self):
         sampler = LaplaceSampler(rng_seed=0)
         c, _ = _reduce(
-            _agg(0, 4, [2.0, 3.0]),
-            1e12,
-            1e12,
-            sampler,
-            True,
-            prev_centroid=np.zeros(2),
+            _agg(0, 4, [2.0, 3.0]), (1e12, sampler), prev_centroid=np.zeros(2)
         )
         assert c == pytest.approx([0.5, 0.75], abs=1e-9)
 
     def test_noisy_centroid_reconstructed_from_stream(self):
         # Frozen seed 2: the first draw at scale 10 is -6.4774...,
-        # pushing the noisy count below the floor.
-        eps_count, eps_dim = 0.1, 0.5
+        # pushing the noisy count below the floor.  Count and sums share
+        # one epsilon; perturb_aggregate's own tests cover distinct ones.
+        share = 0.1
         sums = np.array([1.2, 0.4])
         c, noisy = _reduce(
             _agg(0, 2, sums),
-            eps_dim,
-            eps_count,
-            LaplaceSampler(rng_seed=2),
-            True,
+            (share, LaplaceSampler(rng_seed=2)),
             prev_centroid=np.zeros(2),
         )
         replay = LaplaceSampler(rng_seed=2)
-        count_noise = replay.draw_many(1, 1.0 / eps_count)[0]
-        dim_noise = replay.draw_many(2, 1.0 / eps_dim)
+        count_noise = replay.draw_many(1, 1.0 / share)[0]
+        dim_noise = replay.draw_many(2, 1.0 / share)
         assert count_noise < -1.5
         assert 2.0 + count_noise < 1.0  # denominator hits the min_count floor
         expected = np.clip((sums + dim_noise) / 1.0, 0.0, 1.0)
@@ -190,10 +175,7 @@ class TestReduceCluster:
     def test_clamp_keeps_unit_cube(self):
         c, _ = _reduce(
             _agg(0, 1, [0.9, 0.1]),
-            0.01,
-            0.01,
-            LaplaceSampler(rng_seed=5),
-            True,
+            (0.01, LaplaceSampler(rng_seed=5)),
             prev_centroid=np.zeros(2),
         )
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
@@ -202,35 +184,18 @@ class TestReduceCluster:
         kwargs = dict(prev_centroid=np.zeros(2), min_count=1.0)
         clamped, _ = _reduce(
             _agg(0, 1, [0.9, 0.1]),
-            0.01,
-            0.01,
-            LaplaceSampler(rng_seed=5),
-            True,
+            (0.01, LaplaceSampler(rng_seed=5)),
             clamp=True,
             **kwargs,
         )
         raw, _ = _reduce(
             _agg(0, 1, [0.9, 0.1]),
-            0.01,
-            0.01,
-            LaplaceSampler(rng_seed=5),
-            True,
+            (0.01, LaplaceSampler(rng_seed=5)),
             clamp=False,
             **kwargs,
         )
         assert np.any(raw != clamped)
         assert np.array_equal(np.clip(raw, 0.0, 1.0), clamped)
-
-    def test_dp_without_sampler_rejected(self):
-        with pytest.raises(InvalidInputError):
-            _reduce(
-                _agg(0, 1, [0.5, 0.5]),
-                1.0,
-                1.0,
-                None,
-                True,
-                prev_centroid=np.zeros(2),
-            )
 
 
 class TestEngineConfig:
@@ -448,6 +413,17 @@ class TestRunBaselineRf:
         with pytest.raises(InvalidInputError):
             run_baseline(small_blobs, 3, 1.0, cfg, planner_inputs=inputs)
 
+    @pytest.mark.parametrize(
+        "field,value", [("n_rows", 4_000_000), ("n_dims", 4), ("k", 4)]
+    )
+    def test_planner_inputs_must_describe_the_data(self, small_blobs, field, value):
+        # Inputs planned for another shape would silently set another T.
+        shape = dict(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
+        inputs = PlannerInputs(**{**shape, field: value})
+        cfg = EngineConfig(variant=Variant.RF_DPKM)
+        with pytest.raises(InvalidInputError, match=r"\(N, d, k\)"):
+            run_baseline(small_blobs, 3, 1.0, cfg, planner_inputs=inputs)
+
 
 class TestRunBaselineRu:
     def test_halving_schedule_charges(self, small_blobs):
@@ -534,6 +510,11 @@ class TestRunBaselineNonprivate:
         cs, _, _ = run_baseline(small_blobs, 3, None, cfg)
         assert cs.centroids == pytest.approx(expect, abs=1e-12)
 
+    def test_epsilon_rejected(self, small_blobs):
+        cfg = EngineConfig(variant=Variant.NONPRIVATE)
+        with pytest.raises(InvalidInputError):
+            run_baseline(small_blobs, 3, 1.0, cfg)
+
     def test_edpdcs_variant_rejected(self, small_blobs):
         cfg = EngineConfig(variant=Variant.EDPDCS)
         with pytest.raises(InvalidInputError):
@@ -571,9 +552,84 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             run_baseline(data, 1, None, cfg)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3), (3, 2)])
+    def test_initial_centroids_of_wrong_shape_rejected(self, small_blobs, shape):
+        start = CentroidSet(centroids=np.full(shape, 0.5))
+        for variant, epsilon in [
+            (Variant.RF_DPKM, 1.0),
+            (Variant.RU_DPKM, 1.0),
+            (Variant.NONPRIVATE, None),
+        ]:
+            cfg = EngineConfig(variant=variant)
+            with pytest.raises(InvalidInputError, match="initial centroids"):
+                run_baseline(small_blobs, 3, epsilon, cfg, initial_centroids=start)
+
     def test_report_nicv_matches_evaluation(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE)
         cs, labels, report = run_baseline(small_blobs, 3, None, cfg)
         assert report.nicv == pytest.approx(
             nicv(small_blobs, cs, labels), abs=1e-15
         )
+
+
+class TestEndToEndProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        n_rows=st.integers(8, 600),
+        n_dims=st.integers(1, 4),
+        k=st.integers(1, 4),
+        n_centers=st.integers(1, 4),
+        epsilon=st.floats(0.05, 50.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_run_invariants(self, variant, n_rows, n_dims, k, n_centers, epsilon, seed):
+        data = synthetic_blobs(n_rows, n_dims, n_centers, seed=seed)
+        if variant is Variant.NONPRIVATE:
+            epsilon = None
+        comparable = set()
+        for parts in (1, 3):
+            cs, labels, report = _run_variant(
+                data, k, variant, epsilon, n_partitions=parts, threads=2
+            )
+            comparable.add(report.comparable_json())
+        assert len(comparable) == 1
+
+        assert np.all(cs.centroids >= 0.0) and np.all(cs.centroids <= 1.0)
+        assert labels.n_rows == n_rows
+
+        trace = report.iterations
+        first = 1 if variant is Variant.EDPDCS else 0
+        assert [it["iteration"] for it in trace] == list(
+            range(first, first + len(trace))
+        )
+        assert report.iterations_run == trace[-1]["iteration"]
+
+        spent = 0.0
+        for it in trace:
+            if it["budget_charged"] is not None:
+                spent += it["budget_charged"]
+        assert report.budget_spent == spent
+        if variant in (Variant.EDPDCS, Variant.RF_DPKM):
+            assert spent == pytest.approx(epsilon, rel=1e-12)
+        elif variant is Variant.RU_DPKM:
+            halving = 0.0
+            for t in range(1, report.iterations_run + 1):
+                halving += epsilon / 2.0 ** (t + 1)
+            assert spent == halving
+        else:
+            assert spent == 0.0
+
+        draws = k * (n_dims + 1)
+        for it in trace[1:]:
+            assert it["noise_draws"] == (0 if it["budget_charged"] is None else draws)
+        init = trace[0]
+        if variant is Variant.EDPDCS:
+            # Canopy init draws d + 1 per canopy; a shortfall is filled with
+            # noise-free random points and noted.
+            assert init["noise_draws"] % (n_dims + 1) == 0
+            assert init["noise_draws"] == draws or any(
+                "filled" in note for note in report.notes
+            )
+        else:
+            assert init["budget_charged"] is None and init["noise_draws"] == 0

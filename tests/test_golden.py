@@ -5,7 +5,12 @@ from the engine as it was before labelling became blockwise (one
 (n, k, d) broadcast per full-data labelling, trace NICV re-labelled after
 every iteration).  The ``wide`` cases were recorded from the blockwise
 engine while ``label_points`` still computed every (row, centroid)
-distance directly, before it filtered through a matrix product.
+distance directly, before it filtered through a matrix product.  The
+``diagnostics``, ``unclamped``, ``supplied`` and ``converging`` cases were
+recorded while each variant still ran its own copy of the Lloyd loop; they
+lock the aggregates the diagnostics trace releases, the unclamped reduce
+with a ``min_count`` floor above 1, baselines started from given
+centroids, and RU_DPKM's convergence stop.
 Centroids, noise draws, budget charges, the ledger and the final labels
 must still match the fixture bit for bit.  The NICV fields of the older
 cases moved by floating-point summation order, so NICV is compared to a
@@ -22,8 +27,10 @@ import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
+from dpkmeans.core import CentroidSet
 from dpkmeans.engine import (
     MAP_BLOCK_ROWS,
     EngineConfig,
@@ -39,29 +46,73 @@ NICV_RTOL = 1e-12
 
 VARIANTS = [v.value for v in Variant]
 
-#: name -> (synthetic_blobs args, k, epsilon, variants).  ``blobs`` spans
-#: three map blocks and has d >= 8; ``blood`` is the 748 x 4 reference
-#: shape; ``wide`` has the d and k of the threaded benchmark, with wider
-#: blobs than its own, so that exact Lloyd runs 21 iterations.
+#: name -> (synthetic_blobs args, k, epsilon, variants, options).  ``blobs``
+#: spans three map blocks and has d >= 8; ``blood`` is the 748 x 4
+#: reference shape; ``wide`` has the d and k of the threaded benchmark, with
+#: wider blobs than its own, so that exact Lloyd runs 21 iterations.  The
+#: options are EngineConfig fields, except ``supplied_start``, which starts
+#: each run from the centroids of :func:`_diagonal_start`.
 SHAPES = {
-    "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0, VARIANTS),
-    "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0, VARIANTS),
+    "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0, VARIANTS, {}),
+    "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0, VARIANTS, {}),
     "wide": (
         dict(n_rows=20_000, n_dims=16, n_centers=20, seed=5, spread=0.1),
         20,
         3.0,
         ["EDPDCS", "NONPRIVATE"],
+        {},
+    ),
+    "diagnostics": (
+        dict(n_rows=9000, n_dims=5, n_centers=3, seed=7),
+        3,
+        2.0,
+        VARIANTS,
+        dict(diagnostics=True),
+    ),
+    "unclamped": (
+        dict(n_rows=748, n_dims=4, n_centers=3, seed=13),
+        3,
+        0.5,
+        ["EDPDCS", "RF_DPKM", "RU_DPKM"],
+        dict(clamp_centroids=False, min_count=3.0),
+    ),
+    "supplied": (
+        dict(n_rows=6000, n_dims=6, n_centers=4, seed=9),
+        4,
+        2.0,
+        ["RF_DPKM", "RU_DPKM", "NONPRIVATE"],
+        dict(supplied_start=True),
+    ),
+    "converging": (
+        dict(n_rows=748, n_dims=4, n_centers=2, seed=11),
+        2,
+        1e9,
+        ["RU_DPKM"],
+        {},
     ),
 }
 CASES = [(shape, variant) for shape in sorted(SHAPES) for variant in SHAPES[shape][3]]
 _NICV_KEYS = ("nicv", "nicv_after")
 
 
+def _diagonal_start(k: int, n_dims: int) -> CentroidSet:
+    """k distinct centroids spaced along the unit cube's main diagonal."""
+    return CentroidSet(
+        centroids=np.repeat(np.linspace(0.2, 0.8, k)[:, None], n_dims, axis=1)
+    )
+
+
 def _run(shape: str, variant: str, n_partitions: int):
-    blob_args, k, eps, _ = SHAPES[shape]
+    blob_args, k, eps, _, options = SHAPES[shape]
+    options = dict(options)
+    supplied_start = options.pop("supplied_start", False)
     data = synthetic_blobs(**blob_args)
     config = EngineConfig(
-        variant=Variant(variant), n_partitions=n_partitions, master_seed=3, threads=2
+        variant=Variant(variant),
+        n_partitions=n_partitions,
+        master_seed=3,
+        threads=2,
+        **options,
     )
     if variant == "EDPDCS":
         inputs = PlannerInputs(
@@ -69,7 +120,8 @@ def _run(shape: str, variant: str, n_partitions: int):
         )
         return run_edpdcs(data, k, inputs, config=config)
     epsilon = None if variant == "NONPRIVATE" else eps
-    return run_baseline(data, k, epsilon, config)
+    start = _diagonal_start(k, data.n_dims) if supplied_start else None
+    return run_baseline(data, k, epsilon, config, initial_centroids=start)
 
 
 def _strip_nicv(obj):
@@ -114,6 +166,23 @@ def _golden() -> dict:
 
 def test_blobs_shape_spans_more_than_two_blocks():
     assert SHAPES["blobs"][0]["n_rows"] > 2 * MAP_BLOCK_ROWS
+
+
+def test_option_cases_reach_their_paths():
+    golden = _golden()
+    # Without the clamp, noise carries some centroid out of the unit cube.
+    unclamped = [
+        np.array(it["centroids_after"])
+        for entry in golden["unclamped"].values()
+        for it in entry["iterations"]
+    ]
+    assert any(((c < 0.0) | (c > 1.0)).any() for c in unclamped)
+    start = _diagonal_start(SHAPES["supplied"][1], SHAPES["supplied"][0]["n_dims"])
+    for entry in golden["supplied"].values():
+        first = np.array(entry["iterations"][0]["centroids_after"])
+        assert np.array_equal(first, start.centroids)
+    ru = golden["converging"]["RU_DPKM"]
+    assert len(ru["iterations"]) - 1 < EngineConfig().ru_max_iters
 
 
 @pytest.mark.parametrize("n_partitions", [1, 2])

@@ -10,9 +10,7 @@ from dpkmeans.mechanism import (
     LaplaceSampler,
     derive_stream_seed,
     laplace_inverse_cdf,
-    ledger_charge,
     perturb_aggregate,
-    sample_laplace,
 )
 
 
@@ -60,11 +58,6 @@ class TestLaplaceSampler:
             sampler.draw(0.0)
         with pytest.raises(InvalidInputError):
             sampler.draw_many(-1, 1.0)
-
-    def test_functional_wrapper(self):
-        assert sample_laplace(LaplaceSampler(rng_seed=5), 1.0) == LaplaceSampler(
-            rng_seed=5
-        ).draw(1.0)
 
 
 class TestStreamSeeds:
@@ -170,7 +163,7 @@ class TestBudgetLedger:
     def test_four_equal_charges(self):
         ledger = BudgetLedger(total=2.0)
         for i in range(4):
-            ledger_charge(ledger, f"iter-{i}", 0.5)
+            ledger.charge(f"iter-{i}", 0.5)
         assert ledger.spent == 2.0
         assert ledger.remaining == 0.0
 
