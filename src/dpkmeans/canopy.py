@@ -162,13 +162,6 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
         )
         candidates = candidates[~tight_mask]
 
-    seen: set[int] = set()
-    for canopy in canopies:
-        tight = set(canopy.tight_member_indices.tolist())
-        if seen & tight:
-            raise AssertionError("canopy tight member sets are not disjoint")
-        seen |= tight
-
     return rank_canopies(canopies)
 
 

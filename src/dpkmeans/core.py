@@ -163,9 +163,10 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     chunking.  Rows go through in chunks of ``_LABEL_CHUNK_ROWS``.  A matrix
     product first computes, for each centroid c and row x, the filter value
     F = ||c||^2 - 2 c.x, which is the squared distance less ||x||^2 and so
-    orders the centroids of a row the same way.  A row whose two smallest F
-    lie more than ``tau`` apart keeps the filter's pick; the other rows, and
-    with them every exact tie, are labelled by :func:`_label_exact`.
+    orders the centroids of a row the same way.  A row keeps the filter's
+    pick when exactly one centroid has F within ``tau`` of the row's
+    smallest F; the other rows, and with them every exact tie, are
+    labelled by :func:`_label_exact`.
 
     Why the filter cannot change a label.  Let u = 2^-53,
     g_m = m u / (1 - m u), D_j = ||x - c_j||^2, and S = the largest ||x|| of
@@ -180,16 +181,23 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     - the computed F_j, two dot products and one addition, is within
       g_{d+1} S^2 of D_j - ||x||^2.
 
-    If the two smallest F of a row, at b and at some j, differ by G, then
-    for every j != b, E_j - E_b >= G - 2 (g_{d+1} + g_{d+2}) S^2, which is
-    positive once G > 4 g_{d+2} S^2: b is then the exact path's strict
-    argmin.  ``tau`` = 8 (d + 2) (u S^2 + eta) is twice that bound.  The
-    margin covers the rounding of S, of G and of ``tau`` itself.  eta, the
-    smallest subnormal, covers underflow: one comparison rests on at most 6d
+    If F_b is the smallest F of a row and F_j - F_b = G for some j, then
+    E_j - E_b >= G - 2 (g_{d+1} + g_{d+2}) S^2, which is positive once
+    G > 4 g_{d+2} S^2.  A kept row has exactly one F_j <= fl(F_b + tau),
+    F_b itself, so every other F_j exceeds fl(F_b + tau) and its gap is at
+    least tau - u |F_b + tau|.  With ``tau`` = 8 (d + 2) (u S^2 + eta) that
+    is about (8 d + 15) u S^2, above 4 g_{d+2} S^2 ~ (4 d + 8) u S^2 for
+    every d >= 1: b is then the exact path's strict argmin.  The margin
+    covers the rounding of S and of ``tau`` itself.  eta, the smallest
+    subnormal, covers underflow: one comparison rests on at most 6d
     products or fused multiply-adds, and each that underflows loses at most
-    eta / 2.  A row whose F overflows has a NaN or infinite gap and is
-    refined too.  The bound assumes nothing about where the points or
-    centroids lie.
+    eta / 2.  F_j, at most S^2 in size, overflows only when S^2 does, and
+    then ``tau`` is infinite.  A finite smallest F then makes every
+    centroid near, so no row with k >= 2 keeps its pick; a smallest F of
+    -inf (-inf + inf is NaN) or of NaN (``min`` propagates NaN) makes none
+    near.  Either way the row is refined because ``tau`` is infinite, not
+    because of its gap.  The bound assumes nothing about where the points
+    or centroids lie.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -199,6 +207,8 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     c_norm = np.sqrt(c_sq.max())
     x_sq = np.einsum("ij,ij->i", points, points)
     minus_2c = -2.0 * centroids
+    k = centroids.shape[0]
+    index_and_one = np.stack([np.arange(k, dtype=np.float64), np.ones(k)])
     for start in range(0, n, _LABEL_CHUNK_ROWS):
         stop = min(start + _LABEL_CHUNK_ROWS, n)
         x = points[start:stop]
@@ -206,14 +216,13 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         # that stay cheap when k is small.
         f = minus_2c @ x.T
         f += c_sq[:, None]
-        best = f.argmin(axis=0)
-        cols = np.arange(stop - start)
-        first = f[best, cols]
-        f[best, cols] = np.inf
-        gap = f.min(axis=0) - first
         s = np.sqrt(x_sq[start:stop].max()) + c_norm
         tau = 8 * (d + 2) * (_UNIT_ROUNDOFF * s * s + _SMALLEST_SUBNORMAL)
-        refine = ~(gap > tau)
+        near = f <= f.min(axis=0) + tau
+        # Per row, the sum of the near centroids' indices and their number.
+        index_sum, n_near = index_and_one @ near.astype(np.float64)
+        best = index_sum.astype(np.int64)
+        refine = n_near != 1.0
         if refine.any():
             best[refine] = _label_exact(x[refine], centroids)
         labels[start:stop] = best

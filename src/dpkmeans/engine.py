@@ -136,13 +136,16 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
     row's squared distance to its nearest centroid."""
     labels = label_points(points, centroids)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.empty((k, centroids.shape[1]), dtype=np.float64)
-    # Each row is added exactly once, in dataset order within the block, as
+    d = points.shape[1]
+    # One bincount over the (label, dimension) bins of the row-major points:
+    # each row is added exactly once, in dataset order within the block, as
     # an unbuffered np.add.at would, so the sums are bit-identical to it.
-    for j in range(points.shape[1]):
-        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=k)
-    diff = points - centroids[labels]
-    return labels, counts, sums, float((diff * diff).sum())
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=points.ravel(), minlength=k * d).reshape(k, d)
+    diff = np.take(centroids, labels, axis=0)
+    np.subtract(points, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return labels, counts, sums, float(diff.sum())
 
 
 def _reduce_cluster_full(

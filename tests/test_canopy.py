@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkmeans.canopy import (
     Canopy,
@@ -51,12 +52,30 @@ class TestRunCanopy:
         assert canopies[0].seed_index == 0
         assert canopies[1].seed_index == 2
 
-    def test_tight_sets_partition_the_rows(self):
-        rng = np.random.Generator(np.random.PCG64(2))
-        pts = rng.random((200, 2))
-        canopies = run_canopy(pts, t1=0.3, t2=0.15)
-        tight = np.concatenate([c.tight_member_indices for c in canopies])
-        assert sorted(tight.tolist()) == list(range(200))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 300),
+        n_dims=st.integers(1, 4),
+        t2=st.floats(1e-3, 2.0),
+        loose_factor=st.floats(1.0, 3.0),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tight_sets_partition_the_rows(
+        self, n_rows, n_dims, t2, loose_factor, duplicates, seed
+    ):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pts = rng.random((n_rows, n_dims))
+        if duplicates:
+            pts = pts[rng.integers(0, max(1, n_rows // 4), n_rows)]
+        canopies = run_canopy(pts, t1=t2 * loose_factor, t2=t2)
+        seen: set[int] = set()
+        for canopy in canopies:
+            tight = set(canopy.tight_member_indices.tolist())
+            assert len(tight) == canopy.tight_member_indices.size
+            assert not seen & tight
+            seen |= tight
+        assert seen == set(range(n_rows))
 
     def test_invalid_radii_rejected(self):
         with pytest.raises(InvalidInputError):

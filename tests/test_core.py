@@ -340,6 +340,32 @@ class TestLabelPointsFilter:
         assert rows == []
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
+    @pytest.mark.parametrize(
+        "point_scale,centroid_scale,k",
+        [
+            (1e155, 1e155, 6),
+            (1.0, 1e155, 6),
+            (1e155, 1.0, 6),
+            (1e160, 1e150, 6),
+            (1e160, 1e150, 1),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_bound_sends_every_row_to_the_exact_path(
+        self, monkeypatch, point_scale, centroid_scale, k
+    ):
+        # S^2 overflows, so tau is infinite: with k >= 2 no row can have
+        # exactly one near centroid, whatever its F values.
+        rows = self._count_exact_rows(monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(11))
+        n, d = 2 * self.CHUNK + 5, 3
+        pts = point_scale * (1.0 + rng.random((n, d)))
+        centroids = centroid_scale * (1.0 + rng.random((k, d)))
+        got = label_points(pts, centroids)
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
+        if k >= 2:
+            assert sum(rows) == n
+
 
 class TestDataset:
     def test_rejects_nan(self):

@@ -633,3 +633,30 @@ class TestEndToEndProperties:
             )
         else:
             assert init["budget_charged"] is None and init["noise_draws"] == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        n_rows=st.integers(engine.MAP_BLOCK_ROWS + 1, 3 * engine.MAP_BLOCK_ROWS + 100),
+        n_dims=st.integers(1, 3),
+        k=st.integers(1, 4),
+        epsilon=st.floats(0.05, 50.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_partition_invariance_across_blocks(
+        self, variant, n_rows, n_dims, k, epsilon, seed
+    ):
+        # Two to four map blocks, so the partitions split the block list and
+        # a merge in any order but ascending block order would show.
+        data = synthetic_blobs(n_rows, n_dims, k, seed=seed)
+        if variant is Variant.NONPRIVATE:
+            epsilon = None
+        runs = [
+            _run_variant(data, k, variant, epsilon, n_partitions=p, threads=p)
+            for p in (1, 2, 3)
+        ]
+        cs0, labels0, report0 = runs[0]
+        for cs, labels, report in runs[1:]:
+            assert report.comparable_json() == report0.comparable_json()
+            assert np.array_equal(labels.labels, labels0.labels)
+            assert np.array_equal(cs.centroids, cs0.centroids)
