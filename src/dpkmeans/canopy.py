@@ -11,8 +11,8 @@ a Lloyd step.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -77,7 +77,6 @@ class Canopy:
     """
 
     seed_index: int
-    center: np.ndarray
     member_indices: np.ndarray
     tight_member_indices: np.ndarray
 
@@ -86,17 +85,43 @@ class Canopy:
         return int(self.member_indices.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
+class _CanopySummary:
+    """The data-only part of the canopy start, shared by runs (no noise).
+
+    Exact raw-data state: it stays in the process and no report holds it.
+
+    Attributes:
+        t1, t2: The radii after any halving.
+        halvings: How many times the radii were halved.
+        n_canopies: Canopies made by the last pass.
+        counts: Exact tight member counts of the top min(k, n_canopies)
+            canopies in rank order (read-only).
+        sums: Their exact tight coordinate sums, one row each (read-only).
+    """
+
+    t1: float
+    t2: float
+    halvings: int
+    n_canopies: int
+    counts: np.ndarray
+    sums: np.ndarray
+
+
 @dataclass
 class InitResult:
     """Outcome of initial-centroid selection."""
 
     centroids: CentroidSet
-    canopies: list[Canopy]
     t1: float
     t2: float
-    subsample_rows: int
     noise_draws: int = 0
     notes: list[str] = field(default_factory=list)
+
+
+#: Summaries per dataset (hashed by identity) and per key.  Two threads may
+#: compute one entry twice, with the same values.
+_SUMMARIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def default_thresholds(points: np.ndarray) -> tuple[float, float]:
@@ -146,8 +171,7 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
     canopies: list[Canopy] = []
     while candidates.size:
         seed = int(candidates[0])
-        center = points[seed]
-        d2 = ((points[candidates] - center) ** 2).sum(axis=1)
+        d2 = ((points[candidates] - points[seed]) ** 2).sum(axis=1)
         loose_mask = d2 <= t1_sq
         tight_mask = d2 <= t2_sq
         # The seed is at distance 0, so it is always a tight member and is
@@ -155,24 +179,13 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
         canopies.append(
             Canopy(
                 seed_index=seed,
-                center=center.copy(),
                 member_indices=candidates[loose_mask].copy(),
                 tight_member_indices=candidates[tight_mask].copy(),
             )
         )
         candidates = candidates[~tight_mask]
 
-    return rank_canopies(canopies)
-
-
-def rank_canopies(canopies: Sequence[Canopy]) -> list[Canopy]:
-    """Order canopies by loose member count, largest first.
-
-    Ties keep the input (creation) order, so the earlier-created canopy
-    wins.
-    """
-    order = sorted(range(len(canopies)), key=lambda i: (-canopies[i].size, i))
-    return [canopies[i] for i in order]
+    return sorted(canopies, key=lambda canopy: -canopy.size)
 
 
 def draw_subsample(
@@ -193,23 +206,43 @@ def draw_subsample(
     return data.points[idx], idx
 
 
-def _noisy_canopy_centroid(
-    points: np.ndarray,
-    canopy: Canopy,
-    epsilon_count: float,
-    epsilon_dim: float,
-    sampler: LaplaceSampler,
-) -> np.ndarray:
-    """Noisy mean of a canopy's tight members (ratio of noisy sum to noisy count)."""
-    tight = points[canopy.tight_member_indices]
-    agg = ClusterAggregate(
-        cluster_index=canopy.seed_index,
-        count=float(tight.shape[0]),
-        sums=tight.sum(axis=0),
-    )
-    noisy = perturb_aggregate(agg, epsilon_count, epsilon_dim, sampler)
-    denom = max(noisy.count, 1.0)
-    return np.clip(noisy.sums / denom, 0.0, 1.0)
+def _canopy_summary(data: Dataset, k: int, params: CanopyParams) -> _CanopySummary:
+    """The canopy pass's outcome for ``data``, computed once per key.
+
+    Draws the subsample, derives or takes the radii, runs the canopy pass
+    and halves the radii while it yields fewer than k canopies, up to
+    ``_MAX_THRESHOLD_RETRIES`` times.  The result depends only on the data,
+    k, the radii, the subsample size and, when the subsample is smaller
+    than the data, the subsample seed; later calls with the same dataset
+    object and those values return the stored summary.
+    """
+    seed = params.seed if params.subsample_size < data.n_rows else None
+    key = (params.subsample_size, seed, params.t1, params.t2, k)
+    per_data = _SUMMARIES.setdefault(data, {})
+    summary = per_data.get(key)
+    if summary is not None:
+        return summary
+
+    points, _ = draw_subsample(data, params.subsample_size, params.seed)
+    if params.t1 is not None:
+        t1, t2 = float(params.t1), float(params.t2)
+    else:
+        t1, t2 = default_thresholds(points)
+    canopies = run_canopy(points, t1, t2)
+    halvings = 0
+    while len(canopies) < k and halvings < _MAX_THRESHOLD_RETRIES:
+        t1, t2 = 0.5 * t1, 0.5 * t2
+        halvings += 1
+        canopies = run_canopy(points, t1, t2)
+
+    chosen = canopies[:k]
+    counts = np.array([c.tight_member_indices.shape[0] for c in chosen], np.float64)
+    sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in chosen])
+    counts.setflags(write=False)
+    sums.setflags(write=False)
+    summary = _CanopySummary(t1, t2, halvings, len(canopies), counts, sums)
+    per_data[key] = summary
+    return summary
 
 
 def select_initial_centroids(
@@ -224,15 +257,15 @@ def select_initial_centroids(
 ) -> InitResult:
     """Pick k starting centroids from the most populated canopies.
 
-    Under ``dp_enabled`` each centroid is a noisy tight-member mean costing
-    d + 1 Laplace draws from ``sampler`` (count first, then coordinates, in
-    canopy rank order), calibrated to the plan's per-iteration shares.
-    Without privacy the exact tight-member means are used.
+    The canopies come from :func:`_canopy_summary`.  Under ``dp_enabled``
+    each centroid is a noisy tight-member mean costing d + 1 Laplace draws
+    from ``sampler`` (count first, then coordinates, in canopy rank order),
+    calibrated to the plan's per-iteration shares.  Without privacy the
+    exact tight-member means are used.
 
-    When the canopy pass yields fewer than k canopies, the radii are halved
-    and the pass retried a few times; any still-missing centroids are
-    filled with seeded uniform draws over the unit cube and a note is
-    recorded.
+    When fewer than k canopies remain after the radius halving, the
+    missing centroids are filled with seeded uniform draws over the unit
+    cube and a note is recorded.
 
     Args:
         data: Normalized dataset (required: noise scales assume [0, 1]).
@@ -254,36 +287,25 @@ def select_initial_centroids(
     if dp_enabled and (plan is None or sampler is None):
         raise InvalidInputError("dp-enabled initialization needs a plan and a sampler")
 
-    points, _ = draw_subsample(data, params.subsample_size, params.seed)
-    if params.t1 is not None:
-        t1, t2 = float(params.t1), float(params.t2)
-    else:
-        t1, t2 = default_thresholds(points)
-
+    summary = _canopy_summary(data, k, params)
     notes: list[str] = []
-    canopies = run_canopy(points, t1, t2)
-    retries = 0
-    while len(canopies) < k and retries < _MAX_THRESHOLD_RETRIES:
-        t1, t2 = 0.5 * t1, 0.5 * t2
-        retries += 1
-        canopies = run_canopy(points, t1, t2)
-    if retries:
+    if summary.halvings:
         notes.append(
-            f"canopy radii halved {retries}x to reach {len(canopies)} canopies"
+            f"canopy radii halved {summary.halvings}x to reach "
+            f"{summary.n_canopies} canopies"
         )
 
-    chosen = canopies[:k]
     start_draws = sampler.draw_count if sampler is not None else 0
     rows = []
-    for canopy in chosen:
+    for rank, (count, sums) in enumerate(zip(summary.counts, summary.sums)):
         if dp_enabled:
-            rows.append(
-                _noisy_canopy_centroid(
-                    points, canopy, plan.epsilon_count, plan.epsilon_dim, sampler
-                )
-            )
+            exact = ClusterAggregate(cluster_index=rank, count=float(count), sums=sums)
+            noisy = perturb_aggregate(exact, plan.epsilon_count, plan.epsilon_dim, sampler)
+            rows.append(np.clip(noisy.sums / max(noisy.count, 1.0), 0.0, 1.0))
         else:
-            rows.append(points[canopy.tight_member_indices].mean(axis=0))
+            # Bit for bit the mean of the tight rows, as ``mean`` also
+            # divides their sum by their number.
+            rows.append(sums / count)
 
     if len(rows) < k:
         missing = k - len(rows)
@@ -293,17 +315,15 @@ def select_initial_centroids(
         notes.append(f"filled {missing} centroid(s) with uniform random points")
         logger.warning(
             "canopy pass produced %d < k=%d canopies; filled remainder randomly",
-            len(chosen),
+            len(summary.counts),
             k,
         )
 
     draws = (sampler.draw_count - start_draws) if sampler is not None else 0
     return InitResult(
         centroids=CentroidSet(centroids=np.vstack(rows), noisy=dp_enabled),
-        canopies=chosen,
-        t1=t1,
-        t2=t2,
-        subsample_rows=points.shape[0],
+        t1=summary.t1,
+        t2=summary.t2,
         noise_draws=draws,
         notes=notes,
     )

@@ -28,9 +28,11 @@ def _as_float_matrix(points: np.ndarray | list, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable N x d matrix of points, optionally min-max normalized.
+
+    Compares and hashes by identity, so caches can be kept per dataset.
 
     Attributes:
         points: Row-major float64 matrix, one point per row.

@@ -29,7 +29,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -600,22 +600,7 @@ def _replay_config(
         "map_block_rows": MAP_BLOCK_ROWS,
     }
     if planner_inputs is not None:
-        out["planner_inputs"] = {
-            "n_rows": planner_inputs.n_rows,
-            "n_dims": planner_inputs.n_dims,
-            "k": planner_inputs.k,
-            "epsilon_total": planner_inputs.epsilon_total,
-            "rho": planner_inputs.rho,
-            "mse_threshold": planner_inputs.mse_threshold,
-            "t_cap": planner_inputs.t_cap,
-            "epsilon_m_override": planner_inputs.epsilon_m_override,
-        }
+        out["planner_inputs"] = asdict(planner_inputs)
     if canopy_params is not None:
-        out["canopy"] = {
-            "t1": canopy_params.t1,
-            "t2": canopy_params.t2,
-            "subsample_size": canopy_params.subsample_size,
-            "seed": canopy_params.seed,
-        }
+        out["canopy"] = asdict(canopy_params)
     return out
-

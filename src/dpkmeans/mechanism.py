@@ -93,8 +93,6 @@ def perturb_aggregate(
     epsilon_count: float,
     epsilon_dim: float,
     sampler: LaplaceSampler,
-    *,
-    normalized: bool = True,
 ) -> ClusterAggregate:
     """Add calibrated Laplace noise to a cluster's count and coordinate sums.
 
@@ -108,16 +106,10 @@ def perturb_aggregate(
         epsilon_count: Budget share protecting the count.
         epsilon_dim: Budget share protecting each coordinate sum.
         sampler: Noise stream dedicated to this (iteration, cluster) pair.
-        normalized: Must be True; the sum sensitivity constant assumes
-            coordinates in [0, 1].
 
     Returns:
         A new noisy aggregate; the input is not modified.
     """
-    if not normalized:
-        raise InvalidInputError(
-            "noise calibration requires min-max normalized data (sensitivity 1)"
-        )
     if epsilon_count <= 0.0 or epsilon_dim <= 0.0:
         raise InvalidInputError("epsilon shares must be positive")
     noisy_count = aggregate.count + sampler.draw(COUNT_SENSITIVITY / epsilon_count)

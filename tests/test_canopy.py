@@ -1,18 +1,25 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpkmeans import canopy
 from dpkmeans.canopy import (
-    Canopy,
     CanopyParams,
+    _canopy_summary,
     default_thresholds,
     draw_subsample,
-    rank_canopies,
     run_canopy,
     select_initial_centroids,
     with_resolved_seed,
 )
 from dpkmeans.core import Dataset, InvalidInputError
+from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
+from dpkmeans.evaluation import compare_variants
+from dpkmeans.ingestion import synthetic_blobs
 from dpkmeans.mechanism import LaplaceSampler
 from dpkmeans.planner import PlannerInputs, make_plan
 
@@ -46,6 +53,15 @@ class TestRunCanopy:
         assert canopies[1].member_indices.tolist() == [2]
         # ranked largest first
         assert canopies[0].size == 2 and canopies[1].size == 1
+
+    def test_largest_first_with_creation_order_ties(self):
+        # Five separated groups of identical rows, created in row order with
+        # sizes 7, 3, 9, 2, 9; the two groups of 9 keep their creation order.
+        sizes = [7, 3, 9, 2, 9]
+        pts = np.repeat(0.2 * np.arange(5.0), sizes)[:, None]
+        canopies = run_canopy(pts, t1=0.05, t2=0.05)
+        assert [c.seed_index for c in canopies] == [10, 21, 0, 7, 19]
+        assert [c.size for c in canopies] == [9, 9, 7, 3, 2]
 
     def test_seed_pops_in_ascending_index_order(self):
         canopies = run_canopy(THREE_POINTS, t1=0.2, t2=0.1)
@@ -91,23 +107,6 @@ class TestRunCanopy:
         assert len(a) == len(b)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.member_indices, cb.member_indices)
-
-
-class TestRanking:
-    def test_largest_first_with_creation_order_ties(self):
-        sizes = [7, 3, 9, 2, 9]
-        canopies = [
-            Canopy(
-                seed_index=i,
-                center=np.zeros(2),
-                member_indices=np.arange(n),
-                tight_member_indices=np.arange(n),
-            )
-            for i, n in enumerate(sizes)
-        ]
-        ranked = rank_canopies(canopies)
-        assert [c.seed_index for c in ranked[:2]] == [2, 4]
-        assert [c.size for c in ranked] == [9, 9, 7, 3, 2]
 
 
 class TestDefaultThresholds:
@@ -250,9 +249,8 @@ class TestSelectInitialCentroids:
             LaplaceSampler(rng_seed=2),
         )
         assert result.centroids.k == 2
-        assert any("halved" in note for note in result.notes) or len(
-            result.canopies
-        ) >= 2
+        assert result.notes == ["canopy radii halved 2x to reach 2 canopies"]
+        assert (result.t1, result.t2) == (0.125, 0.1)
 
     def test_unresolved_seed_rejected(self, small_blobs):
         with pytest.raises(InvalidInputError):
@@ -303,3 +301,114 @@ class TestCanopyParams:
         assert resolved.seed == 42
         already = CanopyParams(seed=7)
         assert with_resolved_seed(already, 42).seed == 7
+
+
+def _clumps():
+    # Two clumps that the radii t1=0.5, t2=0.4 merge; halving twice splits them.
+    rng = np.random.Generator(np.random.PCG64(7))
+    return np.vstack([0.45 + 0.01 * rng.random((30, 2)), 0.55 + 0.01 * rng.random((30, 2))])
+
+
+def _run(data, variant, k, params, seed):
+    config = EngineConfig(variant=variant, master_seed=seed)
+    if variant is Variant.EDPDCS:
+        inputs = PlannerInputs(n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=2.0)
+        return run_edpdcs(data, k, inputs, params, config)
+    epsilon = None if variant is Variant.NONPRIVATE else 2.0
+    return run_baseline(data, k, epsilon, config, canopy_params=params)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(canopy, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(canopy, name, counted)
+    return calls
+
+
+class TestCanopySummary:
+    """The data-only canopy summary is computed once per dataset and key."""
+
+    def test_grid_runs_the_canopy_pass_once(self, monkeypatch, blood_like):
+        data = Dataset(points=blood_like.points, normalized=True)
+        passes = _counting(monkeypatch, "run_canopy")
+        radii = _counting(monkeypatch, "default_thresholds")
+        summary = compare_variants(data, 2, [1.0, 3.0], n_seeds=4)
+        assert len(summary.runs) == 3 * 2 * 4 + 1
+        assert (len(passes), len(radii)) == (1, 1)
+
+    def test_subsample_below_n_runs_once_per_master_seed(self, monkeypatch, small_blobs):
+        data = Dataset(points=small_blobs.points, normalized=True)
+        radii = _counting(monkeypatch, "default_thresholds")
+        compare_variants(
+            data, 3, [1.0, 3.0], n_seeds=3, base_seed=5,
+            canopy_params=CanopyParams(subsample_size=100),
+            variants=["EDPDCS", "NONPRIVATE"],
+        )
+        # Master seeds 5, 6 and 7; NONPRIVATE runs at 5.
+        assert len(radii) == 3
+
+    @pytest.mark.parametrize(
+        "points, starts",
+        [
+            # Default radii for two k, given radii, and a subsample below N.
+            (
+                synthetic_blobs(400, 3, 3, seed=5).points,
+                [
+                    (3, CanopyParams()),
+                    (2, CanopyParams()),
+                    (3, CanopyParams(t1=0.5, t2=0.3)),
+                    (3, CanopyParams(subsample_size=100)),
+                ],
+            ),
+            # Radius halving, twice at the given radii.
+            (_clumps(), [(2, CanopyParams(t1=0.5, t2=0.4)), (2, CanopyParams())]),
+            # One canopy: random fill for k > 1.
+            (np.full((20, 2), 0.5), [(3, CanopyParams()), (1, CanopyParams())]),
+        ],
+        ids=["blobs", "halving", "random-fill"],
+    )
+    def test_shared_dataset_gives_the_same_runs(self, points, starts):
+        shared = Dataset(points=points, normalized=True)
+        for seed in (3, 4, 3):
+            for k, params in starts:
+                for variant in Variant:
+                    fresh = Dataset(points=points, normalized=True)
+                    a_centroids, a_labels, a_report = _run(shared, variant, k, params, seed)
+                    b_centroids, b_labels, b_report = _run(fresh, variant, k, params, seed)
+                    assert a_report.comparable_json() == b_report.comparable_json()
+                    assert np.array_equal(a_labels.labels, b_labels.labels)
+                    assert np.array_equal(a_centroids.centroids, b_centroids.centroids)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_start_is_the_tight_rows_mean(self, blood_like, k):
+        data = Dataset(points=blood_like.points, normalized=True)
+        result = select_initial_centroids(
+            data, k, CanopyParams(seed=0), None, None, dp_enabled=False
+        )
+        top = run_canopy(data.points, result.t1, result.t2)[:k]
+        expected = np.vstack([data.points[c.tight_member_indices].mean(axis=0) for c in top])
+        assert np.array_equal(result.centroids.centroids, expected)
+
+    def test_entries_are_read_only_and_shared(self, small_blobs):
+        data = Dataset(points=small_blobs.points, normalized=True)
+        summary = _canopy_summary(data, 3, CanopyParams(seed=0))
+        assert _canopy_summary(data, 3, CanopyParams(seed=1)) is summary
+        with pytest.raises(ValueError):
+            summary.counts[0] = 0.0
+        with pytest.raises(ValueError):
+            summary.sums[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            summary.t1 = 1.0
+
+    def test_entry_dropped_with_its_dataset(self, small_blobs):
+        data = Dataset(points=small_blobs.points, normalized=True)
+        entry = weakref.ref(_canopy_summary(data, 3, CanopyParams(seed=0)))
+        assert entry() is not None
+        del data
+        gc.collect()
+        assert entry() is None

@@ -125,12 +125,6 @@ class TestPerturbAggregate:
         assert np.array_equal(agg.sums, before)
         assert agg.count == 100.0
 
-    def test_unnormalized_data_refused(self):
-        with pytest.raises(InvalidInputError):
-            perturb_aggregate(
-                self._agg(), 1.0, 1.0, LaplaceSampler(rng_seed=0), normalized=False
-            )
-
     def test_nonpositive_epsilon_refused(self):
         with pytest.raises(InvalidInputError):
             perturb_aggregate(self._agg(), 0.0, 1.0, LaplaceSampler(rng_seed=0))
