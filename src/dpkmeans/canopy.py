@@ -60,13 +60,10 @@ class CanopyParams:
             )
         if (self.t1 is None) != (self.t2 is None):
             raise InvalidInputError("t1 and t2 must be overridden together")
-        if self.t1 is not None:
-            if self.t1 <= 0.0 or self.t2 <= 0.0:
-                raise InvalidInputError("canopy thresholds must be positive")
-            if self.t2 > self.t1:
-                raise InvalidInputError(
-                    f"tight radius t2={self.t2} must not exceed loose radius t1={self.t1}"
-                )
+        if self.t1 is not None and not 0.0 < self.t2 <= self.t1 < np.inf:
+            raise InvalidInputError(
+                f"canopy radii need 0 < t2 <= t1 < inf, got t1={self.t1}, t2={self.t2}"
+            )
 
 
 @dataclass
@@ -113,8 +110,6 @@ class InitResult:
     """Outcome of initial-centroid selection."""
 
     centroids: CentroidSet
-    t1: float
-    t2: float
     noise_draws: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -162,8 +157,9 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty 2-D array")
-    if t2 > t1 or t1 <= 0.0 or t2 <= 0.0:
-        raise InvalidInputError(f"invalid canopy radii t1={t1}, t2={t2}")
+    # False for NaN radii, which would otherwise retire no row and never stop.
+    if not 0.0 < t2 <= t1 < np.inf:
+        raise InvalidInputError(f"canopy radii need 0 < t2 <= t1 < inf, got t1={t1}, t2={t2}")
 
     t1_sq = t1 * t1
     t2_sq = t2 * t2
@@ -322,8 +318,6 @@ def select_initial_centroids(
     draws = (sampler.draw_count - start_draws) if sampler is not None else 0
     return InitResult(
         centroids=CentroidSet(centroids=np.vstack(rows), noisy=dp_enabled),
-        t1=summary.t1,
-        t2=summary.t2,
         noise_draws=draws,
         notes=notes,
     )

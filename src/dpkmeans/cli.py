@@ -1,11 +1,10 @@
-"""Command-line front end: budget planning, runs, comparisons, timing sweeps.
+"""Command-line front end: budget planning, runs and comparisons.
 
 Commands:
 
 - ``plan``     print the budget schedule for a dataset shape and epsilon
 - ``run``      one clustering run, report written as JSON
 - ``compare``  NICV grid over variants x epsilons x seeds, CSV + JSON
-- ``bench``    wall-clock grid over dataset sizes x partition counts, CSV
 
 Exit status: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  Report files never contain wall-clock values, so rerunning the
@@ -26,12 +25,7 @@ import sys
 from dpkmeans.canopy import CanopyParams
 from dpkmeans.core import Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
-from dpkmeans.evaluation import (
-    compare_variants,
-    timing_sweep,
-    write_comparison_csv,
-    write_timing_csv,
-)
+from dpkmeans.evaluation import compare_variants, write_comparison_csv
 from dpkmeans.ingestion import (
     ColumnSpec,
     CsvFormatError,
@@ -86,18 +80,17 @@ def _out_path(name: str, override: str | None) -> str:
     return os.path.join(_out_dir(), name)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
+    """Comma-separated values of ``kind``; ``int`` refuses "2.5" rather than truncating."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        raise _UsageError(
+            f"{flag} expects comma-separated {kind.__name__} values, got {text!r}"
+        ) from exc
     if not values:
         raise _UsageError(f"{flag} must not be empty")
     return values
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [int(v) for v in _parse_float_list(text, flag)]
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -196,25 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out-csv", help="grid path (default comparison.csv)")
     p_cmp.add_argument("--out-json", help="full report path (default comparison.json)")
 
-    p_bench = sub.add_parser("bench", help="wall-clock sweep, CSV")
-    _add_dataset_args(p_bench)
-    _add_run_args(p_bench)
-    p_bench.add_argument("--eps", type=float, default=1.0)
-    p_bench.add_argument(
-        "--partition-list",
-        "--partitions-list",
-        dest="partition_list",
-        default=None,
-        help="comma-separated partition counts (overrides --partitions)",
-    )
-    p_bench.add_argument(
-        "--sizes",
-        default=None,
-        help="comma-separated synthetic row counts (ignored with --dataset)",
-    )
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per cell")
-    p_bench.add_argument("--out", help="timing CSV path (default timings.csv)")
-
     return parser
 
 
@@ -224,7 +198,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, int | None]:
         raise _UsageError("--dataset and --synthetic are mutually exclusive")
     if args.synthetic or not args.dataset:
         spec = args.synthetic or "2000,4,3"
-        parts = _parse_int_list(spec, "--synthetic")
+        parts = _parse_list(spec, "--synthetic", int)
         if len(parts) not in (3, 4):
             raise _UsageError("--synthetic expects N,D,CENTERS[,SEED]")
         n, d, centers = parts[:3]
@@ -238,7 +212,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, int | None]:
     if args.preset:
         columns, default_k, has_header = PRESETS[args.preset]
     elif args.features:
-        indices = _parse_int_list(args.features, "--features")
+        indices = _parse_list(args.features, "--features", int)
         columns = [ColumnSpec(index=i, name=f"f{i}") for i in indices]
         default_k, has_header = None, args.has_header
     else:
@@ -256,8 +230,11 @@ def _resolve_k(args: argparse.Namespace, default_k: int | None) -> int:
     raise _UsageError("--k is required for this dataset selection")
 
 
-def _planner_inputs(args: argparse.Namespace, data: Dataset, k: int, eps: float) -> PlannerInputs:
-    kwargs = dict(n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=eps)
+def _planner_inputs(
+    args: argparse.Namespace, n_rows: int, n_dims: int, k: int, eps: float
+) -> PlannerInputs:
+    """Planner inputs for a shape and budget, with the planner flags that were given."""
+    kwargs = dict(n_rows=n_rows, n_dims=n_dims, k=k, epsilon_total=eps)
     if args.rho is not None:
         kwargs["rho"] = args.rho
     if args.mse_threshold is not None:
@@ -287,16 +264,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         n_rows, n_dims = data.n_rows, data.n_dims
     else:
         raise _UsageError("plan needs --n and --d, or a dataset selection")
-    kwargs = dict(n_rows=n_rows, n_dims=n_dims, k=args.k, epsilon_total=args.eps)
-    if args.rho is not None:
-        kwargs["rho"] = args.rho
-    if args.mse_threshold is not None:
-        kwargs["mse_threshold"] = args.mse_threshold
-    if args.t_cap is not None:
-        kwargs["t_cap"] = args.t_cap
-    if args.eps_m_override is not None:
-        kwargs["epsilon_m_override"] = args.eps_m_override
-    plan = make_plan(PlannerInputs(**kwargs))
+    plan = make_plan(_planner_inputs(args, n_rows, n_dims, args.k, args.eps))
 
     print(f"dataset shape        N={n_rows} d={n_dims} k={args.k}")
     print(f"epsilon total        {plan.epsilon_total:g}")
@@ -323,10 +291,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     canopy = _canopy_params(args)
     if variant is Variant.EDPDCS:
-        inputs = _planner_inputs(args, data, k, args.eps)
+        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, args.eps)
         _, _, report = run_edpdcs(data, k, inputs, canopy, config)
     elif variant is Variant.RF_DPKM:
-        inputs = _planner_inputs(args, data, k, args.eps)
+        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, args.eps)
         _, _, report = run_baseline(
             data, k, args.eps, config, planner_inputs=inputs, canopy_params=canopy
         )
@@ -352,7 +320,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     data, default_k = _load_dataset(args)
     k = _resolve_k(args, default_k)
-    epsilons = _parse_float_list(args.eps, "--eps")
+    epsilons = _parse_list(args.eps, "--eps")
     summary = compare_variants(
         data,
         k,
@@ -386,60 +354,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.partition_list:
-        partition_counts = _parse_int_list(args.partition_list, "--partition-list")
-    else:
-        partition_counts = [args.partitions]
-    k_holder: list[int] = []
-
-    if args.dataset:
-        data, default_k = _load_dataset(args)
-        k_holder.append(_resolve_k(args, default_k))
-        sizes = [data.n_rows]
-
-        def factory(_: int) -> Dataset:
-            return data
-
-    else:
-        spec = args.synthetic or "20000,4,3"
-        parts = _parse_int_list(spec, "--synthetic")
-        if len(parts) not in (3, 4):
-            raise _UsageError("--synthetic expects N,D,CENTERS[,SEED]")
-        _, d, centers = parts[:3]
-        data_seed = parts[3] if len(parts) == 4 else 0
-        sizes = (
-            _parse_int_list(args.sizes, "--sizes") if args.sizes else [parts[0]]
-        )
-        k_holder.append(args.k if args.k is not None else centers)
-
-        def factory(n_rows: int) -> Dataset:
-            return synthetic_blobs(n_rows, d, centers, data_seed)
-
-    cells = timing_sweep(
-        factory,
-        sizes,
-        partition_counts,
-        k_holder[0],
-        args.eps,
-        reps=args.reps,
-        master_seed=args.seed,
-        threads=args.threads,
-    )
-    out = _out_path("timings.csv", args.out)
-    write_timing_csv(cells, out)
-    print(f"{'n_rows':>10} {'partitions':>11} {'median_ms':>11}")
-    for cell in cells:
-        print(f"{cell.n_rows:>10} {cell.n_partitions:>11} {cell.median_ms:>11.1f}")
-    print(f"timings written to {out} (wall clock; not reproducible)")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "plan": cmd_plan,
     "run": cmd_run,
     "compare": cmd_compare,
-    "bench": cmd_bench,
 }
 
 

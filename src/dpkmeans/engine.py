@@ -515,8 +515,10 @@ def run_baseline(
         if epsilon is not None:
             raise InvalidInputError("NONPRIVATE spends no budget; pass epsilon=None")
     else:
-        if epsilon is None or epsilon <= 0.0:
-            raise InvalidInputError(f"variant {variant.value} needs a positive epsilon")
+        if epsilon is None or not 0.0 < epsilon < np.inf:
+            raise InvalidInputError(
+                f"variant {variant.value} needs a positive finite epsilon, got {epsilon}"
+            )
         if planner_inputs is not None and planner_inputs.epsilon_total != epsilon:
             raise InvalidInputError(
                 "planner_inputs.epsilon_total disagrees with the epsilon argument"

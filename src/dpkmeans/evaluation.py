@@ -12,9 +12,8 @@ import csv
 import json
 import logging
 import statistics
-import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
 
@@ -302,81 +301,3 @@ def compare_variants(
             "source_label": data.source_label,
         },
     )
-
-
-@dataclass(frozen=True)
-class TimingCell:
-    """Median wall clock for one (dataset size, partition count) pair.
-
-    Wall-clock numbers are machine- and load-dependent; they are recorded
-    for trend inspection, never for reproducibility checks.
-    """
-
-    n_rows: int
-    n_partitions: int
-    median_ms: float
-    reps: int
-
-
-def timing_sweep(
-    dataset_factory: Callable[[int], Dataset],
-    sizes: Sequence[int],
-    partition_counts: Sequence[int],
-    k: int,
-    epsilon: float,
-    *,
-    reps: int = 3,
-    master_seed: int = 0,
-    threads: int | None = None,
-) -> list[TimingCell]:
-    """Measure run wall clock over a (size x partitions) grid.
-
-    ``dataset_factory`` maps a row count to a dataset; each grid cell times
-    ``reps`` full private runs and keeps the median.
-    """
-    from dpkmeans.engine import EngineConfig, Variant, run_edpdcs
-    from dpkmeans.planner import PlannerInputs
-
-    if reps < 1:
-        raise InvalidInputError(f"reps must be >= 1, got {reps}")
-    cells: list[TimingCell] = []
-    for n_rows in sizes:
-        data = dataset_factory(n_rows)
-        inputs = PlannerInputs(
-            n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
-        )
-        for parts in partition_counts:
-            config = EngineConfig(
-                variant=Variant.EDPDCS,
-                n_partitions=parts,
-                master_seed=master_seed,
-                threads=threads,
-            )
-            samples = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                run_edpdcs(data, k, inputs, None, config)
-                samples.append(1e3 * (time.perf_counter() - t0))
-            cells.append(
-                TimingCell(
-                    n_rows=data.n_rows,
-                    n_partitions=parts,
-                    median_ms=statistics.median(samples),
-                    reps=reps,
-                )
-            )
-            logger.info(
-                "timing n_rows=%d partitions=%d median=%.1f ms",
-                data.n_rows,
-                parts,
-                cells[-1].median_ms,
-            )
-    return cells
-
-
-def write_timing_csv(cells: Sequence[TimingCell], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_rows", "n_partitions", "median_ms", "reps"])
-        for cell in cells:
-            writer.writerow([cell.n_rows, cell.n_partitions, repr(cell.median_ms), cell.reps])

@@ -138,8 +138,10 @@ class BudgetLedger:
     SLACK = 1e-9
 
     def __post_init__(self) -> None:
-        if self.total <= 0.0:
-            raise InvalidInputError(f"total budget must be positive, got {self.total}")
+        if not 0.0 < self.total < np.inf:
+            raise InvalidInputError(
+                f"total budget must be positive and finite, got {self.total}"
+            )
 
     @property
     def spent(self) -> float:

@@ -70,20 +70,25 @@ class PlannerInputs:
             )
         if self.n_dims < 1:
             raise InvalidInputError(f"n_dims must be >= 1, got {self.n_dims}")
-        if self.epsilon_total <= 0.0:
+        # Chained comparisons are false for NaN, so these also refuse NaN and inf.
+        if not 0.0 < self.epsilon_total < math.inf:
             raise InvalidInputError(
-                f"epsilon_total must be positive, got {self.epsilon_total}"
+                f"epsilon_total must be positive and finite, got {self.epsilon_total}"
             )
-        if self.rho < 0.0:
-            raise InvalidInputError(f"rho must be >= 0, got {self.rho}")
-        if self.mse_threshold <= 0.0:
+        if not 0.0 <= self.rho < math.inf:
+            raise InvalidInputError(f"rho must be >= 0 and finite, got {self.rho}")
+        if not 0.0 < self.mse_threshold < math.inf:
             raise InvalidInputError(
-                f"mse_threshold must be positive, got {self.mse_threshold}"
+                f"mse_threshold must be positive and finite, got {self.mse_threshold}"
             )
         if self.t_cap < 2:
             raise InvalidInputError(f"t_cap must be >= 2, got {self.t_cap}")
-        if self.epsilon_m_override is not None and self.epsilon_m_override <= 0.0:
-            raise InvalidInputError("epsilon_m_override must be positive")
+        if self.epsilon_m_override is not None and not (
+            0.0 < self.epsilon_m_override < math.inf
+        ):
+            raise InvalidInputError(
+                f"epsilon_m_override must be positive and finite, got {self.epsilon_m_override}"
+            )
 
 
 @dataclass(frozen=True)

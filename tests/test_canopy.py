@@ -25,6 +25,8 @@ from dpkmeans.planner import PlannerInputs, make_plan
 
 THREE_POINTS = np.array([[0.0, 0.0], [0.05, 0.0], [0.9, 0.9]])
 
+NON_FINITE_RADII = [(np.nan, np.nan), (1.0, np.nan), (np.inf, 0.1), (np.inf, np.inf)]
+
 
 def _huge_budget_plan(n_rows, n_dims, k):
     return make_plan(
@@ -98,6 +100,11 @@ class TestRunCanopy:
             run_canopy(THREE_POINTS, t1=0.1, t2=0.2)
         with pytest.raises(InvalidInputError):
             run_canopy(THREE_POINTS, t1=-1.0, t2=-2.0)
+
+    @pytest.mark.parametrize("t1, t2", NON_FINITE_RADII)
+    def test_non_finite_radii_rejected(self, t1, t2):
+        with pytest.raises(InvalidInputError):
+            run_canopy(THREE_POINTS, t1=t1, t2=t2)
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -250,7 +257,8 @@ class TestSelectInitialCentroids:
         )
         assert result.centroids.k == 2
         assert result.notes == ["canopy radii halved 2x to reach 2 canopies"]
-        assert (result.t1, result.t2) == (0.125, 0.1)
+        summary = _canopy_summary(data, 2, CanopyParams(t1=0.5, t2=0.4, seed=0))
+        assert (summary.t1, summary.t2) == (0.125, 0.1)
 
     def test_unresolved_seed_rejected(self, small_blobs):
         with pytest.raises(InvalidInputError):
@@ -290,6 +298,11 @@ class TestCanopyParams:
     def test_tight_cannot_exceed_loose(self):
         with pytest.raises(InvalidInputError):
             CanopyParams(t1=0.1, t2=0.2)
+
+    @pytest.mark.parametrize("t1, t2", NON_FINITE_RADII)
+    def test_non_finite_radii_rejected(self, t1, t2):
+        with pytest.raises(InvalidInputError):
+            CanopyParams(t1=t1, t2=t2)
 
     def test_subsample_size_positive(self):
         with pytest.raises(InvalidInputError):
@@ -390,7 +403,8 @@ class TestCanopySummary:
         result = select_initial_centroids(
             data, k, CanopyParams(seed=0), None, None, dp_enabled=False
         )
-        top = run_canopy(data.points, result.t1, result.t2)[:k]
+        summary = _canopy_summary(data, k, CanopyParams(seed=0))
+        top = run_canopy(data.points, summary.t1, summary.t2)[:k]
         expected = np.vstack([data.points[c.tight_member_indices].mean(axis=0) for c in top])
         assert np.array_equal(result.centroids.centroids, expected)
 

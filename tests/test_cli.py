@@ -182,6 +182,24 @@ class TestRun:
         rc = main(["run", "--variant", "edpdcs", "--eps", "-1"])
         assert rc == 1
 
+    def test_fractional_feature_index_is_usage_error(self, out_dir, blood_csv, capsys):
+        rc = main(
+            [
+                "run",
+                "--variant",
+                "nonprivate",
+                "--dataset",
+                blood_csv,
+                "--features",
+                "0.7",
+                "--k",
+                "2",
+            ]
+        )
+        assert rc == 1
+        assert "--features" in capsys.readouterr().err
+        assert not (out_dir / "run_report.json").exists()
+
 
 class TestCompare:
     def test_writes_grid_and_json(self, out_dir, capsys):
@@ -218,32 +236,44 @@ class TestCompare:
         assert rc == 1
 
 
-class TestBench:
-    def test_writes_timing_csv(self, out_dir, capsys):
-        rc = main(
-            [
-                "bench",
-                "--sizes",
-                "256,512",
-                "--partition-list",
-                "1,2",
-                "--k",
-                "2",
-                "--reps",
-                "1",
-            ]
-        )
-        assert rc == 0
-        with open(out_dir / "timings.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        assert {int(r["n_rows"]) for r in rows} == {256, 512}
-        assert all(float(r["median_ms"]) > 0.0 for r in rows)
+class TestInvalidNumbers:
+    """Non-finite budgets and radii, and non-integer sizes, are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--n", "748", "--d", "4", "--k", "2", "--eps", "nan"],
+            ["run", "--synthetic", "100,2,2", "--eps", "nan"],
+            ["run", "--synthetic", "100,2,2", "--eps", "inf"],
+            ["run", "--synthetic", "100,2,2", "--rho", "nan"],
+            ["run", "--synthetic", "100,2,2", "--variant", "ru", "--eps", "nan"],
+            ["compare", "--synthetic", "100,2,2", "--k", "2", "--eps", "nan", "--seeds", "1"],
+            ["run", "--synthetic", "300,2,2", "--t1", "nan", "--t2", "nan"],
+            ["run", "--synthetic", "300.9,2.5,2"],
+        ],
+        ids=[
+            "plan-eps-nan",
+            "run-eps-nan",
+            "run-eps-inf",
+            "run-rho-nan",
+            "run-ru-eps-nan",
+            "compare-eps-nan",
+            "run-radii-nan",
+            "run-fractional-synthetic",
+        ],
+    )
+    def test_exits_with_usage_error(self, out_dir, capsys, argv):
+        assert main(argv) == 1
+        assert "error" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
 
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_bench_is_unknown_command(self, capsys):
+        assert main(["bench"]) == 1
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

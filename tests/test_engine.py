@@ -527,6 +527,13 @@ class TestRunBaselineNonprivate:
         with pytest.raises(InvalidInputError):
             run_baseline(small_blobs, 3, -1.0, cfg)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("variant", [Variant.RF_DPKM, Variant.RU_DPKM])
+    def test_non_finite_epsilon_rejected(self, small_blobs, variant, epsilon):
+        cfg = EngineConfig(variant=variant)
+        with pytest.raises(InvalidInputError, match="needs a positive finite epsilon"):
+            run_baseline(small_blobs, 3, epsilon, cfg)
+
 
 def _canopy_seed(master):
     from dpkmeans.mechanism import derive_stream_seed

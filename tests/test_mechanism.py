@@ -170,6 +170,11 @@ class TestBudgetLedger:
         with pytest.raises(InvalidInputError):
             BudgetLedger(total=0.0)
 
+    @pytest.mark.parametrize("total", [float("nan"), float("inf")])
+    def test_non_finite_total_rejected(self, total):
+        with pytest.raises(InvalidInputError):
+            BudgetLedger(total=total)
+
     def test_partially_spent_fails_full_spend_check(self):
         ledger = BudgetLedger(total=1.0)
         ledger.charge("a", 0.25)

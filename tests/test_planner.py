@@ -249,6 +249,16 @@ class TestValidation:
                 n_rows=10, n_dims=2, k=2, epsilon_total=1.0, epsilon_m_override=0.0
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["epsilon_total", "rho", "mse_threshold", "epsilon_m_override"]
+    )
+    def test_non_finite_inputs_rejected(self, field, value):
+        kwargs = dict(n_rows=10, n_dims=2, k=2, epsilon_total=1.0)
+        kwargs[field] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            PlannerInputs(**kwargs)
+
     def test_expected_mse_requires_positive_budget(self):
         with pytest.raises(InvalidInputError):
             expected_centroid_mse(
