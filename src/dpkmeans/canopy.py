@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from dpkmeans.core import CentroidSet, ClusterAggregate, Dataset, InvalidInputError
-from dpkmeans.mechanism import LaplaceSampler, perturb_aggregate
+from dpkmeans.mechanism import LaplaceSampler, noisy_mean
 from dpkmeans.planner import BudgetPlan
 
 logger = logging.getLogger(__name__)
@@ -249,15 +249,15 @@ def select_initial_centroids(
     sampler: LaplaceSampler | None,
     *,
     dp_enabled: bool = True,
-    fill_seed: int | None = None,
+    fill_seed: int,
 ) -> InitResult:
     """Pick k starting centroids from the most populated canopies.
 
     The canopies come from :func:`_canopy_summary`.  Under ``dp_enabled``
-    each centroid is a noisy tight-member mean costing d + 1 Laplace draws
-    from ``sampler`` (count first, then coordinates, in canopy rank order),
-    calibrated to the plan's per-iteration shares.  Without privacy the
-    exact tight-member means are used.
+    each centroid is the :func:`~dpkmeans.mechanism.noisy_mean` of its tight
+    members, costing d + 1 Laplace draws from ``sampler`` (count first, then
+    coordinates, in canopy rank order) at the plan's per-statistic share.
+    Without privacy the exact tight-member means are used.
 
     When fewer than k canopies remain after the radius halving, the
     missing centroids are filled with seeded uniform draws over the unit
@@ -271,8 +271,7 @@ def select_initial_centroids(
         sampler: Noise stream for the initialization pass; required when
             ``dp_enabled``.
         dp_enabled: Disable to get exact canopy means (no budget spent).
-        fill_seed: Seed for the random fill-in fallback; defaults to a
-            value derived from ``params.seed``.
+        fill_seed: Seed for the random fill-in fallback.
     """
     if not data.normalized:
         raise InvalidInputError("initial centroid selection requires normalized data")
@@ -296,8 +295,7 @@ def select_initial_centroids(
     for rank, (count, sums) in enumerate(zip(summary.counts, summary.sums)):
         if dp_enabled:
             exact = ClusterAggregate(cluster_index=rank, count=float(count), sums=sums)
-            noisy = perturb_aggregate(exact, plan.epsilon_count, plan.epsilon_dim, sampler)
-            rows.append(np.clip(noisy.sums / max(noisy.count, 1.0), 0.0, 1.0))
+            rows.append(noisy_mean(exact, plan.epsilon_dim, sampler))
         else:
             # Bit for bit the mean of the tight rows, as ``mean`` also
             # divides their sum by their number.
@@ -305,8 +303,7 @@ def select_initial_centroids(
 
     if len(rows) < k:
         missing = k - len(rows)
-        seed = fill_seed if fill_seed is not None else params.seed + 1
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(fill_seed))
         rows.extend(rng.random(data.n_dims) for _ in range(missing))
         notes.append(f"filled {missing} centroid(s) with uniform random points")
         logger.warning(

@@ -279,10 +279,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Flags of ``run`` that only some variants read; any other variant refuses them.
+_VARIANT_FLAGS = {
+    ("rho", "mse_threshold", "t_cap", "eps_m_override"): (Variant.EDPDCS, Variant.RF_DPKM),
+    ("t1", "t2", "subsample"): (Variant.EDPDCS, Variant.NONPRIVATE),
+}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    variant = _VARIANTS[args.variant]
+    for names, readers in _VARIANT_FLAGS.items():
+        for name in names:
+            if getattr(args, name) is not None and variant not in readers:
+                flag = "--" + name.replace("_", "-")
+                raise _UsageError(f"{flag} has no effect on variant {args.variant}")
     data, default_k = _load_dataset(args)
     k = _resolve_k(args, default_k)
-    variant = _VARIANTS[args.variant]
     config = EngineConfig(
         variant=variant,
         n_partitions=args.partitions,
@@ -290,18 +302,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     canopy = _canopy_params(args)
+    inputs = None
+    if variant in (Variant.EDPDCS, Variant.RF_DPKM):
+        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, args.eps)
     if variant is Variant.EDPDCS:
-        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, args.eps)
         _, _, report = run_edpdcs(data, k, inputs, canopy, config)
-    elif variant is Variant.RF_DPKM:
-        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, args.eps)
-        _, _, report = run_baseline(
-            data, k, args.eps, config, planner_inputs=inputs, canopy_params=canopy
-        )
-    elif variant is Variant.RU_DPKM:
-        _, _, report = run_baseline(data, k, args.eps, config, canopy_params=canopy)
     else:
-        _, _, report = run_baseline(data, k, None, config, canopy_params=canopy)
+        epsilon = None if variant is Variant.NONPRIVATE else args.eps
+        _, _, report = run_baseline(
+            data, k, epsilon, config, planner_inputs=inputs, canopy_params=canopy
+        )
 
     out = _out_path("run_report.json", args.out)
     with open(out, "w") as fh:

@@ -48,7 +48,7 @@ from dpkmeans.mechanism import (
     BudgetLedger,
     LaplaceSampler,
     derive_stream_seed,
-    perturb_aggregate,
+    noisy_mean,
 )
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
 
@@ -57,6 +57,12 @@ logger = logging.getLogger(__name__)
 #: Rows per map block.  Fixed so the floating-point merge tree of the
 #: reduce step is independent of the partition count.
 MAP_BLOCK_ROWS = 4096
+
+#: RU_DPKM's iteration cap, and the largest centroid shift that stops it.
+RU_MAX_ITERS = 10
+RU_SHIFT_TOL = 1e-4
+#: Exact Lloyd stops once no centroid moves further than this.
+NONPRIVATE_SHIFT_TOL = 1e-9
 
 
 class Variant(str, Enum):
@@ -79,29 +85,14 @@ class EngineConfig:
         master_seed: Root of every random stream in the run.
         threads: Worker threads; defaults to
             ``min(n_partitions, os.cpu_count())``.
-        clamp_centroids: Clip noisy centroids back into the unit cube.
-        min_count: Floor applied to noisy counts before dividing, so a
-            cluster emptied by noise cannot blow up the mean.
-        ru_shift_tol: RU_DPKM stops once the largest centroid movement
-            drops below this.
-        ru_max_iters: RU_DPKM iteration cap.
-        nonprivate_shift_tol: Convergence threshold for exact Lloyd.
         nonprivate_max_iters: Iteration cap for exact Lloyd.
-        diagnostics: Retain per-iteration exact and noisy aggregates in the
-            run report (bulky; off by default).
     """
 
     variant: Variant = Variant.EDPDCS
     n_partitions: int = 1
     master_seed: int = 0
     threads: int | None = None
-    clamp_centroids: bool = True
-    min_count: float = 1.0
-    ru_shift_tol: float = 1e-4
-    ru_max_iters: int = 10
-    nonprivate_shift_tol: float = 1e-9
     nonprivate_max_iters: int = 100
-    diagnostics: bool = False
 
     def __post_init__(self) -> None:
         if self.n_partitions < 1:
@@ -112,10 +103,8 @@ class EngineConfig:
             raise InvalidInputError("master_seed must be >= 0")
         if self.threads is not None and self.threads < 1:
             raise InvalidInputError(f"threads must be >= 1, got {self.threads}")
-        if self.min_count <= 0.0:
-            raise InvalidInputError(f"min_count must be positive, got {self.min_count}")
-        if self.ru_max_iters < 1 or self.nonprivate_max_iters < 1:
-            raise InvalidInputError("iteration caps must be >= 1")
+        if self.nonprivate_max_iters < 1:
+            raise InvalidInputError("nonprivate_max_iters must be >= 1")
 
     def resolved_threads(self) -> int:
         if self.threads is not None:
@@ -146,38 +135,6 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
     np.subtract(points, diff, out=diff)
     np.multiply(diff, diff, out=diff)
     return labels, counts, sums, float(diff.sum())
-
-
-def _reduce_cluster_full(
-    exact: ClusterAggregate,
-    noise: tuple[float, LaplaceSampler] | None,
-    *,
-    prev_centroid: np.ndarray,
-    min_count: float = 1.0,
-    clamp: bool = True,
-) -> tuple[np.ndarray, ClusterAggregate | None]:
-    """Reduce step for one cluster: perturb its exact aggregate, recompute
-    the mean; returns (centroid, noisy aggregate or None).
-
-    ``exact`` is the cluster's count and sums over the whole dataset, as
-    the labelling pass merged them in ascending block order.  ``noise`` is
-    None for an exact step; otherwise it is the budget share of each of the
-    cluster's d + 1 statistics and the cluster's noise stream.  The count
-    and sums then receive Laplace noise before the division, the
-    denominator is floored at ``min_count``, and the centroid is clamped
-    back into the unit cube when ``clamp`` is set.  Without noise an empty
-    cluster keeps its previous centroid.
-    """
-    if noise is not None:
-        share, sampler = noise
-        noisy = perturb_aggregate(exact, share, share, sampler)
-        centroid = noisy.sums / max(noisy.count, min_count)
-        if clamp:
-            centroid = np.clip(centroid, 0.0, 1.0)
-        return centroid, noisy
-    if exact.count == 0.0:
-        return np.array(prev_centroid, dtype=np.float64, copy=True), None
-    return exact.sums / exact.count, None
 
 
 class _BlockAggregator:
@@ -254,13 +211,6 @@ def _random_row_centroids(data: Dataset, k: int, seed: int) -> np.ndarray:
     return data.points[np.sort(idx)].copy()
 
 
-def _aggregates(aggs: list[ClusterAggregate]) -> list[dict]:
-    return [
-        {"cluster_index": a.cluster_index, "count": a.count, "sums": a.sums.tolist()}
-        for a in aggs
-    ]
-
-
 def _run_lloyd(
     data: Dataset,
     k: int,
@@ -281,8 +231,10 @@ def _run_lloyd(
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
     charged to ``ledger`` before its labelling pass reads any data, and each
-    cluster's count and d sums each get epsilon / (d + 1) of it; a step
-    with ``None`` is exact.  ``stop``, when given, is a shift tolerance and
+    cluster's new centroid is the :func:`~dpkmeans.mechanism.noisy_mean` of
+    its exact count and sums, at epsilon / (d + 1) for each of those d + 1
+    statistics, from the cluster's own noise stream.  A step with ``None``
+    is exact.  ``stop``, when given, is a shift tolerance and
     the note (formatted with ``t`` and ``shift``) written when a step moves
     no centroid further than it.  The initialization is traced as the
     iteration before the first step.  Every trace entry's ``nicv_after`` is
@@ -318,33 +270,20 @@ def _run_lloyd(
             trace[-1]["nicv_after"] = sq_dist / data.n_rows
             new = np.empty_like(centroids)
             draws = 0
-            exact_aggs: list[ClusterAggregate] = []
-            noisy_aggs: list[ClusterAggregate] = []
             for j in range(k):
-                exact = ClusterAggregate(
-                    cluster_index=j, count=float(counts[j]), sums=sums[j]
-                )
-                noise = None
                 if share is not None:
-                    seed = derive_stream_seed(config.master_seed, t, j)
-                    noise = (share, LaplaceSampler(seed))
-                new[j], noisy = _reduce_cluster_full(
-                    exact,
-                    noise,
-                    prev_centroid=centroids[j],
-                    min_count=config.min_count,
-                    clamp=config.clamp_centroids,
-                )
-                exact_aggs.append(exact)
-                if noisy is not None:
-                    noisy_aggs.append(noisy)
-                    draws += noise[1].draw_count
+                    exact = ClusterAggregate(
+                        cluster_index=j, count=float(counts[j]), sums=sums[j]
+                    )
+                    sampler = LaplaceSampler(derive_stream_seed(config.master_seed, t, j))
+                    new[j] = noisy_mean(exact, share, sampler)
+                    draws += sampler.draw_count
+                elif counts[j]:
+                    new[j] = sums[j] / counts[j]
+                else:
+                    new[j] = centroids[j]  # an empty cluster keeps its centroid
             shift = _max_shift(centroids, new)
             iter_ms.append(1e3 * (time.perf_counter() - t0))
-            exact_trace = noisy_trace = None
-            if config.diagnostics:
-                exact_trace = _aggregates(exact_aggs)
-                noisy_trace = None if share is None else _aggregates(noisy_aggs)
             trace.append(
                 {
                     "iteration": t,
@@ -354,8 +293,8 @@ def _run_lloyd(
                     "centroid_shift": shift,
                     "centroids_before": centroids.tolist(),
                     "centroids_after": new.tolist(),
-                    "exact_aggregates": exact_trace,
-                    "noisy_aggregates": noisy_trace,
+                    "exact_aggregates": None,
+                    "noisy_aggregates": None,
                 }
             )
             centroids = new
@@ -499,10 +438,11 @@ def run_baseline(
     RF_DPKM starts from random data rows and runs the planner's iteration
     count at a uniform budget split.  RU_DPKM starts the same way but
     charges iteration t (1-based) epsilon / 2^(t+1) and stops early once
-    the largest centroid movement drops below ``ru_shift_tol``; whatever
-    the halving schedule leaves unspent is reported as residual.
-    NONPRIVATE runs exact Lloyd to convergence from noise-free canopy
-    initialization and takes no epsilon.
+    the largest centroid movement drops below ``RU_SHIFT_TOL``, after at
+    most ``RU_MAX_ITERS``; whatever the halving schedule leaves unspent is
+    reported as residual.  NONPRIVATE runs exact Lloyd to convergence from
+    noise-free canopy initialization and takes no epsilon.  Only RF_DPKM
+    has a plan, so only it takes ``planner_inputs``.
 
     ``initial_centroids`` overrides the variant's own initialization, which
     is how like-for-like comparisons pin both runs to the same start.
@@ -510,6 +450,8 @@ def run_baseline(
     variant = config.variant
     if variant is Variant.EDPDCS:
         raise InvalidInputError("use run_edpdcs for the EDPDCS variant")
+    if planner_inputs is not None and variant is not Variant.RF_DPKM:
+        raise InvalidInputError(f"{variant.value} takes no planner_inputs")
     _validate_run(data, k, config, planner_inputs, initial_centroids)
     if variant is Variant.NONPRIVATE:
         if epsilon is not None:
@@ -536,13 +478,11 @@ def run_baseline(
         steps = [(t, plan.epsilon_per_iter) for t in range(1, plan.iterations + 1)]
         stop = None
     elif variant is Variant.RU_DPKM:
-        steps = [
-            (t, epsilon / 2.0 ** (t + 1)) for t in range(1, config.ru_max_iters + 1)
-        ]
-        stop = (config.ru_shift_tol, "converged at iteration {t} (shift {shift:.3g})")
+        steps = [(t, epsilon / 2.0 ** (t + 1)) for t in range(1, RU_MAX_ITERS + 1)]
+        stop = (RU_SHIFT_TOL, "converged at iteration {t} (shift {shift:.3g})")
     else:
         steps = [(t, None) for t in range(1, config.nonprivate_max_iters + 1)]
-        stop = (config.nonprivate_shift_tol, "converged at iteration {t}")
+        stop = (NONPRIVATE_SHIFT_TOL, "converged at iteration {t}")
 
     if initial_centroids is not None:
         start = initial_centroids.centroids
@@ -593,11 +533,13 @@ def _replay_config(
         "master_seed": config.master_seed,
         "n_partitions": config.n_partitions,
         "threads": config.resolved_threads(),
-        "clamp_centroids": config.clamp_centroids,
-        "min_count": config.min_count,
-        "ru_shift_tol": config.ru_shift_tol,
-        "ru_max_iters": config.ru_max_iters,
-        "nonprivate_shift_tol": config.nonprivate_shift_tol,
+        # The fixed reduce policy, under the keys reports have always had,
+        # so that comparable_json() keeps its bytes.
+        "clamp_centroids": True,
+        "min_count": 1.0,
+        "ru_shift_tol": RU_SHIFT_TOL,
+        "ru_max_iters": RU_MAX_ITERS,
+        "nonprivate_shift_tol": NONPRIVATE_SHIFT_TOL,
         "nonprivate_max_iters": config.nonprivate_max_iters,
         "map_block_rows": MAP_BLOCK_ROWS,
     }

@@ -71,8 +71,8 @@ class LaplaceSampler:
 
     def draw_many(self, n: int, scale: float) -> np.ndarray:
         """Draw ``n`` independent Laplace(0, scale) variates."""
-        if scale <= 0.0:
-            raise InvalidInputError(f"scale must be positive, got {scale}")
+        if not 0.0 < scale < np.inf:
+            raise InvalidInputError(f"scale must be positive and finite, got {scale}")
         if n < 0:
             raise InvalidInputError(f"n must be >= 0, got {n}")
         u = self._rng.random(n)
@@ -89,36 +89,47 @@ class LaplaceSampler:
 
 
 def perturb_aggregate(
-    aggregate: ClusterAggregate,
-    epsilon_count: float,
-    epsilon_dim: float,
-    sampler: LaplaceSampler,
+    aggregate: ClusterAggregate, epsilon_share: float, sampler: LaplaceSampler
 ) -> ClusterAggregate:
     """Add calibrated Laplace noise to a cluster's count and coordinate sums.
 
     The count is perturbed first with one draw at scale
-    ``COUNT_SENSITIVITY / epsilon_count``, then each coordinate sum with one
-    draw at ``SUM_SENSITIVITY / epsilon_dim``, in dimension order.  The draw
-    order is part of the reproducibility contract.
+    ``COUNT_SENSITIVITY / epsilon_share``, then each coordinate sum with one
+    draw at ``SUM_SENSITIVITY / epsilon_share``, in dimension order.  The
+    draw order is part of the reproducibility contract.
 
     Args:
         aggregate: Exact per-cluster statistics.
-        epsilon_count: Budget share protecting the count.
-        epsilon_dim: Budget share protecting each coordinate sum.
+        epsilon_share: Budget share protecting the count and each sum.
         sampler: Noise stream dedicated to this (iteration, cluster) pair.
 
     Returns:
         A new noisy aggregate; the input is not modified.
     """
-    if epsilon_count <= 0.0 or epsilon_dim <= 0.0:
-        raise InvalidInputError("epsilon shares must be positive")
-    noisy_count = aggregate.count + sampler.draw(COUNT_SENSITIVITY / epsilon_count)
-    noise = sampler.draw_many(aggregate.sums.shape[0], SUM_SENSITIVITY / epsilon_dim)
+    if not 0.0 < epsilon_share < np.inf:
+        raise InvalidInputError(
+            f"epsilon share must be positive and finite, got {epsilon_share}"
+        )
+    noisy_count = aggregate.count + sampler.draw(COUNT_SENSITIVITY / epsilon_share)
+    noise = sampler.draw_many(aggregate.sums.shape[0], SUM_SENSITIVITY / epsilon_share)
     return ClusterAggregate(
         cluster_index=aggregate.cluster_index,
         count=noisy_count,
         sums=aggregate.sums + noise,
     )
+
+
+def noisy_mean(
+    aggregate: ClusterAggregate, epsilon_share: float, sampler: LaplaceSampler
+) -> np.ndarray:
+    """A cluster's released centroid: its noisy sums over its noisy count.
+
+    The aggregate is perturbed by :func:`perturb_aggregate`; the noisy count
+    is floored at 1, so a cluster that noise empties cannot blow up the
+    mean, and the mean is clipped back into the unit cube.
+    """
+    noisy = perturb_aggregate(aggregate, epsilon_share, sampler)
+    return np.clip(noisy.sums / max(noisy.count, 1.0), 0.0, 1.0)
 
 
 @dataclass
@@ -159,8 +170,8 @@ class BudgetLedger:
 
     def charge(self, phase: str, amount: float) -> "BudgetLedger":
         """Record a charge; raises :class:`BudgetExhaustedError` on overdraft."""
-        if amount <= 0.0:
-            raise InvalidInputError(f"charge must be positive, got {amount}")
+        if not 0.0 < amount < np.inf:
+            raise InvalidInputError(f"charge must be positive and finite, got {amount}")
         projected = self.spent + amount
         if projected > self.total + self._slack(self.SLACK):
             raise BudgetExhaustedError(

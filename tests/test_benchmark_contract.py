@@ -1,11 +1,15 @@
-"""The names the benchmark's tracer wraps must exist in the program.
+"""The names the benchmark uses must exist in the program.
 
 ``benchmark/spans.py`` looks up each ``(module, attribute)`` of its
 ``TRACED`` list when a traced run starts, so renaming or deleting one of
 them breaks every ``--trace 1`` run of ``benchmark/run.py``.  The module is
-loaded from its file without touching ``sys.path``.
+loaded from its file without touching ``sys.path``.  The keywords
+``benchmark/workloads.py`` passes to the program's config dataclasses are
+read from its syntax tree, without importing it.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -13,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+SPANS = BENCHMARK / "spans.py"
 
 
 def _traced():
@@ -41,3 +46,26 @@ def test_traced_name_resolves(module_name, attr):
         assert callable(vars(getattr(module, owner_name)).get(method))
     else:
         assert callable(getattr(module, attr, None))
+
+
+def _keywords_passed(constructor: str) -> set[str]:
+    tree = ast.parse((BENCHMARK / "workloads.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == constructor
+    ]
+    assert calls, f"workloads.py no longer calls {constructor}"
+    return {kw.arg for call in calls for kw in call.keywords}
+
+
+@pytest.mark.parametrize(
+    "module_name, constructor",
+    [("engine", "EngineConfig"), ("planner", "PlannerInputs")],
+)
+def test_workload_keywords_are_fields(module_name, constructor):
+    module = importlib.import_module(f"dpkmeans.{module_name}")
+    fields = {f.name for f in dataclasses.fields(getattr(module, constructor))}
+    assert _keywords_passed(constructor) <= fields

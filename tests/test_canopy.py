@@ -165,6 +165,7 @@ class TestSelectInitialCentroids:
             _huge_budget_plan(2, 2, 1),
             LaplaceSampler(rng_seed=1),
             dp_enabled=True,
+            fill_seed=0,
         )
         assert result.centroids.centroids[0] == pytest.approx([0.5, 0.5], abs=1e-9)
 
@@ -178,6 +179,7 @@ class TestSelectInitialCentroids:
             _huge_budget_plan(3, 2, 2),
             LaplaceSampler(rng_seed=2),
             dp_enabled=True,
+            fill_seed=0,
         )
         got = result.centroids.centroids
         assert got[0] == pytest.approx([0.025, 0.0], abs=1e-3)
@@ -190,7 +192,7 @@ class TestSelectInitialCentroids:
         )
         sampler = LaplaceSampler(rng_seed=3)
         result = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=0), plan, sampler
+            small_blobs, 3, CanopyParams(seed=0), plan, sampler, fill_seed=0
         )
         assert result.noise_draws == 3 * (3 + 1)
         assert sampler.draw_count == result.noise_draws
@@ -200,10 +202,10 @@ class TestSelectInitialCentroids:
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
         a = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=4), plan, LaplaceSampler(rng_seed=8)
+            small_blobs, 3, CanopyParams(seed=4), plan, LaplaceSampler(8), fill_seed=0
         )
         b = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=4), plan, LaplaceSampler(rng_seed=8)
+            small_blobs, 3, CanopyParams(seed=4), plan, LaplaceSampler(8), fill_seed=0
         )
         assert np.array_equal(a.centroids.centroids, b.centroids.centroids)
 
@@ -212,7 +214,7 @@ class TestSelectInitialCentroids:
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1e-4)
         )
         result = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=5), plan, LaplaceSampler(rng_seed=6)
+            small_blobs, 3, CanopyParams(seed=5), plan, LaplaceSampler(6), fill_seed=0
         )
         got = result.centroids.centroids
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
@@ -220,7 +222,13 @@ class TestSelectInitialCentroids:
     def test_dp_disabled_returns_exact_means_without_draws(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
         result = select_initial_centroids(
-            data, 2, CanopyParams(t1=0.2, t2=0.1, seed=0), None, None, dp_enabled=False
+            data,
+            2,
+            CanopyParams(t1=0.2, t2=0.1, seed=0),
+            None,
+            None,
+            dp_enabled=False,
+            fill_seed=0,
         )
         assert result.centroids.centroids[0] == pytest.approx([0.025, 0.0])
         assert result.centroids.centroids[1] == pytest.approx([0.9, 0.9])
@@ -235,11 +243,19 @@ class TestSelectInitialCentroids:
             CanopyParams(seed=1),
             _huge_budget_plan(20, 2, 3),
             LaplaceSampler(rng_seed=1),
+            fill_seed=0,
         )
         assert result.centroids.k == 3
         assert any("filled" in note for note in result.notes)
         assert np.all(result.centroids.centroids >= 0.0)
         assert np.all(result.centroids.centroids <= 1.0)
+
+    def test_fill_seed_is_required(self):
+        data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
+        with pytest.raises(TypeError, match="fill_seed"):
+            select_initial_centroids(
+                data, 3, CanopyParams(seed=1), None, None, dp_enabled=False
+            )
 
     def test_threshold_halving_is_reported(self):
         # Two clumps merge into one canopy at the loose default radius but
@@ -254,6 +270,7 @@ class TestSelectInitialCentroids:
             CanopyParams(t1=0.5, t2=0.4, seed=0),
             _huge_budget_plan(60, 2, 2),
             LaplaceSampler(rng_seed=2),
+            fill_seed=0,
         )
         assert result.centroids.k == 2
         assert result.notes == ["canopy radii halved 2x to reach 2 canopies"]
@@ -268,6 +285,7 @@ class TestSelectInitialCentroids:
                 CanopyParams(),
                 _huge_budget_plan(400, 3, 2),
                 LaplaceSampler(rng_seed=0),
+                fill_seed=0,
             )
 
     def test_unnormalized_data_rejected(self):
@@ -279,12 +297,19 @@ class TestSelectInitialCentroids:
                 CanopyParams(seed=0),
                 _huge_budget_plan(2, 2, 1),
                 LaplaceSampler(rng_seed=0),
+                fill_seed=0,
             )
 
     def test_dp_requires_plan_and_sampler(self, small_blobs):
         with pytest.raises(InvalidInputError):
             select_initial_centroids(
-                small_blobs, 2, CanopyParams(seed=0), None, None, dp_enabled=True
+                small_blobs,
+                2,
+                CanopyParams(seed=0),
+                None,
+                None,
+                dp_enabled=True,
+                fill_seed=0,
             )
 
 
@@ -401,7 +426,7 @@ class TestCanopySummary:
     def test_exact_start_is_the_tight_rows_mean(self, blood_like, k):
         data = Dataset(points=blood_like.points, normalized=True)
         result = select_initial_centroids(
-            data, k, CanopyParams(seed=0), None, None, dp_enabled=False
+            data, k, CanopyParams(seed=0), None, None, dp_enabled=False, fill_seed=0
         )
         summary = _canopy_summary(data, k, CanopyParams(seed=0))
         top = run_canopy(data.points, summary.t1, summary.t2)[:k]

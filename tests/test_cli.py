@@ -201,6 +201,34 @@ class TestRun:
         assert not (out_dir / "run_report.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "variant,flags",
+        [
+            ("ru", ["--rho", "5", "--t-cap", "3"]),
+            ("ru", ["--mse-threshold", "0.1"]),
+            ("nonprivate", ["--eps-m-override", "0.2"]),
+            ("rf", ["--t1", "0.3", "--t2", "0.1"]),
+            ("ru", ["--subsample", "100"]),
+        ],
+    )
+    def test_flag_the_variant_ignores_is_usage_error(self, out_dir, capsys, variant, flags):
+        rc = main(["run", "--variant", variant, "--synthetic", "300,2,2", *flags])
+        assert rc == 1
+        assert f"{flags[0]} has no effect on variant {variant}" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize(
+        "variant,flags",
+        [
+            ("edpdcs", ["--rho", "5", "--t1", "0.3", "--t2", "0.1"]),
+            ("rf", ["--t-cap", "3"]),
+            ("nonprivate", ["--subsample", "100"]),
+        ],
+    )
+    def test_flag_the_variant_reads_is_accepted(self, out_dir, variant, flags):
+        assert main(["run", "--variant", variant, "--synthetic", "300,2,2", *flags]) == 0
+
+
 class TestCompare:
     def test_writes_grid_and_json(self, out_dir, capsys):
         rc = main(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -24,7 +25,7 @@ from dpkmeans.engine import (
 )
 from dpkmeans.evaluation import nicv
 from dpkmeans.ingestion import synthetic_blobs
-from dpkmeans.mechanism import LaplaceSampler
+from dpkmeans.mechanism import LaplaceSampler, noisy_mean
 from dpkmeans.planner import PlannerInputs, make_plan, minimal_iteration_budget
 
 CORNERS = Dataset(
@@ -33,7 +34,13 @@ CORNERS = Dataset(
 )
 
 
-_reduce = engine._reduce_cluster_full
+def _one_exact_step(points, start):
+    """Centroids after one exact Lloyd step from ``start``."""
+    data = Dataset(points=np.array(points, dtype=np.float64), normalized=True)
+    cfg = EngineConfig(variant=Variant.NONPRIVATE, nonprivate_max_iters=1)
+    start = CentroidSet(centroids=start)
+    cs, _, _ = run_baseline(data, start.k, None, cfg, initial_centroids=start)
+    return cs.centroids
 
 
 def _agg(j, count, sums):
@@ -110,9 +117,10 @@ class TestBlockPartials:
 
 class TestReduceCluster:
     def test_plain_mean_without_privacy(self):
-        c, noisy = _reduce(_agg(0, 4, [2.0, 3.0]), None, prev_centroid=np.zeros(2))
-        assert c == pytest.approx([0.5, 0.75])
-        assert noisy is None
+        points = [[0.25, 0.5], [0.75, 1.0], [0.5, 0.75], [0.5, 0.75], [1.0, 0.0]]
+        c = _one_exact_step(points, np.array([[0.5, 0.7], [0.9, 0.1]]))
+        assert c[0] == pytest.approx([0.5, 0.75])
+        assert c[1] == pytest.approx([1.0, 0.0])
 
     def test_merge_is_left_fold_over_given_order(self):
         # The reduce's input is the labelling pass's merge of the block
@@ -138,72 +146,54 @@ class TestReduceCluster:
             assert np.array_equal(got_sums, sums)
 
     def test_empty_cluster_keeps_previous_centroid(self):
-        prev = np.array([0.3, 0.7])
-        c, _ = _reduce(_agg(0, 0, [0.0, 0.0]), None, prev_centroid=prev)
-        assert np.array_equal(c, prev)
-        c[0] = -1.0  # must be a copy
-        assert prev[0] == 0.3
+        start = np.array([[0.05, 0.05], [0.3, 0.7]])
+        c = _one_exact_step([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], start)
+        assert c[0] == pytest.approx([1 / 30, 1 / 30])
+        assert np.array_equal(c[1], [0.3, 0.7])
 
     def test_vanishing_noise_matches_exact_mean(self):
-        sampler = LaplaceSampler(rng_seed=0)
-        c, _ = _reduce(
-            _agg(0, 4, [2.0, 3.0]), (1e12, sampler), prev_centroid=np.zeros(2)
-        )
+        c = noisy_mean(_agg(0, 4, [2.0, 3.0]), 1e12, LaplaceSampler(rng_seed=0))
         assert c == pytest.approx([0.5, 0.75], abs=1e-9)
 
     def test_noisy_centroid_reconstructed_from_stream(self):
         # Frozen seed 2: the first draw at scale 10 is -6.4774...,
-        # pushing the noisy count below the floor.  Count and sums share
-        # one epsilon; perturb_aggregate's own tests cover distinct ones.
+        # pushing the noisy count below the floor of 1.
         share = 0.1
         sums = np.array([1.2, 0.4])
-        c, noisy = _reduce(
-            _agg(0, 2, sums),
-            (share, LaplaceSampler(rng_seed=2)),
-            prev_centroid=np.zeros(2),
-        )
+        c = noisy_mean(_agg(0, 2, sums), share, LaplaceSampler(rng_seed=2))
         replay = LaplaceSampler(rng_seed=2)
         count_noise = replay.draw_many(1, 1.0 / share)[0]
         dim_noise = replay.draw_many(2, 1.0 / share)
         assert count_noise < -1.5
-        assert 2.0 + count_noise < 1.0  # denominator hits the min_count floor
+        assert 2.0 + count_noise < 1.0  # denominator hits the floor
         expected = np.clip((sums + dim_noise) / 1.0, 0.0, 1.0)
         assert np.array_equal(c, expected)
-        assert noisy.count == 2.0 + count_noise
-        assert np.array_equal(noisy.sums, sums + dim_noise)
 
     def test_clamp_keeps_unit_cube(self):
-        c, _ = _reduce(
-            _agg(0, 1, [0.9, 0.1]),
-            (0.01, LaplaceSampler(rng_seed=5)),
-            prev_centroid=np.zeros(2),
-        )
+        sampler = LaplaceSampler(rng_seed=5)
+        c = noisy_mean(_agg(0, 1, [0.9, 0.1]), 0.01, sampler)
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
-
-    def test_clamp_can_be_disabled(self):
-        kwargs = dict(prev_centroid=np.zeros(2), min_count=1.0)
-        clamped, _ = _reduce(
-            _agg(0, 1, [0.9, 0.1]),
-            (0.01, LaplaceSampler(rng_seed=5)),
-            clamp=True,
-            **kwargs,
-        )
-        raw, _ = _reduce(
-            _agg(0, 1, [0.9, 0.1]),
-            (0.01, LaplaceSampler(rng_seed=5)),
-            clamp=False,
-            **kwargs,
-        )
-        assert np.any(raw != clamped)
-        assert np.array_equal(np.clip(raw, 0.0, 1.0), clamped)
+        # The clip is what keeps it there: the unclipped mean leaves the cube.
+        replay = LaplaceSampler(rng_seed=5)
+        count = 1.0 + replay.draw(100.0)
+        raw = (np.array([0.9, 0.1]) + replay.draw_many(2, 100.0)) / max(count, 1.0)
+        assert np.any((raw < 0.0) | (raw > 1.0))
+        assert np.array_equal(c, np.clip(raw, 0.0, 1.0))
 
 
 class TestEngineConfig:
     def test_defaults(self):
         cfg = EngineConfig(variant=Variant.EDPDCS)
         assert cfg.n_partitions == 1
-        assert cfg.clamp_centroids
-        assert cfg.min_count == 1.0
+        assert cfg.nonprivate_max_iters == 100
+        # The reduce policy is fixed, so the config holds only run knobs.
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "variant",
+            "n_partitions",
+            "master_seed",
+            "threads",
+            "nonprivate_max_iters",
+        ]
 
     def test_invalid_partitions(self):
         with pytest.raises(InvalidInputError):
@@ -278,18 +268,10 @@ class TestRunEdpdcs:
             assert entry["phase"] == "lloyd"
             assert entry["centroid_shift"] >= 0.0
             assert entry["nicv_after"] > 0.0
-
-    def test_diagnostics_records_aggregates(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
-        cfg = EngineConfig(variant=Variant.EDPDCS, diagnostics=True)
-        _, _, report = run_edpdcs(small_blobs, 3, inputs, config=cfg)
-        lloyd = [it for it in report.iterations if it["phase"] == "lloyd"]
-        assert lloyd
-        for entry in lloyd:
-            exact = entry["exact_aggregates"]
-            assert len(exact) == 3
-            assert sum(a["count"] for a in exact) == 400.0
-            assert len(entry["noisy_aggregates"]) == 3
+        # Exact per-cluster counts and sums are raw data: never traced.
+        for entry in report.iterations:
+            assert entry["exact_aggregates"] is None
+            assert entry["noisy_aggregates"] is None
 
     def test_mismatched_planner_inputs_rejected(self, small_blobs):
         inputs = PlannerInputs(n_rows=999, n_dims=3, k=3, epsilon_total=1.0)
@@ -443,10 +425,21 @@ class TestRunBaselineRu:
         if report.iterations_run == 10:
             assert report.budget_remaining == pytest.approx(0.50048828125, abs=1e-15)
 
-    def test_never_runs_past_cap(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.RU_DPKM, master_seed=4, ru_max_iters=3)
+    def test_never_runs_past_cap(self, small_blobs, monkeypatch):
+        monkeypatch.setattr(engine, "RU_MAX_ITERS", 3)
+        cfg = EngineConfig(variant=Variant.RU_DPKM, master_seed=4)
         _, _, report = run_baseline(small_blobs, 3, 1.0, cfg)
         assert report.iterations_run <= 3
+
+    @pytest.mark.parametrize(
+        "variant,epsilon", [(Variant.RU_DPKM, 1.0), (Variant.NONPRIVATE, None)]
+    )
+    def test_planner_inputs_refused(self, small_blobs, variant, epsilon):
+        # Neither variant has a plan: the inputs would only decorate the report.
+        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
+        cfg = EngineConfig(variant=variant)
+        with pytest.raises(InvalidInputError, match="takes no planner_inputs"):
+            run_baseline(small_blobs, 3, epsilon, cfg, planner_inputs=inputs)
 
 
 class TestRunBaselineNonprivate:
@@ -478,7 +471,7 @@ class TestRunBaselineNonprivate:
         assert report.budget_remaining == 0.0
         assert any("converged" in n for n in report.notes)
         final_shift = report.iterations[-1]["centroid_shift"]
-        assert final_shift < cfg.nonprivate_shift_tol
+        assert final_shift < engine.NONPRIVATE_SHIFT_TOL
 
     def test_matches_plain_lloyd_reference(self, small_blobs):
         # Independent dense Lloyd implementation, same canopy start.

@@ -120,9 +120,7 @@ class TestRunReport:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_json_equals_that_of_deep_copied_fields(self, small_blobs, variant):
-        cfg = EngineConfig(
-            variant=variant, n_partitions=2, master_seed=4, diagnostics=True
-        )
+        cfg = EngineConfig(variant=variant, n_partitions=2, master_seed=4)
         if variant is Variant.EDPDCS:
             inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
             report = run_edpdcs(small_blobs, 3, inputs, config=cfg)[2]

@@ -6,11 +6,11 @@ from the engine as it was before labelling became blockwise (one
 every iteration).  The ``wide`` cases were recorded from the blockwise
 engine while ``label_points`` still computed every (row, centroid)
 distance directly, before it filtered through a matrix product.  The
-``diagnostics``, ``unclamped``, ``supplied`` and ``converging`` cases were
-recorded while each variant still ran its own copy of the Lloyd loop; they
-lock the aggregates the diagnostics trace releases, the unclamped reduce
-with a ``min_count`` floor above 1, baselines started from given
-centroids, and RU_DPKM's convergence stop.
+``supplied`` and ``converging`` cases were recorded while each variant
+still ran its own copy of the Lloyd loop; they lock baselines started from
+given centroids and RU_DPKM's convergence stop.  Every case runs the one
+fixed reduce policy (noisy count floored at 1, centroids clipped to the
+unit cube), and no trace entry carries exact or noisy aggregates.
 Centroids, noise draws, budget charges, the ledger and the final labels
 must still match the fixture bit for bit.  The NICV fields of the older
 cases moved by floating-point summation order, so NICV is compared to a
@@ -33,6 +33,7 @@ import pytest
 from dpkmeans.core import CentroidSet
 from dpkmeans.engine import (
     MAP_BLOCK_ROWS,
+    RU_MAX_ITERS,
     EngineConfig,
     Variant,
     run_baseline,
@@ -50,8 +51,8 @@ VARIANTS = [v.value for v in Variant]
 #: spans three map blocks and has d >= 8; ``blood`` is the 748 x 4
 #: reference shape; ``wide`` has the d and k of the threaded benchmark, with
 #: wider blobs than its own, so that exact Lloyd runs 21 iterations.  The
-#: options are EngineConfig fields, except ``supplied_start``, which starts
-#: each run from the centroids of :func:`_diagonal_start`.
+#: one option, ``supplied_start``, starts each run from the centroids of
+#: :func:`_diagonal_start`.
 SHAPES = {
     "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0, VARIANTS, {}),
     "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0, VARIANTS, {}),
@@ -61,20 +62,6 @@ SHAPES = {
         3.0,
         ["EDPDCS", "NONPRIVATE"],
         {},
-    ),
-    "diagnostics": (
-        dict(n_rows=9000, n_dims=5, n_centers=3, seed=7),
-        3,
-        2.0,
-        VARIANTS,
-        dict(diagnostics=True),
-    ),
-    "unclamped": (
-        dict(n_rows=748, n_dims=4, n_centers=3, seed=13),
-        3,
-        0.5,
-        ["EDPDCS", "RF_DPKM", "RU_DPKM"],
-        dict(clamp_centroids=False, min_count=3.0),
     ),
     "supplied": (
         dict(n_rows=6000, n_dims=6, n_centers=4, seed=9),
@@ -104,15 +91,12 @@ def _diagonal_start(k: int, n_dims: int) -> CentroidSet:
 
 def _run(shape: str, variant: str, n_partitions: int):
     blob_args, k, eps, _, options = SHAPES[shape]
-    options = dict(options)
-    supplied_start = options.pop("supplied_start", False)
     data = synthetic_blobs(**blob_args)
     config = EngineConfig(
         variant=Variant(variant),
         n_partitions=n_partitions,
         master_seed=3,
         threads=2,
-        **options,
     )
     if variant == "EDPDCS":
         inputs = PlannerInputs(
@@ -120,7 +104,7 @@ def _run(shape: str, variant: str, n_partitions: int):
         )
         return run_edpdcs(data, k, inputs, config=config)
     epsilon = None if variant == "NONPRIVATE" else eps
-    start = _diagonal_start(k, data.n_dims) if supplied_start else None
+    start = _diagonal_start(k, data.n_dims) if options.get("supplied_start") else None
     return run_baseline(data, k, epsilon, config, initial_centroids=start)
 
 
@@ -170,19 +154,12 @@ def test_blobs_shape_spans_more_than_two_blocks():
 
 def test_option_cases_reach_their_paths():
     golden = _golden()
-    # Without the clamp, noise carries some centroid out of the unit cube.
-    unclamped = [
-        np.array(it["centroids_after"])
-        for entry in golden["unclamped"].values()
-        for it in entry["iterations"]
-    ]
-    assert any(((c < 0.0) | (c > 1.0)).any() for c in unclamped)
     start = _diagonal_start(SHAPES["supplied"][1], SHAPES["supplied"][0]["n_dims"])
     for entry in golden["supplied"].values():
         first = np.array(entry["iterations"][0]["centroids_after"])
         assert np.array_equal(first, start.centroids)
     ru = golden["converging"]["RU_DPKM"]
-    assert len(ru["iterations"]) - 1 < EngineConfig().ru_max_iters
+    assert len(ru["iterations"]) - 1 < RU_MAX_ITERS
 
 
 @pytest.mark.parametrize("n_partitions", [1, 2])

@@ -13,6 +13,8 @@ from dpkmeans.mechanism import (
     perturb_aggregate,
 )
 
+NON_FINITE = [float("nan"), float("inf")]
+
 
 class TestLaplaceSampler:
     def test_median_uniform_maps_to_zero(self):
@@ -59,6 +61,15 @@ class TestLaplaceSampler:
         with pytest.raises(InvalidInputError):
             sampler.draw_many(-1, 1.0)
 
+    @pytest.mark.parametrize("scale", NON_FINITE)
+    def test_non_finite_scale_rejected(self, scale):
+        sampler = LaplaceSampler(rng_seed=0)
+        with pytest.raises(InvalidInputError):
+            sampler.draw(scale)
+        with pytest.raises(InvalidInputError):
+            sampler.draw_many(3, scale)
+        assert sampler.draw_count == 0
+
 
 class TestStreamSeeds:
     def test_deterministic(self):
@@ -88,7 +99,7 @@ class TestPerturbAggregate:
 
     def test_vanishing_noise_limit(self):
         agg = self._agg()
-        noisy = perturb_aggregate(agg, 1e12, 1e12, LaplaceSampler(rng_seed=1))
+        noisy = perturb_aggregate(agg, 1e12, LaplaceSampler(rng_seed=1))
         assert noisy.count == pytest.approx(agg.count, abs=1e-9)
         assert noisy.sums == pytest.approx(agg.sums, abs=1e-9)
 
@@ -97,44 +108,51 @@ class TestPerturbAggregate:
         sampler = LaplaceSampler(rng_seed=2024)
         counts = np.empty(10**5)
         for i in range(counts.shape[0]):
-            counts[i] = perturb_aggregate(agg, 1.0, 1.0, sampler).count
+            counts[i] = perturb_aggregate(agg, 1.0, sampler).count
         assert counts.mean() == pytest.approx(100.0, abs=0.05)
 
     def test_consumes_exactly_d_plus_one_draws(self):
         agg = self._agg(d=6)
         sampler = LaplaceSampler(rng_seed=3)
-        perturb_aggregate(agg, 0.5, 0.5, sampler)
+        perturb_aggregate(agg, 0.5, sampler)
         assert sampler.draw_count == 7
 
     def test_count_perturbed_before_sums(self):
-        # Reconstruct the exact stream by hand: one count draw at 1/eps_count,
-        # then d sum draws at 1/eps_dim, all from the same uniform sequence.
+        # Reconstruct the exact stream by hand: one count draw, then d sum
+        # draws, all at 1/share from the same uniform sequence.
         agg = self._agg(count=10.0, d=3)
         seed = 77
-        noisy = perturb_aggregate(agg, 2.0, 4.0, LaplaceSampler(rng_seed=seed))
+        noisy = perturb_aggregate(agg, 2.0, LaplaceSampler(rng_seed=seed))
         u = np.random.Generator(np.random.PCG64(seed)).random(4)
         expected_count = agg.count + laplace_inverse_cdf(u[:1], 1.0 / 2.0)[0]
-        expected_sums = agg.sums + laplace_inverse_cdf(u[1:], 1.0 / 4.0)
+        expected_sums = agg.sums + laplace_inverse_cdf(u[1:], 1.0 / 2.0)
         assert noisy.count == expected_count
         assert np.array_equal(noisy.sums, expected_sums)
 
     def test_input_not_modified(self):
         agg = self._agg()
         before = agg.sums.copy()
-        perturb_aggregate(agg, 1.0, 1.0, LaplaceSampler(rng_seed=4))
+        perturb_aggregate(agg, 1.0, LaplaceSampler(rng_seed=4))
         assert np.array_equal(agg.sums, before)
         assert agg.count == 100.0
 
     def test_nonpositive_epsilon_refused(self):
         with pytest.raises(InvalidInputError):
-            perturb_aggregate(self._agg(), 0.0, 1.0, LaplaceSampler(rng_seed=0))
+            perturb_aggregate(self._agg(), 0.0, LaplaceSampler(rng_seed=0))
+
+    @pytest.mark.parametrize("share", NON_FINITE)
+    def test_non_finite_epsilon_refused(self, share):
+        sampler = LaplaceSampler(rng_seed=0)
+        with pytest.raises(InvalidInputError):
+            perturb_aggregate(self._agg(), share, sampler)
+        assert sampler.draw_count == 0
 
     def test_distinct_streams_are_independent_bookkeeping(self):
         # Parallel composition across clusters: distinct sampler streams.
         samplers = [
             LaplaceSampler(rng_seed=derive_stream_seed(5, 2, j)) for j in range(3)
         ]
-        outs = [perturb_aggregate(self._agg(), 1.0, 1.0, s) for s in samplers]
+        outs = [perturb_aggregate(self._agg(), 1.0, s) for s in samplers]
         assert all(s.draw_count == 5 for s in samplers)
         noises = [o.count - 100.0 for o in outs]
         assert len(set(noises)) == 3
@@ -165,6 +183,13 @@ class TestBudgetLedger:
         ledger = BudgetLedger(total=1.0)
         with pytest.raises(InvalidInputError):
             ledger.charge("a", 0.0)
+
+    @pytest.mark.parametrize("amount", NON_FINITE)
+    def test_non_finite_charge_rejected(self, amount):
+        ledger = BudgetLedger(total=1.0)
+        with pytest.raises(InvalidInputError):
+            ledger.charge("a", amount)
+        assert ledger.entries == [] and ledger.spent == 0.0
 
     def test_nonpositive_total_rejected(self):
         with pytest.raises(InvalidInputError):
