@@ -13,16 +13,10 @@ The package is organized around a small pipeline:
   comparisons.
 """
 
-from dpkmeans.core import (
-    Assignment,
-    CentroidSet,
-    ClusterAggregate,
-    Dataset,
-    InvalidInputError,
-)
+from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
 from dpkmeans.evaluation import RunReport, compare_variants, nicv
-from dpkmeans.mechanism import BudgetExhaustedError, BudgetLedger, LaplaceSampler
+from dpkmeans.mechanism import BudgetExhaustedError, BudgetLedger
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
 
 __version__ = "0.1.0"
@@ -33,11 +27,9 @@ __all__ = [
     "BudgetLedger",
     "BudgetPlan",
     "CentroidSet",
-    "ClusterAggregate",
     "Dataset",
     "EngineConfig",
     "InvalidInputError",
-    "LaplaceSampler",
     "PlannerInputs",
     "RunReport",
     "Variant",

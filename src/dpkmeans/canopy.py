@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dpkmeans.core import CentroidSet, ClusterAggregate, Dataset, InvalidInputError
-from dpkmeans.mechanism import LaplaceSampler, noisy_mean
+from dpkmeans.core import CentroidSet, Dataset, InvalidInputError
+from dpkmeans.mechanism import noisy_mean, stream_uniforms
 from dpkmeans.planner import BudgetPlan
 
 logger = logging.getLogger(__name__)
@@ -246,7 +246,7 @@ def select_initial_centroids(
     k: int,
     params: CanopyParams,
     plan: BudgetPlan | None,
-    sampler: LaplaceSampler | None,
+    master_seed: int | None,
     *,
     dp_enabled: bool = True,
     fill_seed: int,
@@ -254,10 +254,11 @@ def select_initial_centroids(
     """Pick k starting centroids from the most populated canopies.
 
     The canopies come from :func:`_canopy_summary`.  Under ``dp_enabled``
-    each centroid is the :func:`~dpkmeans.mechanism.noisy_mean` of its tight
-    members, costing d + 1 Laplace draws from ``sampler`` (count first, then
-    coordinates, in canopy rank order) at the plan's per-statistic share.
-    Without privacy the exact tight-member means are used.
+    the centroids are the :func:`~dpkmeans.mechanism.noisy_mean` of their
+    tight members at the plan's per-statistic share.  Their noise is one
+    sequential stream, (1, 0) of ``master_seed``: d + 1 draws per canopy
+    (count first, then coordinates), in canopy rank order.  Without privacy
+    the exact tight-member means are used.
 
     When fewer than k canopies remain after the radius halving, the
     missing centroids are filled with seeded uniform draws over the unit
@@ -268,8 +269,7 @@ def select_initial_centroids(
         k: Number of centroids.
         params: Canopy tuning; ``params.seed`` must be resolved.
         plan: Budget schedule; required when ``dp_enabled``.
-        sampler: Noise stream for the initialization pass; required when
-            ``dp_enabled``.
+        master_seed: The run's master seed; required when ``dp_enabled``.
         dp_enabled: Disable to get exact canopy means (no budget spent).
         fill_seed: Seed for the random fill-in fallback.
     """
@@ -279,8 +279,8 @@ def select_initial_centroids(
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if params.seed is None:
         raise InvalidInputError("params.seed must be resolved before initialization")
-    if dp_enabled and (plan is None or sampler is None):
-        raise InvalidInputError("dp-enabled initialization needs a plan and a sampler")
+    if dp_enabled and (plan is None or master_seed is None):
+        raise InvalidInputError("dp-enabled initialization needs a plan and a master seed")
 
     summary = _canopy_summary(data, k, params)
     notes: list[str] = []
@@ -290,31 +290,30 @@ def select_initial_centroids(
             f"{summary.n_canopies} canopies"
         )
 
-    start_draws = sampler.draw_count if sampler is not None else 0
-    rows = []
-    for rank, (count, sums) in enumerate(zip(summary.counts, summary.sums)):
-        if dp_enabled:
-            exact = ClusterAggregate(cluster_index=rank, count=float(count), sums=sums)
-            rows.append(noisy_mean(exact, plan.epsilon_dim, sampler))
-        else:
-            # Bit for bit the mean of the tight rows, as ``mean`` also
-            # divides their sum by their number.
-            rows.append(sums / count)
+    found, d = summary.sums.shape
+    draws = 0
+    if dp_enabled:
+        stream = stream_uniforms(master_seed, 1, 1, k * (d + 1))[0].reshape(k, d + 1)
+        rows = noisy_mean(summary.counts, summary.sums, plan.epsilon_dim, stream[:found])
+        draws = found * (d + 1)
+    else:
+        # Bit for bit the mean of the tight rows, as ``mean`` also divides
+        # their sum by their number.
+        rows = summary.sums / summary.counts[:, None]
 
-    if len(rows) < k:
-        missing = k - len(rows)
-        rng = np.random.Generator(np.random.PCG64(fill_seed))
-        rows.extend(rng.random(data.n_dims) for _ in range(missing))
+    if found < k:
+        missing = k - found
+        fill = np.random.Generator(np.random.PCG64(fill_seed)).random((missing, d))
+        rows = np.vstack([rows, fill])
         notes.append(f"filled {missing} centroid(s) with uniform random points")
         logger.warning(
             "canopy pass produced %d < k=%d canopies; filled remainder randomly",
-            len(summary.counts),
+            found,
             k,
         )
 
-    draws = (sampler.draw_count - start_draws) if sampler is not None else 0
     return InitResult(
-        centroids=CentroidSet(centroids=np.vstack(rows), noisy=dp_enabled),
+        centroids=CentroidSet(centroids=rows, noisy=dp_enabled),
         noise_draws=draws,
         notes=notes,
     )

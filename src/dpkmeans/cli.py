@@ -174,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_VARIANTS),
         help="clustering strategy (default edpdcs)",
     )
-    p_run.add_argument("--eps", type=float, default=1.0, help="total privacy budget")
+    p_run.add_argument(
+        "--eps", type=float, default=None, help="total privacy budget (default 1)"
+    )
     p_run.add_argument("--out", help="report path (default run_report.json)")
 
     p_cmp = sub.add_parser("compare", help="NICV grid over variants and epsilons")
@@ -283,6 +285,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 _VARIANT_FLAGS = {
     ("rho", "mse_threshold", "t_cap", "eps_m_override"): (Variant.EDPDCS, Variant.RF_DPKM),
     ("t1", "t2", "subsample"): (Variant.EDPDCS, Variant.NONPRIVATE),
+    ("eps",): (Variant.EDPDCS, Variant.RF_DPKM, Variant.RU_DPKM),
 }
 
 
@@ -301,14 +304,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         threads=args.threads,
     )
-    canopy = _canopy_params(args)
-    inputs = None
+    epsilon = None
+    if variant is not Variant.NONPRIVATE:
+        epsilon = 1.0 if args.eps is None else args.eps
+    inputs = canopy = None
     if variant in (Variant.EDPDCS, Variant.RF_DPKM):
-        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, args.eps)
+        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, epsilon)
+    if variant in (Variant.EDPDCS, Variant.NONPRIVATE):
+        canopy = _canopy_params(args)
     if variant is Variant.EDPDCS:
         _, _, report = run_edpdcs(data, k, inputs, canopy, config)
     else:
-        epsilon = None if variant is Variant.NONPRIVATE else args.eps
         _, _, report = run_baseline(
             data, k, epsilon, config, planner_inputs=inputs, canopy_params=canopy
         )

@@ -8,7 +8,7 @@ unit hypercube bound that makes a global sensitivity of 1 valid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,25 +114,6 @@ class Assignment:
     @property
     def n_rows(self) -> int:
         return self.labels.shape[0]
-
-
-@dataclass
-class ClusterAggregate:
-    """Per-cluster sufficient statistics produced by a map task.
-
-    ``count`` is a float so the same container can hold exact tallies and
-    noisy ones (Laplace noise makes counts fractional and possibly
-    negative before clamping).
-    """
-
-    cluster_index: int
-    count: float
-    sums: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self) -> None:
-        self.sums = np.asarray(self.sums, dtype=np.float64)
-        if self.sums.ndim != 1:
-            raise InvalidInputError("sums must be a 1-D vector")
 
 
 #: Rows labelled per step of :func:`label_points`.  Bounds its temporaries to

@@ -35,21 +35,9 @@ from enum import Enum
 import numpy as np
 
 from dpkmeans.canopy import CanopyParams, select_initial_centroids, with_resolved_seed
-from dpkmeans.core import (
-    Assignment,
-    CentroidSet,
-    ClusterAggregate,
-    Dataset,
-    InvalidInputError,
-    label_points,
-)
+from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError, label_points
 from dpkmeans.evaluation import RunReport
-from dpkmeans.mechanism import (
-    BudgetLedger,
-    LaplaceSampler,
-    derive_stream_seed,
-    noisy_mean,
-)
+from dpkmeans.mechanism import BudgetLedger, derive_stream_seed, noisy_mean, stream_uniforms
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
 
 logger = logging.getLogger(__name__)
@@ -230,10 +218,10 @@ def _run_lloyd(
     """The Lloyd loop every variant runs, from ``start`` through ``steps``.
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
-    charged to ``ledger`` before its labelling pass reads any data, and each
-    cluster's new centroid is the :func:`~dpkmeans.mechanism.noisy_mean` of
-    its exact count and sums, at epsilon / (d + 1) for each of those d + 1
-    statistics, from the cluster's own noise stream.  A step with ``None``
+    charged to ``ledger`` before its labelling pass reads any data, and the
+    new centroids are one :func:`~dpkmeans.mechanism.noisy_mean` of the exact
+    counts and sums, at epsilon / (d + 1) for each cluster's d + 1
+    statistics, cluster j's noise from stream (t, j).  A step with ``None``
     is exact.  ``stop``, when given, is a shift tolerance and
     the note (formatted with ``t`` and ``shift``) written when a step moves
     no centroid further than it.  The initialization is traced as the
@@ -268,20 +256,15 @@ def _run_lloyd(
                 share = epsilon / (data.n_dims + 1)
             counts, sums, sq_dist, _ = aggregator.labelling_pass(centroids, k)
             trace[-1]["nicv_after"] = sq_dist / data.n_rows
-            new = np.empty_like(centroids)
             draws = 0
-            for j in range(k):
-                if share is not None:
-                    exact = ClusterAggregate(
-                        cluster_index=j, count=float(counts[j]), sums=sums[j]
-                    )
-                    sampler = LaplaceSampler(derive_stream_seed(config.master_seed, t, j))
-                    new[j] = noisy_mean(exact, share, sampler)
-                    draws += sampler.draw_count
-                elif counts[j]:
-                    new[j] = sums[j] / counts[j]
-                else:
-                    new[j] = centroids[j]  # an empty cluster keeps its centroid
+            if share is not None:
+                uniforms = stream_uniforms(config.master_seed, t, k, data.n_dims + 1)
+                new = noisy_mean(counts, sums, share, uniforms)
+                draws = uniforms.size
+            else:
+                # An empty cluster keeps its centroid.
+                new = centroids.copy()
+                np.divide(sums, counts[:, None], out=new, where=counts[:, None] > 0)
             shift = _max_shift(centroids, new)
             iter_ms.append(1e3 * (time.perf_counter() - t0))
             trace.append(
@@ -402,7 +385,7 @@ def run_edpdcs(
         k,
         canopy_params,
         plan,
-        LaplaceSampler(derive_stream_seed(config.master_seed, 1, 0)),
+        config.master_seed,
         fill_seed=derive_stream_seed(config.master_seed, 0, 1),
     )
     ledger.charge("init", plan.epsilon_per_iter)
@@ -442,7 +425,8 @@ def run_baseline(
     most ``RU_MAX_ITERS``; whatever the halving schedule leaves unspent is
     reported as residual.  NONPRIVATE runs exact Lloyd to convergence from
     noise-free canopy initialization and takes no epsilon.  Only RF_DPKM
-    has a plan, so only it takes ``planner_inputs``.
+    has a plan, so only it takes ``planner_inputs``; only NONPRIVATE has a
+    canopy start, so only it takes ``canopy_params``.
 
     ``initial_centroids`` overrides the variant's own initialization, which
     is how like-for-like comparisons pin both runs to the same start.
@@ -452,6 +436,8 @@ def run_baseline(
         raise InvalidInputError("use run_edpdcs for the EDPDCS variant")
     if planner_inputs is not None and variant is not Variant.RF_DPKM:
         raise InvalidInputError(f"{variant.value} takes no planner_inputs")
+    if canopy_params is not None and variant is not Variant.NONPRIVATE:
+        raise InvalidInputError(f"{variant.value} takes no canopy_params")
     _validate_run(data, k, config, planner_inputs, initial_centroids)
     if variant is Variant.NONPRIVATE:
         if epsilon is not None:

@@ -254,7 +254,6 @@ def compare_variants(
                             planner_inputs=inputs
                             if variant is Variant.RF_DPKM
                             else None,
-                            canopy_params=canopy_params,
                         )
                 except Exception as exc:
                     msg = f"{variant.value} eps={eps} seed={seed} failed: {exc}"

@@ -5,7 +5,8 @@
 them breaks every ``--trace 1`` run of ``benchmark/run.py``.  The module is
 loaded from its file without touching ``sys.path``.  The keywords
 ``benchmark/workloads.py`` passes to the program's config dataclasses are
-read from its syntax tree, without importing it.
+read from its syntax tree, without importing it.  A traced name must also
+still be called: one the engine stopped calling would read 0 ms, not fail.
 """
 
 import ast
@@ -16,6 +17,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dpkmeans import mechanism
+from dpkmeans.engine import EngineConfig, run_edpdcs
+from dpkmeans.ingestion import synthetic_blobs
+from dpkmeans.planner import PlannerInputs
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 SPANS = BENCHMARK / "spans.py"
@@ -69,3 +75,26 @@ def test_workload_keywords_are_fields(module_name, constructor):
     module = importlib.import_module(f"dpkmeans.{module_name}")
     fields = {f.name for f in dataclasses.fields(getattr(module, constructor))}
     assert _keywords_passed(constructor) <= fields
+
+
+@pytest.mark.parametrize("attr", ["perturb_aggregate", "derive_stream_seed"])
+def test_edpdcs_run_calls_traced_mechanism_name(monkeypatch, attr):
+    # Replace the name wherever a dpkmeans module holds it, as the tracer does.
+    original = getattr(mechanism, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dpkmeans") and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counting)
+    mechanism.stream_uniforms.cache_clear()
+    inputs = PlannerInputs(n_rows=300, n_dims=2, k=2, epsilon_total=1.0)
+    run_edpdcs(synthetic_blobs(300, 2, 2, 0), 2, inputs, None, EngineConfig(master_seed=3))
+    assert calls
+    if attr == "derive_stream_seed":
+        # The noise streams of the start (1) and of a Lloyd step (2) are set
+        # up through it, not only the start's own seeds (0).
+        assert {args[1] for args in calls} >= {1, 2}

@@ -20,7 +20,7 @@ from dpkmeans.core import Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
 from dpkmeans.evaluation import compare_variants
 from dpkmeans.ingestion import synthetic_blobs
-from dpkmeans.mechanism import LaplaceSampler
+from dpkmeans.mechanism import derive_stream_seed, laplace_inverse_cdf
 from dpkmeans.planner import PlannerInputs, make_plan
 
 THREE_POINTS = np.array([[0.0, 0.0], [0.05, 0.0], [0.9, 0.9]])
@@ -163,7 +163,7 @@ class TestSelectInitialCentroids:
             1,
             params,
             _huge_budget_plan(2, 2, 1),
-            LaplaceSampler(rng_seed=1),
+            1,
             dp_enabled=True,
             fill_seed=0,
         )
@@ -177,7 +177,7 @@ class TestSelectInitialCentroids:
             2,
             params,
             _huge_budget_plan(3, 2, 2),
-            LaplaceSampler(rng_seed=2),
+            2,
             dp_enabled=True,
             fill_seed=0,
         )
@@ -190,22 +190,20 @@ class TestSelectInitialCentroids:
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
-        sampler = LaplaceSampler(rng_seed=3)
         result = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=0), plan, sampler, fill_seed=0
+            small_blobs, 3, CanopyParams(seed=0), plan, 3, fill_seed=0
         )
         assert result.noise_draws == 3 * (3 + 1)
-        assert sampler.draw_count == result.noise_draws
 
     def test_deterministic_given_seed(self, small_blobs):
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
         a = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=4), plan, LaplaceSampler(8), fill_seed=0
+            small_blobs, 3, CanopyParams(seed=4), plan, 8, fill_seed=0
         )
         b = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=4), plan, LaplaceSampler(8), fill_seed=0
+            small_blobs, 3, CanopyParams(seed=4), plan, 8, fill_seed=0
         )
         assert np.array_equal(a.centroids.centroids, b.centroids.centroids)
 
@@ -214,7 +212,7 @@ class TestSelectInitialCentroids:
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1e-4)
         )
         result = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=5), plan, LaplaceSampler(6), fill_seed=0
+            small_blobs, 3, CanopyParams(seed=5), plan, 6, fill_seed=0
         )
         got = result.centroids.centroids
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
@@ -242,13 +240,28 @@ class TestSelectInitialCentroids:
             3,
             CanopyParams(seed=1),
             _huge_budget_plan(20, 2, 3),
-            LaplaceSampler(rng_seed=1),
+            1,
             fill_seed=0,
         )
         assert result.centroids.k == 3
         assert any("filled" in note for note in result.notes)
         assert np.all(result.centroids.centroids >= 0.0)
         assert np.all(result.centroids.centroids <= 1.0)
+
+    def test_noise_is_one_sequential_stream_in_rank_order(self):
+        # Identical rows give one canopy for k=3: its centroid takes the first
+        # d + 1 draws of stream (1, 0), count first, and the rest are filled.
+        data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
+        plan = make_plan(PlannerInputs(n_rows=20, n_dims=2, k=3, epsilon_total=3.0))
+        result = select_initial_centroids(data, 3, CanopyParams(seed=1), plan, 7, fill_seed=0)
+        rng = np.random.Generator(np.random.PCG64(derive_stream_seed(7, 1, 0)))
+        scale = 1.0 / plan.epsilon_dim
+        count = 20.0 + laplace_inverse_cdf(rng.random(1), scale)[0]
+        sums = data.points.sum(axis=0) + laplace_inverse_cdf(rng.random(2), scale)
+        expected = np.clip(sums / max(count, 1.0), 0.0, 1.0)
+        assert result.noise_draws == 3
+        assert np.array_equal(result.centroids.centroids[0], expected)
+        assert any("filled 2" in note for note in result.notes)
 
     def test_fill_seed_is_required(self):
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
@@ -269,7 +282,7 @@ class TestSelectInitialCentroids:
             2,
             CanopyParams(t1=0.5, t2=0.4, seed=0),
             _huge_budget_plan(60, 2, 2),
-            LaplaceSampler(rng_seed=2),
+            2,
             fill_seed=0,
         )
         assert result.centroids.k == 2
@@ -284,7 +297,7 @@ class TestSelectInitialCentroids:
                 2,
                 CanopyParams(),
                 _huge_budget_plan(400, 3, 2),
-                LaplaceSampler(rng_seed=0),
+                0,
                 fill_seed=0,
             )
 
@@ -296,7 +309,7 @@ class TestSelectInitialCentroids:
                 1,
                 CanopyParams(seed=0),
                 _huge_budget_plan(2, 2, 1),
-                LaplaceSampler(rng_seed=0),
+                0,
                 fill_seed=0,
             )
 
@@ -352,8 +365,9 @@ def _run(data, variant, k, params, seed):
     if variant is Variant.EDPDCS:
         inputs = PlannerInputs(n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=2.0)
         return run_edpdcs(data, k, inputs, params, config)
-    epsilon = None if variant is Variant.NONPRIVATE else 2.0
-    return run_baseline(data, k, epsilon, config, canopy_params=params)
+    if variant is Variant.NONPRIVATE:
+        return run_baseline(data, k, None, config, canopy_params=params)
+    return run_baseline(data, k, 2.0, config)
 
 
 def _counting(monkeypatch, name):

@@ -209,6 +209,7 @@ class TestRun:
             ("nonprivate", ["--eps-m-override", "0.2"]),
             ("rf", ["--t1", "0.3", "--t2", "0.1"]),
             ("ru", ["--subsample", "100"]),
+            ("nonprivate", ["--eps", "5"]),
         ],
     )
     def test_flag_the_variant_ignores_is_usage_error(self, out_dir, capsys, variant, flags):
@@ -227,6 +228,15 @@ class TestRun:
     )
     def test_flag_the_variant_reads_is_accepted(self, out_dir, variant, flags):
         assert main(["run", "--variant", variant, "--synthetic", "300,2,2", *flags]) == 0
+
+    @pytest.mark.parametrize("variant", ["edpdcs", "rf", "ru"])
+    def test_private_variant_defaults_to_eps_one(self, out_dir, variant):
+        args = ["run", "--variant", variant, "--synthetic", "300,2,2"]
+        assert main(args) == 0
+        default = (out_dir / "run_report.json").read_bytes()
+        assert main([*args, "--eps", "1"]) == 0
+        assert (out_dir / "run_report.json").read_bytes() == default
+        assert json.loads(default)["epsilon"] == 1.0
 
 
 class TestCompare:

@@ -10,7 +10,6 @@ from dpkmeans import engine
 from dpkmeans.canopy import CanopyParams, select_initial_centroids
 from dpkmeans.core import (
     CentroidSet,
-    ClusterAggregate,
     Dataset,
     InvalidInputError,
     assign_labels,
@@ -25,7 +24,7 @@ from dpkmeans.engine import (
 )
 from dpkmeans.evaluation import nicv
 from dpkmeans.ingestion import synthetic_blobs
-from dpkmeans.mechanism import LaplaceSampler, noisy_mean
+from dpkmeans.mechanism import laplace_inverse_cdf, noisy_mean
 from dpkmeans.planner import PlannerInputs, make_plan, minimal_iteration_budget
 
 CORNERS = Dataset(
@@ -43,10 +42,11 @@ def _one_exact_step(points, start):
     return cs.centroids
 
 
-def _agg(j, count, sums):
-    return ClusterAggregate(
-        cluster_index=j, count=float(count), sums=np.asarray(sums, dtype=np.float64)
-    )
+def _one_cluster_mean(count, sums, share, seed):
+    """One cluster's noisy mean, its d + 1 uniforms from the PCG64 stream ``seed``."""
+    sums = np.array([sums], dtype=np.float64)
+    u = np.random.Generator(np.random.PCG64(seed)).random((1, sums.shape[1] + 1))
+    return noisy_mean(np.array([float(count)]), sums, share, u)[0]
 
 
 class TestBlockSpans:
@@ -152,7 +152,7 @@ class TestReduceCluster:
         assert np.array_equal(c[1], [0.3, 0.7])
 
     def test_vanishing_noise_matches_exact_mean(self):
-        c = noisy_mean(_agg(0, 4, [2.0, 3.0]), 1e12, LaplaceSampler(rng_seed=0))
+        c = _one_cluster_mean(4, [2.0, 3.0], 1e12, seed=0)
         assert c == pytest.approx([0.5, 0.75], abs=1e-9)
 
     def test_noisy_centroid_reconstructed_from_stream(self):
@@ -160,23 +160,23 @@ class TestReduceCluster:
         # pushing the noisy count below the floor of 1.
         share = 0.1
         sums = np.array([1.2, 0.4])
-        c = noisy_mean(_agg(0, 2, sums), share, LaplaceSampler(rng_seed=2))
-        replay = LaplaceSampler(rng_seed=2)
-        count_noise = replay.draw_many(1, 1.0 / share)[0]
-        dim_noise = replay.draw_many(2, 1.0 / share)
+        c = _one_cluster_mean(2, sums, share, seed=2)
+        replay = laplace_inverse_cdf(
+            np.random.Generator(np.random.PCG64(2)).random(3), 1.0 / share
+        )
+        count_noise, dim_noise = replay[0], replay[1:]
         assert count_noise < -1.5
         assert 2.0 + count_noise < 1.0  # denominator hits the floor
         expected = np.clip((sums + dim_noise) / 1.0, 0.0, 1.0)
         assert np.array_equal(c, expected)
 
     def test_clamp_keeps_unit_cube(self):
-        sampler = LaplaceSampler(rng_seed=5)
-        c = noisy_mean(_agg(0, 1, [0.9, 0.1]), 0.01, sampler)
+        c = _one_cluster_mean(1, [0.9, 0.1], 0.01, seed=5)
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
         # The clip is what keeps it there: the unclipped mean leaves the cube.
-        replay = LaplaceSampler(rng_seed=5)
-        count = 1.0 + replay.draw(100.0)
-        raw = (np.array([0.9, 0.1]) + replay.draw_many(2, 100.0)) / max(count, 1.0)
+        replay = laplace_inverse_cdf(np.random.Generator(np.random.PCG64(5)).random(3), 100.0)
+        count = 1.0 + replay[0]
+        raw = (np.array([0.9, 0.1]) + replay[1:]) / max(count, 1.0)
         assert np.any((raw < 0.0) | (raw > 1.0))
         assert np.array_equal(c, np.clip(raw, 0.0, 1.0))
 
@@ -440,6 +440,15 @@ class TestRunBaselineRu:
         cfg = EngineConfig(variant=variant)
         with pytest.raises(InvalidInputError, match="takes no planner_inputs"):
             run_baseline(small_blobs, 3, epsilon, cfg, planner_inputs=inputs)
+
+    @pytest.mark.parametrize("variant", [Variant.RF_DPKM, Variant.RU_DPKM])
+    def test_canopy_params_refused(self, small_blobs, variant):
+        # Both start from random rows: canopy radii would change nothing.
+        cfg = EngineConfig(variant=variant)
+        with pytest.raises(InvalidInputError, match="takes no canopy_params"):
+            run_baseline(
+                small_blobs, 3, 1.0, cfg, canopy_params=CanopyParams(t1=0.3, t2=0.1)
+            )
 
 
 class TestRunBaselineNonprivate:

@@ -1,22 +1,48 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from dpkmeans.core import ClusterAggregate, InvalidInputError
+from dpkmeans.core import InvalidInputError
+from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
+from dpkmeans.ingestion import synthetic_blobs
 from dpkmeans.mechanism import (
     BudgetExhaustedError,
     BudgetLedger,
-    LaplaceSampler,
     derive_stream_seed,
     laplace_inverse_cdf,
+    noisy_mean,
     perturb_aggregate,
+    stream_uniforms,
 )
+from dpkmeans.planner import PlannerInputs
 
 NON_FINITE = [float("nan"), float("inf")]
 
 
+def _laplace(seed, n, scale):
+    """``n`` Laplace(0, scale) draws from the PCG64 stream seeded ``seed``."""
+    return laplace_inverse_cdf(np.random.Generator(np.random.PCG64(seed)).random(n), scale)
+
+
+def _scalar_noisy_mean(master_seed, iteration, counts, sums, share):
+    """Reference for the block noisy mean, one cluster at a time: a count
+    draw, then the d sum draws, from the cluster's own stream."""
+    out = []
+    for j, (count, cluster_sums) in enumerate(zip(counts, sums)):
+        rng = np.random.Generator(
+            np.random.PCG64(derive_stream_seed(master_seed, iteration, j))
+        )
+        noisy_count = count + laplace_inverse_cdf(rng.random(1), 1.0 / share)[0]
+        noise = laplace_inverse_cdf(rng.random(cluster_sums.shape[0]), 1.0 / share)
+        out.append(np.clip((cluster_sums + noise) / max(noisy_count, 1.0), 0.0, 1.0))
+    return np.array(out)
+
+
 class TestLaplaceSampler:
+    """Laplace draws: ``laplace_inverse_cdf`` over a seeded PCG64 stream."""
+
     def test_median_uniform_maps_to_zero(self):
         assert laplace_inverse_cdf(np.array([0.5]), 2.0)[0] == 0.0
 
@@ -25,50 +51,51 @@ class TestLaplaceSampler:
         assert np.isfinite(out).all()
 
     def test_empirical_variance_at_unit_scale(self):
-        draws = LaplaceSampler(rng_seed=12345).draw_many(10**6, 1.0)
+        draws = _laplace(12345, 10**6, 1.0)
         assert draws.var() == pytest.approx(2.0, rel=0.05)
 
     def test_empirical_mean_at_scale_three(self):
-        draws = LaplaceSampler(rng_seed=999).draw_many(10**6, 3.0)
+        draws = _laplace(999, 10**6, 3.0)
         assert abs(draws.mean()) < 0.02
 
     def test_ks_against_reference_distribution(self):
-        draws = LaplaceSampler(rng_seed=7).draw_many(10**5, 1.5)
+        draws = _laplace(7, 10**5, 1.5)
         result = stats.kstest(draws, "laplace", args=(0.0, 1.5))
         assert result.pvalue > 0.01
 
     def test_same_seed_reproduces_stream(self):
-        a = LaplaceSampler(rng_seed=42).draw_many(16, 0.7)
-        b = LaplaceSampler(rng_seed=42).draw_many(16, 0.7)
-        assert np.array_equal(a, b)
+        stream_uniforms.cache_clear()
+        a = stream_uniforms(42, 3, 2, 16)
+        stream_uniforms.cache_clear()
+        assert np.array_equal(a, stream_uniforms(42, 3, 2, 16))
 
     def test_scalar_draws_match_vector_stream(self):
-        vec = LaplaceSampler(rng_seed=9).draw_many(5, 2.0)
-        scalar_sampler = LaplaceSampler(rng_seed=9)
-        scalars = [scalar_sampler.draw(2.0) for _ in range(5)]
-        assert np.array_equal(vec, np.array(scalars))
+        # Row j of a block is cluster j's own stream, drawn one value at a
+        # time or all at once.
+        block = stream_uniforms(9, 2, 3, 5)
+        for j in range(3):
+            rng = np.random.Generator(np.random.PCG64(derive_stream_seed(9, 2, j)))
+            assert np.array_equal(block[j], [rng.random() for _ in range(5)])
 
     def test_draw_count_bookkeeping(self):
-        sampler = LaplaceSampler(rng_seed=0)
-        sampler.draw(1.0)
-        sampler.draw_many(10, 1.0)
-        assert sampler.draw_count == 11
+        # A block holds exactly n_streams * n draws, and a longer read of a
+        # stream starts with the shorter one (the canopy start relies on it).
+        assert stream_uniforms(0, 1, 4, 7).shape == (4, 7)
+        longer = stream_uniforms(0, 1, 1, 30)
+        assert np.array_equal(longer[0, :12], stream_uniforms(0, 1, 1, 12)[0])
 
     def test_invalid_scale_rejected(self):
-        sampler = LaplaceSampler(rng_seed=0)
         with pytest.raises(InvalidInputError):
-            sampler.draw(0.0)
+            laplace_inverse_cdf(np.array([0.3]), 0.0)
         with pytest.raises(InvalidInputError):
-            sampler.draw_many(-1, 1.0)
+            stream_uniforms(0, 1, 1, -1)
+        with pytest.raises(InvalidInputError):
+            stream_uniforms(0, 1, -1, 1)
 
     @pytest.mark.parametrize("scale", NON_FINITE)
     def test_non_finite_scale_rejected(self, scale):
-        sampler = LaplaceSampler(rng_seed=0)
         with pytest.raises(InvalidInputError):
-            sampler.draw(scale)
-        with pytest.raises(InvalidInputError):
-            sampler.draw_many(3, scale)
-        assert sampler.draw_count == 0
+            laplace_inverse_cdf(np.array([0.3]), scale)
 
 
 class TestStreamSeeds:
@@ -91,71 +118,134 @@ class TestStreamSeeds:
             derive_stream_seed(0, 0, -1)
 
 
+class TestStreamMemo:
+    def test_block_is_read_only(self):
+        block = stream_uniforms(1, 2, 3, 4)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "variant", [Variant.EDPDCS, Variant.RF_DPKM, Variant.RU_DPKM]
+    )
+    def test_cold_and_warm_memo_give_the_same_run(self, variant):
+        data = synthetic_blobs(300, 3, 3, seed=4)
+        config = EngineConfig(variant=variant, master_seed=11)
+
+        def run():
+            if variant is Variant.EDPDCS:
+                inputs = PlannerInputs(n_rows=300, n_dims=3, k=3, epsilon_total=2.0)
+                return run_edpdcs(data, 3, inputs, None, config)
+            return run_baseline(data, 3, 2.0, config)
+
+        stream_uniforms.cache_clear()
+        cold = run()
+        hits = stream_uniforms.cache_info().hits
+        warm = run()
+        assert stream_uniforms.cache_info().hits > hits
+        assert cold[2].comparable_json() == warm[2].comparable_json()
+        assert np.array_equal(cold[0].centroids, warm[0].centroids)
+        assert np.array_equal(cold[1].labels, warm[1].labels)
+        # Every charged step draws k (d + 1) values, cold or warm.
+        for report in (cold[2], warm[2]):
+            steps = [it for it in report.iterations if it["phase"] == "lloyd"]
+            assert steps and all(it["noise_draws"] == 3 * 4 for it in steps)
+
+
+@st.composite
+def _blocks(draw):
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    counts = draw(hnp.arrays(np.float64, k, elements=st.integers(0, 40).map(float)))
+    fractions = draw(hnp.arrays(np.float64, (k, d), elements=st.floats(0.0, 1.0)))
+    return counts, fractions * counts[:, None]
+
+
 class TestPerturbAggregate:
-    def _agg(self, count=100.0, d=4):
-        return ClusterAggregate(
-            cluster_index=0, count=count, sums=np.linspace(0.0, 1.0, d)
-        )
+    def _stats(self, count=100.0, k=1, d=4):
+        return np.full(k, count), np.tile(np.linspace(0.0, 1.0, d), (k, 1))
 
     def test_vanishing_noise_limit(self):
-        agg = self._agg()
-        noisy = perturb_aggregate(agg, 1e12, LaplaceSampler(rng_seed=1))
-        assert noisy.count == pytest.approx(agg.count, abs=1e-9)
-        assert noisy.sums == pytest.approx(agg.sums, abs=1e-9)
+        counts, sums = self._stats()
+        noisy_counts, noisy_sums = perturb_aggregate(
+            counts, sums, 1e12, stream_uniforms(1, 1, 1, 5)
+        )
+        assert noisy_counts == pytest.approx(counts, abs=1e-9)
+        assert noisy_sums == pytest.approx(sums, abs=1e-9)
 
     def test_unbiased_count_monte_carlo(self):
-        agg = self._agg(count=100.0, d=4)
-        sampler = LaplaceSampler(rng_seed=2024)
-        counts = np.empty(10**5)
-        for i in range(counts.shape[0]):
-            counts[i] = perturb_aggregate(agg, 1.0, sampler).count
-        assert counts.mean() == pytest.approx(100.0, abs=0.05)
+        # 10^5 clusters read one stream in turn, d + 1 = 5 draws each.
+        counts, sums = self._stats(count=100.0, k=10**5, d=4)
+        u = np.random.Generator(np.random.PCG64(2024)).random((10**5, 5))
+        noisy_counts, _ = perturb_aggregate(counts, sums, 1.0, u)
+        assert noisy_counts.mean() == pytest.approx(100.0, abs=0.05)
 
     def test_consumes_exactly_d_plus_one_draws(self):
-        agg = self._agg(d=6)
-        sampler = LaplaceSampler(rng_seed=3)
-        perturb_aggregate(agg, 0.5, sampler)
-        assert sampler.draw_count == 7
+        counts, sums = self._stats(k=2, d=6)
+        perturb_aggregate(counts, sums, 0.5, stream_uniforms(3, 1, 2, 7))
+        for n in (6, 8):
+            with pytest.raises(InvalidInputError):
+                perturb_aggregate(counts, sums, 0.5, stream_uniforms(3, 1, 2, n))
+        with pytest.raises(InvalidInputError):
+            perturb_aggregate(counts, sums, 0.5, stream_uniforms(3, 1, 3, 7))
 
     def test_count_perturbed_before_sums(self):
         # Reconstruct the exact stream by hand: one count draw, then d sum
         # draws, all at 1/share from the same uniform sequence.
-        agg = self._agg(count=10.0, d=3)
-        seed = 77
-        noisy = perturb_aggregate(agg, 2.0, LaplaceSampler(rng_seed=seed))
-        u = np.random.Generator(np.random.PCG64(seed)).random(4)
-        expected_count = agg.count + laplace_inverse_cdf(u[:1], 1.0 / 2.0)[0]
-        expected_sums = agg.sums + laplace_inverse_cdf(u[1:], 1.0 / 2.0)
-        assert noisy.count == expected_count
-        assert np.array_equal(noisy.sums, expected_sums)
+        counts, sums = self._stats(count=10.0, d=3)
+        u = np.random.Generator(np.random.PCG64(77)).random(4)
+        noisy_counts, noisy_sums = perturb_aggregate(counts, sums, 2.0, u[None, :])
+        expected_count = counts[0] + laplace_inverse_cdf(u[:1], 1.0 / 2.0)[0]
+        expected_sums = sums[0] + laplace_inverse_cdf(u[1:], 1.0 / 2.0)
+        assert noisy_counts[0] == expected_count
+        assert np.array_equal(noisy_sums[0], expected_sums)
 
     def test_input_not_modified(self):
-        agg = self._agg()
-        before = agg.sums.copy()
-        perturb_aggregate(agg, 1.0, LaplaceSampler(rng_seed=4))
-        assert np.array_equal(agg.sums, before)
-        assert agg.count == 100.0
+        counts, sums = self._stats()
+        before = counts.copy(), sums.copy()
+        perturb_aggregate(counts, sums, 1.0, stream_uniforms(4, 1, 1, 5))
+        assert np.array_equal(counts, before[0])
+        assert np.array_equal(sums, before[1])
 
     def test_nonpositive_epsilon_refused(self):
         with pytest.raises(InvalidInputError):
-            perturb_aggregate(self._agg(), 0.0, LaplaceSampler(rng_seed=0))
+            perturb_aggregate(*self._stats(), 0.0, stream_uniforms(0, 1, 1, 5))
 
     @pytest.mark.parametrize("share", NON_FINITE)
     def test_non_finite_epsilon_refused(self, share):
-        sampler = LaplaceSampler(rng_seed=0)
         with pytest.raises(InvalidInputError):
-            perturb_aggregate(self._agg(), share, sampler)
-        assert sampler.draw_count == 0
+            perturb_aggregate(*self._stats(), share, stream_uniforms(0, 1, 1, 5))
 
     def test_distinct_streams_are_independent_bookkeeping(self):
-        # Parallel composition across clusters: distinct sampler streams.
-        samplers = [
-            LaplaceSampler(rng_seed=derive_stream_seed(5, 2, j)) for j in range(3)
-        ]
-        outs = [perturb_aggregate(self._agg(), 1.0, s) for s in samplers]
-        assert all(s.draw_count == 5 for s in samplers)
-        noises = [o.count - 100.0 for o in outs]
-        assert len(set(noises)) == 3
+        # Parallel composition across clusters: each row its own stream.
+        counts, sums = self._stats(k=3)
+        noisy_counts, _ = perturb_aggregate(counts, sums, 1.0, stream_uniforms(5, 2, 3, 5))
+        assert len(set((noisy_counts - 100.0).tolist())) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block=_blocks(),
+        share=st.floats(1e-3, 1e12),
+        master_seed=st.integers(0, 2**32),
+        iteration=st.integers(1, 12),
+    )
+    # An empty cluster at a tiny share: the count floor and the clip.
+    @example(block=(np.zeros(2), np.zeros((2, 3))), share=1e-3, master_seed=0, iteration=1)
+    # The floor alone: noise at scale 10 takes a count of 2 below 1 (stream
+    # (2, 0) of master seed 0 draws -4.02...).
+    @example(
+        block=(np.array([2.0]), np.array([[1.2, 0.4]])), share=0.1, master_seed=0, iteration=2
+    )
+    def test_block_noisy_mean_matches_scalar_reference(
+        self, block, share, master_seed, iteration
+    ):
+        counts, sums = block
+        k, d = sums.shape
+        got = noisy_mean(
+            counts, sums, share, stream_uniforms(master_seed, iteration, k, d + 1)
+        )
+        want = _scalar_noisy_mean(master_seed, iteration, counts, sums, share)
+        assert np.array_equal(got, want)
 
 
 class TestBudgetLedger:
