@@ -8,7 +8,10 @@ engine while ``label_points`` still computed every (row, centroid)
 distance directly, before it filtered through a matrix product.  The
 ``supplied`` and ``converging`` cases were recorded while each variant
 still ran its own copy of the Lloyd loop; they lock baselines started from
-given centroids and RU_DPKM's convergence stop.  Every case runs the one
+given centroids and RU_DPKM's convergence stop.  The ``start`` cases were
+recorded while the engine still derived the canopy start's subsample and
+fill seeds; they lock a subsample smaller than the data, a start filled
+with uniform points, and given radii.  Every case runs the one
 fixed reduce policy (noisy count floored at 1, centroids clipped to the
 unit cube), and no trace entry carries exact or noisy aggregates.
 Centroids, noise draws, budget charges, the ledger and the final labels
@@ -30,6 +33,7 @@ import sys
 import numpy as np
 import pytest
 
+from dpkmeans.canopy import CanopyParams
 from dpkmeans.core import CentroidSet
 from dpkmeans.engine import (
     MAP_BLOCK_ROWS,
@@ -47,12 +51,21 @@ NICV_RTOL = 1e-12
 
 VARIANTS = [v.value for v in Variant]
 
+#: Canopy starts: a subsample below N, radii so wide that three halvings
+#: leave one canopy (the rest is filled), and given radii.
+START_PARAMS = {
+    "subsample": CanopyParams(subsample_size=1500),
+    "fill": CanopyParams(t1=16.0, t2=16.0),
+    "radii": CanopyParams(t1=0.5, t2=0.25),
+}
+
 #: name -> (synthetic_blobs args, k, epsilon, variants, options).  ``blobs``
 #: spans three map blocks and has d >= 8; ``blood`` is the 748 x 4
 #: reference shape; ``wide`` has the d and k of the threaded benchmark, with
 #: wider blobs than its own, so that exact Lloyd runs 21 iterations.  The
 #: one option, ``supplied_start``, starts each run from the centroids of
-#: :func:`_diagonal_start`.
+#: :func:`_diagonal_start`.  A ``start`` case is ``variant:name``, its
+#: canopy parameters ``START_PARAMS[name]``.
 SHAPES = {
     "blobs": (dict(n_rows=9000, n_dims=9, n_centers=4, seed=5), 4, 3.0, VARIANTS, {}),
     "blood": (dict(n_rows=748, n_dims=4, n_centers=2, seed=11), 2, 1.0, VARIANTS, {}),
@@ -77,6 +90,13 @@ SHAPES = {
         ["RU_DPKM"],
         {},
     ),
+    "start": (
+        dict(n_rows=6000, n_dims=4, n_centers=4, seed=13),
+        3,
+        2.0,
+        [f"{v}:{name}" for v in ("EDPDCS", "NONPRIVATE") for name in START_PARAMS],
+        {},
+    ),
 }
 CASES = [(shape, variant) for shape in sorted(SHAPES) for variant in SHAPES[shape][3]]
 _NICV_KEYS = ("nicv", "nicv_after")
@@ -89,8 +109,10 @@ def _diagonal_start(k: int, n_dims: int) -> CentroidSet:
     )
 
 
-def _run(shape: str, variant: str, n_partitions: int):
+def _run(shape: str, case: str, n_partitions: int):
     blob_args, k, eps, _, options = SHAPES[shape]
+    variant, _, start_name = case.partition(":")
+    canopy = START_PARAMS.get(start_name)
     data = synthetic_blobs(**blob_args)
     config = EngineConfig(
         variant=Variant(variant),
@@ -102,10 +124,12 @@ def _run(shape: str, variant: str, n_partitions: int):
         inputs = PlannerInputs(
             n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=eps
         )
-        return run_edpdcs(data, k, inputs, config=config)
+        return run_edpdcs(data, k, inputs, canopy, config)
     epsilon = None if variant == "NONPRIVATE" else eps
     start = _diagonal_start(k, data.n_dims) if options.get("supplied_start") else None
-    return run_baseline(data, k, epsilon, config, initial_centroids=start)
+    return run_baseline(
+        data, k, epsilon, config, canopy_params=canopy, initial_centroids=start
+    )
 
 
 def _strip_nicv(obj):
@@ -160,6 +184,10 @@ def test_option_cases_reach_their_paths():
         assert np.array_equal(first, start.centroids)
     ru = golden["converging"]["RU_DPKM"]
     assert len(ru["iterations"]) - 1 < RU_MAX_ITERS
+    assert START_PARAMS["subsample"].subsample_size < SHAPES["start"][0]["n_rows"]
+    for variant in ("EDPDCS", "NONPRIVATE"):
+        _, _, report = _run("start", f"{variant}:fill", 1)
+        assert any(note.startswith("filled 2 centroid(s)") for note in report.notes)
 
 
 @pytest.mark.parametrize("n_partitions", [1, 2])
