@@ -5,21 +5,22 @@ regions; the k most populated canopies seed the k-means run.  Under
 differential privacy each seed centroid is the ratio of a noisy coordinate
 sum to a noisy member count over the canopy's tight members, so the
 initialization pass consumes one iteration's worth of budget exactly like
-a Lloyd step.
+a Lloyd step.  Every seed of the start derives from the run's master seed:
+the subsample draw from stream (0, 0), the random fill from (0, 1) and the
+noise from (1, 0).
 """
 
 from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from dpkmeans.core import CentroidSet, Dataset, InvalidInputError
-from dpkmeans.mechanism import noisy_mean, stream_uniforms
-from dpkmeans.planner import BudgetPlan
+from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_uniforms
 
 logger = logging.getLogger(__name__)
 
@@ -43,15 +44,11 @@ class CanopyParams:
         t1: Loose membership radius.  None derives a default from the data.
         t2: Tight membership radius (t2 <= t1).  None derives a default.
         subsample_size: Maximum rows examined by the canopy pass.
-        seed: Seed for the subsample draw.  Must be resolved (non-None)
-            before :func:`select_initial_centroids` is called; the engine
-            derives it from the run's master seed.
     """
 
     t1: float | None = None
     t2: float | None = None
     subsample_size: int = DEFAULT_SUBSAMPLE_SIZE
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.subsample_size < 1:
@@ -185,7 +182,7 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
 
 
 def draw_subsample(
-    data: Dataset, subsample_size: int, seed: int
+    data: Dataset, subsample_size: int, seed: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform row subsample without replacement, returned in dataset order.
 
@@ -202,24 +199,29 @@ def draw_subsample(
     return data.points[idx], idx
 
 
-def _canopy_summary(data: Dataset, k: int, params: CanopyParams) -> _CanopySummary:
+def _canopy_summary(
+    data: Dataset, k: int, params: CanopyParams, master_seed: int
+) -> _CanopySummary:
     """The canopy pass's outcome for ``data``, computed once per key.
 
     Draws the subsample, derives or takes the radii, runs the canopy pass
     and halves the radii while it yields fewer than k canopies, up to
     ``_MAX_THRESHOLD_RETRIES`` times.  The result depends only on the data,
     k, the radii, the subsample size and, when the subsample is smaller
-    than the data, the subsample seed; later calls with the same dataset
-    object and those values return the stored summary.
+    than the data, the subsample seed, stream (0, 0) of ``master_seed``;
+    later calls with the same dataset object and those values return the
+    stored summary.
     """
-    seed = params.seed if params.subsample_size < data.n_rows else None
+    seed = None
+    if params.subsample_size < data.n_rows:
+        seed = derive_stream_seed(master_seed, 0, 0)
     key = (params.subsample_size, seed, params.t1, params.t2, k)
     per_data = _SUMMARIES.setdefault(data, {})
     summary = per_data.get(key)
     if summary is not None:
         return summary
 
-    points, _ = draw_subsample(data, params.subsample_size, params.seed)
+    points, _ = draw_subsample(data, params.subsample_size, seed)
     if params.t1 is not None:
         t1, t2 = float(params.t1), float(params.t2)
     else:
@@ -245,44 +247,38 @@ def select_initial_centroids(
     data: Dataset,
     k: int,
     params: CanopyParams,
-    plan: BudgetPlan | None,
-    master_seed: int | None,
-    *,
-    dp_enabled: bool = True,
-    fill_seed: int,
+    master_seed: int,
+    epsilon_share: float | None = None,
 ) -> InitResult:
     """Pick k starting centroids from the most populated canopies.
 
-    The canopies come from :func:`_canopy_summary`.  Under ``dp_enabled``
-    the centroids are the :func:`~dpkmeans.mechanism.noisy_mean` of their
-    tight members at the plan's per-statistic share.  Their noise is one
-    sequential stream, (1, 0) of ``master_seed``: d + 1 draws per canopy
-    (count first, then coordinates), in canopy rank order.  Without privacy
-    the exact tight-member means are used.
+    The canopies come from :func:`_canopy_summary`.  Given an
+    ``epsilon_share``, the centroids are the
+    :func:`~dpkmeans.mechanism.noisy_mean` of their tight members at that
+    per-statistic share.  Their noise is one sequential stream, (1, 0) of
+    ``master_seed``: d + 1 draws per canopy (count first, then
+    coordinates), in canopy rank order.  Without a share the exact
+    tight-member means are used.
 
     When fewer than k canopies remain after the radius halving, the
-    missing centroids are filled with seeded uniform draws over the unit
-    cube and a note is recorded.
+    missing centroids are filled with uniform draws over the unit cube,
+    seeded by stream (0, 1) of ``master_seed``, and a note is recorded.
 
     Args:
         data: Normalized dataset (required: noise scales assume [0, 1]).
         k: Number of centroids.
-        params: Canopy tuning; ``params.seed`` must be resolved.
-        plan: Budget schedule; required when ``dp_enabled``.
-        master_seed: The run's master seed; required when ``dp_enabled``.
-        dp_enabled: Disable to get exact canopy means (no budget spent).
-        fill_seed: Seed for the random fill-in fallback.
+        params: Canopy tuning.
+        master_seed: The run's master seed; every seed of the start derives
+            from it.
+        epsilon_share: Budget share protecting each count and each sum, or
+            None for exact canopy means (no budget spent).
     """
     if not data.normalized:
         raise InvalidInputError("initial centroid selection requires normalized data")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    if params.seed is None:
-        raise InvalidInputError("params.seed must be resolved before initialization")
-    if dp_enabled and (plan is None or master_seed is None):
-        raise InvalidInputError("dp-enabled initialization needs a plan and a master seed")
 
-    summary = _canopy_summary(data, k, params)
+    summary = _canopy_summary(data, k, params, master_seed)
     notes: list[str] = []
     if summary.halvings:
         notes.append(
@@ -292,9 +288,9 @@ def select_initial_centroids(
 
     found, d = summary.sums.shape
     draws = 0
-    if dp_enabled:
+    if epsilon_share is not None:
         stream = stream_uniforms(master_seed, 1, 1, k * (d + 1))[0].reshape(k, d + 1)
-        rows = noisy_mean(summary.counts, summary.sums, plan.epsilon_dim, stream[:found])
+        rows = noisy_mean(summary.counts, summary.sums, epsilon_share, stream[:found])
         draws = found * (d + 1)
     else:
         # Bit for bit the mean of the tight rows, as ``mean`` also divides
@@ -303,6 +299,7 @@ def select_initial_centroids(
 
     if found < k:
         missing = k - found
+        fill_seed = derive_stream_seed(master_seed, 0, 1)
         fill = np.random.Generator(np.random.PCG64(fill_seed)).random((missing, d))
         rows = np.vstack([rows, fill])
         notes.append(f"filled {missing} centroid(s) with uniform random points")
@@ -313,14 +310,7 @@ def select_initial_centroids(
         )
 
     return InitResult(
-        centroids=CentroidSet(centroids=rows, noisy=dp_enabled),
+        centroids=CentroidSet(centroids=rows, noisy=epsilon_share is not None),
         noise_draws=draws,
         notes=notes,
     )
-
-
-def with_resolved_seed(params: CanopyParams, seed: int) -> CanopyParams:
-    """Copy of ``params`` with the subsample seed filled in when missing."""
-    if params.seed is not None:
-        return params
-    return replace(params, seed=seed)

@@ -11,8 +11,11 @@ block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
 partition count only controls how blocks are grouped onto threads.
 
-One Lloyd loop runs all four variants.  A variant is an initialization,
-a list of (iteration, epsilon or None) steps and an optional stop rule:
+One function, ``_run_lloyd``, runs all four variants: it checks which
+inputs the variant takes, sets the run up and runs the one Lloyd loop.
+``run_edpdcs`` and ``run_baseline`` each make one call into it.  A variant
+is an initialization, a list of (iteration, epsilon or None) steps and an
+optional stop rule:
 
 - ``EDPDCS``: canopy initialization (charged as the first iteration) plus
   planner-scheduled noisy Lloyd steps at a uniform per-iteration budget.
@@ -25,7 +28,6 @@ a list of (iteration, epsilon or None) steps and an optional stop rule:
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,13 +36,11 @@ from enum import Enum
 
 import numpy as np
 
-from dpkmeans.canopy import CanopyParams, select_initial_centroids, with_resolved_seed
+from dpkmeans.canopy import CanopyParams, select_initial_centroids
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError, label_points
 from dpkmeans.evaluation import RunReport
 from dpkmeans.mechanism import BudgetLedger, derive_stream_seed, noisy_mean, stream_uniforms
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
-
-logger = logging.getLogger(__name__)
 
 #: Rows per map block.  Fixed so the floating-point merge tree of the
 #: reduce step is independent of the partition count.
@@ -203,33 +203,119 @@ def _run_lloyd(
     data: Dataset,
     k: int,
     config: EngineConfig,
-    start: np.ndarray,
-    steps: list[tuple[int, float | None]],
-    stop: tuple[float, str] | None,
+    epsilon: float | None,
     *,
-    t_start: float,
-    ledger: BudgetLedger | None = None,
-    plan: BudgetPlan | None = None,
-    init_budget: float | None = None,
-    init_draws: int = 0,
-    notes: list[str],
-    replay: dict,
+    planner_inputs: PlannerInputs | None,
+    canopy_params: CanopyParams | None,
+    initial_centroids: CentroidSet | None,
 ) -> tuple[CentroidSet, Assignment, RunReport]:
-    """The Lloyd loop every variant runs, from ``start`` through ``steps``.
+    """One run of any variant: checks, set-up, the Lloyd loop and the report.
+
+    Only EDPDCS and RF_DPKM have a plan, so only they take
+    ``planner_inputs``; RF_DPKM plans from the data shape without them.
+    Only a canopy start takes ``canopy_params``: EDPDCS, and NONPRIVATE
+    unless it starts from ``initial_centroids``.  ``epsilon`` is None
+    exactly for NONPRIVATE, which is charged nothing; every other run's
+    budget is ``epsilon``, spent through a ledger.  EDPDCS charges its
+    canopy start as the plan's first iteration and runs iterations 2 .. T;
+    RF_DPKM runs 1 .. T from random rows.
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
-    charged to ``ledger`` before its labelling pass reads any data, and the
+    charged to the ledger before its labelling pass reads any data, and the
     new centroids are one :func:`~dpkmeans.mechanism.noisy_mean` of the exact
     counts and sums, at epsilon / (d + 1) for each cluster's d + 1
     statistics, cluster j's noise from stream (t, j).  A step with ``None``
-    is exact.  ``stop``, when given, is a shift tolerance and
-    the note (formatted with ``t`` and ``shift``) written when a step moves
-    no centroid further than it.  The initialization is traced as the
-    iteration before the first step.  Every trace entry's ``nicv_after`` is
-    filled in by the next labelling pass, which labels every row against
-    that entry's centroids; the last is the final pass, which gives the
-    assignment and the report's NICV.
+    is exact.  RU_DPKM and NONPRIVATE stop once a step moves no centroid
+    further than their shift tolerance, and note it.  The initialization is
+    traced as the iteration before the first step.  Every trace entry's
+    ``nicv_after`` is filled in by the next labelling pass, which labels
+    every row against that entry's centroids; the last is the final pass,
+    which gives the assignment and the report's NICV.
     """
+    variant = config.variant
+    if planner_inputs is not None and variant not in (Variant.EDPDCS, Variant.RF_DPKM):
+        raise InvalidInputError(f"{variant.value} takes no planner_inputs")
+    if canopy_params is not None and variant not in (Variant.EDPDCS, Variant.NONPRIVATE):
+        raise InvalidInputError(f"{variant.value} takes no canopy_params")
+    if canopy_params is not None and initial_centroids is not None:
+        raise InvalidInputError(
+            f"{variant.value} takes no canopy_params when started from initial_centroids"
+        )
+    if not data.normalized:
+        raise InvalidInputError("engine requires min-max normalized data")
+    if k < 1 or k > data.n_rows:
+        raise InvalidInputError(f"k={k} out of range for {data.n_rows} rows")
+    if config.n_partitions > data.n_rows:
+        raise InvalidInputError(
+            f"n_partitions={config.n_partitions} exceeds {data.n_rows} rows"
+        )
+    if planner_inputs is not None:
+        inputs = planner_inputs
+        if (inputs.n_rows, inputs.n_dims, inputs.k) != (data.n_rows, data.n_dims, k):
+            raise InvalidInputError(
+                "planner inputs (N, d, k) do not match the dataset and k supplied"
+            )
+    if initial_centroids is not None:
+        shape = initial_centroids.centroids.shape
+        if shape != (k, data.n_dims):
+            raise InvalidInputError(
+                f"initial centroids have shape {shape}, expected ({k}, {data.n_dims})"
+            )
+    if variant is Variant.NONPRIVATE:
+        if epsilon is not None:
+            raise InvalidInputError("NONPRIVATE spends no budget; pass epsilon=None")
+    else:
+        if epsilon is None or not 0.0 < epsilon < np.inf:
+            raise InvalidInputError(
+                f"variant {variant.value} needs a positive finite epsilon, got {epsilon}"
+            )
+        if planner_inputs is not None and planner_inputs.epsilon_total != epsilon:
+            raise InvalidInputError(
+                "planner_inputs.epsilon_total disagrees with the epsilon argument"
+            )
+
+    t_start = time.perf_counter()
+    notes: list[str] = []
+    ledger = None if epsilon is None else BudgetLedger(total=epsilon)
+    plan: BudgetPlan | None = None
+    if variant in (Variant.EDPDCS, Variant.RF_DPKM):
+        planner_inputs = planner_inputs or PlannerInputs(
+            n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
+        )
+        plan = make_plan(planner_inputs)
+        first = 2 if variant is Variant.EDPDCS else 1
+        steps = [(t, plan.epsilon_per_iter) for t in range(first, plan.iterations + 1)]
+        stop = None
+    elif variant is Variant.RU_DPKM:
+        steps = [(t, epsilon / 2.0 ** (t + 1)) for t in range(1, RU_MAX_ITERS + 1)]
+        stop = (RU_SHIFT_TOL, "converged at iteration {t} (shift {shift:.3g})")
+    else:
+        steps = [(t, None) for t in range(1, config.nonprivate_max_iters + 1)]
+        stop = (NONPRIVATE_SHIFT_TOL, "converged at iteration {t}")
+
+    init_budget = None
+    init_draws = 0
+    if initial_centroids is not None:
+        start = initial_centroids.centroids
+        notes.append("started from supplied centroids")
+    elif variant in (Variant.EDPDCS, Variant.NONPRIVATE):
+        canopy_params = canopy_params or CanopyParams()
+        init_share = None
+        if variant is Variant.EDPDCS:
+            init_budget = plan.epsilon_per_iter
+            ledger.charge("init", init_budget)
+            init_share = plan.epsilon_dim
+        init = select_initial_centroids(
+            data, k, canopy_params, config.master_seed, init_share
+        )
+        start = init.centroids.centroids
+        notes.extend(init.notes)
+        init_draws = init.noise_draws
+    else:
+        start = _random_row_centroids(
+            data, k, derive_stream_seed(config.master_seed, 0, 1)
+        )
+
     trace = [
         {
             "iteration": steps[0][0] - 1,
@@ -309,7 +395,7 @@ def _run_lloyd(
         budget_remaining=0.0 if ledger is None else ledger.remaining,
         plan=None if plan is None else plan.to_dict(),
         iterations=trace,
-        config=replay,
+        config=_replay_config(config, planner_inputs, canopy_params),
         notes=notes,
         timings_ms={
             "note": "wall clock; excluded from reproducibility comparisons",
@@ -321,35 +407,6 @@ def _run_lloyd(
     )
     final = CentroidSet(centroids=centroids, noisy=ledger is not None)
     return final, Assignment(labels=labels), report
-
-
-def _validate_run(
-    data: Dataset,
-    k: int,
-    config: EngineConfig,
-    planner_inputs: PlannerInputs | None = None,
-    initial_centroids: CentroidSet | None = None,
-) -> None:
-    if not data.normalized:
-        raise InvalidInputError("engine requires min-max normalized data")
-    if k < 1 or k > data.n_rows:
-        raise InvalidInputError(f"k={k} out of range for {data.n_rows} rows")
-    if config.n_partitions > data.n_rows:
-        raise InvalidInputError(
-            f"n_partitions={config.n_partitions} exceeds {data.n_rows} rows"
-        )
-    if planner_inputs is not None:
-        inputs = planner_inputs
-        if (inputs.n_rows, inputs.n_dims, inputs.k) != (data.n_rows, data.n_dims, k):
-            raise InvalidInputError(
-                "planner inputs (N, d, k) do not match the dataset and k supplied"
-            )
-    if initial_centroids is not None:
-        shape = initial_centroids.centroids.shape
-        if shape != (k, data.n_dims):
-            raise InvalidInputError(
-                f"initial centroids have shape {shape}, expected ({k}, {data.n_dims})"
-            )
 
 
 def run_edpdcs(
@@ -371,38 +428,14 @@ def run_edpdcs(
     config = config or EngineConfig(variant=Variant.EDPDCS)
     if config.variant is not Variant.EDPDCS:
         raise InvalidInputError(f"run_edpdcs cannot run variant {config.variant}")
-    _validate_run(data, k, config, planner_inputs)
-    canopy_params = with_resolved_seed(
-        canopy_params or CanopyParams(),
-        derive_stream_seed(config.master_seed, 0, 0),
-    )
-
-    t_start = time.perf_counter()
-    plan = make_plan(planner_inputs)
-    ledger = BudgetLedger(total=plan.epsilon_total)
-    init = select_initial_centroids(
-        data,
-        k,
-        canopy_params,
-        plan,
-        config.master_seed,
-        fill_seed=derive_stream_seed(config.master_seed, 0, 1),
-    )
-    ledger.charge("init", plan.epsilon_per_iter)
     return _run_lloyd(
         data,
         k,
         config,
-        init.centroids.centroids,
-        [(t, plan.epsilon_per_iter) for t in range(2, plan.iterations + 1)],
-        None,
-        t_start=t_start,
-        ledger=ledger,
-        plan=plan,
-        init_budget=plan.epsilon_per_iter,
-        init_draws=init.noise_draws,
-        notes=list(init.notes),
-        replay=_replay_config(config, planner_inputs, canopy_params),
+        planner_inputs.epsilon_total,
+        planner_inputs=planner_inputs,
+        canopy_params=canopy_params,
+        initial_centroids=None,
     )
 
 
@@ -429,83 +462,20 @@ def run_baseline(
     canopy start, so only it takes ``canopy_params``.
 
     ``initial_centroids`` overrides the variant's own initialization, which
-    is how like-for-like comparisons pin both runs to the same start.
+    is how like-for-like comparisons pin both runs to the same start; a
+    NONPRIVATE run given them has no canopy start and refuses
+    ``canopy_params``.
     """
-    variant = config.variant
-    if variant is Variant.EDPDCS:
+    if config.variant is Variant.EDPDCS:
         raise InvalidInputError("use run_edpdcs for the EDPDCS variant")
-    if planner_inputs is not None and variant is not Variant.RF_DPKM:
-        raise InvalidInputError(f"{variant.value} takes no planner_inputs")
-    if canopy_params is not None and variant is not Variant.NONPRIVATE:
-        raise InvalidInputError(f"{variant.value} takes no canopy_params")
-    _validate_run(data, k, config, planner_inputs, initial_centroids)
-    if variant is Variant.NONPRIVATE:
-        if epsilon is not None:
-            raise InvalidInputError("NONPRIVATE spends no budget; pass epsilon=None")
-    else:
-        if epsilon is None or not 0.0 < epsilon < np.inf:
-            raise InvalidInputError(
-                f"variant {variant.value} needs a positive finite epsilon, got {epsilon}"
-            )
-        if planner_inputs is not None and planner_inputs.epsilon_total != epsilon:
-            raise InvalidInputError(
-                "planner_inputs.epsilon_total disagrees with the epsilon argument"
-            )
-
-    t_start = time.perf_counter()
-    notes: list[str] = []
-    plan: BudgetPlan | None = None
-    canopy_resolved: CanopyParams | None = None
-    if variant is Variant.RF_DPKM:
-        planner_inputs = planner_inputs or PlannerInputs(
-            n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
-        )
-        plan = make_plan(planner_inputs)
-        steps = [(t, plan.epsilon_per_iter) for t in range(1, plan.iterations + 1)]
-        stop = None
-    elif variant is Variant.RU_DPKM:
-        steps = [(t, epsilon / 2.0 ** (t + 1)) for t in range(1, RU_MAX_ITERS + 1)]
-        stop = (RU_SHIFT_TOL, "converged at iteration {t} (shift {shift:.3g})")
-    else:
-        steps = [(t, None) for t in range(1, config.nonprivate_max_iters + 1)]
-        stop = (NONPRIVATE_SHIFT_TOL, "converged at iteration {t}")
-
-    if initial_centroids is not None:
-        start = initial_centroids.centroids
-        notes.append("started from supplied centroids")
-    elif variant is Variant.NONPRIVATE:
-        canopy_resolved = with_resolved_seed(
-            canopy_params or CanopyParams(),
-            derive_stream_seed(config.master_seed, 0, 0),
-        )
-        init = select_initial_centroids(
-            data,
-            k,
-            canopy_resolved,
-            None,
-            None,
-            dp_enabled=False,
-            fill_seed=derive_stream_seed(config.master_seed, 0, 1),
-        )
-        start = init.centroids.centroids
-        notes.extend(init.notes)
-    else:
-        start = _random_row_centroids(
-            data, k, derive_stream_seed(config.master_seed, 0, 1)
-        )
-
     return _run_lloyd(
         data,
         k,
         config,
-        start,
-        steps,
-        stop,
-        t_start=t_start,
-        ledger=None if epsilon is None else BudgetLedger(total=epsilon),
-        plan=plan,
-        notes=notes,
-        replay=_replay_config(config, planner_inputs, canopy_resolved),
+        epsilon,
+        planner_inputs=planner_inputs,
+        canopy_params=canopy_params,
+        initial_centroids=initial_centroids,
     )
 
 
@@ -532,5 +502,8 @@ def _replay_config(
     if planner_inputs is not None:
         out["planner_inputs"] = asdict(planner_inputs)
     if canopy_params is not None:
-        out["canopy"] = asdict(canopy_params)
+        # The subsample seed, under the key reports have always had, whether
+        # or not the subsample was drawn.
+        seed = derive_stream_seed(config.master_seed, 0, 0)
+        out["canopy"] = {**asdict(canopy_params), "seed": seed}
     return out

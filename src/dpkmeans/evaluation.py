@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
-
-logger = logging.getLogger(__name__)
 
 
 def nicv(data: Dataset, centroid_set: CentroidSet, assignment: Assignment) -> float:
@@ -191,8 +188,7 @@ def compare_variants(
     seeds ``base_seed .. base_seed + n_seeds - 1``; the same seed list is
     used for every cell so the comparison is paired.  NONPRIVATE ignores
     epsilon and runs once (at ``base_seed``) as the exact floor reference.
-    A run that raises is recorded in the summary notes and skipped rather
-    than aborting the whole sweep.
+    The first run that raises stops the sweep with its error.
     """
     from dpkmeans.canopy import CanopyParams
     from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
@@ -216,7 +212,6 @@ def compare_variants(
     seeds = [base_seed + i for i in range(n_seeds)]
     cells: list[ComparisonCell] = []
     all_runs: list[RunReport] = []
-    notes: list[str] = []
 
     def config_for(variant: Variant, seed: int) -> EngineConfig:
         return EngineConfig(
@@ -240,53 +235,37 @@ def compare_variants(
             )
             reports = []
             for seed in seeds:
-                try:
-                    if variant is Variant.EDPDCS:
-                        _, _, report = run_edpdcs(
-                            data, k, inputs, canopy_params, config_for(variant, seed)
-                        )
-                    else:
-                        _, _, report = run_baseline(
-                            data,
-                            k,
-                            eps,
-                            config_for(variant, seed),
-                            planner_inputs=inputs
-                            if variant is Variant.RF_DPKM
-                            else None,
-                        )
-                except Exception as exc:
-                    msg = f"{variant.value} eps={eps} seed={seed} failed: {exc}"
-                    notes.append(msg)
-                    logger.warning("%s", msg)
-                    continue
+                if variant is Variant.EDPDCS:
+                    _, _, report = run_edpdcs(
+                        data, k, inputs, canopy_params, config_for(variant, seed)
+                    )
+                else:
+                    _, _, report = run_baseline(
+                        data,
+                        k,
+                        eps,
+                        config_for(variant, seed),
+                        planner_inputs=inputs if variant is Variant.RF_DPKM else None,
+                    )
                 reports.append(report)
-            if reports:
-                all_runs.extend(reports)
-                cells.append(_summarize(variant.value, eps, reports))
-            else:
-                notes.append(f"{variant.value} eps={eps}: no successful runs")
+            all_runs.extend(reports)
+            cells.append(_summarize(variant.value, eps, reports))
 
     if Variant.NONPRIVATE in wanted:
-        try:
-            _, _, report = run_baseline(
-                data,
-                k,
-                None,
-                config_for(Variant.NONPRIVATE, base_seed),
-                canopy_params=canopy_params,
-            )
-            all_runs.append(report)
-            cells.append(_summarize(Variant.NONPRIVATE.value, None, [report]))
-        except Exception as exc:
-            msg = f"NONPRIVATE seed={base_seed} failed: {exc}"
-            notes.append(msg)
-            logger.warning("%s", msg)
+        _, _, report = run_baseline(
+            data,
+            k,
+            None,
+            config_for(Variant.NONPRIVATE, base_seed),
+            canopy_params=canopy_params,
+        )
+        all_runs.append(report)
+        cells.append(_summarize(Variant.NONPRIVATE.value, None, [report]))
 
     return ComparisonSummary(
         cells=cells,
         runs=all_runs,
-        notes=notes,
+        notes=[],
         config={
             "k": k,
             "epsilons": list(epsilons),

@@ -142,9 +142,9 @@ def normalize(
     """Min-max rescale every column into [0, 1].
 
     Ranges come from the column specs when preset and from the observed
-    data otherwise; the returned specs always carry the ranges used, which
-    is what :func:`denormalize` needs to invert the mapping.  A constant
-    column maps to 0.5.
+    data otherwise; the returned specs always carry the ranges used, so
+    ``x * (hi - lo) + lo`` inverts the mapping.  A constant column maps to
+    0.5.
     """
     pts = data.points
     if columns is not None and len(columns) != data.n_dims:
@@ -177,20 +177,6 @@ def normalize(
         Dataset(points=scaled, normalized=True, source_label=data.source_label),
         out_cols,
     )
-
-
-def denormalize(points: np.ndarray, columns: list[ColumnSpec]) -> np.ndarray:
-    """Map normalized coordinates (e.g. centroids) back to raw units."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != len(columns):
-        raise InvalidInputError(
-            f"points shape {points.shape} does not match {len(columns)} columns"
-        )
-    if any(c.lo is None or c.hi is None for c in columns):
-        raise InvalidInputError("column specs are missing normalization ranges")
-    los = np.array([c.lo for c in columns], dtype=np.float64)
-    his = np.array([c.hi for c in columns], dtype=np.float64)
-    return points * (his - los) + los
 
 
 # ---------------------------------------------------------------------------

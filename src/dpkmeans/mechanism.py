@@ -50,12 +50,14 @@ class BudgetExhaustedError(RuntimeError):
     """A phase tried to charge more privacy budget than remains."""
 
 
+@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
 def derive_stream_seed(master_seed: int, iteration: int, cluster_index: int) -> int:
     """Deterministic child seed for one (iteration, cluster) noise stream.
 
     Uses numpy's ``SeedSequence`` spawning arithmetic so distinct key tuples
     give statistically independent streams while identical tuples always
-    reproduce the same one.
+    reproduce the same one.  Memoized, as a pure function of three public
+    integers.
     """
     if iteration < 0 or cluster_index < 0:
         raise InvalidInputError("iteration and cluster_index must be >= 0")

@@ -128,30 +128,14 @@ class BudgetPlan:
         }
 
 
-def expected_centroid_mse(inputs: PlannerInputs, epsilon_per_iter: float) -> float:
-    """Expected squared centroid error at a given per-iteration budget.
-
-    First-order model of the error a noisy mean picks up when a cluster of
-    the balanced size N/k (inflated by the imbalance factor rho) has its
-    count and each of its d coordinate sums perturbed with Laplace noise at
-    scale (d + 1) / epsilon_per_iter:
-
-        mse = 2 * k^3 * d * (1 + d)^2 * (1 + rho^2) / (N^2 * eps^2)
-
-    Exact algebraic inverse of :func:`minimal_iteration_budget`: feeding the
-    returned value back in as the threshold recovers ``epsilon_per_iter``.
-    """
-    if epsilon_per_iter <= 0.0:
-        raise InvalidInputError("epsilon_per_iter must be positive")
-    k, d, n = inputs.k, inputs.n_dims, inputs.n_rows
-    num = 2.0 * k**3 * d * (1.0 + d) ** 2 * (1.0 + inputs.rho**2)
-    return num / (n**2 * epsilon_per_iter**2)
-
-
 def minimal_iteration_budget(inputs: PlannerInputs) -> float:
     """Smallest per-iteration budget meeting the planner's error threshold.
 
-    Closed form:
+    The error model is first order: a cluster of the balanced size N/k
+    (inflated by the imbalance factor rho) whose count and d coordinate
+    sums get Laplace noise at scale (d + 1) / epsilon has an expected
+    squared centroid error of 2 k^3 d (1 + d)^2 (1 + rho^2) / (N^2 epsilon^2).
+    Setting it to the threshold gives the closed form:
 
         epsilon_m = sqrt( (2 / threshold) * k^3 * d * (1 + d)^2
                           * (1 + rho^2) / N^2 )

@@ -6,7 +6,8 @@ them breaks every ``--trace 1`` run of ``benchmark/run.py``.  The module is
 loaded from its file without touching ``sys.path``.  The keywords
 ``benchmark/workloads.py`` passes to the program's config dataclasses are
 read from its syntax tree, without importing it.  A traced name must also
-still be called: one the engine stopped calling would read 0 ms, not fail.
+still be called, through its module attribute: one the engine stopped
+calling that way would read 0 ms, not fail.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from dpkmeans import mechanism
-from dpkmeans.engine import EngineConfig, run_edpdcs
+from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
 from dpkmeans.ingestion import synthetic_blobs
 from dpkmeans.planner import PlannerInputs
 
@@ -77,24 +78,55 @@ def test_workload_keywords_are_fields(module_name, constructor):
     assert _keywords_passed(constructor) <= fields
 
 
-@pytest.mark.parametrize("attr", ["perturb_aggregate", "derive_stream_seed"])
-def test_edpdcs_run_calls_traced_mechanism_name(monkeypatch, attr):
-    # Replace the name wherever a dpkmeans module holds it, as the tracer does.
-    original = getattr(mechanism, attr)
+def _counting(monkeypatch, module, attr):
+    """Calls of ``module.attr``, replaced wherever a dpkmeans module holds it,
+    as the tracer does."""
+    original = getattr(module, attr)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dpkmeans") and getattr(module, attr, None) is original:
-            monkeypatch.setattr(module, attr, counting)
+    for name, holder in list(sys.modules.items()):
+        if name.startswith("dpkmeans") and getattr(holder, attr, None) is original:
+            monkeypatch.setattr(holder, attr, counting)
+    return calls
+
+
+def _run(variant):
+    data = synthetic_blobs(300, 2, 2, 0)
+    config = EngineConfig(variant=variant, master_seed=3)
+    if variant is Variant.EDPDCS:
+        inputs = PlannerInputs(n_rows=300, n_dims=2, k=2, epsilon_total=1.0)
+        return run_edpdcs(data, 2, inputs, None, config)
+    return run_baseline(data, 2, None if variant is Variant.NONPRIVATE else 1.0, config)
+
+
+@pytest.mark.parametrize("attr", ["perturb_aggregate", "derive_stream_seed"])
+def test_edpdcs_run_calls_traced_mechanism_name(monkeypatch, attr):
+    calls = _counting(monkeypatch, mechanism, attr)
     mechanism.stream_uniforms.cache_clear()
-    inputs = PlannerInputs(n_rows=300, n_dims=2, k=2, epsilon_total=1.0)
-    run_edpdcs(synthetic_blobs(300, 2, 2, 0), 2, inputs, None, EngineConfig(master_seed=3))
+    _run(Variant.EDPDCS)
     assert calls
     if attr == "derive_stream_seed":
         # The noise streams of the start (1) and of a Lloyd step (2) are set
         # up through it, not only the start's own seeds (0).
         assert {args[1] for args in calls} >= {1, 2}
+
+
+@pytest.mark.parametrize(
+    "module_name, attr, variant",
+    [
+        ("canopy", "select_initial_centroids", Variant.EDPDCS),
+        ("canopy", "select_initial_centroids", Variant.NONPRIVATE),
+        ("planner", "make_plan", Variant.EDPDCS),
+        ("planner", "make_plan", Variant.RF_DPKM),
+    ],
+)
+def test_run_calls_traced_set_up_name(monkeypatch, module_name, attr, variant):
+    # The set-up a run makes is reached through the traced module attribute.
+    module = importlib.import_module(f"dpkmeans.{module_name}")
+    calls = _counting(monkeypatch, module, attr)
+    _run(variant)
+    assert len(calls) == 1

@@ -14,7 +14,6 @@ from dpkmeans.canopy import (
     draw_subsample,
     run_canopy,
     select_initial_centroids,
-    with_resolved_seed,
 )
 from dpkmeans.core import Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
@@ -28,10 +27,10 @@ THREE_POINTS = np.array([[0.0, 0.0], [0.05, 0.0], [0.9, 0.9]])
 NON_FINITE_RADII = [(np.nan, np.nan), (1.0, np.nan), (np.inf, 0.1), (np.inf, np.inf)]
 
 
-def _huge_budget_plan(n_rows, n_dims, k):
+def _huge_budget_share(n_rows, n_dims, k):
     return make_plan(
         PlannerInputs(n_rows=n_rows, n_dims=n_dims, k=k, epsilon_total=1e12)
-    )
+    ).epsilon_dim
 
 
 class TestRunCanopy:
@@ -157,30 +156,14 @@ class TestDrawSubsample:
 class TestSelectInitialCentroids:
     def test_exact_mean_in_vanishing_noise_limit(self):
         data = Dataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), normalized=True)
-        params = CanopyParams(t1=10.0, t2=10.0, seed=0)
-        result = select_initial_centroids(
-            data,
-            1,
-            params,
-            _huge_budget_plan(2, 2, 1),
-            1,
-            dp_enabled=True,
-            fill_seed=0,
-        )
+        params = CanopyParams(t1=10.0, t2=10.0)
+        result = select_initial_centroids(data, 1, params, 1, _huge_budget_share(2, 2, 1))
         assert result.centroids.centroids[0] == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_three_point_example_near_tight_means(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
-        params = CanopyParams(t1=0.2, t2=0.1, seed=0)
-        result = select_initial_centroids(
-            data,
-            2,
-            params,
-            _huge_budget_plan(3, 2, 2),
-            2,
-            dp_enabled=True,
-            fill_seed=0,
-        )
+        params = CanopyParams(t1=0.2, t2=0.1)
+        result = select_initial_centroids(data, 2, params, 2, _huge_budget_share(3, 2, 2))
         got = result.centroids.centroids
         assert got[0] == pytest.approx([0.025, 0.0], abs=1e-3)
         assert got[1] == pytest.approx([0.9, 0.9], abs=1e-3)
@@ -190,44 +173,38 @@ class TestSelectInitialCentroids:
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
-        result = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=0), plan, 3, fill_seed=0
-        )
+        result = select_initial_centroids(small_blobs, 3, CanopyParams(), 3, plan.epsilon_dim)
         assert result.noise_draws == 3 * (3 + 1)
 
     def test_deterministic_given_seed(self, small_blobs):
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
-        a = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=4), plan, 8, fill_seed=0
-        )
-        b = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=4), plan, 8, fill_seed=0
-        )
+        params = CanopyParams(subsample_size=100)
+        a = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
+        b = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
         assert np.array_equal(a.centroids.centroids, b.centroids.centroids)
+
+    def test_subsample_drawn_from_stream_zero_zero(self, small_blobs):
+        data = Dataset(points=small_blobs.points, normalized=True)
+        summary = _canopy_summary(data, 3, CanopyParams(subsample_size=100), 8)
+        points, _ = draw_subsample(data, 100, derive_stream_seed(8, 0, 0))
+        top = run_canopy(points, summary.t1, summary.t2)[:3]
+        sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in top])
+        assert (summary.halvings, summary.t1) == (0, default_thresholds(points)[0])
+        assert np.array_equal(summary.sums, sums)
 
     def test_heavy_noise_still_lands_in_unit_cube(self, small_blobs):
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1e-4)
         )
-        result = select_initial_centroids(
-            small_blobs, 3, CanopyParams(seed=5), plan, 6, fill_seed=0
-        )
+        result = select_initial_centroids(small_blobs, 3, CanopyParams(), 6, plan.epsilon_dim)
         got = result.centroids.centroids
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
     def test_dp_disabled_returns_exact_means_without_draws(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
-        result = select_initial_centroids(
-            data,
-            2,
-            CanopyParams(t1=0.2, t2=0.1, seed=0),
-            None,
-            None,
-            dp_enabled=False,
-            fill_seed=0,
-        )
+        result = select_initial_centroids(data, 2, CanopyParams(t1=0.2, t2=0.1), 0)
         assert result.centroids.centroids[0] == pytest.approx([0.025, 0.0])
         assert result.centroids.centroids[1] == pytest.approx([0.9, 0.9])
         assert not result.centroids.noisy
@@ -236,12 +213,7 @@ class TestSelectInitialCentroids:
     def test_identical_points_fall_back_to_random_fill(self):
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
         result = select_initial_centroids(
-            data,
-            3,
-            CanopyParams(seed=1),
-            _huge_budget_plan(20, 2, 3),
-            1,
-            fill_seed=0,
+            data, 3, CanopyParams(), 1, _huge_budget_share(20, 2, 3)
         )
         assert result.centroids.k == 3
         assert any("filled" in note for note in result.notes)
@@ -250,25 +222,21 @@ class TestSelectInitialCentroids:
 
     def test_noise_is_one_sequential_stream_in_rank_order(self):
         # Identical rows give one canopy for k=3: its centroid takes the first
-        # d + 1 draws of stream (1, 0), count first, and the rest are filled.
+        # d + 1 draws of stream (1, 0), count first, and the rest are filled
+        # from stream (0, 1).
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
         plan = make_plan(PlannerInputs(n_rows=20, n_dims=2, k=3, epsilon_total=3.0))
-        result = select_initial_centroids(data, 3, CanopyParams(seed=1), plan, 7, fill_seed=0)
+        result = select_initial_centroids(data, 3, CanopyParams(), 7, plan.epsilon_dim)
         rng = np.random.Generator(np.random.PCG64(derive_stream_seed(7, 1, 0)))
         scale = 1.0 / plan.epsilon_dim
         count = 20.0 + laplace_inverse_cdf(rng.random(1), scale)[0]
         sums = data.points.sum(axis=0) + laplace_inverse_cdf(rng.random(2), scale)
         expected = np.clip(sums / max(count, 1.0), 0.0, 1.0)
+        fill = np.random.Generator(np.random.PCG64(derive_stream_seed(7, 0, 1)))
         assert result.noise_draws == 3
         assert np.array_equal(result.centroids.centroids[0], expected)
+        assert np.array_equal(result.centroids.centroids[1:], fill.random((2, 2)))
         assert any("filled 2" in note for note in result.notes)
-
-    def test_fill_seed_is_required(self):
-        data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
-        with pytest.raises(TypeError, match="fill_seed"):
-            select_initial_centroids(
-                data, 3, CanopyParams(seed=1), None, None, dp_enabled=False
-            )
 
     def test_threshold_halving_is_reported(self):
         # Two clumps merge into one canopy at the loose default radius but
@@ -277,52 +245,18 @@ class TestSelectInitialCentroids:
         clump_a = 0.45 + 0.01 * rng.random((30, 2))
         clump_b = 0.55 + 0.01 * rng.random((30, 2))
         data = Dataset(points=np.vstack([clump_a, clump_b]), normalized=True)
-        result = select_initial_centroids(
-            data,
-            2,
-            CanopyParams(t1=0.5, t2=0.4, seed=0),
-            _huge_budget_plan(60, 2, 2),
-            2,
-            fill_seed=0,
-        )
+        params = CanopyParams(t1=0.5, t2=0.4)
+        result = select_initial_centroids(data, 2, params, 2, _huge_budget_share(60, 2, 2))
         assert result.centroids.k == 2
         assert result.notes == ["canopy radii halved 2x to reach 2 canopies"]
-        summary = _canopy_summary(data, 2, CanopyParams(t1=0.5, t2=0.4, seed=0))
+        summary = _canopy_summary(data, 2, params, 2)
         assert (summary.t1, summary.t2) == (0.125, 0.1)
-
-    def test_unresolved_seed_rejected(self, small_blobs):
-        with pytest.raises(InvalidInputError):
-            select_initial_centroids(
-                small_blobs,
-                2,
-                CanopyParams(),
-                _huge_budget_plan(400, 3, 2),
-                0,
-                fill_seed=0,
-            )
 
     def test_unnormalized_data_rejected(self):
         data = Dataset(points=np.array([[2.0, 3.0], [4.0, 5.0]]))
         with pytest.raises(InvalidInputError):
             select_initial_centroids(
-                data,
-                1,
-                CanopyParams(seed=0),
-                _huge_budget_plan(2, 2, 1),
-                0,
-                fill_seed=0,
-            )
-
-    def test_dp_requires_plan_and_sampler(self, small_blobs):
-        with pytest.raises(InvalidInputError):
-            select_initial_centroids(
-                small_blobs,
-                2,
-                CanopyParams(seed=0),
-                None,
-                None,
-                dp_enabled=True,
-                fill_seed=0,
+                data, 1, CanopyParams(), 0, _huge_budget_share(2, 2, 1)
             )
 
 
@@ -345,13 +279,6 @@ class TestCanopyParams:
     def test_subsample_size_positive(self):
         with pytest.raises(InvalidInputError):
             CanopyParams(subsample_size=0)
-
-    def test_with_resolved_seed(self):
-        params = CanopyParams()
-        resolved = with_resolved_seed(params, 42)
-        assert resolved.seed == 42
-        already = CanopyParams(seed=7)
-        assert with_resolved_seed(already, 42).seed == 7
 
 
 def _clumps():
@@ -439,18 +366,16 @@ class TestCanopySummary:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_start_is_the_tight_rows_mean(self, blood_like, k):
         data = Dataset(points=blood_like.points, normalized=True)
-        result = select_initial_centroids(
-            data, k, CanopyParams(seed=0), None, None, dp_enabled=False, fill_seed=0
-        )
-        summary = _canopy_summary(data, k, CanopyParams(seed=0))
+        result = select_initial_centroids(data, k, CanopyParams(), 0)
+        summary = _canopy_summary(data, k, CanopyParams(), 0)
         top = run_canopy(data.points, summary.t1, summary.t2)[:k]
         expected = np.vstack([data.points[c.tight_member_indices].mean(axis=0) for c in top])
         assert np.array_equal(result.centroids.centroids, expected)
 
     def test_entries_are_read_only_and_shared(self, small_blobs):
         data = Dataset(points=small_blobs.points, normalized=True)
-        summary = _canopy_summary(data, 3, CanopyParams(seed=0))
-        assert _canopy_summary(data, 3, CanopyParams(seed=1)) is summary
+        summary = _canopy_summary(data, 3, CanopyParams(), 0)
+        assert _canopy_summary(data, 3, CanopyParams(), 1) is summary
         with pytest.raises(ValueError):
             summary.counts[0] = 0.0
         with pytest.raises(ValueError):
@@ -460,7 +385,7 @@ class TestCanopySummary:
 
     def test_entry_dropped_with_its_dataset(self, small_blobs):
         data = Dataset(points=small_blobs.points, normalized=True)
-        entry = weakref.ref(_canopy_summary(data, 3, CanopyParams(seed=0)))
+        entry = weakref.ref(_canopy_summary(data, 3, CanopyParams(), 0))
         assert entry() is not None
         del data
         gc.collect()

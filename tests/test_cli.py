@@ -267,6 +267,15 @@ class TestCompare:
         table = capsys.readouterr().out
         assert "EDPDCS" in table and "NONPRIVATE" in table
 
+    def test_failing_run_stops_the_grid(self, out_dir, capsys):
+        # 800 partitions for 748 rows: every run refuses, so the grid exits
+        # as one run does and writes nothing.
+        argv = ["--synthetic", "748,4,2", "--k", "2", "--partitions", "800", "--eps", "1"]
+        assert main(["run", *argv]) == 1
+        assert main(["compare", *argv, "--seeds", "2"]) == 1
+        assert "n_partitions=800 exceeds 748 rows" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
     def test_bad_epsilon_list_is_usage_error(self, out_dir, capsys):
         rc = main(
             ["compare", "--synthetic", "100,2,2", "--k", "2", "--eps", "a,b"]

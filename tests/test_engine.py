@@ -441,13 +441,28 @@ class TestRunBaselineRu:
         with pytest.raises(InvalidInputError, match="takes no planner_inputs"):
             run_baseline(small_blobs, 3, epsilon, cfg, planner_inputs=inputs)
 
-    @pytest.mark.parametrize("variant", [Variant.RF_DPKM, Variant.RU_DPKM])
-    def test_canopy_params_refused(self, small_blobs, variant):
-        # Both start from random rows: canopy radii would change nothing.
+    @pytest.mark.parametrize(
+        "variant, epsilon, start",
+        [
+            (Variant.RF_DPKM, 1.0, None),
+            (Variant.RU_DPKM, 1.0, None),
+            (Variant.NONPRIVATE, None, CentroidSet(centroids=np.full((3, 3), 0.5))),
+        ],
+        ids=["RF_DPKM", "RU_DPKM", "NONPRIVATE-supplied"],
+    )
+    def test_canopy_params_refused(self, small_blobs, variant, epsilon, start):
+        # None of these has a canopy start: the radii would change nothing.
+        # RF_DPKM and RU_DPKM start from random rows, and a supplied start
+        # replaces NONPRIVATE's canopy start.
         cfg = EngineConfig(variant=variant)
         with pytest.raises(InvalidInputError, match="takes no canopy_params"):
             run_baseline(
-                small_blobs, 3, 1.0, cfg, canopy_params=CanopyParams(t1=0.3, t2=0.1)
+                small_blobs,
+                3,
+                epsilon,
+                cfg,
+                canopy_params=CanopyParams(t1=0.3, t2=0.1),
+                initial_centroids=start,
             )
 
 
@@ -484,15 +499,7 @@ class TestRunBaselineNonprivate:
 
     def test_matches_plain_lloyd_reference(self, small_blobs):
         # Independent dense Lloyd implementation, same canopy start.
-        init = select_initial_centroids(
-            small_blobs,
-            3,
-            CanopyParams(seed=_canopy_seed(0)),
-            None,
-            None,
-            dp_enabled=False,
-            fill_seed=_fill_seed(0),
-        )
+        init = select_initial_centroids(small_blobs, 3, CanopyParams(), 0)
         expect = np.array(init.centroids.centroids, copy=True)
         pts = small_blobs.points
         for _ in range(100):
@@ -535,18 +542,6 @@ class TestRunBaselineNonprivate:
         cfg = EngineConfig(variant=variant)
         with pytest.raises(InvalidInputError, match="needs a positive finite epsilon"):
             run_baseline(small_blobs, 3, epsilon, cfg)
-
-
-def _canopy_seed(master):
-    from dpkmeans.mechanism import derive_stream_seed
-
-    return derive_stream_seed(master, 0, 0)
-
-
-def _fill_seed(master):
-    from dpkmeans.mechanism import derive_stream_seed
-
-    return derive_stream_seed(master, 0, 1)
 
 
 class TestValidation:

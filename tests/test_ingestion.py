@@ -10,7 +10,6 @@ from dpkmeans.ingestion import (
     PRESETS,
     ColumnSpec,
     CsvFormatError,
-    denormalize,
     load_csv,
     normalize,
     synthetic_blobs,
@@ -156,13 +155,6 @@ class TestNormalize:
         with pytest.raises(InvalidInputError, match="outside its preset"):
             normalize(data, cols)
 
-    def test_round_trip_through_denormalize(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        raw = 100.0 * rng.random((50, 3)) - 20.0
-        out, cols = normalize(Dataset(points=raw))
-        back = denormalize(out.points, cols)
-        assert back == pytest.approx(raw, abs=1e-12)
-
     def test_idempotent_on_normalized_range(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.25, 0.75]])
         out, _ = normalize(Dataset(points=pts))
@@ -178,19 +170,10 @@ class TestNormalize:
         data, cols = normalize(result.data, result.columns)
         assert np.all(data.points >= 0.0) and np.all(data.points <= 1.0)
         assert data.points[:, 0].min() == 0.0 and data.points[:, 0].max() == 1.0
-        raw_again = denormalize(data.points, cols)
+        los = np.array([c.lo for c in cols])
+        his = np.array([c.hi for c in cols])
+        raw_again = data.points * (his - los) + los
         assert raw_again == pytest.approx(result.data.points, abs=1e-9)
-
-
-class TestDenormalize:
-    def test_requires_ranges(self):
-        with pytest.raises(InvalidInputError, match="missing normalization"):
-            denormalize(np.array([[0.5]]), [ColumnSpec(index=0, name="x")])
-
-    def test_shape_mismatch_rejected(self):
-        cols = [ColumnSpec(index=0, name="x", lo=0.0, hi=1.0)]
-        with pytest.raises(InvalidInputError):
-            denormalize(np.array([[0.5, 0.5]]), cols)
 
 
 class TestPresets:

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from dpkmeans.core import InvalidInputError
 from dpkmeans.planner import (
+    DEFAULT_RHO,
     BudgetPlan,
     PlannerInputs,
-    expected_centroid_mse,
     iteration_count,
     make_plan,
     minimal_iteration_budget,
@@ -81,9 +81,10 @@ class TestMinimalIterationBudget:
         )
 
     def test_mse_round_trip_identity(self):
-        inputs = PlannerInputs(epsilon_total=1.0, **BLOOD)
+        # The error model minimal_iteration_budget inverts, at eps = 0.375.
         eps = 0.375
-        implied = expected_centroid_mse(inputs, eps)
+        k, d, n, rho = BLOOD["k"], BLOOD["n_dims"], BLOOD["n_rows"], DEFAULT_RHO
+        implied = 2.0 * k**3 * d * (1.0 + d) ** 2 * (1.0 + rho**2) / (n**2 * eps**2)
         back = minimal_iteration_budget(
             PlannerInputs(
                 epsilon_total=1.0, mse_threshold=implied, **BLOOD
@@ -258,12 +259,6 @@ class TestValidation:
         kwargs[field] = value
         with pytest.raises(InvalidInputError, match="finite"):
             PlannerInputs(**kwargs)
-
-    def test_expected_mse_requires_positive_budget(self):
-        with pytest.raises(InvalidInputError):
-            expected_centroid_mse(
-                PlannerInputs(n_rows=10, n_dims=2, k=2, epsilon_total=1.0), 0.0
-            )
 
     def test_budget_plan_is_frozen(self):
         plan = make_plan(PlannerInputs(epsilon_total=1.0, **BLOOD))
