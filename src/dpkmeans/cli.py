@@ -116,6 +116,20 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_planner_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rho", type=float, default=None, help="cluster-imbalance factor")
+    parser.add_argument(
+        "--mse-threshold", type=float, default=None, help="planner error threshold"
+    )
+    parser.add_argument("--t-cap", type=int, default=None, help="iteration cap")
+    parser.add_argument(
+        "--eps-m-override",
+        type=float,
+        default=None,
+        help="externally supplied minimum per-iteration budget",
+    )
+
+
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="cluster count (preset supplies a default)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -128,17 +142,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker threads (default: min(partitions, available cores))",
     )
-    parser.add_argument("--rho", type=float, default=None, help="cluster-imbalance factor")
-    parser.add_argument(
-        "--mse-threshold", type=float, default=None, help="planner error threshold"
-    )
-    parser.add_argument("--t-cap", type=int, default=None, help="iteration cap")
-    parser.add_argument(
-        "--eps-m-override",
-        type=float,
-        default=None,
-        help="externally supplied minimum per-iteration budget",
-    )
+    _add_planner_args(parser)
     parser.add_argument("--t1", type=float, default=None, help="loose canopy radius")
     parser.add_argument("--t2", type=float, default=None, help="tight canopy radius")
     parser.add_argument(
@@ -159,10 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--d", type=int, help="feature count (or use --dataset)")
     p_plan.add_argument("--k", type=int, required=True)
     p_plan.add_argument("--eps", type=float, required=True, help="total privacy budget")
-    p_plan.add_argument("--rho", type=float, default=None)
-    p_plan.add_argument("--mse-threshold", type=float, default=None)
-    p_plan.add_argument("--t-cap", type=int, default=None)
-    p_plan.add_argument("--eps-m-override", type=float, default=None)
+    _add_planner_args(p_plan)
     _add_dataset_args(p_plan)
 
     p_run = sub.add_parser("run", help="one clustering run, JSON report")
@@ -321,7 +322,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = _out_path("run_report.json", args.out)
     with open(out, "w") as fh:
-        fh.write(report.to_json(include_timings=False))
+        fh.write(report.to_json())
         fh.write("\n")
     print(
         f"{report.variant}: nicv={report.nicv:.6g} "
@@ -355,7 +356,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_json = _out_path("comparison.json", args.out_json)
     write_comparison_csv(summary, out_csv)
     with open(out_json, "w") as fh:
-        fh.write(summary.to_json(include_runs=True, include_timings=False))
+        fh.write(summary.to_json())
         fh.write("\n")
 
     print(f"{'variant':<12} {'epsilon':>8} {'mean_nicv':>12} {'sd_nicv':>12}")

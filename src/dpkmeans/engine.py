@@ -24,6 +24,10 @@ optional stop rule:
   convergence stop and a reported residual.
 - ``NONPRIVATE``: exact Lloyd steps (epsilon None) with a convergence stop
   from noise-free canopy initialization.
+
+The report traces the initialization and every step once: its iteration,
+phase, budget charge, noise draws, centroid shift, the centroids after it
+and their NICV.  The centroids a step starts from are the previous entry's.
 """
 
 from __future__ import annotations
@@ -323,10 +327,7 @@ def _run_lloyd(
             "budget_charged": init_budget,
             "noise_draws": init_draws,
             "centroid_shift": None,
-            "centroids_before": None,
             "centroids_after": start.tolist(),
-            "exact_aggregates": None,
-            "noisy_aggregates": None,
         }
     ]
     init_ms = 1e3 * (time.perf_counter() - t_start)
@@ -360,10 +361,7 @@ def _run_lloyd(
                     "budget_charged": epsilon,
                     "noise_draws": draws,
                     "centroid_shift": shift,
-                    "centroids_before": centroids.tolist(),
                     "centroids_after": new.tolist(),
-                    "exact_aggregates": None,
-                    "noisy_aggregates": None,
                 }
             )
             centroids = new
@@ -428,6 +426,8 @@ def run_edpdcs(
     config = config or EngineConfig(variant=Variant.EDPDCS)
     if config.variant is not Variant.EDPDCS:
         raise InvalidInputError(f"run_edpdcs cannot run variant {config.variant}")
+    if planner_inputs is None:
+        raise InvalidInputError("run_edpdcs needs planner_inputs")
     return _run_lloyd(
         data,
         k,
@@ -485,25 +485,11 @@ def _replay_config(
     canopy_params: CanopyParams | None,
 ) -> dict:
     out = {
-        "variant": config.variant.value,
-        "master_seed": config.master_seed,
-        "n_partitions": config.n_partitions,
         "threads": config.resolved_threads(),
-        # The fixed reduce policy, under the keys reports have always had,
-        # so that comparable_json() keeps its bytes.
-        "clamp_centroids": True,
-        "min_count": 1.0,
-        "ru_shift_tol": RU_SHIFT_TOL,
-        "ru_max_iters": RU_MAX_ITERS,
-        "nonprivate_shift_tol": NONPRIVATE_SHIFT_TOL,
         "nonprivate_max_iters": config.nonprivate_max_iters,
-        "map_block_rows": MAP_BLOCK_ROWS,
     }
     if planner_inputs is not None:
         out["planner_inputs"] = asdict(planner_inputs)
     if canopy_params is not None:
-        # The subsample seed, under the key reports have always had, whether
-        # or not the subsample was drawn.
-        seed = derive_stream_seed(config.master_seed, 0, 0)
-        out["canopy"] = {**asdict(canopy_params), "seed": seed}
+        out["canopy"] = asdict(canopy_params)
     return out

@@ -41,9 +41,10 @@ class RunReport:
     """Everything needed to understand and replay one clustering run.
 
     ``timings_ms`` holds wall-clock measurements only; it is excluded from
-    :meth:`comparable_json` because timing is the one part of a run that is
-    not reproducible.  ``n_partitions`` and the resolved thread count are
-    excluded there too: they affect scheduling, never results.
+    :meth:`to_json` and :meth:`comparable_json` because timing is the one
+    part of a run that is not reproducible.  ``n_partitions`` and the
+    resolved thread count are excluded from :meth:`comparable_json` too:
+    they affect scheduling, never results.
     """
 
     variant: str
@@ -74,9 +75,10 @@ class RunReport:
             out.pop("timings_ms", None)
         return out
 
-    def to_json(self, include_timings: bool = True) -> str:
+    def to_json(self) -> str:
+        """The report as written to a file: every field but the timings."""
         return json.dumps(
-            self.to_dict(include_timings=include_timings), indent=2, sort_keys=True
+            self.to_dict(include_timings=False), indent=2, sort_keys=True
         )
 
     def comparable_json(self) -> str:
@@ -86,10 +88,9 @@ class RunReport:
         byte-identical strings here.
         """
         out = self.to_dict(include_timings=False)
-        out.pop("n_partitions", None)
-        config = dict(out.get("config") or {})
-        config.pop("n_partitions", None)
-        config.pop("threads", None)
+        out.pop("n_partitions")
+        config = dict(self.config)
+        config.pop("threads")
         out["config"] = config
         return json.dumps(out, indent=2, sort_keys=True)
 
@@ -121,16 +122,14 @@ class ComparisonSummary:
                 return cell
         raise KeyError(f"no cell for variant={variant!r} epsilon={epsilon!r}")
 
-    def to_json(self, include_runs: bool = True, include_timings: bool = True) -> str:
+    def to_json(self) -> str:
+        """The grid, its config and every run, without timings."""
         out = {
             "config": self.config,
             "cells": [asdict(c) for c in self.cells],
             "notes": self.notes,
+            "runs": [r.to_dict(include_timings=False) for r in self.runs],
         }
-        if include_runs:
-            out["runs"] = [
-                r.to_dict(include_timings=include_timings) for r in self.runs
-            ]
         return json.dumps(out, indent=2, sort_keys=True)
 
 

@@ -23,6 +23,10 @@ class CsvFormatError(InvalidInputError):
     """A CSV row could not be parsed against the declared column layout."""
 
 
+#: A feature value that marks a row as missing data; such rows are dropped.
+_MISSING_TOKEN = "?"
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """How to treat one CSV column.
@@ -30,21 +34,16 @@ class ColumnSpec:
     Attributes:
         index: 0-based column position in the file.
         name: Human-readable column name.
-        role: "feature" columns become coordinates; "ignore" columns are
-            skipped entirely.
         lo, hi: Normalization range.  Filled from observed data by
             :func:`normalize` when not preset.
     """
 
     index: int
     name: str
-    role: str = "feature"
     lo: float | None = None
     hi: float | None = None
 
     def __post_init__(self) -> None:
-        if self.role not in ("feature", "ignore"):
-            raise InvalidInputError(f"unknown column role {self.role!r}")
         if self.index < 0:
             raise InvalidInputError(f"column index must be >= 0, got {self.index}")
         if (self.lo is None) != (self.hi is None):
@@ -68,20 +67,17 @@ def load_csv(
     columns: list[ColumnSpec],
     *,
     has_header: bool = False,
-    missing_token: str = "?",
-    drop_missing: bool = True,
 ) -> LoadResult:
-    """Load the feature columns of a CSV file into a raw dataset.
+    """Load the given columns of a CSV file into a raw dataset.
 
-    Rows containing ``missing_token`` in any feature column are dropped
-    (counted in the result) when ``drop_missing`` is set, and rejected with
-    :class:`CsvFormatError` otherwise.  Any other non-numeric feature value
-    is always an error, reported with its line number.
+    Each spec in ``columns`` is one feature; columns it does not list are
+    never parsed.  Rows holding ``?`` in any feature column are dropped
+    and counted in the result.  Any other non-numeric feature value is an
+    error, reported with its line number.
     """
-    feature_cols = [c for c in columns if c.role == "feature"]
-    if not feature_cols:
+    if not columns:
         raise InvalidInputError("need at least one feature column")
-    max_index = max(c.index for c in feature_cols)
+    max_index = max(c.index for c in columns)
 
     rows: list[list[float]] = []
     rows_read = 0
@@ -101,9 +97,9 @@ def load_csv(
                 )
             values = []
             missing = False
-            for col in feature_cols:
+            for col in columns:
                 token = record[col.index].strip()
-                if token == missing_token:
+                if token == _MISSING_TOKEN:
                     missing = True
                     break
                 try:
@@ -114,10 +110,6 @@ def load_csv(
                         f"non-numeric value {token!r}"
                     ) from exc
             if missing:
-                if not drop_missing:
-                    raise CsvFormatError(
-                        f"{path}:{line_no}: missing value in feature column"
-                    )
                 rows_dropped += 1
                 continue
             rows.append(values)
@@ -132,7 +124,7 @@ def load_csv(
         source_label=path,
     )
     return LoadResult(
-        data=data, columns=feature_cols, rows_read=rows_read, rows_dropped=rows_dropped
+        data=data, columns=list(columns), rows_read=rows_read, rows_dropped=rows_dropped
     )
 
 

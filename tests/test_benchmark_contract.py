@@ -1,19 +1,24 @@
-"""The names the benchmark uses must exist in the program.
+"""The names and report fields the benchmark uses must exist in the program.
 
 ``benchmark/spans.py`` looks up each ``(module, attribute)`` of its
 ``TRACED`` list when a traced run starts, so renaming or deleting one of
-them breaks every ``--trace 1`` run of ``benchmark/run.py``.  The module is
-loaded from its file without touching ``sys.path``.  The keywords
-``benchmark/workloads.py`` passes to the program's config dataclasses are
-read from its syntax tree, without importing it.  A traced name must also
-still be called, through its module attribute: one the engine stopped
-calling that way would read 0 ms, not fail.
+them breaks every ``--trace 1`` run of ``benchmark/run.py``.  The checks of
+``benchmark/oracles.py`` read the reports' fields, so a report that drops
+one fails every operation of a workload; they must pass on the program's
+own reports and grid.  Both modules are loaded from their files without
+touching ``sys.path``.  The keywords ``benchmark/workloads.py`` passes to
+the program's config dataclasses are read from its syntax tree, without
+importing it.  A traced name must also still be called, through its
+module attribute: one the engine stopped calling that way would read 0 ms,
+not fail.
 """
 
 import ast
+import csv
 import dataclasses
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -21,16 +26,16 @@ import pytest
 
 from dpkmeans import mechanism
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
+from dpkmeans.evaluation import compare_variants, write_comparison_csv
 from dpkmeans.ingestion import synthetic_blobs
 from dpkmeans.planner import PlannerInputs
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
-SPANS = BENCHMARK / "spans.py"
 
 
-def _traced():
-    name = "_benchmark_spans"
-    spec = importlib.util.spec_from_file_location(name, SPANS)
+def _load(stem: str):
+    name = f"_benchmark_{stem}"
+    spec = importlib.util.spec_from_file_location(name, BENCHMARK / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolves the module's annotations through sys.modules.
     sys.modules[name] = module
@@ -38,10 +43,11 @@ def _traced():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[name]
-    return module.TRACED
+    return module
 
 
-TRACED = _traced()
+TRACED = _load("spans").TRACED
+oracles = _load("oracles")
 
 
 @pytest.mark.parametrize("module_name, attr", TRACED, ids=[".".join(t) for t in TRACED])
@@ -130,3 +136,24 @@ def test_run_calls_traced_set_up_name(monkeypatch, module_name, attr, variant):
     calls = _counting(monkeypatch, module, attr)
     _run(variant)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_oracles_pass_on_program_report(variant):
+    data = synthetic_blobs(300, 2, 2, 0)
+    centroids, _, report = _run(variant)
+    _, problems = oracles.check_run(data.points, report.to_dict(), centroids.centroids)
+    assert problems == []
+
+
+def test_oracles_pass_on_program_grid(tmp_path):
+    data = synthetic_blobs(300, 2, 2, 0)
+    summary = compare_variants(data, 2, [1.0], 2, base_seed=3)
+    path = tmp_path / "comparison.csv"
+    write_comparison_csv(summary, str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    as_json = json.loads(summary.to_json())
+    assert oracles.check_grid(as_json, rows, [1.0], 2) == (0, [])
+    for report in as_json["runs"]:
+        assert oracles.check_run(data.points, report)[1] == []

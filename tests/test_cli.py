@@ -107,7 +107,6 @@ class TestRun:
         b = json.loads((out_dir / "b.json").read_text())
         for blob in (a, b):
             blob.pop("n_partitions")
-            blob["config"].pop("n_partitions")
             blob["config"].pop("threads")
         assert a == b
 

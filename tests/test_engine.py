@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 
@@ -270,8 +271,12 @@ class TestRunEdpdcs:
             assert entry["nicv_after"] > 0.0
         # Exact per-cluster counts and sums are raw data: never traced.
         for entry in report.iterations:
-            assert entry["exact_aggregates"] is None
-            assert entry["noisy_aggregates"] is None
+            assert "exact_aggregates" not in entry
+            assert "noisy_aggregates" not in entry
+
+    def test_missing_planner_inputs_rejected(self):
+        with pytest.raises(InvalidInputError, match="planner_inputs"):
+            run_edpdcs(synthetic_blobs(100, 2, 2, 0), 2, None)
 
     def test_mismatched_planner_inputs_rejected(self, small_blobs):
         inputs = PlannerInputs(n_rows=999, n_dims=3, k=3, epsilon_total=1.0)
@@ -306,6 +311,55 @@ def _run_variant(data, k, variant, epsilon, **config):
         )
         return run_edpdcs(data, k, inputs, config=cfg)
     return run_baseline(data, k, epsilon, cfg)
+
+
+#: Keys of a written report, of each trace entry, and of ``config`` by
+#: variant (a NONPRIVATE run from given centroids has no canopy start).
+#: A new key is a deliberate change to the report format.
+REPORT_KEYS = {
+    "variant", "epsilon", "master_seed", "n_rows", "n_dims", "k", "n_partitions",
+    "iterations_run", "nicv", "budget_spent", "budget_remaining", "plan",
+    "iterations", "config", "notes",
+}
+TRACE_KEYS = {
+    "iteration", "phase", "budget_charged", "noise_draws", "centroid_shift",
+    "centroids_after", "nicv_after",
+}
+CONFIG_KEYS = {"threads", "nonprivate_max_iters"}
+PLANNER_INPUTS_KEYS = {
+    "n_rows", "n_dims", "k", "epsilon_total", "rho", "mse_threshold", "t_cap",
+    "epsilon_m_override",
+}
+CANOPY_KEYS = {"t1", "t2", "subsample_size"}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize(
+        "variant, epsilon, supplied_start, extra",
+        [
+            (Variant.EDPDCS, 1.0, False, {"planner_inputs", "canopy"}),
+            (Variant.RF_DPKM, 1.0, False, {"planner_inputs"}),
+            (Variant.RU_DPKM, 1.0, False, set()),
+            (Variant.NONPRIVATE, None, False, {"canopy"}),
+            (Variant.NONPRIVATE, None, True, set()),
+        ],
+    )
+    def test_exact_key_sets(self, small_blobs, variant, epsilon, supplied_start, extra):
+        if supplied_start:
+            start = CentroidSet(centroids=small_blobs.points[:3])
+            cfg = EngineConfig(variant=variant)
+            report = run_baseline(small_blobs, 3, epsilon, cfg, initial_centroids=start)[2]
+        else:
+            report = _run_variant(small_blobs, 3, variant, epsilon)[2]
+        blob = json.loads(report.to_json())
+        assert set(blob) == REPORT_KEYS
+        for entry in blob["iterations"]:
+            assert set(entry) == TRACE_KEYS
+        assert set(blob["config"]) == CONFIG_KEYS | extra
+        if "planner_inputs" in extra:
+            assert set(blob["config"]["planner_inputs"]) == PLANNER_INPUTS_KEYS
+        if "canopy" in extra:
+            assert set(blob["config"]["canopy"]) == CANOPY_KEYS
 
 
 class TestLabellingPasses:

@@ -87,13 +87,14 @@ class TestRunReport:
         assert blob["variant"] == "NONPRIVATE"
         assert blob["n_rows"] == 400
         assert blob["nicv"] == pytest.approx(report.nicv)
-        assert "timings_ms" in blob
 
     def test_timings_can_be_excluded(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE)
         _, _, report = run_baseline(small_blobs, 3, None, cfg)
-        blob = json.loads(report.to_json(include_timings=False))
-        assert "timings_ms" not in blob
+        assert "timings_ms" in report.to_dict()
+        assert "timings_ms" not in report.to_dict(include_timings=False)
+        # A written report never carries wall clock.
+        assert "timings_ms" not in json.loads(report.to_json())
 
     def test_comparable_json_ignores_partitioning_and_timing(self, small_blobs):
         inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
@@ -132,15 +133,14 @@ class TestRunReport:
             k: v for k, v in deep.items() if k not in ("timings_ms", "n_partitions")
         }
         comparable["config"] = {
-            k: v
-            for k, v in deep["config"].items()
-            if k not in ("n_partitions", "threads")
+            k: v for k, v in deep["config"].items() if k != "threads"
         }
         assert report.comparable_json() == json.dumps(
             comparable, indent=2, sort_keys=True
         )
         # Serializing left the report's own fields as they were.
-        assert report.to_json() == json.dumps(deep, indent=2, sort_keys=True)
+        written = {k: v for k, v in deep.items() if k != "timings_ms"}
+        assert report.to_json() == json.dumps(written, indent=2, sort_keys=True)
 
 
 class TestCompareVariants:
@@ -209,10 +209,10 @@ class TestCompareVariants:
         summary = compare_variants(
             small_blobs, 3, [1.0], 1, variants=["EDPDCS", "NONPRIVATE"]
         )
-        blob = json.loads(summary.to_json(include_runs=False))
-        assert "cells" in blob and "runs" not in blob
-        blob_full = json.loads(summary.to_json(include_timings=False))
-        for run in blob_full["runs"]:
+        blob = json.loads(summary.to_json())
+        assert len(blob["cells"]) == 2 and blob["notes"] == []
+        assert len(blob["runs"]) == len(summary.runs) == 2
+        for run in blob["runs"]:
             assert "timings_ms" not in run
 
 

@@ -81,16 +81,10 @@ class TestLoadCsv:
     def test_missing_token_rows_dropped_and_counted(self, tmp_path):
         path = tmp_path / "adult.csv"
         path.write_text(ADULT_SAMPLE + ADULT_MISSING_ROW)
-        result = load_csv(str(path), ADULT_COLUMNS, missing_token="?")
+        result = load_csv(str(path), ADULT_COLUMNS)
         assert result.data.n_rows == 3
         assert result.rows_read == 4
         assert result.rows_dropped == 1
-
-    def test_missing_token_fatal_when_requested(self, tmp_path):
-        path = tmp_path / "adult.csv"
-        path.write_text(ADULT_SAMPLE + ADULT_MISSING_ROW)
-        with pytest.raises(CsvFormatError, match="missing value"):
-            load_csv(str(path), ADULT_COLUMNS, drop_missing=False)
 
     def test_non_numeric_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -119,11 +113,7 @@ class TestLoadCsv:
     def test_ignore_columns_never_parsed(self, tmp_path):
         path = tmp_path / "mix.csv"
         path.write_text("1.5,junk,2.5\n")
-        cols = [
-            ColumnSpec(index=0, name="a"),
-            ColumnSpec(index=1, name="skip", role="ignore"),
-            ColumnSpec(index=2, name="b"),
-        ]
+        cols = [ColumnSpec(index=0, name="a"), ColumnSpec(index=2, name="b")]
         result = load_csv(str(path), cols)
         assert result.data.points[0].tolist() == [1.5, 2.5]
 
@@ -181,7 +171,7 @@ class TestPresets:
         cols, k, has_header = PRESETS["blood"]
         assert cols is BLOOD_COLUMNS
         assert k == BLOOD_DEFAULT_K == 2
-        assert len([c for c in cols if c.role == "feature"]) == 4
+        assert len(cols) == 4
 
     def test_adult_preset(self):
         cols, k, _ = PRESETS["adult"]
