@@ -13,9 +13,12 @@ recorded while the engine still derived the canopy start's subsample and
 fill seeds; they lock a subsample smaller than the data, a start filled
 with uniform points, and given radii.  Every case runs the one
 fixed reduce policy (noisy count floored at 1, centroids clipped to the
-unit cube), and no trace entry carries exact or noisy aggregates.
-Centroids, noise draws, budget charges, the ledger and the final labels
-must still match the fixture bit for bit.  The NICV fields of the older
+unit cube).  Every ``rest_sha256`` was re-hashed, and nothing else
+changed, when the report stopped repeating itself: trace entries lost
+``centroids_before`` and the always-null aggregates, and ``config`` lost
+the keys that repeat top-level fields or code constants.  Centroids,
+noise draws, budget charges, the ledger and the final labels must still
+match the fixture bit for bit.  The NICV fields of the older
 cases moved by floating-point summation order, so NICV is compared to a
 relative 1e-12.
 
