@@ -260,9 +260,14 @@ def _canopy_params(args: argparse.Namespace) -> CanopyParams:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    if args.n is not None and args.d is not None:
+    selected = args.dataset or args.synthetic
+    if args.n is not None or args.d is not None:
+        if selected:
+            raise _UsageError("--n/--d and a dataset selection are mutually exclusive")
+        if args.n is None or args.d is None:
+            raise _UsageError("--n and --d go together")
         n_rows, n_dims = args.n, args.d
-    elif args.dataset or args.synthetic:
+    elif selected:
         data, _ = _load_dataset(args)
         n_rows, n_dims = data.n_rows, data.n_dims
     else:
@@ -282,19 +287,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Flags of ``run`` that only some variants read; any other variant refuses them.
-_VARIANT_FLAGS = {
-    ("rho", "mse_threshold", "t_cap", "eps_m_override"): (Variant.EDPDCS, Variant.RF_DPKM),
-    ("t1", "t2", "subsample"): (Variant.EDPDCS, Variant.NONPRIVATE),
-    ("eps",): (Variant.EDPDCS, Variant.RF_DPKM, Variant.RU_DPKM),
+#: The flags that feed each input a variant may read, by the ``Variant``
+#: predicate that says whether it does; a variant that does not refuses them.
+_INPUT_FLAGS = {
+    "takes_planner_inputs": ("rho", "mse_threshold", "t_cap", "eps_m_override"),
+    "has_canopy_start": ("t1", "t2", "subsample"),
+    "spends_epsilon": ("eps",),
 }
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     variant = _VARIANTS[args.variant]
-    for names, readers in _VARIANT_FLAGS.items():
+    for reads, names in _INPUT_FLAGS.items():
         for name in names:
-            if getattr(args, name) is not None and variant not in readers:
+            if getattr(args, name) is not None and not getattr(variant, reads):
                 flag = "--" + name.replace("_", "-")
                 raise _UsageError(f"{flag} has no effect on variant {args.variant}")
     data, default_k = _load_dataset(args)
@@ -305,13 +311,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         threads=args.threads,
     )
-    epsilon = None
-    if variant is not Variant.NONPRIVATE:
+    epsilon = inputs = canopy = None
+    if variant.spends_epsilon:
         epsilon = 1.0 if args.eps is None else args.eps
-    inputs = canopy = None
-    if variant in (Variant.EDPDCS, Variant.RF_DPKM):
+    if variant.takes_planner_inputs:
         inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, epsilon)
-    if variant in (Variant.EDPDCS, Variant.NONPRIVATE):
+    if variant.has_canopy_start:
         canopy = _canopy_params(args)
     if variant is Variant.EDPDCS:
         _, _, report = run_edpdcs(data, k, inputs, canopy, config)
@@ -344,10 +349,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         epsilons,
         args.seeds,
         base_seed=args.seed,
-        rho=args.rho,
-        mse_threshold=args.mse_threshold,
-        t_cap=args.t_cap,
-        epsilon_m_override=args.eps_m_override,
+        planner_inputs=_planner_inputs(args, data.n_rows, data.n_dims, k, epsilons[0]),
         canopy_params=_canopy_params(args),
         n_partitions=args.partitions,
         threads=args.threads,

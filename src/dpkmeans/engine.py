@@ -13,9 +13,11 @@ partition count only controls how blocks are grouped onto threads.
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
-``run_edpdcs`` and ``run_baseline`` each make one call into it.  A variant
-is an initialization, a list of (iteration, epsilon or None) steps and an
-optional stop rule:
+``run_edpdcs`` and ``run_baseline`` each make one call into it.  Which
+inputs a variant reads -- an epsilon, planner inputs, canopy params -- is
+said once, by :class:`Variant`'s predicates, and every caller asks them.  A
+variant is an initialization, a list of (iteration, epsilon or None) steps
+and an optional stop rule:
 
 - ``EDPDCS``: canopy initialization (charged as the first iteration) plus
   planner-scheduled noisy Lloyd steps at a uniform per-iteration budget.
@@ -58,12 +60,27 @@ NONPRIVATE_SHIFT_TOL = 1e-9
 
 
 class Variant(str, Enum):
-    """Selectable clustering strategies."""
+    """Selectable clustering strategies, and which inputs each one reads."""
 
     EDPDCS = "EDPDCS"
     RF_DPKM = "RF_DPKM"
     RU_DPKM = "RU_DPKM"
     NONPRIVATE = "NONPRIVATE"
+
+    @property
+    def spends_epsilon(self) -> bool:
+        """Takes a privacy budget; NONPRIVATE alone runs without one."""
+        return self is not Variant.NONPRIVATE
+
+    @property
+    def takes_planner_inputs(self) -> bool:
+        """Runs the budget planner's schedule, so reads ``PlannerInputs``."""
+        return self in (Variant.EDPDCS, Variant.RF_DPKM)
+
+    @property
+    def has_canopy_start(self) -> bool:
+        """Starts from canopy centroids, so reads ``CanopyParams``."""
+        return self in (Variant.EDPDCS, Variant.NONPRIVATE)
 
 
 @dataclass(frozen=True)
@@ -132,18 +149,15 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
 class _BlockAggregator:
     """Runs the map phase over fixed blocks, optionally on a thread pool."""
 
-    def __init__(self, data: Dataset, config: EngineConfig):
+    def __init__(self, data: Dataset, n_partitions: int, workers: int):
         self._points = data.points
         self._spans = block_spans(data.n_rows)
         self._executor: ThreadPoolExecutor | None = None
         self._groups: list[np.ndarray] = []
-        workers = config.resolved_threads()
-        if workers > 1 and config.n_partitions > 1 and len(self._spans) > 1:
+        if workers > 1 and n_partitions > 1 and len(self._spans) > 1:
             self._groups = [
                 g
-                for g in np.array_split(
-                    np.arange(len(self._spans)), config.n_partitions
-                )
+                for g in np.array_split(np.arange(len(self._spans)), n_partitions)
                 if g.size
             ]
             self._executor = ThreadPoolExecutor(max_workers=workers)
@@ -215,14 +229,15 @@ def _run_lloyd(
 ) -> tuple[CentroidSet, Assignment, RunReport]:
     """One run of any variant: checks, set-up, the Lloyd loop and the report.
 
-    Only EDPDCS and RF_DPKM have a plan, so only they take
-    ``planner_inputs``; RF_DPKM plans from the data shape without them.
-    Only a canopy start takes ``canopy_params``: EDPDCS, and NONPRIVATE
-    unless it starts from ``initial_centroids``.  ``epsilon`` is None
-    exactly for NONPRIVATE, which is charged nothing; every other run's
-    budget is ``epsilon``, spent through a ledger.  EDPDCS charges its
-    canopy start as the plan's first iteration and runs iterations 2 .. T;
-    RF_DPKM runs 1 .. T from random rows.
+    The variant's predicates say which inputs it reads, and any other input
+    is refused.  A variant that takes planner inputs runs the plan's
+    schedule, planning from the data shape when none are given.  A canopy
+    start takes ``canopy_params``, unless the run starts from
+    ``initial_centroids``.  ``epsilon`` is None exactly for a variant that
+    spends none, which is charged nothing; every other run's budget is
+    ``epsilon``, spent through a ledger.  A planned run with a canopy start
+    (EDPDCS) charges that start as the plan's first iteration and runs
+    iterations 2 .. T; RF_DPKM runs 1 .. T from random rows.
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
     charged to the ledger before its labelling pass reads any data, and the
@@ -237,9 +252,9 @@ def _run_lloyd(
     which gives the assignment and the report's NICV.
     """
     variant = config.variant
-    if planner_inputs is not None and variant not in (Variant.EDPDCS, Variant.RF_DPKM):
+    if planner_inputs is not None and not variant.takes_planner_inputs:
         raise InvalidInputError(f"{variant.value} takes no planner_inputs")
-    if canopy_params is not None and variant not in (Variant.EDPDCS, Variant.NONPRIVATE):
+    if canopy_params is not None and not variant.has_canopy_start:
         raise InvalidInputError(f"{variant.value} takes no canopy_params")
     if canopy_params is not None and initial_centroids is not None:
         raise InvalidInputError(
@@ -265,9 +280,9 @@ def _run_lloyd(
             raise InvalidInputError(
                 f"initial centroids have shape {shape}, expected ({k}, {data.n_dims})"
             )
-    if variant is Variant.NONPRIVATE:
+    if not variant.spends_epsilon:
         if epsilon is not None:
-            raise InvalidInputError("NONPRIVATE spends no budget; pass epsilon=None")
+            raise InvalidInputError(f"{variant.value} spends no budget; pass epsilon=None")
     else:
         if epsilon is None or not 0.0 < epsilon < np.inf:
             raise InvalidInputError(
@@ -282,15 +297,15 @@ def _run_lloyd(
     notes: list[str] = []
     ledger = None if epsilon is None else BudgetLedger(total=epsilon)
     plan: BudgetPlan | None = None
-    if variant in (Variant.EDPDCS, Variant.RF_DPKM):
+    if variant.takes_planner_inputs:
         planner_inputs = planner_inputs or PlannerInputs(
             n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilon
         )
         plan = make_plan(planner_inputs)
-        first = 2 if variant is Variant.EDPDCS else 1
+        first = 2 if variant.has_canopy_start else 1
         steps = [(t, plan.epsilon_per_iter) for t in range(first, plan.iterations + 1)]
         stop = None
-    elif variant is Variant.RU_DPKM:
+    elif variant.spends_epsilon:
         steps = [(t, epsilon / 2.0 ** (t + 1)) for t in range(1, RU_MAX_ITERS + 1)]
         stop = (RU_SHIFT_TOL, "converged at iteration {t} (shift {shift:.3g})")
     else:
@@ -302,10 +317,10 @@ def _run_lloyd(
     if initial_centroids is not None:
         start = initial_centroids.centroids
         notes.append("started from supplied centroids")
-    elif variant in (Variant.EDPDCS, Variant.NONPRIVATE):
+    elif variant.has_canopy_start:
         canopy_params = canopy_params or CanopyParams()
         init_share = None
-        if variant is Variant.EDPDCS:
+        if variant.spends_epsilon:
             init_budget = plan.epsilon_per_iter
             ledger.charge("init", init_budget)
             init_share = plan.epsilon_dim
@@ -333,7 +348,8 @@ def _run_lloyd(
     init_ms = 1e3 * (time.perf_counter() - t_start)
     iter_ms: list[float] = []
     centroids = start
-    aggregator = _BlockAggregator(data, config)
+    threads = config.resolved_threads()
+    aggregator = _BlockAggregator(data, config.n_partitions, threads)
     try:
         for t, epsilon in steps:
             t0 = time.perf_counter()
@@ -375,12 +391,12 @@ def _run_lloyd(
     finally:
         aggregator.close()
 
-    if config.variant is Variant.RU_DPKM:
+    if variant is Variant.RU_DPKM:
         notes.append(f"residual budget {ledger.remaining:.6g} left by halving schedule")
     elif ledger is not None:
         ledger.assert_fully_spent()
     report = RunReport(
-        variant=config.variant.value,
+        variant=variant.value,
         epsilon=None if ledger is None else ledger.total,
         master_seed=config.master_seed,
         n_rows=data.n_rows,
@@ -393,7 +409,7 @@ def _run_lloyd(
         budget_remaining=0.0 if ledger is None else ledger.remaining,
         plan=None if plan is None else plan.to_dict(),
         iterations=trace,
-        config=_replay_config(config, planner_inputs, canopy_params),
+        config=_replay_config(config, threads, planner_inputs, canopy_params),
         notes=notes,
         timings_ms={
             "note": "wall clock; excluded from reproducibility comparisons",
@@ -457,9 +473,9 @@ def run_baseline(
     the largest centroid movement drops below ``RU_SHIFT_TOL``, after at
     most ``RU_MAX_ITERS``; whatever the halving schedule leaves unspent is
     reported as residual.  NONPRIVATE runs exact Lloyd to convergence from
-    noise-free canopy initialization and takes no epsilon.  Only RF_DPKM
-    has a plan, so only it takes ``planner_inputs``; only NONPRIVATE has a
-    canopy start, so only it takes ``canopy_params``.
+    noise-free canopy initialization and takes no epsilon.  Of these, only
+    RF_DPKM takes ``planner_inputs`` and only NONPRIVATE ``canopy_params``,
+    as :class:`Variant`'s predicates say.
 
     ``initial_centroids`` overrides the variant's own initialization, which
     is how like-for-like comparisons pin both runs to the same start; a
@@ -481,11 +497,12 @@ def run_baseline(
 
 def _replay_config(
     config: EngineConfig,
+    threads: int,
     planner_inputs: PlannerInputs | None,
     canopy_params: CanopyParams | None,
 ) -> dict:
     out = {
-        "threads": config.resolved_threads(),
+        "threads": threads,
         "nonprivate_max_iters": config.nonprivate_max_iters,
     }
     if planner_inputs is not None:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
+from dpkmeans.canopy import CanopyParams
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
+from dpkmeans.planner import PlannerInputs
 
 
 def nicv(data: Dataset, centroid_set: CentroidSet, assignment: Assignment) -> float:
@@ -172,109 +174,74 @@ def compare_variants(
     n_seeds: int,
     *,
     base_seed: int = 0,
-    rho: float | None = None,
-    mse_threshold: float | None = None,
-    t_cap: int | None = None,
-    epsilon_m_override: float | None = None,
-    canopy_params=None,
+    planner_inputs: PlannerInputs | None = None,
+    canopy_params: CanopyParams | None = None,
     n_partitions: int = 1,
     threads: int | None = None,
-    variants: Sequence[str] | None = None,
 ) -> ComparisonSummary:
     """Run every variant over an epsilon grid with paired seeds.
 
     Each (variant, epsilon) cell aggregates ``n_seeds`` runs at master
     seeds ``base_seed .. base_seed + n_seeds - 1``; the same seed list is
-    used for every cell so the comparison is paired.  NONPRIVATE ignores
-    epsilon and runs once (at ``base_seed``) as the exact floor reference.
-    The first run that raises stops the sweep with its error.
+    used for every cell so the comparison is paired.  A variant that spends
+    no epsilon (NONPRIVATE) has one cell, with no epsilon, of one run at
+    ``base_seed``: the exact floor reference.
+
+    Each run reads only the inputs its variant takes, as :class:`Variant`'s
+    predicates say, and gets them as ``dpkmeans run`` would.
+    ``planner_inputs`` holds the grid's planner settings, with the first
+    epsilon as ``epsilon_total``, and each cell runs a copy at its own
+    epsilon; by default the planner's defaults at the data's shape.  The
+    epsilons must not repeat.  The first run that raises stops the sweep
+    with its error.
     """
-    from dpkmeans.canopy import CanopyParams
     from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
-    from dpkmeans.planner import (
-        DEFAULT_MSE_THRESHOLD,
-        DEFAULT_RHO,
-        DEFAULT_T_CAP,
-        PlannerInputs,
-    )
 
     if n_seeds < 1:
         raise InvalidInputError(f"n_seeds must be >= 1, got {n_seeds}")
     if not epsilons:
         raise InvalidInputError("need at least one epsilon")
-    rho = DEFAULT_RHO if rho is None else rho
-    mse_threshold = DEFAULT_MSE_THRESHOLD if mse_threshold is None else mse_threshold
-    t_cap = DEFAULT_T_CAP if t_cap is None else t_cap
-    canopy_params = canopy_params or CanopyParams()
-    wanted = [Variant(v) for v in variants] if variants else list(Variant)
+    if len(set(epsilons)) != len(epsilons):
+        raise InvalidInputError(f"epsilons must not repeat, got {list(epsilons)}")
+    template = planner_inputs or PlannerInputs(
+        n_rows=data.n_rows, n_dims=data.n_dims, k=k, epsilon_total=epsilons[0]
+    )
+    if template.epsilon_total != epsilons[0]:
+        raise InvalidInputError(
+            "planner_inputs.epsilon_total must be the grid's first epsilon"
+        )
 
     seeds = [base_seed + i for i in range(n_seeds)]
     cells: list[ComparisonCell] = []
     all_runs: list[RunReport] = []
-
-    def config_for(variant: Variant, seed: int) -> EngineConfig:
-        return EngineConfig(
-            variant=variant,
-            n_partitions=n_partitions,
-            master_seed=seed,
-            threads=threads,
-        )
-
-    for variant in (v for v in wanted if v is not Variant.NONPRIVATE):
-        for eps in epsilons:
-            inputs = PlannerInputs(
-                n_rows=data.n_rows,
-                n_dims=data.n_dims,
-                k=k,
-                epsilon_total=eps,
-                rho=rho,
-                mse_threshold=mse_threshold,
-                t_cap=t_cap,
-                epsilon_m_override=epsilon_m_override,
-            )
+    for variant in Variant:
+        private = variant.spends_epsilon
+        for eps in epsilons if private else [None]:
+            inputs = None
+            if variant.takes_planner_inputs:
+                inputs = replace(template, epsilon_total=eps)
+            canopy = canopy_params if variant.has_canopy_start else None
             reports = []
-            for seed in seeds:
+            for seed in seeds if private else seeds[:1]:
+                config = EngineConfig(
+                    variant=variant,
+                    n_partitions=n_partitions,
+                    master_seed=seed,
+                    threads=threads,
+                )
                 if variant is Variant.EDPDCS:
-                    _, _, report = run_edpdcs(
-                        data, k, inputs, canopy_params, config_for(variant, seed)
-                    )
+                    _, _, report = run_edpdcs(data, k, inputs, canopy, config)
                 else:
                     _, _, report = run_baseline(
-                        data,
-                        k,
-                        eps,
-                        config_for(variant, seed),
-                        planner_inputs=inputs if variant is Variant.RF_DPKM else None,
+                        data, k, eps, config, planner_inputs=inputs, canopy_params=canopy
                     )
                 reports.append(report)
             all_runs.extend(reports)
             cells.append(_summarize(variant.value, eps, reports))
 
-    if Variant.NONPRIVATE in wanted:
-        _, _, report = run_baseline(
-            data,
-            k,
-            None,
-            config_for(Variant.NONPRIVATE, base_seed),
-            canopy_params=canopy_params,
-        )
-        all_runs.append(report)
-        cells.append(_summarize(Variant.NONPRIVATE.value, None, [report]))
-
-    return ComparisonSummary(
-        cells=cells,
-        runs=all_runs,
-        notes=[],
-        config={
-            "k": k,
-            "epsilons": list(epsilons),
-            "seeds": seeds,
-            "rho": rho,
-            "mse_threshold": mse_threshold,
-            "t_cap": t_cap,
-            "epsilon_m_override": epsilon_m_override,
-            "n_rows": data.n_rows,
-            "n_dims": data.n_dims,
-            "source_label": data.source_label,
-        },
+    config = asdict(template)
+    del config["epsilon_total"]
+    config.update(
+        epsilons=list(epsilons), seeds=seeds, source_label=data.source_label
     )
+    return ComparisonSummary(cells=cells, runs=all_runs, notes=[], config=config)

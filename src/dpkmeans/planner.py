@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from dpkmeans.core import InvalidInputError
 
@@ -117,15 +117,7 @@ class BudgetPlan:
     epsilon_count: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon_total": self.epsilon_total,
-            "epsilon_m": self.epsilon_m,
-            "epsilon_m_computed": self.epsilon_m_computed,
-            "iterations": self.iterations,
-            "epsilon_per_iter": self.epsilon_per_iter,
-            "epsilon_dim": self.epsilon_dim,
-            "epsilon_count": self.epsilon_count,
-        }
+        return asdict(self)
 
 
 def minimal_iteration_budget(inputs: PlannerInputs) -> float:

@@ -163,13 +163,7 @@ class TestCriterion6:
         label = "mean NICV of EDPDCS beats RF_DPKM and RU_DPKM (30 seeds)"
         with criterion(6, label):
             t0 = time.perf_counter()
-            summary = compare_variants(
-                blood_like,
-                2,
-                EPSILON_GRID,
-                30,
-                variants=["EDPDCS", "RF_DPKM", "RU_DPKM"],
-            )
+            summary = compare_variants(blood_like, 2, EPSILON_GRID, 30)
 
             def wins(eps):
                 ours = summary.cell("EDPDCS", eps).mean_nicv

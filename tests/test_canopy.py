@@ -326,7 +326,6 @@ class TestCanopySummary:
         compare_variants(
             data, 3, [1.0, 3.0], n_seeds=3, base_seed=5,
             canopy_params=CanopyParams(subsample_size=100),
-            variants=["EDPDCS", "NONPRIVATE"],
         )
         # Master seeds 5, 6 and 7; NONPRIVATE runs at 5.
         assert len(radii) == 3

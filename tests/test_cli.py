@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dpkmeans.cli import main
+from dpkmeans.evaluation import RunReport
 
 BLOOD_SAMPLE = """\
 Recency,Frequency,Monetary,Time,Donated
@@ -78,6 +79,22 @@ class TestPlan:
     def test_missing_required_flag_is_usage_error(self, capsys):
         rc = main(["plan", "--n", "10", "--d", "2", "--eps", "1.0"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ["--n", "50", "--d", "2", "--dataset", "/nonexistent.csv", "--preset", "blood"],
+            ["--n", "50", "--synthetic", "300,3,2"],
+            ["--d", "2", "--synthetic", "300,3,2"],
+            ["--n", "50"],
+            ["--d", "2"],
+        ],
+        ids=["n-d-and-dataset", "n-and-synthetic", "d-and-synthetic", "n-alone", "d-alone"],
+    )
+    def test_ignored_shape_flag_is_usage_error(self, capsys, shape):
+        assert main(["plan", "--k", "2", "--eps", "1", *shape]) == 1
+        captured = capsys.readouterr()
+        assert "error" in captured.err and not captured.out
 
 
 class TestRun:
@@ -282,8 +299,41 @@ class TestCompare:
         assert rc == 1
 
 
+#: Flags each variant's ``run`` accepts beyond the dataset and seed, and that
+#: ``compare`` passes to every variant.
+_PLANNER_FLAGS = ["--rho", "0.4", "--mse-threshold", "0.02", "--t-cap", "3"]
+_CANOPY_FLAGS = ["--t1", "0.5", "--t2", "0.2", "--subsample", "200"]
+_RUN_FLAGS = {
+    "EDPDCS": _PLANNER_FLAGS + _CANOPY_FLAGS,
+    "RF_DPKM": _PLANNER_FLAGS,
+    "RU_DPKM": [],
+    "NONPRIVATE": _CANOPY_FLAGS,
+}
+
+
+def test_compare_builds_each_run_as_run_does(out_dir):
+    """Every run of a grid matches ``run`` at its variant, epsilon and seed."""
+    data = ["--synthetic", "300,3,3", "--k", "3"]
+    argv = ["compare", *data, *_PLANNER_FLAGS, *_CANOPY_FLAGS, "--eps", "0.5,2"]
+    assert main([*argv, "--seeds", "2", "--seed", "4"]) == 0
+    grid = json.loads((out_dir / "comparison.json").read_text())["runs"]
+    assert len(grid) == 3 * 2 * 2 + 1
+    for blob in grid:
+        variant, eps, seed = blob["variant"], blob["epsilon"], blob["master_seed"]
+        flags = [*data, "--variant", variant.lower(), "--seed", str(seed)]
+        if eps is not None:
+            flags += ["--eps", repr(eps)]
+        out = out_dir / f"{variant}-{eps}-{seed}.json"
+        assert main(["run", *flags, *_RUN_FLAGS[variant], "--out", str(out)]) == 0
+        alone = json.loads(out.read_text())
+        assert (
+            RunReport(**blob, timings_ms={}).comparable_json()
+            == RunReport(**alone, timings_ms={}).comparable_json()
+        ), (variant, eps, seed)
+
+
 class TestInvalidNumbers:
-    """Non-finite budgets and radii, and non-integer sizes, are usage errors."""
+    """Non-finite budgets and radii, repeated budgets and non-integer sizes are usage errors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -294,6 +344,7 @@ class TestInvalidNumbers:
             ["run", "--synthetic", "100,2,2", "--rho", "nan"],
             ["run", "--synthetic", "100,2,2", "--variant", "ru", "--eps", "nan"],
             ["compare", "--synthetic", "100,2,2", "--k", "2", "--eps", "nan", "--seeds", "1"],
+            ["compare", "--synthetic", "50,2,2", "--k", "2", "--seeds", "2", "--eps", "1,1"],
             ["run", "--synthetic", "300,2,2", "--t1", "nan", "--t2", "nan"],
             ["run", "--synthetic", "300.9,2.5,2"],
         ],
@@ -304,6 +355,7 @@ class TestInvalidNumbers:
             "run-rho-nan",
             "run-ru-eps-nan",
             "compare-eps-nan",
+            "compare-eps-repeated",
             "run-radii-nan",
             "run-fractional-synthetic",
         ],

@@ -136,9 +136,7 @@ class TestReduceCluster:
             counts += c
             sums += s
         for parts in (1, 2, 3):
-            agg = engine._BlockAggregator(
-                data, EngineConfig(n_partitions=parts, threads=2)
-            )
+            agg = engine._BlockAggregator(data, parts, min(parts, 2))
             try:
                 got_counts, got_sums, _, _ = agg.labelling_pass(centroids, 4)
             finally:

@@ -164,9 +164,7 @@ class TestCompareVariants:
             summary.cell("EDPDCS", 9.9)
 
     def test_mean_matches_individual_runs(self, small_blobs):
-        summary = compare_variants(
-            small_blobs, 3, [1.0], 3, variants=["EDPDCS", "NONPRIVATE"]
-        )
+        summary = compare_variants(small_blobs, 3, [1.0], 3)
         runs = [
             r for r in summary.runs if r.variant == "EDPDCS" and r.epsilon == 1.0
         ]
@@ -177,17 +175,11 @@ class TestCompareVariants:
         )
 
     def test_dp_runs_never_beat_exact_floor(self, small_blobs):
-        summary = compare_variants(
-            small_blobs, 3, [1.0], 2, variants=["EDPDCS", "RF_DPKM", "NONPRIVATE"]
-        )
+        summary = compare_variants(small_blobs, 3, [1.0], 2)
         floor = summary.cell("NONPRIVATE", None).mean_nicv
         for run in summary.runs:
             if run.variant != "NONPRIVATE":
                 assert run.nicv >= floor - 1e-9
-
-    def test_variant_subset_respected(self, small_blobs):
-        summary = compare_variants(small_blobs, 3, [1.0], 1, variants=["RU_DPKM"])
-        assert {c.variant for c in summary.cells} == {"RU_DPKM"}
 
     def test_failed_run_raises(self, small_blobs, monkeypatch):
         import dpkmeans.engine as engine_mod
@@ -197,30 +189,51 @@ class TestCompareVariants:
 
         monkeypatch.setattr(engine_mod, "run_baseline", boom)
         with pytest.raises(RuntimeError, match="synthetic failure"):
-            compare_variants(small_blobs, 3, [1.0], 1, variants=["EDPDCS", "RF_DPKM"])
+            compare_variants(small_blobs, 3, [1.0], 1)
 
     def test_validation(self, small_blobs):
         with pytest.raises(InvalidInputError):
             compare_variants(small_blobs, 3, [], 1)
         with pytest.raises(InvalidInputError):
             compare_variants(small_blobs, 3, [1.0], 0)
+        # Two cells would share the key summary.cell() looks them up by.
+        with pytest.raises(InvalidInputError, match="must not repeat"):
+            compare_variants(small_blobs, 3, [1.0, 2.0, 1], 1)
+        template = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=2.0)
+        with pytest.raises(InvalidInputError, match="first epsilon"):
+            compare_variants(small_blobs, 3, [0.5, 2.0], 1, planner_inputs=template)
+
+    def test_planner_template_runs_at_each_epsilon(self, small_blobs):
+        template = PlannerInputs(
+            n_rows=400, n_dims=3, k=3, epsilon_total=0.5, rho=0.4, t_cap=3
+        )
+        summary = compare_variants(
+            small_blobs, 3, [0.5, 2.0], 1, planner_inputs=template
+        )
+        planned = [r for r in summary.runs if r.variant in ("EDPDCS", "RF_DPKM")]
+        assert len(planned) == 4
+        for run in planned:
+            assert run.config["planner_inputs"] == dataclasses.asdict(
+                dataclasses.replace(template, epsilon_total=run.epsilon)
+            )
+        for run in summary.runs:
+            if run.variant not in ("EDPDCS", "RF_DPKM"):
+                assert "planner_inputs" not in run.config
+        assert (summary.config["rho"], summary.config["t_cap"]) == (0.4, 3)
+        assert "epsilon_total" not in summary.config
 
     def test_summary_json(self, small_blobs):
-        summary = compare_variants(
-            small_blobs, 3, [1.0], 1, variants=["EDPDCS", "NONPRIVATE"]
-        )
+        summary = compare_variants(small_blobs, 3, [1.0], 1)
         blob = json.loads(summary.to_json())
-        assert len(blob["cells"]) == 2 and blob["notes"] == []
-        assert len(blob["runs"]) == len(summary.runs) == 2
+        assert len(blob["cells"]) == 4 and blob["notes"] == []
+        assert len(blob["runs"]) == len(summary.runs) == 4
         for run in blob["runs"]:
             assert "timings_ms" not in run
 
 
 class TestComparisonCsv:
     def test_round_trip(self, small_blobs, tmp_path):
-        summary = compare_variants(
-            small_blobs, 3, [0.5], 2, variants=["EDPDCS", "NONPRIVATE"]
-        )
+        summary = compare_variants(small_blobs, 3, [0.5], 2)
         path = tmp_path / "cells.csv"
         write_comparison_csv(summary, str(path))
         with open(path, newline="") as fh:
