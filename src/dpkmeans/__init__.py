@@ -8,14 +8,14 @@ The package is organized around a small pipeline:
 - :mod:`dpkmeans.canopy` picks initial centroids from noisy canopy
   pre-clusters,
 - :mod:`dpkmeans.engine` runs partitioned Lloyd iterations with Laplace
-  noise injected at the reduce step,
+  noise injected at the reduce step and reports each run,
 - :mod:`dpkmeans.evaluation` scores runs (NICV) and drives multi-variant
   comparisons.
 """
 
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
-from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
-from dpkmeans.evaluation import RunReport, compare_variants, nicv
+from dpkmeans.engine import EngineConfig, RunReport, Variant, run_baseline, run_edpdcs
+from dpkmeans.evaluation import compare_variants, nicv
 from dpkmeans.mechanism import BudgetExhaustedError, BudgetLedger
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
 

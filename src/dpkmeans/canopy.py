@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dpkmeans.core import CentroidSet, Dataset, InvalidInputError
+from dpkmeans.core import Dataset, InvalidInputError
 from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_uniforms
 
 logger = logging.getLogger(__name__)
@@ -65,18 +65,14 @@ class CanopyParams:
 
 @dataclass
 class Canopy:
-    """One canopy: a seed row plus its loose and tight members.
+    """One canopy: how many rows its seed holds loosely, and its tight rows.
 
-    Indices refer to rows of the array handed to :func:`run_canopy`.
+    Indices refer to rows of the array handed to :func:`run_canopy`; the
+    seed is the first tight member.
     """
 
-    seed_index: int
-    member_indices: np.ndarray
+    size: int
     tight_member_indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.member_indices.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +98,6 @@ class _CanopySummary:
     sums: np.ndarray
 
 
-@dataclass
-class InitResult:
-    """Outcome of initial-centroid selection."""
-
-    centroids: CentroidSet
-    noise_draws: int = 0
-    notes: list[str] = field(default_factory=list)
-
-
 #: Summaries per dataset (hashed by identity) and per key.  Two threads may
 #: compute one entry twice, with the same values.
 _SUMMARIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -127,10 +114,8 @@ def default_thresholds(points: np.ndarray) -> tuple[float, float]:
     n = points.shape[0]
     if n < 2:
         raise InvalidInputError("need at least 2 points to derive canopy thresholds")
-    stride = max(1, -(-n // _THRESHOLD_PROBE_ROWS))  # ceil division
+    stride = -(-n // _THRESHOLD_PROBE_ROWS)  # ceil division: keeps >= 2 of n >= 2 rows
     probe = points[::stride]
-    if probe.shape[0] < 2:
-        probe = points[:2]
     mean_dist = float(pdist(probe).mean())
     if mean_dist <= 0.0:
         # All probed points coincide; fall back to a small absolute radius.
@@ -143,8 +128,8 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
     """Single-pass canopy clustering over the given rows.
 
     Repeatedly pops the lowest-index remaining candidate as a canopy seed,
-    collects every candidate within t1 as a loose member and every
-    candidate within t2 as a tight member, and retires the tight members.
+    counts the candidates within t1 as its loose members, collects those
+    within t2 as its tight members, and retires the tight members.
     Canopies are returned ranked by loose member count, largest first,
     with ties keeping creation (seed index) order.
 
@@ -165,38 +150,28 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
     while candidates.size:
         seed = int(candidates[0])
         d2 = ((points[candidates] - points[seed]) ** 2).sum(axis=1)
-        loose_mask = d2 <= t1_sq
         tight_mask = d2 <= t2_sq
-        # The seed is at distance 0, so it is always a tight member and is
-        # retired with the rest of the tight set.
+        # The seed is at distance 0, so it is always the first tight member
+        # and is retired with the rest of the tight set.
         canopies.append(
-            Canopy(
-                seed_index=seed,
-                member_indices=candidates[loose_mask].copy(),
-                tight_member_indices=candidates[tight_mask].copy(),
-            )
+            Canopy(int(np.count_nonzero(d2 <= t1_sq)), candidates[tight_mask])
         )
         candidates = candidates[~tight_mask]
 
     return sorted(canopies, key=lambda canopy: -canopy.size)
 
 
-def draw_subsample(
-    data: Dataset, subsample_size: int, seed: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform row subsample without replacement, returned in dataset order.
+def draw_subsample(data: Dataset, subsample_size: int, seed: int | None) -> np.ndarray:
+    """Rows of a uniform subsample without replacement, in dataset order.
 
-    Returns (points, row_indices).  When the dataset is no larger than the
-    requested size the whole dataset is returned and no randomness is used.
+    When the dataset is no larger than the requested size the whole dataset
+    is returned and no randomness is used.
     """
     n = data.n_rows
     if subsample_size >= n:
-        idx = np.arange(n, dtype=np.int64)
-        return data.points, idx
+        return data.points
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.choice(n, size=subsample_size, replace=False)
-    idx = np.sort(idx).astype(np.int64)
-    return data.points[idx], idx
+    return data.points[np.sort(rng.choice(n, size=subsample_size, replace=False))]
 
 
 def _canopy_summary(
@@ -221,7 +196,7 @@ def _canopy_summary(
     if summary is not None:
         return summary
 
-    points, _ = draw_subsample(data, params.subsample_size, seed)
+    points = draw_subsample(data, params.subsample_size, seed)
     if params.t1 is not None:
         t1, t2 = float(params.t1), float(params.t2)
     else:
@@ -249,8 +224,11 @@ def select_initial_centroids(
     params: CanopyParams,
     master_seed: int,
     epsilon_share: float | None = None,
-) -> InitResult:
+) -> tuple[np.ndarray, int, list[str]]:
     """Pick k starting centroids from the most populated canopies.
+
+    Returns the (k, d) start, the number of noise draws it took and the
+    notes it made.
 
     The canopies come from :func:`_canopy_summary`.  Given an
     ``epsilon_share``, the centroids are the
@@ -309,8 +287,4 @@ def select_initial_centroids(
             k,
         )
 
-    return InitResult(
-        centroids=CentroidSet(centroids=rows, noisy=epsilon_share is not None),
-        noise_draws=draws,
-        notes=notes,
-    )
+    return rows, draws, notes

@@ -57,10 +57,6 @@ _VARIANTS = {
 }
 
 
-class _UsageError(Exception):
-    """Raised for argument combinations argparse alone cannot reject."""
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with status 1, not 2."""
 
@@ -85,11 +81,11 @@ def _parse_list(text: str, flag: str, kind: type = float) -> list:
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _UsageError(
+        raise InvalidInputError(
             f"{flag} expects comma-separated {kind.__name__} values, got {text!r}"
         ) from exc
     if not values:
-        raise _UsageError(f"{flag} must not be empty")
+        raise InvalidInputError(f"{flag} must not be empty")
     return values
 
 
@@ -195,15 +191,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_layout_flags(args: argparse.Namespace) -> None:
+    """Refuse the CSV layout flags unless a CSV is given; no other input reads them."""
+    if args.dataset:
+        return
+    for name in ("preset", "features", "has_header"):
+        if getattr(args, name):
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInputError(f"{flag} needs --dataset")
+
+
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, int | None]:
     """Resolve the dataset selection flags; returns (normalized data, default k)."""
     if args.dataset and args.synthetic:
-        raise _UsageError("--dataset and --synthetic are mutually exclusive")
+        raise InvalidInputError("--dataset and --synthetic are mutually exclusive")
     if args.synthetic or not args.dataset:
         spec = args.synthetic or "2000,4,3"
         parts = _parse_list(spec, "--synthetic", int)
         if len(parts) not in (3, 4):
-            raise _UsageError("--synthetic expects N,D,CENTERS[,SEED]")
+            raise InvalidInputError("--synthetic expects N,D,CENTERS[,SEED]")
         n, d, centers = parts[:3]
         data_seed = parts[3] if len(parts) == 4 else 0
         if not args.synthetic:
@@ -211,7 +217,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, int | None]:
         return synthetic_blobs(n, d, centers, data_seed), centers
 
     if args.preset and args.features:
-        raise _UsageError("--preset and --features are mutually exclusive")
+        raise InvalidInputError("--preset and --features are mutually exclusive")
     if args.preset:
         columns, default_k, has_header = PRESETS[args.preset]
     elif args.features:
@@ -219,7 +225,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, int | None]:
         columns = [ColumnSpec(index=i, name=f"f{i}") for i in indices]
         default_k, has_header = None, args.has_header
     else:
-        raise _UsageError("--dataset needs either --preset or --features")
+        raise InvalidInputError("--dataset needs either --preset or --features")
     loaded = load_csv(args.dataset, columns, has_header=has_header or args.has_header)
     data, _ = normalize(loaded.data, loaded.columns)
     return data, default_k
@@ -230,7 +236,7 @@ def _resolve_k(args: argparse.Namespace, default_k: int | None) -> int:
         return args.k
     if default_k is not None:
         return default_k
-    raise _UsageError("--k is required for this dataset selection")
+    raise InvalidInputError("--k is required for this dataset selection")
 
 
 def _planner_inputs(
@@ -263,15 +269,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     selected = args.dataset or args.synthetic
     if args.n is not None or args.d is not None:
         if selected:
-            raise _UsageError("--n/--d and a dataset selection are mutually exclusive")
+            raise InvalidInputError("--n/--d and a dataset selection are mutually exclusive")
         if args.n is None or args.d is None:
-            raise _UsageError("--n and --d go together")
+            raise InvalidInputError("--n and --d go together")
         n_rows, n_dims = args.n, args.d
     elif selected:
         data, _ = _load_dataset(args)
         n_rows, n_dims = data.n_rows, data.n_dims
     else:
-        raise _UsageError("plan needs --n and --d, or a dataset selection")
+        raise InvalidInputError("plan needs --n and --d, or a dataset selection")
     plan = make_plan(_planner_inputs(args, n_rows, n_dims, args.k, args.eps))
 
     print(f"dataset shape        N={n_rows} d={n_dims} k={args.k}")
@@ -302,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in names:
             if getattr(args, name) is not None and not getattr(variant, reads):
                 flag = "--" + name.replace("_", "-")
-                raise _UsageError(f"{flag} has no effect on variant {args.variant}")
+                raise InvalidInputError(f"{flag} has no effect on variant {args.variant}")
     data, default_k = _load_dataset(args)
     k = _resolve_k(args, default_k)
     config = EngineConfig(
@@ -391,10 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_layout_flags(args)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (CsvFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

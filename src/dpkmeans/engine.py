@@ -27,24 +27,28 @@ and an optional stop rule:
 - ``NONPRIVATE``: exact Lloyd steps (epsilon None) with a convergence stop
   from noise-free canopy initialization.
 
-The report traces the initialization and every step once: its iteration,
-phase, budget charge, noise draws, centroid shift, the centroids after it
-and their NICV.  The centroids a step starts from are the previous entry's.
+Each run returns a :class:`RunReport`, built here.  It traces the
+initialization and every step once: its iteration, phase, budget charge,
+noise draws, centroid shift, the centroids after it and their NICV.  The
+centroids a step starts from are the previous entry's.  The report also
+says which of its fields are scheduling-only -- the partition and thread
+counts -- and leaves them and the wall-clock timings out of
+:meth:`RunReport.comparable_json`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from dpkmeans.canopy import CanopyParams, select_initial_centroids
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError, label_points
-from dpkmeans.evaluation import RunReport
 from dpkmeans.mechanism import BudgetLedger, derive_stream_seed, noisy_mean, stream_uniforms
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
 
@@ -119,6 +123,65 @@ class EngineConfig:
         if self.threads is not None:
             return max(1, min(self.threads, self.n_partitions))
         return max(1, min(self.n_partitions, os.cpu_count() or 1))
+
+
+@dataclass
+class RunReport:
+    """Everything needed to understand and replay one clustering run.
+
+    ``timings_ms`` holds wall-clock measurements only; it is excluded from
+    :meth:`to_json` and :meth:`comparable_json` because timing is the one
+    part of a run that is not reproducible.  ``n_partitions`` and the
+    resolved thread count are excluded from :meth:`comparable_json` too:
+    they affect scheduling, never results.
+    """
+
+    variant: str
+    epsilon: float | None
+    master_seed: int
+    n_rows: int
+    n_dims: int
+    k: int
+    n_partitions: int
+    iterations_run: int
+    nicv: float
+    budget_spent: float
+    budget_remaining: float
+    plan: dict | None
+    iterations: list[dict]
+    config: dict
+    notes: list[str]
+    timings_ms: dict
+
+    def to_dict(self, include_timings: bool = True) -> dict:
+        """The report's fields by name.
+
+        The dict is new but shares the report's lists and dicts, which hold
+        only JSON values, so callers copy what they mean to change.
+        """
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not include_timings:
+            out.pop("timings_ms", None)
+        return out
+
+    def to_json(self) -> str:
+        """The report as written to a file: every field but the timings."""
+        return json.dumps(
+            self.to_dict(include_timings=False), indent=2, sort_keys=True
+        )
+
+    def comparable_json(self) -> str:
+        """Canonical JSON of the result-bearing fields only.
+
+        Two runs that differ only in partitioning or wall clock serialize to
+        byte-identical strings here.
+        """
+        out = self.to_dict(include_timings=False)
+        out.pop("n_partitions")
+        config = dict(self.config)
+        config.pop("threads")
+        out["config"] = config
+        return json.dumps(out, indent=2, sort_keys=True)
 
 
 def block_spans(n_rows: int, block_rows: int = MAP_BLOCK_ROWS) -> list[tuple[int, int]]:
@@ -324,12 +387,10 @@ def _run_lloyd(
             init_budget = plan.epsilon_per_iter
             ledger.charge("init", init_budget)
             init_share = plan.epsilon_dim
-        init = select_initial_centroids(
+        start, init_draws, init_notes = select_initial_centroids(
             data, k, canopy_params, config.master_seed, init_share
         )
-        start = init.centroids.centroids
-        notes.extend(init.notes)
-        init_draws = init.noise_draws
+        notes.extend(init_notes)
     else:
         start = _random_row_centroids(
             data, k, derive_stream_seed(config.master_seed, 0, 1)

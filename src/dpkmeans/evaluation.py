@@ -1,9 +1,14 @@
-"""Run reports, clustering quality (NICV), and multi-variant comparisons.
+"""Clustering quality (NICV) and multi-variant comparisons.
 
 NICV -- normalized intra-cluster variance -- is the mean squared distance
 of every point to its assigned centroid.  Lower is better; it is the one
 number used throughout to compare private runs against each other and
 against the exact baseline.
+
+:func:`compare_variants` runs the engine over an epsilon grid and
+summarizes each run's :class:`~dpkmeans.engine.RunReport`.  The engine
+builds the reports, and ``evaluation.RunReport`` is the same class imported
+from it: this module depends on the engine, never the other way round.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from dpkmeans.canopy import CanopyParams
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
+from dpkmeans.engine import EngineConfig, RunReport, Variant, run_baseline, run_edpdcs
 from dpkmeans.planner import PlannerInputs
 
 
@@ -36,65 +42,6 @@ def nicv(data: Dataset, centroid_set: CentroidSet, assignment: Assignment) -> fl
         )
     diffs = data.points - centroid_set.centroids[labels]
     return float((diffs * diffs).sum() / data.n_rows)
-
-
-@dataclass
-class RunReport:
-    """Everything needed to understand and replay one clustering run.
-
-    ``timings_ms`` holds wall-clock measurements only; it is excluded from
-    :meth:`to_json` and :meth:`comparable_json` because timing is the one
-    part of a run that is not reproducible.  ``n_partitions`` and the
-    resolved thread count are excluded from :meth:`comparable_json` too:
-    they affect scheduling, never results.
-    """
-
-    variant: str
-    epsilon: float | None
-    master_seed: int
-    n_rows: int
-    n_dims: int
-    k: int
-    n_partitions: int
-    iterations_run: int
-    nicv: float
-    budget_spent: float
-    budget_remaining: float
-    plan: dict | None
-    iterations: list[dict]
-    config: dict
-    notes: list[str]
-    timings_ms: dict
-
-    def to_dict(self, include_timings: bool = True) -> dict:
-        """The report's fields by name.
-
-        The dict is new but shares the report's lists and dicts, which hold
-        only JSON values, so callers copy what they mean to change.
-        """
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if not include_timings:
-            out.pop("timings_ms", None)
-        return out
-
-    def to_json(self) -> str:
-        """The report as written to a file: every field but the timings."""
-        return json.dumps(
-            self.to_dict(include_timings=False), indent=2, sort_keys=True
-        )
-
-    def comparable_json(self) -> str:
-        """Canonical JSON of the result-bearing fields only.
-
-        Two runs that differ only in partitioning or wall clock serialize to
-        byte-identical strings here.
-        """
-        out = self.to_dict(include_timings=False)
-        out.pop("n_partitions")
-        config = dict(self.config)
-        config.pop("threads")
-        out["config"] = config
-        return json.dumps(out, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -195,8 +142,6 @@ def compare_variants(
     epsilons must not repeat.  The first run that raises stops the sweep
     with its error.
     """
-    from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
-
     if n_seeds < 1:
         raise InvalidInputError(f"n_seeds must be >= 1, got {n_seeds}")
     if not epsilons:

@@ -220,6 +220,8 @@ def synthetic_blobs(
     """
     if n_rows < 1 or n_dims < 1 or n_centers < 1:
         raise InvalidInputError("n_rows, n_dims, n_centers must all be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if weights is not None and (
         len(weights) != n_centers or any(w <= 0 for w in weights)
     ):

@@ -49,11 +49,21 @@ class TestRunCanopy:
 
     def test_three_point_hand_trace(self):
         canopies = run_canopy(THREE_POINTS, t1=0.2, t2=0.1)
-        assert len(canopies) == 2
-        assert sorted(canopies[0].member_indices.tolist()) == [0, 1]
-        assert canopies[1].member_indices.tolist() == [2]
+        assert [c.tight_member_indices.tolist() for c in canopies] == [[0, 1], [2]]
         # ranked largest first
-        assert canopies[0].size == 2 and canopies[1].size == 1
+        assert [c.size for c in canopies] == [2, 1]
+
+    def test_loose_counts_rank_the_canopies(self):
+        # Row 0 holds rows 1-3 loosely but only itself tightly; row 1 then
+        # holds rows 1-3 tightly.  The loose count, 4 against 3, ranks first.
+        pts = np.array([[0.0], [0.15], [0.15], [0.15], [1.0], [1.0]])
+        canopies = run_canopy(pts, t1=0.2, t2=0.1)
+        assert [c.size for c in canopies] == [4, 3, 2]
+        assert [c.tight_member_indices.tolist() for c in canopies] == [
+            [0],
+            [1, 2, 3],
+            [4, 5],
+        ]
 
     def test_largest_first_with_creation_order_ties(self):
         # Five separated groups of identical rows, created in row order with
@@ -61,13 +71,13 @@ class TestRunCanopy:
         sizes = [7, 3, 9, 2, 9]
         pts = np.repeat(0.2 * np.arange(5.0), sizes)[:, None]
         canopies = run_canopy(pts, t1=0.05, t2=0.05)
-        assert [c.seed_index for c in canopies] == [10, 21, 0, 7, 19]
+        assert [c.tight_member_indices[0] for c in canopies] == [10, 21, 0, 7, 19]
         assert [c.size for c in canopies] == [9, 9, 7, 3, 2]
 
     def test_seed_pops_in_ascending_index_order(self):
         canopies = run_canopy(THREE_POINTS, t1=0.2, t2=0.1)
-        assert canopies[0].seed_index == 0
-        assert canopies[1].seed_index == 2
+        assert canopies[0].tight_member_indices[0] == 0
+        assert canopies[1].tight_member_indices[0] == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -112,7 +122,8 @@ class TestRunCanopy:
         b = run_canopy(pts, t1=0.4, t2=0.2)
         assert len(a) == len(b)
         for ca, cb in zip(a, b):
-            assert np.array_equal(ca.member_indices, cb.member_indices)
+            assert ca.size == cb.size
+            assert np.array_equal(ca.tight_member_indices, cb.tight_member_indices)
 
 
 class TestDefaultThresholds:
@@ -138,57 +149,56 @@ class TestDefaultThresholds:
 class TestDrawSubsample:
     def test_small_data_passes_through(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
-        pts, idx = draw_subsample(data, 10, seed=0)
-        assert pts.shape == (3, 2)
-        assert idx.tolist() == [0, 1, 2]
+        assert np.array_equal(draw_subsample(data, 10, seed=0), THREE_POINTS)
 
     def test_subsample_is_sorted_unique_and_seeded(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        data = Dataset(points=rng.random((500, 2)), normalized=True)
-        pts_a, idx_a = draw_subsample(data, 100, seed=9)
-        pts_b, idx_b = draw_subsample(data, 100, seed=9)
-        assert np.array_equal(idx_a, idx_b)
+        # Row i is i / n, so rows drawn once each in dataset order increase
+        # strictly.
+        rows = np.arange(500.0)[:, None] / 500
+        data = Dataset(points=rows, normalized=True)
+        pts_a = draw_subsample(data, 100, seed=9)
+        pts_b = draw_subsample(data, 100, seed=9)
+        assert pts_a.shape == (100, 1)
         assert np.array_equal(pts_a, pts_b)
-        assert len(set(idx_a.tolist())) == 100
-        assert np.all(np.diff(idx_a) > 0)
+        assert np.all(np.diff(pts_a[:, 0]) > 0)
+        assert np.isin(pts_a, rows).all()
 
 
 class TestSelectInitialCentroids:
     def test_exact_mean_in_vanishing_noise_limit(self):
         data = Dataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), normalized=True)
         params = CanopyParams(t1=10.0, t2=10.0)
-        result = select_initial_centroids(data, 1, params, 1, _huge_budget_share(2, 2, 1))
-        assert result.centroids.centroids[0] == pytest.approx([0.5, 0.5], abs=1e-9)
+        start, _, _ = select_initial_centroids(data, 1, params, 1, _huge_budget_share(2, 2, 1))
+        assert start[0] == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_three_point_example_near_tight_means(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
         params = CanopyParams(t1=0.2, t2=0.1)
-        result = select_initial_centroids(data, 2, params, 2, _huge_budget_share(3, 2, 2))
-        got = result.centroids.centroids
+        got, draws, _ = select_initial_centroids(data, 2, params, 2, _huge_budget_share(3, 2, 2))
         assert got[0] == pytest.approx([0.025, 0.0], abs=1e-3)
         assert got[1] == pytest.approx([0.9, 0.9], abs=1e-3)
-        assert result.centroids.noisy
+        assert draws == 2 * (2 + 1)
 
     def test_consumes_k_times_d_plus_one_draws(self, small_blobs):
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
-        result = select_initial_centroids(small_blobs, 3, CanopyParams(), 3, plan.epsilon_dim)
-        assert result.noise_draws == 3 * (3 + 1)
+        _, draws, _ = select_initial_centroids(small_blobs, 3, CanopyParams(), 3, plan.epsilon_dim)
+        assert draws == 3 * (3 + 1)
 
     def test_deterministic_given_seed(self, small_blobs):
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
         params = CanopyParams(subsample_size=100)
-        a = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
-        b = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
-        assert np.array_equal(a.centroids.centroids, b.centroids.centroids)
+        a, _, _ = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
+        b, _, _ = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
+        assert np.array_equal(a, b)
 
     def test_subsample_drawn_from_stream_zero_zero(self, small_blobs):
         data = Dataset(points=small_blobs.points, normalized=True)
         summary = _canopy_summary(data, 3, CanopyParams(subsample_size=100), 8)
-        points, _ = draw_subsample(data, 100, derive_stream_seed(8, 0, 0))
+        points = draw_subsample(data, 100, derive_stream_seed(8, 0, 0))
         top = run_canopy(points, summary.t1, summary.t2)[:3]
         sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in top])
         assert (summary.halvings, summary.t1) == (0, default_thresholds(points)[0])
@@ -198,27 +208,25 @@ class TestSelectInitialCentroids:
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1e-4)
         )
-        result = select_initial_centroids(small_blobs, 3, CanopyParams(), 6, plan.epsilon_dim)
-        got = result.centroids.centroids
+        got, _, _ = select_initial_centroids(small_blobs, 3, CanopyParams(), 6, plan.epsilon_dim)
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
     def test_dp_disabled_returns_exact_means_without_draws(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
-        result = select_initial_centroids(data, 2, CanopyParams(t1=0.2, t2=0.1), 0)
-        assert result.centroids.centroids[0] == pytest.approx([0.025, 0.0])
-        assert result.centroids.centroids[1] == pytest.approx([0.9, 0.9])
-        assert not result.centroids.noisy
-        assert result.noise_draws == 0
+        start, draws, _ = select_initial_centroids(data, 2, CanopyParams(t1=0.2, t2=0.1), 0)
+        assert start[0] == pytest.approx([0.025, 0.0])
+        assert start[1] == pytest.approx([0.9, 0.9])
+        assert draws == 0
 
     def test_identical_points_fall_back_to_random_fill(self):
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
-        result = select_initial_centroids(
+        start, _, notes = select_initial_centroids(
             data, 3, CanopyParams(), 1, _huge_budget_share(20, 2, 3)
         )
-        assert result.centroids.k == 3
-        assert any("filled" in note for note in result.notes)
-        assert np.all(result.centroids.centroids >= 0.0)
-        assert np.all(result.centroids.centroids <= 1.0)
+        assert start.shape == (3, 2)
+        assert any("filled" in note for note in notes)
+        assert np.all(start >= 0.0)
+        assert np.all(start <= 1.0)
 
     def test_noise_is_one_sequential_stream_in_rank_order(self):
         # Identical rows give one canopy for k=3: its centroid takes the first
@@ -226,17 +234,17 @@ class TestSelectInitialCentroids:
         # from stream (0, 1).
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
         plan = make_plan(PlannerInputs(n_rows=20, n_dims=2, k=3, epsilon_total=3.0))
-        result = select_initial_centroids(data, 3, CanopyParams(), 7, plan.epsilon_dim)
+        start, draws, notes = select_initial_centroids(data, 3, CanopyParams(), 7, plan.epsilon_dim)
         rng = np.random.Generator(np.random.PCG64(derive_stream_seed(7, 1, 0)))
         scale = 1.0 / plan.epsilon_dim
         count = 20.0 + laplace_inverse_cdf(rng.random(1), scale)[0]
         sums = data.points.sum(axis=0) + laplace_inverse_cdf(rng.random(2), scale)
         expected = np.clip(sums / max(count, 1.0), 0.0, 1.0)
         fill = np.random.Generator(np.random.PCG64(derive_stream_seed(7, 0, 1)))
-        assert result.noise_draws == 3
-        assert np.array_equal(result.centroids.centroids[0], expected)
-        assert np.array_equal(result.centroids.centroids[1:], fill.random((2, 2)))
-        assert any("filled 2" in note for note in result.notes)
+        assert draws == 3
+        assert np.array_equal(start[0], expected)
+        assert np.array_equal(start[1:], fill.random((2, 2)))
+        assert any("filled 2" in note for note in notes)
 
     def test_threshold_halving_is_reported(self):
         # Two clumps merge into one canopy at the loose default radius but
@@ -246,9 +254,9 @@ class TestSelectInitialCentroids:
         clump_b = 0.55 + 0.01 * rng.random((30, 2))
         data = Dataset(points=np.vstack([clump_a, clump_b]), normalized=True)
         params = CanopyParams(t1=0.5, t2=0.4)
-        result = select_initial_centroids(data, 2, params, 2, _huge_budget_share(60, 2, 2))
-        assert result.centroids.k == 2
-        assert result.notes == ["canopy radii halved 2x to reach 2 canopies"]
+        start, _, notes = select_initial_centroids(data, 2, params, 2, _huge_budget_share(60, 2, 2))
+        assert start.shape == (2, 2)
+        assert notes == ["canopy radii halved 2x to reach 2 canopies"]
         summary = _canopy_summary(data, 2, params, 2)
         assert (summary.t1, summary.t2) == (0.125, 0.1)
 
@@ -365,11 +373,11 @@ class TestCanopySummary:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_start_is_the_tight_rows_mean(self, blood_like, k):
         data = Dataset(points=blood_like.points, normalized=True)
-        result = select_initial_centroids(data, k, CanopyParams(), 0)
+        start, _, _ = select_initial_centroids(data, k, CanopyParams(), 0)
         summary = _canopy_summary(data, k, CanopyParams(), 0)
         top = run_canopy(data.points, summary.t1, summary.t2)[:k]
         expected = np.vstack([data.points[c.tight_member_indices].mean(axis=0) for c in top])
-        assert np.array_equal(result.centroids.centroids, expected)
+        assert np.array_equal(start, expected)
 
     def test_entries_are_read_only_and_shared(self, small_blobs):
         data = Dataset(points=small_blobs.points, normalized=True)

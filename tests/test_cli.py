@@ -347,6 +347,8 @@ class TestInvalidNumbers:
             ["compare", "--synthetic", "50,2,2", "--k", "2", "--seeds", "2", "--eps", "1,1"],
             ["run", "--synthetic", "300,2,2", "--t1", "nan", "--t2", "nan"],
             ["run", "--synthetic", "300.9,2.5,2"],
+            ["run", "--synthetic", "50,2,2,-1"],
+            ["plan", "--synthetic", "50,2,2,-3", "--k", "2", "--eps", "1"],
         ],
         ids=[
             "plan-eps-nan",
@@ -358,12 +360,49 @@ class TestInvalidNumbers:
             "compare-eps-repeated",
             "run-radii-nan",
             "run-fractional-synthetic",
+            "run-negative-synthetic-seed",
+            "plan-negative-synthetic-seed",
         ],
     )
     def test_exits_with_usage_error(self, out_dir, capsys, argv):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
         assert not any(out_dir.iterdir())
+
+
+class TestLayoutFlags:
+    """The CSV layout flags ``--preset``, ``--features`` and ``--has-header`` need ``--dataset``."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--variant", "nonprivate", "--preset", "blood", "--has-header"], "--preset"),
+            (["run", "--has-header"], "--has-header"),
+            (["plan", "--synthetic", "300,3,2", "--preset", "adult", "--k", "2", "--eps", "1"],
+             "--preset"),
+            (["plan", "--n", "50", "--d", "2", "--k", "2", "--eps", "1", "--features", "0,1"],
+             "--features"),
+            (["compare", "--features", "0,1", "--k", "2", "--eps", "1", "--seeds", "1"],
+             "--features"),
+        ],
+        ids=[
+            "run-preset-header",
+            "run-header",
+            "plan-synthetic-preset",
+            "plan-n-d-features",
+            "compare-features",
+        ],
+    )
+    def test_without_dataset_is_usage_error(self, out_dir, capsys, argv, flag):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {flag} needs --dataset" in captured.err and not captured.out
+        assert not any(out_dir.iterdir())
+
+    def test_accepted_with_dataset(self, out_dir, blood_csv):
+        argv = ["--dataset", blood_csv, "--features", "0,1", "--has-header", "--k", "2"]
+        assert main(["run", "--variant", "nonprivate", *argv]) == 0
+        assert main(["plan", *argv, "--eps", "1"]) == 0
 
 
 class TestTopLevel:

@@ -551,8 +551,8 @@ class TestRunBaselineNonprivate:
 
     def test_matches_plain_lloyd_reference(self, small_blobs):
         # Independent dense Lloyd implementation, same canopy start.
-        init = select_initial_centroids(small_blobs, 3, CanopyParams(), 0)
-        expect = np.array(init.centroids.centroids, copy=True)
+        start, _, _ = select_initial_centroids(small_blobs, 3, CanopyParams(), 0)
+        expect = np.array(start, copy=True)
         pts = small_blobs.points
         for _ in range(100):
             d2 = ((pts[:, None, :] - expect[None, :, :]) ** 2).sum(axis=2)

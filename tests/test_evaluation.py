@@ -182,12 +182,12 @@ class TestCompareVariants:
                 assert run.nicv >= floor - 1e-9
 
     def test_failed_run_raises(self, small_blobs, monkeypatch):
-        import dpkmeans.engine as engine_mod
+        import dpkmeans.evaluation as evaluation_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(engine_mod, "run_baseline", boom)
+        monkeypatch.setattr(evaluation_mod, "run_baseline", boom)
         with pytest.raises(RuntimeError, match="synthetic failure"):
             compare_variants(small_blobs, 3, [1.0], 1)
 
