@@ -8,6 +8,7 @@ unit hypercube bound that makes a global sensitivity of 1 valid).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,12 +135,37 @@ def _label_exact(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argmin(diff.sum(axis=2), axis=1)
 
 
-def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _index_and_one(k: int) -> np.ndarray:
+    """Read-only (2, k) rows: the centroid indices 0 .. k-1, and k ones."""
+    out = np.stack([np.arange(k, dtype=np.float64), np.ones(k)])
+    out.setflags(write=False)
+    return out
+
+
+def chunk_sq_norms(points: np.ndarray) -> np.ndarray:
+    """The largest squared row norm of each chunk :func:`label_points` labels.
+
+    One value per ``_LABEL_CHUNK_ROWS`` rows of ``points``, in chunk order.
+    Of the rows' norms, these maxima are all that the bound ``tau`` reads.
+    """
+    sq = np.einsum("ij,ij->i", points, points)
+    return np.maximum.reduceat(sq, np.arange(0, sq.shape[0], _LABEL_CHUNK_ROWS))
+
+
+def label_points(
+    points: np.ndarray, centroids: np.ndarray, chunk_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Index of the nearest centroid for every row, vectorized.
 
     Ties break toward the lowest centroid index (argmin semantics).  This is
     the single labeling code path used everywhere so that map tasks, final
     assignments, and evaluation always agree bit-for-bit.
+
+    ``chunk_norms`` is :func:`chunk_sq_norms` of ``points``, the only part
+    of the rows' norms that the bound ``tau`` below reads.  By default it is
+    computed here.  The engine computes it once per map block and run, and
+    passes it to every labelling pass of the run.
 
     The labels are those of :func:`_label_exact`, which sums each row's d
     squared differences to every centroid, and they do not depend on the
@@ -188,10 +214,10 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     labels = np.empty(n, dtype=np.int64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norm = np.sqrt(c_sq.max())
-    x_sq = np.einsum("ij,ij->i", points, points)
+    if chunk_norms is None:
+        chunk_norms = chunk_sq_norms(points)
     minus_2c = -2.0 * centroids
-    k = centroids.shape[0]
-    index_and_one = np.stack([np.arange(k, dtype=np.float64), np.ones(k)])
+    index_and_one = _index_and_one(centroids.shape[0])
     for start in range(0, n, _LABEL_CHUNK_ROWS):
         stop = min(start + _LABEL_CHUNK_ROWS, n)
         x = points[start:stop]
@@ -199,7 +225,7 @@ def label_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         # that stay cheap when k is small.
         f = minus_2c @ x.T
         f += c_sq[:, None]
-        s = np.sqrt(x_sq[start:stop].max()) + c_norm
+        s = np.sqrt(chunk_norms[start // _LABEL_CHUNK_ROWS]) + c_norm
         tau = 8 * (d + 2) * (_UNIT_ROUNDOFF * s * s + _SMALLEST_SUBNORMAL)
         near = f <= f.min(axis=0) + tau
         # Per row, the sum of the near centroids' indices and their number.

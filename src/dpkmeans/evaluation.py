@@ -24,6 +24,10 @@ from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, RunReport, Variant, run_baseline, run_edpdcs
 from dpkmeans.planner import PlannerInputs
 
+#: Layout of ``comparison.json``.  Version 2 writes each run on one line;
+#: version 1 indented the whole file.  Every run's content is the same.
+COMPARISON_FORMAT_VERSION = 2
+
 
 def nicv(data: Dataset, centroid_set: CentroidSet, assignment: Assignment) -> float:
     """Normalized intra-cluster variance of an assignment.
@@ -72,14 +76,28 @@ class ComparisonSummary:
         raise KeyError(f"no cell for variant={variant!r} epsilon={epsilon!r}")
 
     def to_json(self) -> str:
-        """The grid, its config and every run, without timings."""
-        out = {
-            "config": self.config,
-            "cells": [asdict(c) for c in self.cells],
-            "notes": self.notes,
-            "runs": [r.to_dict(include_timings=False) for r in self.runs],
-        }
-        return json.dumps(out, indent=2, sort_keys=True)
+        """The grid, its config and every run, without timings.
+
+        One JSON object with sorted keys.  ``cells``, ``config`` and
+        ``notes`` are indented; each run is one compact, key-sorted line.
+        ``indent`` would send every run through ``json``'s pure-Python
+        encoder, which costs more than the runs of a small grid themselves.
+        """
+        head = json.dumps(
+            {
+                "cells": [asdict(c) for c in self.cells],
+                "config": self.config,
+                "format_version": COMPARISON_FORMAT_VERSION,
+                "notes": self.notes,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        runs = ",\n    ".join(
+            json.dumps(r.to_dict(include_timings=False), sort_keys=True) for r in self.runs
+        )
+        # "runs" sorts after every head key: reopen the head's closing brace.
+        return head[:-2] + ',\n  "runs": ' + (f"[\n    {runs}\n  ]" if runs else "[]") + "\n}"
 
 
 def write_comparison_csv(summary: ComparisonSummary, path: str) -> None:

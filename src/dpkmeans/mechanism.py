@@ -135,7 +135,11 @@ def noisy_mean(
     its mean, and the means are clipped back into the unit cube.
     """
     noisy_counts, noisy_sums = perturb_aggregate(counts, sums, epsilon_share, uniforms)
-    return np.clip(noisy_sums / np.maximum(noisy_counts, 1.0)[:, None], 0.0, 1.0)
+    means = noisy_sums / np.maximum(noisy_counts, 1.0)[:, None]
+    # np.clip(means, 0.0, 1.0) without its wrapper's overhead.  The bound
+    # goes first so that -0.0 stays -0.0, as it does under np.clip.
+    np.maximum(0.0, means, out=means)
+    return np.minimum(means, 1.0, out=means)
 
 
 @dataclass

@@ -23,9 +23,9 @@ from dpkmeans.engine import (
     run_baseline,
     run_edpdcs,
 )
-from dpkmeans.evaluation import nicv
+from dpkmeans.evaluation import compare_variants, nicv
 from dpkmeans.ingestion import synthetic_blobs
-from dpkmeans.mechanism import laplace_inverse_cdf, noisy_mean
+from dpkmeans.mechanism import derive_stream_seed, laplace_inverse_cdf, noisy_mean
 from dpkmeans.planner import PlannerInputs, make_plan, minimal_iteration_budget
 
 CORNERS = Dataset(
@@ -143,6 +143,40 @@ class TestReduceCluster:
                 agg.close()
             assert np.array_equal(got_counts, counts)
             assert np.array_equal(got_sums, sums)
+
+    def test_merge_from_first_block_equals_fold_from_zeros(self):
+        # Three blocks: the first all -0.0 rows, which alone make up the
+        # cluster at the origin, and one cluster no row is nearest to.  The
+        # merge starts from block 0's partials; that must equal a left fold
+        # from zeros, down to the sign of every zero.
+        rng = np.random.Generator(np.random.PCG64(5))
+        points = 0.6 + 0.4 * rng.random((2 * engine.MAP_BLOCK_ROWS + 300, 3))
+        points[: engine.MAP_BLOCK_ROWS] = -0.0
+        data = Dataset(points=points, normalized=True)
+        centroids = np.vstack(
+            [np.zeros((1, 3)), 0.6 + 0.4 * rng.random((2, 3)), np.full((1, 3), 50.0)]
+        )
+        counts, sums, sq_dist = np.zeros(4), np.zeros((4, 3)), 0.0
+        labels = []
+        spans = block_spans(data.n_rows)
+        assert len(spans) == 3
+        for start, stop in spans:
+            lab, c, s, sq = engine._block_partials(data.points[start:stop], centroids, 4)
+            counts += c
+            sums += s
+            sq_dist += sq
+            labels.append(lab)
+        assert counts[0] == engine.MAP_BLOCK_ROWS and counts[-1] == 0.0
+        for parts in (1, 2, 3):
+            agg = engine._BlockAggregator(data, parts, min(parts, 2))
+            try:
+                got = agg.labelling_pass(centroids, 4)
+            finally:
+                agg.close()
+            assert got[0].tobytes() == counts.tobytes()
+            assert got[1].tobytes() == sums.tobytes()
+            assert got[2] == sq_dist
+            assert np.array_equal(got[3], np.concatenate(labels))
 
     def test_empty_cluster_keeps_previous_centroid(self):
         start = np.array([[0.05, 0.05], [0.3, 0.7]])
@@ -387,9 +421,9 @@ class TestLabellingPasses:
         data = synthetic_blobs(9000, 3, 4, seed=8)
         rows = []
 
-        def counting(points, centroids):
+        def counting(points, *args, **kwargs):
             rows.append(len(points))
-            return label_points(points, centroids)
+            return label_points(points, *args, **kwargs)
 
         monkeypatch.setattr(engine, "label_points", counting)
         _, _, report = _run_variant(data, 4, Variant.EDPDCS, 3.0)
@@ -397,9 +431,9 @@ class TestLabellingPasses:
         assert max(rows) <= engine.MAP_BLOCK_ROWS
 
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
-        def slow(points, centroids):
+        def slow(*args, **kwargs):
             time.sleep(0.02)
-            return label_points(points, centroids)
+            return label_points(*args, **kwargs)
 
         monkeypatch.setattr(engine, "label_points", slow)
         for variant, epsilon in [(Variant.EDPDCS, 1.0), (Variant.NONPRIVATE, None)]:
@@ -409,6 +443,29 @@ class TestLabellingPasses:
             spans = t["init_ms"] + sum(t["iterations_ms"]) + t["final_ms"]
             assert spans <= t["total_ms"]
             assert "timings_ms" not in report.comparable_json()
+
+
+class TestRandomRowStart:
+    def test_indices_are_the_sorted_seeded_draw(self):
+        for master_seed, n, k in [(0, 748, 2), (7, 50, 5), (3, 9, 9)]:
+            seed = derive_stream_seed(master_seed, 0, 1)
+            want = np.random.Generator(np.random.PCG64(seed)).choice(n, k, replace=False)
+            assert np.array_equal(engine._random_row_indices(n, k, seed), np.sort(want))
+
+    def test_memo_is_read_only_and_start_is_a_fresh_copy(self, small_blobs):
+        idx = engine._random_row_indices(small_blobs.n_rows, 3, 11)
+        assert not idx.flags.writeable
+        start = engine._random_row_centroids(small_blobs, 3, 11)
+        assert start.shape == (3, small_blobs.n_dims) and start.flags.writeable
+        assert not np.shares_memory(start, small_blobs.points)
+        assert np.array_equal(start, small_blobs.points[idx])
+
+    def test_grid_draws_once_per_master_seed(self, small_blobs):
+        engine._random_row_indices.cache_clear()
+        compare_variants(small_blobs, 3, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=3)
+        info = engine._random_row_indices.cache_info()
+        # RF_DPKM and RU_DPKM at five epsilons share each seed's start.
+        assert (info.misses, info.hits) == (3, 2 * 5 * 3 - 3)
 
 
 class TestRunBaselineRf:

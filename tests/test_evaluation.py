@@ -8,6 +8,7 @@ import pytest
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
 from dpkmeans.evaluation import (
+    ComparisonSummary,
     compare_variants,
     nicv,
     write_comparison_csv,
@@ -243,3 +244,58 @@ class TestComparisonCsv:
         cell = summary.cell("EDPDCS", 0.5)
         assert float(by_variant["EDPDCS"]["mean_nicv"]) == cell.mean_nicv
         assert by_variant["NONPRIVATE"]["epsilon"] == ""
+
+
+def _indented_form(summary):
+    """``comparison.json`` as format version 1 wrote it: all indented."""
+    out = {
+        "config": summary.config,
+        "cells": [dataclasses.asdict(c) for c in summary.cells],
+        "notes": summary.notes,
+        "runs": [r.to_dict(include_timings=False) for r in summary.runs],
+    }
+    return json.dumps(out, indent=2, sort_keys=True)
+
+
+class TestComparisonJson:
+    @pytest.fixture(scope="class")
+    def summary(self, small_blobs):
+        return compare_variants(small_blobs, 3, [0.5, 1.0], 2)
+
+    def test_same_content_as_indented_form(self, summary):
+        assert {r.variant for r in summary.runs} == {v.value for v in Variant}
+        blob = json.loads(summary.to_json())
+        assert list(blob) == ["cells", "config", "format_version", "notes", "runs"]
+        assert blob.pop("format_version") == 2
+        assert blob == json.loads(_indented_form(summary))
+
+    def test_each_run_on_one_line(self, summary):
+        lines = summary.to_json().splitlines()
+        first = lines.index('  "runs": [') + 1
+        assert lines[first + len(summary.runs) :] == ["  ]", "}"]
+        for line, run in zip(lines[first:], summary.runs):
+            want = json.dumps(run.to_dict(include_timings=False), sort_keys=True)
+            assert line.strip().rstrip(",") == want
+
+    def test_no_runs(self):
+        blob = json.loads(ComparisonSummary(cells=[]).to_json())
+        assert blob == {
+            "cells": [], "config": {}, "format_version": 2, "notes": [], "runs": []
+        }
+
+    def test_runs_skip_the_pure_python_encoder(self, small_blobs, monkeypatch):
+        # json falls back to _make_iterencode, its pure-Python encoder, for
+        # every indented dumps; the runs must not, however many there are.
+        calls = []
+        real = json.encoder._make_iterencode
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+        for n_seeds in (1, 3):
+            summary = compare_variants(small_blobs, 3, [0.5, 1.0], n_seeds)
+            calls.clear()
+            summary.to_json()
+            assert len(calls) <= 1

@@ -247,6 +247,16 @@ class TestPerturbAggregate:
         want = _scalar_noisy_mean(master_seed, iteration, counts, sums, share)
         assert np.array_equal(got, want)
 
+    def test_clamp_is_bit_equal_to_np_clip(self):
+        # Uniforms of 0.5 draw zero noise, so the means are sums / counts:
+        # one underflows to -0.0, one lies below the cube, one above, one in.
+        counts = np.array([1e10, 1.0])
+        sums = np.array([[-1e-320, 0.25], [-0.5, 2.0]])
+        got = noisy_mean(counts, sums, 1.0, np.full((2, 3), 0.5))
+        want = np.clip(sums / counts[:, None], 0.0, 1.0)
+        assert np.signbit(want[0, 0])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBudgetLedger:
     def test_exact_spend(self):
