@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from dpkmeans.core import Dataset, InvalidInputError
-from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_uniforms
+from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_unit_noise
 
 logger = logging.getLogger(__name__)
 
@@ -267,7 +267,7 @@ def select_initial_centroids(
     found, d = summary.sums.shape
     draws = 0
     if epsilon_share is not None:
-        stream = stream_uniforms(master_seed, 1, 1, k * (d + 1))[0].reshape(k, d + 1)
+        stream = stream_unit_noise(master_seed, 1, 1, k * (d + 1))[0].reshape(k, d + 1)
         rows = noisy_mean(summary.counts, summary.sums, epsilon_share, stream[:found])
         draws = found * (d + 1)
     else:

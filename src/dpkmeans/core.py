@@ -72,12 +72,9 @@ class CentroidSet:
 
     Attributes:
         centroids: k x d float64 matrix.
-        noisy: True when the coordinates carry injected noise (and therefore
-            must not be mistaken for exact cluster means).
     """
 
     centroids: np.ndarray
-    noisy: bool = False
 
     def __post_init__(self) -> None:
         arr = _as_float_matrix(self.centroids, "centroids")
@@ -164,8 +161,8 @@ def label_points(
 
     ``chunk_norms`` is :func:`chunk_sq_norms` of ``points``, the only part
     of the rows' norms that the bound ``tau`` below reads.  By default it is
-    computed here.  The engine computes it once per map block and run, and
-    passes it to every labelling pass of the run.
+    computed here.  The engine computes it once per map block and dataset,
+    and passes it to every labelling pass on that dataset.
 
     The labels are those of :func:`_label_exact`, which sums each row's d
     squared differences to every centroid, and they do not depend on the

@@ -9,7 +9,11 @@ the centroids it labels against (the previous iteration's result), and a
 final pass gives the assignment and the report's NICV.  Because the
 block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
-partition count only controls how blocks are grouped onto threads.
+partition count only controls how blocks are grouped onto threads.  The
+blocks, and the statistics of recent labelling passes, are kept once per
+dataset (:class:`_MapState`), so runs on one dataset that label against
+the same centroids, as the runs of a ``compare`` grid often do, read the
+data once for them.
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
@@ -40,10 +44,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
+import threading
 import time
+import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -62,7 +70,7 @@ from dpkmeans.mechanism import (
     BudgetLedger,
     derive_stream_seed,
     noisy_mean,
-    stream_uniforms,
+    stream_unit_noise,
 )
 from dpkmeans.planner import BudgetPlan, PlannerInputs, make_plan
 
@@ -134,6 +142,8 @@ class EngineConfig:
             raise InvalidInputError("nonprivate_max_iters must be >= 1")
 
     def resolved_threads(self) -> int:
+        if self.n_partitions == 1:
+            return 1
         if self.threads is not None:
             return max(1, min(self.threads, self.n_partitions))
         return max(1, min(self.n_partitions, os.cpu_count() or 1))
@@ -204,6 +214,8 @@ def block_spans(n_rows: int, block_rows: int = MAP_BLOCK_ROWS) -> list[tuple[int
 
 
 _Partials = tuple[np.ndarray, np.ndarray, np.ndarray, float]
+#: A labelling pass's exact (counts, sums, squared-distance sum).
+_PassStats = tuple[np.ndarray, np.ndarray, float]
 
 
 @functools.lru_cache(maxsize=4)
@@ -243,26 +255,94 @@ def _block_partials(
     return labels, counts, sums, float(diff.sum())
 
 
-class _BlockAggregator:
-    """Runs the map phase over fixed blocks, optionally on a thread pool.
+#: Most bytes of labelling-pass statistics one dataset's map state keeps.
+#: An entry counts its arrays, its key's bytes and ``_PASS_ENTRY_OVERHEAD``
+#: for its Python objects: about 650 bytes at k=2, d=4 (a 451-run ``compare``
+#: grid on 748 rows keeps about 2,100) and 5.8 KB at k=20, d=16.
+PASS_MEMO_BYTES = 4 * 2**20
+_PASS_ENTRY_OVERHEAD = 512
 
-    Each block's :func:`~dpkmeans.core.chunk_sq_norms`, which every
-    labelling pass reads, are computed once here.  They are a few values
-    per block, not one per row: a run-long (n,) array of row norms splits
-    the heap's free space, and under glibc malloc kept about 25 MB more
-    resident on 200k x 16 data.
+
+class _MapState:
+    """One dataset's map layout, and what its labelling passes found.
+
+    The layout is the fixed row blocks and each block's
+    :func:`~dpkmeans.core.chunk_sq_norms`, which every labelling pass reads.
+    They are a few values per block, not one per row: a run-long (n,) array
+    of row norms splits the heap's free space, and under glibc malloc kept
+    about 25 MB more resident on 200k x 16 data.
+
+    A pass's statistics depend only on the data and the centroids' bytes,
+    never on the partition count.  So the read-only (counts, sums,
+    squared-distance sum) of the most recently used passes, up to
+    ``PASS_MEMO_BYTES``, are kept by the centroids' shape and bytes.  The
+    runs of one ``compare`` grid label against many of the same centroids:
+    RF_DPKM and RU_DPKM start from the same rows at every epsilon of a
+    master seed, and RU_DPKM's late, very noisy steps land on the same cube
+    corners.  No entry holds labels, which would cost n integers each.
+
+    Exact raw-data state, like the canopy summary: it stays in the process,
+    is dropped with its dataset and no report holds it.
+    """
+
+    def __init__(self, data: Dataset):
+        self.blocks = [data.points[s:e] for s, e in block_spans(data.n_rows)]
+        self.chunk_norms = [chunk_sq_norms(b) for b in self.blocks]
+        self.passes: OrderedDict[tuple, _PassStats] = OrderedDict()
+        self.pass_bytes = 0
+        self._lock = threading.Lock()
+
+    def lookup(self, key: tuple) -> _PassStats | None:
+        with self._lock:
+            stats = self.passes.get(key)
+            if stats is not None:
+                self.passes.move_to_end(key)
+            return stats
+
+    def store(self, key: tuple, counts: np.ndarray, sums: np.ndarray, sq_dist: float) -> None:
+        counts.setflags(write=False)
+        sums.setflags(write=False)
+        with self._lock:
+            if key not in self.passes:
+                self.pass_bytes += _entry_bytes(key, counts, sums)
+            self.passes[key] = (counts, sums, sq_dist)
+            self.passes.move_to_end(key)
+            while self.pass_bytes > PASS_MEMO_BYTES:
+                old_key, (old_counts, old_sums, _) = self.passes.popitem(last=False)
+                self.pass_bytes -= _entry_bytes(old_key, old_counts, old_sums)
+
+
+def _entry_bytes(key: tuple, counts: np.ndarray, sums: np.ndarray) -> int:
+    return len(key[1]) + counts.nbytes + sums.nbytes + _PASS_ENTRY_OVERHEAD
+
+
+#: Map state per dataset (hashed by identity).  Two threads may build one
+#: dataset's state twice, with the same values.
+_MAP_STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pass_key(centroids: np.ndarray) -> tuple:
+    return centroids.shape, centroids.tobytes()
+
+
+class _BlockAggregator:
+    """Runs the map phase over a dataset's blocks, optionally on a thread pool.
+
+    The blocks, their chunk norms and the memo of earlier passes are the
+    dataset's :class:`_MapState`; the pool is the run's own.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
-        self._blocks = [data.points[s:e] for s, e in block_spans(data.n_rows)]
-        self._chunk_norms = [chunk_sq_norms(b) for b in self._blocks]
+        state = _MAP_STATES.get(data)
+        if state is None:
+            state = _MAP_STATES.setdefault(data, _MapState(data))
+        self._state = state
         self._executor: ThreadPoolExecutor | None = None
         self._groups: list[np.ndarray] = []
-        if workers > 1 and n_partitions > 1 and len(self._blocks) > 1:
+        n_blocks = len(self._state.blocks)
+        if workers > 1 and n_partitions > 1 and n_blocks > 1:
             self._groups = [
-                g
-                for g in np.array_split(np.arange(len(self._blocks)), n_partitions)
-                if g.size
+                g for g in np.array_split(np.arange(n_blocks), n_partitions) if g.size
             ]
             self._executor = ThreadPoolExecutor(max_workers=workers)
 
@@ -271,25 +351,37 @@ class _BlockAggregator:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def labelling_pass(
-        self, centroids: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """One pass over every block against ``centroids``.
+    def statistics(self, centroids: np.ndarray) -> _PassStats:
+        """The exact per-cluster counts and sums against ``centroids``, and
+        the sum over all rows of the squared distance to the nearest one.
 
-        Returns the exact per-cluster counts and sums, the sum over all rows
-        of the squared distance to the nearest centroid, and the labels.
+        Centroids with the same bytes as a kept pass's get its read-only
+        values back without a read of the data.
+        """
+        stats = self._state.lookup(_pass_key(centroids))
+        if stats is None:
+            stats = self.labelling_pass(centroids)[:3]
+        return stats
+
+    def labelling_pass(
+        self, centroids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """One pass over every block against ``centroids``: the
+        :meth:`statistics`, which it keeps, and every row's label.
+
         Block partials merge in ascending block order, so every result is
         independent of the partition count.
         """
+        blocks, chunk_norms = self._state.blocks, self._state.chunk_norms
+        k = centroids.shape[0]
 
-        def work(blocks) -> list[_Partials]:
+        def work(indices) -> list[_Partials]:
             return [
-                _block_partials(self._blocks[b], centroids, k, self._chunk_norms[b])
-                for b in blocks
+                _block_partials(blocks[b], centroids, k, chunk_norms[b]) for b in indices
             ]
 
         if self._executor is None:
-            per_block = work(range(len(self._blocks)))
+            per_block = work(range(len(blocks)))
         else:
             # Groups are consecutive block ranges and map() keeps their
             # order, so the partials arrive in ascending block order.
@@ -309,12 +401,17 @@ class _BlockAggregator:
             sq_dist += block_sq_dist
         if len(per_block) > 1:
             labels = np.concatenate([p[0] for p in per_block])
+        self._state.store(_pass_key(centroids), counts, sums, sq_dist)
         return counts, sums, sq_dist, labels
 
 
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
-    """Largest Euclidean movement of any single centroid."""
-    return float(np.sqrt(((new - old) ** 2).sum(axis=1)).max())
+    """Largest Euclidean movement of any single centroid.
+
+    One square root, of the largest squared movement: ``sqrt`` is correctly
+    rounded and monotone, so this is the largest of the k roots, bit for bit.
+    """
+    return math.sqrt(((new - old) ** 2).sum(axis=1).max())
 
 
 @functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
@@ -322,7 +419,7 @@ def _random_row_indices(n_rows: int, k: int, seed: int) -> np.ndarray:
     """Sorted, read-only indices of k distinct rows drawn from ``seed``.
 
     Memoized on public integers, like
-    :func:`~dpkmeans.mechanism.stream_uniforms`: the runs of one master
+    :func:`~dpkmeans.mechanism.stream_unit_noise`: the runs of one master
     seed in a ``compare`` grid draw it once.  It holds no data.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -359,16 +456,17 @@ def _run_lloyd(
     iterations 2 .. T; RF_DPKM runs 1 .. T from random rows.
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
-    charged to the ledger before its labelling pass reads any data, and the
-    new centroids are one :func:`~dpkmeans.mechanism.noisy_mean` of the exact
-    counts and sums, at epsilon / (d + 1) for each cluster's d + 1
-    statistics, cluster j's noise from stream (t, j).  A step with ``None``
-    is exact.  RU_DPKM and NONPRIVATE stop once a step moves no centroid
-    further than their shift tolerance, and note it.  The initialization is
-    traced as the iteration before the first step.  Every trace entry's
-    ``nicv_after`` is filled in by the next labelling pass, which labels
-    every row against that entry's centroids; the last is the final pass,
-    which gives the assignment and the report's NICV.
+    charged to the ledger before its exact counts and sums are read, from
+    the data or from the map state's memo, and the new centroids are one
+    :func:`~dpkmeans.mechanism.noisy_mean` of them, at epsilon / (d + 1) for
+    each cluster's d + 1 statistics, cluster j's noise from stream (t, j).
+    A step with ``None`` is exact.  RU_DPKM and NONPRIVATE stop once a step
+    moves no centroid further than their shift tolerance, and note it.  The
+    initialization is traced as the iteration before the first step.  Every
+    trace entry's ``nicv_after`` is filled in by the next labelling pass,
+    which labels every row against that entry's centroids; the last is the
+    final pass, which always labels and gives the assignment and the
+    report's NICV.
     """
     variant = config.variant
     if planner_inputs is not None and not variant.takes_planner_inputs:
@@ -474,13 +572,13 @@ def _run_lloyd(
             if epsilon is not None:
                 ledger.charge(f"iteration-{t}", epsilon)
                 share = epsilon / (data.n_dims + 1)
-            counts, sums, sq_dist, _ = aggregator.labelling_pass(centroids, k)
+            counts, sums, sq_dist = aggregator.statistics(centroids)
             trace[-1]["nicv_after"] = sq_dist / data.n_rows
             draws = 0
             if share is not None:
-                uniforms = stream_uniforms(config.master_seed, t, k, data.n_dims + 1)
-                new = noisy_mean(counts, sums, share, uniforms)
-                draws = uniforms.size
+                noise = stream_unit_noise(config.master_seed, t, k, data.n_dims + 1)
+                new = noisy_mean(counts, sums, share, noise)
+                draws = noise.size
             else:
                 # An empty cluster keeps its centroid.
                 new = centroids.copy()
@@ -502,7 +600,7 @@ def _run_lloyd(
                 notes.append(stop[1].format(t=t, shift=shift))
                 break
         t0 = time.perf_counter()
-        _, _, sq_dist, labels = aggregator.labelling_pass(centroids, k)
+        _, _, sq_dist, labels = aggregator.labelling_pass(centroids)
         trace[-1]["nicv_after"] = sq_dist / data.n_rows
         final_ms = 1e3 * (time.perf_counter() - t0)
     finally:
@@ -536,8 +634,7 @@ def _run_lloyd(
             "total_ms": 1e3 * (time.perf_counter() - t_start),
         },
     )
-    final = CentroidSet(centroids=centroids, noisy=ledger is not None)
-    return final, Assignment(labels=labels), report
+    return CentroidSet(centroids=centroids), Assignment(labels=labels), report
 
 
 def run_edpdcs(
@@ -623,7 +720,7 @@ def _replay_config(
         "nonprivate_max_iters": config.nonprivate_max_iters,
     }
     if planner_inputs is not None:
-        out["planner_inputs"] = asdict(planner_inputs)
+        out["planner_inputs"] = dict(vars(planner_inputs))
     if canopy_params is not None:
-        out["canopy"] = asdict(canopy_params)
+        out["canopy"] = dict(vars(canopy_params))
     return out

@@ -7,13 +7,16 @@ one cluster never depends on how many partitions produced its aggregate or
 on the order other clusters were processed.
 
 A charged step perturbs all k clusters at once: it reads one (k, d + 1)
-block of uniforms, row j the start of cluster j's stream, and maps it with
-one inverse-CDF call (:func:`perturb_aggregate`).  :func:`stream_uniforms`
-keeps the last ``STREAM_MEMO_SIZE`` blocks it made, so runs at the same
-master seed, such as the cells of one ``compare`` grid, set each stream up
-once.  The memo is keyed on public integers only and holds no data; at
-worst it holds ``STREAM_MEMO_SIZE`` blocks of k (d + 1) doubles, 2.7 MiB at
-k=20, d=16.
+block of unit-scale Laplace draws, row j the start of cluster j's stream,
+and scales it by the step's noise scale (:func:`perturb_aggregate`).
+:func:`stream_unit_noise` keeps the last ``STREAM_MEMO_SIZE`` blocks it
+made, already mapped through the inverse CDF at scale 1, so runs at the
+same master seed, such as the cells of one ``compare`` grid, set each
+stream up and map it once.  Scaling a unit draw gives the same bits as
+drawing at the scale: the inverse CDF's sign factor is an exact +-1 and
+rounding a product is symmetric in sign.  The memo is keyed on public
+integers only and holds no data; at worst it holds ``STREAM_MEMO_SIZE``
+blocks of k (d + 1) doubles, 2.7 MiB at k=20, d=16.
 
 A run's noise is a pure function of its master seed, which the full report
 prints: whoever knows the seed can subtract the noise from a released
@@ -37,7 +40,7 @@ logger = logging.getLogger(__name__)
 #: value for both, so one noise scale covers a cluster's d + 1 statistics.
 SENSITIVITY = 1.0
 
-#: Blocks kept by :func:`stream_uniforms`.  A grid over 30 master seeds at
+#: Blocks kept by :func:`stream_unit_noise`.  A grid over 30 master seeds at
 #: k=2 reads at most 330 distinct blocks (11 per seed).
 STREAM_MEMO_SIZE = 1024
 
@@ -74,13 +77,12 @@ def laplace_inverse_cdf(u: np.ndarray, scale: float) -> np.ndarray:
     return -scale * np.sign(u - 0.5) * np.log(np.maximum(w, _LOG_FLOOR))
 
 
-@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
 def stream_uniforms(master_seed: int, iteration: int, n_streams: int, n: int) -> np.ndarray:
     """The first ``n`` uniforms of the streams (iteration, 0 .. n_streams - 1).
 
-    Row j of the read-only (n_streams, n) result is what
+    Row j of the (n_streams, n) result is what
     ``Generator(PCG64(derive_stream_seed(master_seed, iteration, j))).random(n)``
-    returns.  Memoized: repeated keys return the same array.
+    returns.
     """
     if n_streams < 0 or n < 0:
         raise InvalidInputError(f"need n_streams, n >= 0, got {n_streams}, {n}")
@@ -88,25 +90,37 @@ def stream_uniforms(master_seed: int, iteration: int, n_streams: int, n: int) ->
     for j in range(n_streams):
         seed = derive_stream_seed(master_seed, iteration, j)
         out[j] = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return out
+
+
+@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
+def stream_unit_noise(master_seed: int, iteration: int, n_streams: int, n: int) -> np.ndarray:
+    """Read-only ``laplace_inverse_cdf(stream_uniforms(...), 1.0)``.
+
+    The streams' first ``n`` Laplace draws at scale 1.  Memoized: repeated
+    keys return the same array.
+    """
+    out = laplace_inverse_cdf(stream_uniforms(master_seed, iteration, n_streams, n), 1.0)
     out.setflags(write=False)
     return out
 
 
 def perturb_aggregate(
-    counts: np.ndarray, sums: np.ndarray, epsilon_share: float, uniforms: np.ndarray
+    counts: np.ndarray, sums: np.ndarray, epsilon_share: float, unit_noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Add calibrated Laplace noise to k clusters' counts and coordinate sums.
 
-    Row j of the (k, d + 1) ``uniforms`` is cluster j's noise: column 0
+    Row j of the (k, d + 1) ``unit_noise`` is cluster j's noise: column 0
     perturbs its count and columns 1 .. d its sums, in dimension order, all
-    at scale ``SENSITIVITY / epsilon_share``.  That order is part of the
+    scaled to ``SENSITIVITY / epsilon_share``.  That order is part of the
     reproducibility contract.
 
     Args:
         counts: Exact per-cluster counts, shape (k,).
         sums: Exact per-cluster coordinate sums, shape (k, d).
         epsilon_share: Budget share protecting each count and each sum.
-        uniforms: Uniforms in [0, 1), one row per cluster's own stream.
+        unit_noise: Laplace draws at scale 1 (:func:`stream_unit_noise`),
+            one row per cluster's own stream.
 
     Returns:
         New noisy (counts, sums); the inputs are not modified.
@@ -116,17 +130,17 @@ def perturb_aggregate(
             f"epsilon share must be positive and finite, got {epsilon_share}"
         )
     k, d = sums.shape
-    if counts.shape != (k,) or uniforms.shape != (k, d + 1):
+    if counts.shape != (k,) or unit_noise.shape != (k, d + 1):
         raise InvalidInputError(
-            f"need ({k},) counts and ({k}, {d + 1}) uniforms for ({k}, {d}) sums, "
-            f"got {counts.shape} and {uniforms.shape}"
+            f"need ({k},) counts and ({k}, {d + 1}) noise for ({k}, {d}) sums, "
+            f"got {counts.shape} and {unit_noise.shape}"
         )
-    noise = laplace_inverse_cdf(uniforms, SENSITIVITY / epsilon_share)
+    noise = unit_noise * (SENSITIVITY / epsilon_share)
     return counts + noise[:, 0], sums + noise[:, 1:]
 
 
 def noisy_mean(
-    counts: np.ndarray, sums: np.ndarray, epsilon_share: float, uniforms: np.ndarray
+    counts: np.ndarray, sums: np.ndarray, epsilon_share: float, unit_noise: np.ndarray
 ) -> np.ndarray:
     """The k released centroids: noisy sums over noisy counts.
 
@@ -134,7 +148,7 @@ def noisy_mean(
     count is floored at 1, so a cluster that noise empties cannot blow up
     its mean, and the means are clipped back into the unit cube.
     """
-    noisy_counts, noisy_sums = perturb_aggregate(counts, sums, epsilon_share, uniforms)
+    noisy_counts, noisy_sums = perturb_aggregate(counts, sums, epsilon_share, unit_noise)
     means = noisy_sums / np.maximum(noisy_counts, 1.0)[:, None]
     # np.clip(means, 0.0, 1.0) without its wrapper's overhead.  The bound
     # goes first so that -0.0 stays -0.0, as it does under np.clip.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from dpkmeans.core import InvalidInputError
 
@@ -27,7 +27,8 @@ logger = logging.getLogger(__name__)
 #: relative to the balanced size N/k.  0 means perfectly balanced.
 DEFAULT_RHO = 0.225
 
-#: Default ceiling on the expected per-coordinate squared centroid error.
+#: Default ceiling on the modelled expected squared centroid error, summed
+#: over all k clusters and d coordinates (see :func:`minimal_iteration_budget`).
 DEFAULT_MSE_THRESHOLD = 0.01
 
 #: Default cap on the iteration count.
@@ -44,7 +45,8 @@ class PlannerInputs:
         k: Number of clusters.
         epsilon_total: Total privacy budget for the whole run.
         rho: Relative standard deviation of cluster sizes (>= 0).
-        mse_threshold: Ceiling on expected squared centroid error used to
+        mse_threshold: Ceiling on the modelled expected squared centroid
+            error, summed over all k clusters and d coordinates, used to
             derive the minimum per-iteration budget.
         t_cap: Maximum number of iterations a plan may schedule.
         epsilon_m_override: Optional externally supplied minimum
@@ -117,17 +119,25 @@ class BudgetPlan:
     epsilon_count: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def minimal_iteration_budget(inputs: PlannerInputs) -> float:
     """Smallest per-iteration budget meeting the planner's error threshold.
 
-    The error model is first order: a cluster of the balanced size N/k
-    (inflated by the imbalance factor rho) whose count and d coordinate
-    sums get Laplace noise at scale (d + 1) / epsilon has an expected
-    squared centroid error of 2 k^3 d (1 + d)^2 (1 + rho^2) / (N^2 epsilon^2).
-    Setting it to the threshold gives the closed form:
+    The error model is first order.  Each cluster's d coordinate sums get
+    Laplace noise at scale (d + 1) / epsilon, of variance
+    2 (d + 1)^2 / epsilon^2, so one coordinate of a mean over the balanced
+    size N/k has an expected squared error of
+    2 k^2 (1 + d)^2 / (N^2 epsilon^2).  Summed over the d coordinates of all
+    k clusters, and inflated by (1 + rho^2) for the imbalance factor rho,
+    the model's error is the total
+
+        2 k^3 d (1 + d)^2 (1 + rho^2) / (N^2 epsilon^2),
+
+    not the error of one cluster or of one coordinate.  The count's own
+    noise is not in the model.  Setting the total to the threshold gives
+    the closed form:
 
         epsilon_m = sqrt( (2 / threshold) * k^3 * d * (1 + d)^2
                           * (1 + rho^2) / N^2 )

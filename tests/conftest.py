@@ -2,6 +2,7 @@
 
 import pytest
 
+from dpkmeans import canopy, core, engine, mechanism
 from dpkmeans.ingestion import synthetic_blobs
 
 # Two-cluster data with the reference shape (N=748, d=4) and a size split
@@ -11,6 +12,25 @@ BLOOD_WEIGHTS = [0.6122, 0.3878]
 
 # Five-cluster data with the larger reference shape (N=48842, d=6).
 ADULT_SHAPE = dict(n_rows=48842, n_dims=6, n_centers=5, seed=17)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with the process-wide memos empty.
+
+    The dataset fixtures are session-scoped, so without this a test that
+    counts memo hits or labelling passes would see what earlier tests left.
+    """
+    for memo in (
+        mechanism.derive_stream_seed,
+        mechanism.stream_unit_noise,
+        engine._random_row_indices,
+        engine._bin_offsets,
+        core._index_and_one,
+    ):
+        memo.cache_clear()
+    canopy._SUMMARIES.clear()
+    engine._MAP_STATES.clear()
 
 
 @pytest.fixture(scope="session")

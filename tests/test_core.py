@@ -418,8 +418,8 @@ class TestDataset:
 
 class TestCentroidSetAndAssignment:
     def test_centroid_set_shape(self):
-        cs = CentroidSet(centroids=np.array([[0.0, 1.0], [1.0, 0.0]]), noisy=True)
-        assert cs.k == 2 and cs.n_dims == 2 and cs.noisy
+        cs = CentroidSet(centroids=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert cs.k == 2 and cs.n_dims == 2
 
     def test_centroid_set_rejects_empty(self):
         with pytest.raises(InvalidInputError):

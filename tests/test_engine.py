@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -44,10 +46,10 @@ def _one_exact_step(points, start):
 
 
 def _one_cluster_mean(count, sums, share, seed):
-    """One cluster's noisy mean, its d + 1 uniforms from the PCG64 stream ``seed``."""
+    """One cluster's noisy mean, its d + 1 draws from the PCG64 stream ``seed``."""
     sums = np.array([sums], dtype=np.float64)
     u = np.random.Generator(np.random.PCG64(seed)).random((1, sums.shape[1] + 1))
-    return noisy_mean(np.array([float(count)]), sums, share, u)[0]
+    return noisy_mean(np.array([float(count)]), sums, share, laplace_inverse_cdf(u, 1.0))[0]
 
 
 class TestBlockSpans:
@@ -138,7 +140,7 @@ class TestReduceCluster:
         for parts in (1, 2, 3):
             agg = engine._BlockAggregator(data, parts, min(parts, 2))
             try:
-                got_counts, got_sums, _, _ = agg.labelling_pass(centroids, 4)
+                got_counts, got_sums, _, _ = agg.labelling_pass(centroids)
             finally:
                 agg.close()
             assert np.array_equal(got_counts, counts)
@@ -170,7 +172,7 @@ class TestReduceCluster:
         for parts in (1, 2, 3):
             agg = engine._BlockAggregator(data, parts, min(parts, 2))
             try:
-                got = agg.labelling_pass(centroids, 4)
+                got = agg.labelling_pass(centroids)
             finally:
                 agg.close()
             assert got[0].tobytes() == counts.tobytes()
@@ -240,6 +242,16 @@ class TestEngineConfig:
         cfg = EngineConfig(variant=Variant.EDPDCS, n_partitions=2, threads=16)
         assert cfg.resolved_threads() <= 2
 
+    def test_one_partition_is_one_thread_without_asking_the_os(self, monkeypatch, small_blobs):
+        def refuse():
+            raise AssertionError("os.cpu_count called")
+
+        monkeypatch.setattr(engine.os, "cpu_count", refuse)
+        assert EngineConfig(variant=Variant.EDPDCS).resolved_threads() == 1
+        assert EngineConfig(variant=Variant.EDPDCS, threads=4).resolved_threads() == 1
+        _, _, report = _run_variant(small_blobs, 3, Variant.RF_DPKM, 1.0)
+        assert report.config["threads"] == 1
+
 
 class TestRunEdpdcs:
     def test_budget_exactly_spent(self, small_blobs):
@@ -287,8 +299,8 @@ class TestRunEdpdcs:
 
     def test_final_centroids_are_noisy_and_clamped(self, small_blobs):
         inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=0.5)
-        cs, labels, _ = run_edpdcs(small_blobs, 3, inputs)
-        assert cs.noisy
+        cs, labels, report = run_edpdcs(small_blobs, 3, inputs)
+        assert report.epsilon == 0.5
         assert np.all(cs.centroids >= 0.0) and np.all(cs.centroids <= 1.0)
         assert labels.labels.shape == (400,)
 
@@ -445,6 +457,161 @@ class TestLabellingPasses:
             assert "timings_ms" not in report.comparable_json()
 
 
+def _grid_jsons(data, k, n_partitions=1):
+    summary = compare_variants(
+        data, k, [0.5, 1.0, 3.0], n_seeds=3, base_seed=5, n_partitions=n_partitions
+    )
+    return [r.comparable_json() for r in summary.runs]
+
+
+class TestPassMemo:
+    """The per-dataset map state's memo of labelling-pass statistics."""
+
+    def _count_passes(self, monkeypatch):
+        passes = []
+        original = engine._BlockAggregator.labelling_pass
+
+        def counting(self, centroids):
+            passes.append(centroids.tobytes())
+            return original(self, centroids)
+
+        monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", counting)
+        return passes
+
+    def test_warm_grid_rerun_is_byte_identical_to_cold(self, small_blobs, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        cold = _grid_jsons(small_blobs, 3)
+        cold_passes = len(passes)
+        warm = _grid_jsons(small_blobs, 3)
+        assert warm == cold
+        # Without the memo a run labels once per step and once at the end.
+        # RF_DPKM and RU_DPKM at 3 epsilons share each of the 3 seeds' start,
+        # so the cold grid saves at least 5 passes a seed; the rerun labels
+        # only for its runs' final assignments.
+        runs = [json.loads(r) for r in cold]
+        steps = sum(it["phase"] == "lloyd" for r in runs for it in r["iterations"])
+        assert cold_passes <= steps + len(runs) - 5 * 3
+        assert len(passes) - cold_passes == len(runs)
+
+    def test_hit_at_two_partitions_reuses_one_partition_entry(self, monkeypatch):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        one = _grid_jsons(data, 4)
+        passes = self._count_passes(monkeypatch)
+        two = _grid_jsons(data, 4, n_partitions=2)
+        assert two == one
+        assert len(passes) == len(one)
+
+    def test_hit_comes_after_the_step_charge(self, small_blobs, monkeypatch):
+        events = []
+
+        class Ledger(engine.BudgetLedger):
+            def charge(self, phase, amount):
+                events.append(("charge", phase))
+                return super().charge(phase, amount)
+
+        original = engine._MapState.lookup
+
+        def lookup(self, key):
+            stats = original(self, key)
+            events.append(("hit" if stats is not None else "miss", None))
+            return stats
+
+        monkeypatch.setattr(engine, "BudgetLedger", Ledger)
+        monkeypatch.setattr(engine._MapState, "lookup", lookup)
+        runs = []
+        for _ in range(2):
+            events.clear()
+            _, _, report = _run_variant(small_blobs, 3, Variant.RF_DPKM, 1.0)
+            runs.append((list(events), report.comparable_json()))
+        (cold, cold_json), (warm, warm_json) = runs
+        assert warm_json == cold_json
+        assert [e for e in cold if e[0] != "charge"] == [("miss", None)] * (len(cold) // 2)
+        assert [e for e in warm if e[0] != "charge"] == [("hit", None)] * (len(warm) // 2)
+        # The same charges, each just before its step's lookup.
+        assert [e for e in warm if e[0] == "charge"] == [e for e in cold if e[0] == "charge"]
+        assert [e[0] for e in warm] == ["charge", "hit"] * (len(warm) // 2)
+
+    def test_entries_are_read_only_statistics_within_the_bound(self, small_blobs, monkeypatch):
+        compare_variants(small_blobs, 3, [0.5, 1.0], n_seeds=2)
+        state = engine._MAP_STATES[small_blobs]
+        assert state.passes
+        total = 0
+        for key, entry in state.passes.items():
+            counts, sums, sq_dist = entry
+            assert key[0] == (3, small_blobs.n_dims)
+            assert counts.shape == (3,) and sums.shape == key[0]
+            assert not counts.flags.writeable and not sums.flags.writeable
+            assert isinstance(sq_dist, float)
+            total += engine._entry_bytes(key, counts, sums)
+        assert state.pass_bytes == total <= engine.PASS_MEMO_BYTES
+
+        # A budget of three entries keeps the three most recently used.
+        one = engine._entry_bytes(key, counts, sums)
+        monkeypatch.setattr(engine, "PASS_MEMO_BYTES", 3 * one)
+        engine._MAP_STATES.clear()
+        rng = np.random.Generator(np.random.PCG64(1))
+        starts = [CentroidSet(centroids=rng.random((3, 3))) for _ in range(5)]
+        cfg = EngineConfig(variant=Variant.NONPRIVATE, nonprivate_max_iters=1)
+        for start in starts:
+            run_baseline(small_blobs, 3, None, cfg, initial_centroids=start)
+        state = engine._MAP_STATES[small_blobs]
+        assert len(state.passes) == 3 and state.pass_bytes == 3 * one
+        # The last run's start, then its one step's result, stayed.
+        assert list(state.passes)[1] == engine._pass_key(starts[-1].centroids)
+
+    def test_state_is_dropped_with_its_dataset(self):
+        data = synthetic_blobs(300, 2, 2, seed=1)
+        _run_variant(data, 2, Variant.RF_DPKM, 1.0)
+        assert len(engine._MAP_STATES) == 1
+        del data
+        assert len(engine._MAP_STATES) == 0
+
+    def test_threads_sharing_one_state(self, monkeypatch):
+        # More workers than cores against one small memo: every pass must
+        # match its cold value and the byte count must stay exact.
+        data = synthetic_blobs(500, 2, 3, seed=2)
+        rng = np.random.Generator(np.random.PCG64(3))
+        centroids = [rng.random((3, 2)) for _ in range(12)]
+        want = []
+        for c in centroids:
+            agg = engine._BlockAggregator(data, 1, 1)
+            want.append(agg.labelling_pass(c)[:3])
+        engine._MAP_STATES.clear()
+        one = engine._entry_bytes(engine._pass_key(centroids[0]), *want[0][:2])
+        monkeypatch.setattr(engine, "PASS_MEMO_BYTES", 4 * one)
+        errors = []
+
+        def worker(offset):
+            agg = engine._BlockAggregator(data, 1, 1)
+            try:
+                for i in range(60):
+                    j = (i * 5 + offset) % len(centroids)
+                    got = agg.statistics(centroids[j])
+                    if not (
+                        np.array_equal(got[0], want[j][0])
+                        and np.array_equal(got[1], want[j][1])
+                        and got[2] == want[j][2]
+                    ):
+                        errors.append(j)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        state = engine._MAP_STATES[data]
+        assert state.pass_bytes == len(state.passes) * one <= 4 * one
+
+
 class TestRandomRowStart:
     def test_indices_are_the_sorted_seeded_draw(self):
         for master_seed, n, k in [(0, 748, 2), (7, 50, 5), (3, 9, 9)]:
@@ -586,7 +753,7 @@ class TestRunBaselineNonprivate:
         assert labels.labels.tolist() == [0, 0, 1, 1]
         assert report.nicv == pytest.approx(0.25)
         assert "started from supplied centroids" in report.notes
-        assert not cs.noisy
+        assert report.epsilon is None
 
     def test_nicv_never_increases_across_iterations(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE, master_seed=0)

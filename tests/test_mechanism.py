@@ -15,6 +15,7 @@ from dpkmeans.mechanism import (
     noisy_mean,
     perturb_aggregate,
     stream_uniforms,
+    stream_unit_noise,
 )
 from dpkmeans.planner import PlannerInputs
 
@@ -64,10 +65,10 @@ class TestLaplaceSampler:
         assert result.pvalue > 0.01
 
     def test_same_seed_reproduces_stream(self):
-        stream_uniforms.cache_clear()
-        a = stream_uniforms(42, 3, 2, 16)
-        stream_uniforms.cache_clear()
-        assert np.array_equal(a, stream_uniforms(42, 3, 2, 16))
+        a = stream_unit_noise(42, 3, 2, 16)
+        stream_unit_noise.cache_clear()
+        assert np.array_equal(a, stream_unit_noise(42, 3, 2, 16))
+        assert np.array_equal(stream_uniforms(42, 3, 2, 16), stream_uniforms(42, 3, 2, 16))
 
     def test_scalar_draws_match_vector_stream(self):
         # Row j of a block is cluster j's own stream, drawn one value at a
@@ -120,10 +121,24 @@ class TestStreamSeeds:
 
 class TestStreamMemo:
     def test_block_is_read_only(self):
-        block = stream_uniforms(1, 2, 3, 4)
+        block = stream_unit_noise(1, 2, 3, 4)
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0.5
+
+    def test_block_is_the_unit_scale_inverse_cdf(self):
+        assert stream_unit_noise(1, 2, 3, 4).tobytes() == laplace_inverse_cdf(
+            stream_uniforms(1, 2, 3, 4), 1.0
+        ).tobytes()
+
+    def test_scaled_unit_noise_is_the_draw_at_that_scale(self):
+        # Byte for byte, so inf, -inf and -0.0 (at u = 0.5) must match too.
+        edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                 np.nextafter(1.0, 0.0), 5e-324]
+        u = np.concatenate([edges, np.random.Generator(np.random.PCG64(8)).random(10**6)])
+        unit = laplace_inverse_cdf(u, 1.0)
+        for scale in [5e-300, 1e-17, 0.3, 1.0, 7.0 / 3.0, 1e17, 1e300]:
+            assert (unit * scale).tobytes() == laplace_inverse_cdf(u, scale).tobytes()
 
     @pytest.mark.parametrize(
         "variant", [Variant.EDPDCS, Variant.RF_DPKM, Variant.RU_DPKM]
@@ -138,11 +153,10 @@ class TestStreamMemo:
                 return run_edpdcs(data, 3, inputs, None, config)
             return run_baseline(data, 3, 2.0, config)
 
-        stream_uniforms.cache_clear()
         cold = run()
-        hits = stream_uniforms.cache_info().hits
+        hits = stream_unit_noise.cache_info().hits
         warm = run()
-        assert stream_uniforms.cache_info().hits > hits
+        assert stream_unit_noise.cache_info().hits > hits
         assert cold[2].comparable_json() == warm[2].comparable_json()
         assert np.array_equal(cold[0].centroids, warm[0].centroids)
         assert np.array_equal(cold[1].labels, warm[1].labels)
@@ -168,7 +182,7 @@ class TestPerturbAggregate:
     def test_vanishing_noise_limit(self):
         counts, sums = self._stats()
         noisy_counts, noisy_sums = perturb_aggregate(
-            counts, sums, 1e12, stream_uniforms(1, 1, 1, 5)
+            counts, sums, 1e12, stream_unit_noise(1, 1, 1, 5)
         )
         assert noisy_counts == pytest.approx(counts, abs=1e-9)
         assert noisy_sums == pytest.approx(sums, abs=1e-9)
@@ -177,24 +191,25 @@ class TestPerturbAggregate:
         # 10^5 clusters read one stream in turn, d + 1 = 5 draws each.
         counts, sums = self._stats(count=100.0, k=10**5, d=4)
         u = np.random.Generator(np.random.PCG64(2024)).random((10**5, 5))
-        noisy_counts, _ = perturb_aggregate(counts, sums, 1.0, u)
+        noisy_counts, _ = perturb_aggregate(counts, sums, 1.0, laplace_inverse_cdf(u, 1.0))
         assert noisy_counts.mean() == pytest.approx(100.0, abs=0.05)
 
     def test_consumes_exactly_d_plus_one_draws(self):
         counts, sums = self._stats(k=2, d=6)
-        perturb_aggregate(counts, sums, 0.5, stream_uniforms(3, 1, 2, 7))
+        perturb_aggregate(counts, sums, 0.5, stream_unit_noise(3, 1, 2, 7))
         for n in (6, 8):
             with pytest.raises(InvalidInputError):
-                perturb_aggregate(counts, sums, 0.5, stream_uniforms(3, 1, 2, n))
+                perturb_aggregate(counts, sums, 0.5, stream_unit_noise(3, 1, 2, n))
         with pytest.raises(InvalidInputError):
-            perturb_aggregate(counts, sums, 0.5, stream_uniforms(3, 1, 3, 7))
+            perturb_aggregate(counts, sums, 0.5, stream_unit_noise(3, 1, 3, 7))
 
     def test_count_perturbed_before_sums(self):
         # Reconstruct the exact stream by hand: one count draw, then d sum
         # draws, all at 1/share from the same uniform sequence.
         counts, sums = self._stats(count=10.0, d=3)
         u = np.random.Generator(np.random.PCG64(77)).random(4)
-        noisy_counts, noisy_sums = perturb_aggregate(counts, sums, 2.0, u[None, :])
+        unit = laplace_inverse_cdf(u[None, :], 1.0)
+        noisy_counts, noisy_sums = perturb_aggregate(counts, sums, 2.0, unit)
         expected_count = counts[0] + laplace_inverse_cdf(u[:1], 1.0 / 2.0)[0]
         expected_sums = sums[0] + laplace_inverse_cdf(u[1:], 1.0 / 2.0)
         assert noisy_counts[0] == expected_count
@@ -203,23 +218,23 @@ class TestPerturbAggregate:
     def test_input_not_modified(self):
         counts, sums = self._stats()
         before = counts.copy(), sums.copy()
-        perturb_aggregate(counts, sums, 1.0, stream_uniforms(4, 1, 1, 5))
+        perturb_aggregate(counts, sums, 1.0, stream_unit_noise(4, 1, 1, 5))
         assert np.array_equal(counts, before[0])
         assert np.array_equal(sums, before[1])
 
     def test_nonpositive_epsilon_refused(self):
         with pytest.raises(InvalidInputError):
-            perturb_aggregate(*self._stats(), 0.0, stream_uniforms(0, 1, 1, 5))
+            perturb_aggregate(*self._stats(), 0.0, stream_unit_noise(0, 1, 1, 5))
 
     @pytest.mark.parametrize("share", NON_FINITE)
     def test_non_finite_epsilon_refused(self, share):
         with pytest.raises(InvalidInputError):
-            perturb_aggregate(*self._stats(), share, stream_uniforms(0, 1, 1, 5))
+            perturb_aggregate(*self._stats(), share, stream_unit_noise(0, 1, 1, 5))
 
     def test_distinct_streams_are_independent_bookkeeping(self):
         # Parallel composition across clusters: each row its own stream.
         counts, sums = self._stats(k=3)
-        noisy_counts, _ = perturb_aggregate(counts, sums, 1.0, stream_uniforms(5, 2, 3, 5))
+        noisy_counts, _ = perturb_aggregate(counts, sums, 1.0, stream_unit_noise(5, 2, 3, 5))
         assert len(set((noisy_counts - 100.0).tolist())) == 3
 
     @settings(max_examples=200, deadline=None)
@@ -242,7 +257,7 @@ class TestPerturbAggregate:
         counts, sums = block
         k, d = sums.shape
         got = noisy_mean(
-            counts, sums, share, stream_uniforms(master_seed, iteration, k, d + 1)
+            counts, sums, share, stream_unit_noise(master_seed, iteration, k, d + 1)
         )
         want = _scalar_noisy_mean(master_seed, iteration, counts, sums, share)
         assert np.array_equal(got, want)
@@ -252,7 +267,8 @@ class TestPerturbAggregate:
         # one underflows to -0.0, one lies below the cube, one above, one in.
         counts = np.array([1e10, 1.0])
         sums = np.array([[-1e-320, 0.25], [-0.5, 2.0]])
-        got = noisy_mean(counts, sums, 1.0, np.full((2, 3), 0.5))
+        zero = laplace_inverse_cdf(np.full((2, 3), 0.5), 1.0)
+        got = noisy_mean(counts, sums, 1.0, zero)
         want = np.clip(sums / counts[:, None], 0.0, 1.0)
         assert np.signbit(want[0, 0])
         assert got.tobytes() == want.tobytes()
