@@ -289,6 +289,7 @@ class TestRunEdpdcs:
         inputs = PlannerInputs(n_rows=10_000, n_dims=3, k=3, epsilon_total=1.0)
         reports = {}
         for parts in (1, 3):
+            engine._MAP_STATES.clear()  # every partition count reads the data
             cfg = EngineConfig(
                 variant=Variant.EDPDCS, n_partitions=parts, master_seed=0, threads=2
             )
@@ -869,6 +870,7 @@ class TestEndToEndProperties:
             epsilon = None
         comparable = set()
         for parts in (1, 3):
+            engine._MAP_STATES.clear()  # every partition count reads the data
             cs, labels, report = _run_variant(
                 data, k, variant, epsilon, n_partitions=parts, threads=2
             )
@@ -931,10 +933,10 @@ class TestEndToEndProperties:
         data = synthetic_blobs(n_rows, n_dims, k, seed=seed)
         if variant is Variant.NONPRIVATE:
             epsilon = None
-        runs = [
-            _run_variant(data, k, variant, epsilon, n_partitions=p, threads=p)
-            for p in (1, 2, 3)
-        ]
+        runs = []
+        for p in (1, 2, 3):
+            engine._MAP_STATES.clear()  # every partition count reads the data
+            runs.append(_run_variant(data, k, variant, epsilon, n_partitions=p, threads=p))
         cs0, labels0, report0 = runs[0]
         for cs, labels, report in runs[1:]:
             assert report.comparable_json() == report0.comparable_json()
