@@ -9,8 +9,11 @@ remembers the per-column ranges so centroids can be mapped back.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -74,57 +77,98 @@ def load_csv(
     never parsed.  Rows holding ``?`` in any feature column are dropped
     and counted in the result.  Any other non-numeric feature value is an
     error, reported with its line number.
+
+    One pass over the file yields the lines to keep, and one
+    ``np.loadtxt`` call parses their feature columns in C.  Only lines
+    holding ``?`` or ``"`` are split with :mod:`csv` on the way, to decide
+    whether they are blank or dropped.  When the bulk parse refuses the
+    file, a second pass splits every line and raises at the first one that
+    the same per-record check refuses.  Numbers are read as by ``float``,
+    except that a token with ``_`` digit groups or non-ASCII characters is
+    refused, as is a quoted field that spans lines.
     """
     if not columns:
         raise InvalidInputError("need at least one feature column")
     max_index = max(c.index for c in columns)
-
-    rows: list[list[float]] = []
-    rows_read = 0
     rows_dropped = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, record in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue  # blank line
-            rows_read += 1
-            if len(record) <= max_index:
-                raise CsvFormatError(
-                    f"{path}:{line_no}: expected at least {max_index + 1} "
-                    f"columns, got {len(record)}"
-                )
-            values = []
-            missing = False
-            for col in columns:
-                token = record[col.index].strip()
-                if token == _MISSING_TOKEN:
-                    missing = True
-                    break
-                try:
-                    values.append(float(token))
-                except ValueError as exc:
-                    raise CsvFormatError(
-                        f"{path}:{line_no}: column {col.name!r} has "
-                        f"non-numeric value {token!r}"
-                    ) from exc
-            if missing:
-                rows_dropped += 1
-                continue
-            rows.append(values)
 
-    if not rows:
-        raise CsvFormatError(f"{path}: no usable data rows")
+    def dropped(record: list[str], line_no: int) -> bool:
+        """Check a record's feature fields in column order; True at a ``?``."""
+        if len(record) <= max_index:
+            raise CsvFormatError(
+                f"{path}:{line_no}: expected at least {max_index + 1} "
+                f"columns, got {len(record)}"
+            )
+        for col in columns:
+            token = record[col.index].strip()
+            if token == _MISSING_TOKEN:
+                return True
+            try:
+                float(token)
+            except ValueError as exc:
+                raise CsvFormatError(
+                    f"{path}:{line_no}: column {col.name!r} has "
+                    f"non-numeric value {token!r}"
+                ) from exc
+            if not token.isascii() or "_" in token:
+                raise CsvFormatError(
+                    f"{path}:{line_no}: column {col.name!r} has value "
+                    f"{token!r} with non-ASCII characters or '_' digit groups"
+                )
+        return False
+
+    def kept_lines(fh: TextIO, split_every_line: bool) -> Iterator[str]:
+        nonlocal rows_dropped
+        for line_no, line in enumerate(fh, start=1):
+            if split_every_line or _MISSING_TOKEN in line or '"' in line:
+                record = next(csv.reader([line]))
+                if record and record[-1].endswith("\n"):
+                    raise CsvFormatError(f"{path}:{line_no}: quoted field spans lines")
+                if has_header and line_no == 1:
+                    continue
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue  # blank line
+                if dropped(record, line_no):
+                    rows_dropped += 1
+                    continue
+            elif (has_header and line_no == 1) or not line.strip():
+                continue
+            yield line
+
+    # Universal newlines end every line in "\n", as csv ends its records.
+    with open(path) as fh:
+        lines = kept_lines(fh, split_every_line=False)
+        # A file with no kept line raises here, before numpy could warn
+        # that its input contained no data.
+        first = next(lines, None)
+        if first is None:
+            raise CsvFormatError(f"{path}: no usable data rows")
+        try:
+            points = np.loadtxt(
+                itertools.chain([first], lines),
+                dtype=np.float64,
+                delimiter=",",
+                comments=None,
+                usecols=[c.index for c in columns],
+                quotechar='"',
+                ndmin=2,
+            )
+        except ValueError as exc:
+            # numpy reads lines ahead of converting them, so the error it
+            # saw may not be the file's first: rescan in file order.
+            fh.seek(0)
+            for _ in kept_lines(fh, split_every_line=True):
+                pass
+            raise CsvFormatError(f"{path}: {exc}") from exc
+
     if rows_dropped:
         logger.info("%s: dropped %d row(s) with missing values", path, rows_dropped)
-    data = Dataset(
-        points=np.asarray(rows, dtype=np.float64),
-        normalized=False,
-        source_label=path,
-    )
+    data = Dataset(points=points, normalized=False, source_label=path)
     return LoadResult(
-        data=data, columns=list(columns), rows_read=rows_read, rows_dropped=rows_dropped
+        data=data,
+        columns=list(columns),
+        rows_read=len(points) + rows_dropped,
+        rows_dropped=rows_dropped,
     )
 
 
@@ -148,9 +192,14 @@ def normalize(
     out_cols: list[ColumnSpec] = []
     for j in range(data.n_dims):
         spec = columns[j] if columns is not None else ColumnSpec(index=j, name=f"f{j}")
-        lo = spec.lo if spec.lo is not None else float(pts[:, j].min())
-        hi = spec.hi if spec.hi is not None else float(pts[:, j].max())
-        if pts[:, j].min() < lo or pts[:, j].max() > hi:
+        # One strided pass per column and bound.  numpy reduces
+        # pts.min(axis=0) of a narrow C-order matrix row by row, which is
+        # slower for the few columns a CSV preset reads.
+        col_min = float(pts[:, j].min())
+        col_max = float(pts[:, j].max())
+        lo = spec.lo if spec.lo is not None else col_min
+        hi = spec.hi if spec.hi is not None else col_max
+        if col_min < lo or col_max > hi:
             raise InvalidInputError(
                 f"column {spec.name!r} has values outside its preset "
                 f"range [{lo}, {hi}]"

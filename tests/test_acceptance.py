@@ -5,6 +5,7 @@ Each test covers one numbered criterion and emits a single
 """
 
 import logging
+import math
 import os
 import time
 from decimal import Decimal, getcontext
@@ -17,7 +18,7 @@ from dpkmeans import engine
 from dpkmeans.core import Assignment, CentroidSet, Dataset
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
 from dpkmeans.evaluation import compare_variants, nicv
-from dpkmeans.mechanism import laplace_inverse_cdf
+from dpkmeans.mechanism import laplace_inverse_cdf, noisy_mean
 from dpkmeans.planner import PlannerInputs, make_plan, minimal_iteration_budget
 
 EPSILON_GRID = [0.5, 1.0, 1.5, 2.0, 3.0]
@@ -102,6 +103,33 @@ class TestCriterion3:
                 ks = stats.kstest(draws, "laplace", args=(0.0, scale))
                 assert ks.pvalue > 0.01
             assert time.perf_counter() - t0 < 10.0
+
+
+class TestPlannerErrorModel:
+    """The planner's error model against the mechanism it plans for.
+
+    With balanced clusters of n rows and every true coordinate at m, a
+    noisy mean (m n + e_s) / (n + e_c) misses by about (e_s - m e_c) / n.
+    The model counts only the sum noise e_s, so at rho = 0 the measured
+    total over all k clusters and d coordinates is the model's times
+    1 + m^2.
+    """
+
+    @pytest.mark.parametrize("m", [0.5, 0.2])
+    @pytest.mark.parametrize("shape", [BLOOD_SHAPE, dict(ADULT_SHAPE, n_rows=48840)])
+    def test_total_error_is_model_times_one_plus_m_squared(self, shape, m):
+        inputs = PlannerInputs(epsilon_total=1.0, rho=0.0, **shape)
+        eps_m = minimal_iteration_budget(inputs)
+        k, d, draws = shape["k"], shape["n_dims"], 50_000
+        counts = np.full(draws * k, shape["n_rows"] / k)
+        sums = np.outer(counts, np.full(d, m))
+        u = np.random.Generator(np.random.PCG64(20240601)).random((draws * k, d + 1))
+        means = noisy_mean(counts, sums, eps_m / (d + 1), laplace_inverse_cdf(u, 1.0))
+        totals = ((means - m) ** 2).reshape(draws, k * d).sum(axis=1)
+        # At eps_m the model's total is the threshold itself.
+        ratio = totals.mean() / inputs.mse_threshold
+        stderr = totals.std() / math.sqrt(draws) / inputs.mse_threshold
+        assert abs(ratio - (1.0 + m * m)) <= 4.0 * stderr
 
 
 class TestCriterion4:

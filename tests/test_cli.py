@@ -311,6 +311,25 @@ _RUN_FLAGS = {
 }
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "usable, code, message",
+    [(2, 1, "need at least k=3 rows, got 2"), (0, 2, "no usable data rows")],
+)
+def test_missing_rows_leaving_too_few_exit_and_write_nothing(
+    out_dir, capsys, command, usable, code, message
+):
+    # Three rows carry "?" in a feature column and are dropped; the label
+    # column's "?" is ignored.
+    rows = ["1,2,3,4,?", "5,6,7,8,1"][:usable] + ["?,2,3,4,0", "1,?,3,4,1", "1,2,3,?,0"]
+    path = out_dir / "missing.csv"
+    path.write_text(BLOOD_SAMPLE.splitlines()[0] + "\n" + "\n".join(rows) + "\n")
+    argv = [command, "--dataset", str(path), "--preset", "blood", "--k", "3"]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert [p.name for p in out_dir.iterdir()] == ["missing.csv"]
+
+
 def test_compare_builds_each_run_as_run_does(out_dir):
     """Every run of a grid matches ``run`` at its variant, epsilon and seed."""
     data = ["--synthetic", "300,3,3", "--k", "3"]

@@ -1,5 +1,9 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkmeans.core import Dataset, InvalidInputError
 from dpkmeans.ingestion import (
@@ -10,6 +14,7 @@ from dpkmeans.ingestion import (
     PRESETS,
     ColumnSpec,
     CsvFormatError,
+    LoadResult,
     load_csv,
     normalize,
     synthetic_blobs,
@@ -39,6 +44,113 @@ ADULT_MISSING_ROW = (
     "?, Private, 101320, Assoc-acdm, 12, Married-civ-spouse, ?, Wife,"
     " White, Female, 0, 1902, 40, United-States, >50K\n"
 )
+
+
+def reference_load_csv(path, columns, *, has_header=False):
+    """The per-field loop ``load_csv`` replaced, kept as the reference."""
+    if not columns:
+        raise InvalidInputError("need at least one feature column")
+    max_index = max(c.index for c in columns)
+
+    rows: list[list[float]] = []
+    rows_read = 0
+    rows_dropped = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for line_no, record in enumerate(reader, start=1):
+            if has_header and line_no == 1:
+                continue
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue  # blank line
+            rows_read += 1
+            if len(record) <= max_index:
+                raise CsvFormatError(
+                    f"{path}:{line_no}: expected at least {max_index + 1} "
+                    f"columns, got {len(record)}"
+                )
+            values = []
+            missing = False
+            for col in columns:
+                token = record[col.index].strip()
+                if token == "?":
+                    missing = True
+                    break
+                try:
+                    values.append(float(token))
+                except ValueError as exc:
+                    raise CsvFormatError(
+                        f"{path}:{line_no}: column {col.name!r} has "
+                        f"non-numeric value {token!r}"
+                    ) from exc
+            if missing:
+                rows_dropped += 1
+                continue
+            rows.append(values)
+
+    if not rows:
+        raise CsvFormatError(f"{path}: no usable data rows")
+    data = Dataset(
+        points=np.asarray(rows, dtype=np.float64),
+        normalized=False,
+        source_label=path,
+    )
+    return LoadResult(
+        data=data, columns=list(columns), rows_read=rows_read, rows_dropped=rows_dropped
+    )
+
+
+def _outcome(load, path, columns, has_header):
+    """What a loader makes of a file: its matrix and counts, or its error."""
+    try:
+        result = load(path, columns, has_header=has_header)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    points = result.data.points
+    return points.shape, points.tobytes(), result.rows_read, result.rows_dropped
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  ", " \t"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.builds(
+        lambda sign, whole, frac, exp: f"{sign}{whole}.{frac}e{exp}",
+        st.sampled_from(["", "+", "-"]),
+        _DIGITS,
+        _DIGITS,
+        st.integers(-330, 310),
+    ),
+    st.sampled_from(["+1", "1.", ".5", "1E+05", "-0", "5e-324", "1e400", "inf", "nan"]),
+)
+_PADDED_NUMBER = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+_FIELD = st.one_of(
+    *[_PADDED_NUMBER] * 16,
+    _NUMBER.map(lambda token: f'"{token}"'),
+    st.tuples(_PAD, st.sampled_from(["?", '"?"']), _PAD).map("".join),
+    st.sampled_from(["", "x", "1.2.3", "--1", "1 2", '1"2', '"1"2', '"1,5"', "? x"]),
+)
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text, the feature columns to read and whether it has a header."""
+    n_cols = draw(st.integers(1, 5))
+    full_row = st.lists(_FIELD, min_size=n_cols, max_size=n_cols)
+    any_row = st.lists(_FIELD, min_size=1, max_size=n_cols)
+    rows = st.one_of(*[full_row] * 12, any_row).map(",".join)
+    lines = draw(st.lists(st.one_of(rows, rows, rows, _BLANK), min_size=1, max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    indices = draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=4))
+    columns = [ColumnSpec(index=i, name=f"c{j}") for j, i in enumerate(indices)]
+    return text, columns, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def case_csv(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("differential") / "case.csv")
 
 
 @pytest.fixture
@@ -116,6 +228,79 @@ class TestLoadCsv:
         cols = [ColumnSpec(index=0, name="a"), ColumnSpec(index=2, name="b")]
         result = load_csv(str(path), cols)
         assert result.data.points[0].tolist() == [1.5, 2.5]
+
+
+class TestLoadCsvAgainstReference:
+    """``load_csv`` reads every file as the per-field loop did."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_csv_files())
+    def test_same_matrix_counts_or_error(self, case_csv, case):
+        text, columns, has_header = case
+        with open(case_csv, "w", newline="") as fh:
+            fh.write(text)
+        expected = _outcome(reference_load_csv, case_csv, columns, has_header)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(load_csv, case_csv, columns, has_header)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2,3,4,0\n1,2,3,4,1\n",
+            "1,2,3,4,0\r\n\r\n 5 ,\t6,\"7\",+8e0,?\r\n",
+            "?,2,3,4,0\n1,2,3,4,?\n",
+            "1,2,3,4\n",
+            "1,2,3,4,0\n1,2,x,?,0\n",
+        ],
+    )
+    def test_fixed_files(self, tmp_path, text):
+        path = tmp_path / "fixed.csv"
+        path.write_text(text, newline="")
+        for has_header in (False, True):
+            assert _outcome(load_csv, str(path), BLOOD_COLUMNS, has_header) == (
+                _outcome(reference_load_csv, str(path), BLOOD_COLUMNS, has_header)
+            )
+
+
+class TestLoadCsvRefusals:
+    """Inputs ``float`` and ``csv`` accept but the bulk parser does not read."""
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0663", "\uff11.5"])
+    def test_number_syntax_outside_ascii_decimal(self, tmp_path, token):
+        path = tmp_path / "syntax.csv"
+        path.write_text(f"1,2,3,4,0\n1,{token},3,4,0\n", encoding="utf-8")
+        assert float(token) > 0  # the old loop read it
+        with pytest.raises(
+            CsvFormatError,
+            match=rf"syntax\.csv:2: column 'frequency_times' has value '{token}' "
+            r"with non-ASCII characters or '_' digit groups",
+        ):
+            load_csv(str(path), BLOOD_COLUMNS)
+
+    def test_quoted_field_spanning_lines(self, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text('1,2,3,4,0\n1,2,3,4,"yes\nno"\n5,6,7,8,1\n')
+        with pytest.raises(CsvFormatError, match=r"span\.csv:2: quoted field spans lines"):
+            load_csv(str(path), BLOOD_COLUMNS)
+
+    def test_quoted_header_spanning_lines(self, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text('a,b,c,d,"label\nname"\n1,2,3,4,0\n')
+        with pytest.raises(CsvFormatError, match=r"span\.csv:1: quoted field spans lines"):
+            load_csv(str(path), BLOOD_COLUMNS, has_header=True)
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n \n", "a,b,c,d,e\n", "?,2,3,4,0\n1,2,?,4,1\n"]
+    )
+    def test_no_kept_row_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="no usable data rows"):
+                load_csv(str(path), BLOOD_COLUMNS, has_header=text.startswith("a"))
 
 
 class TestNormalize:
