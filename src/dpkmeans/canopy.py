@@ -82,7 +82,6 @@ class _CanopySummary:
     Exact raw-data state: it stays in the process and no report holds it.
 
     Attributes:
-        t1, t2: The radii after any halving.
         halvings: How many times the radii were halved.
         n_canopies: Canopies made by the last pass.
         counts: Exact tight member counts of the top min(k, n_canopies)
@@ -90,8 +89,6 @@ class _CanopySummary:
         sums: Their exact tight coordinate sums, one row each (read-only).
     """
 
-    t1: float
-    t2: float
     halvings: int
     n_canopies: int
     counts: np.ndarray
@@ -213,7 +210,7 @@ def _canopy_summary(
     sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in chosen])
     counts.setflags(write=False)
     sums.setflags(write=False)
-    summary = _CanopySummary(t1, t2, halvings, len(canopies), counts, sums)
+    summary = _CanopySummary(halvings, len(canopies), counts, sums)
     per_data[key] = summary
     return summary
 

@@ -140,18 +140,8 @@ def _index_and_one(k: int) -> np.ndarray:
     return out
 
 
-def chunk_sq_norms(points: np.ndarray) -> np.ndarray:
-    """The largest squared row norm of each chunk :func:`label_points` labels.
-
-    One value per ``_LABEL_CHUNK_ROWS`` rows of ``points``, in chunk order.
-    Of the rows' norms, these maxima are all that the bound ``tau`` reads.
-    """
-    sq = np.einsum("ij,ij->i", points, points)
-    return np.maximum.reduceat(sq, np.arange(0, sq.shape[0], _LABEL_CHUNK_ROWS))
-
-
 def label_points(
-    points: np.ndarray, centroids: np.ndarray, chunk_norms: np.ndarray | None = None
+    points: np.ndarray, centroids: np.ndarray, max_sq_norm: float | None = None
 ) -> np.ndarray:
     """Index of the nearest centroid for every row, vectorized.
 
@@ -159,10 +149,10 @@ def label_points(
     the single labeling code path used everywhere so that map tasks, final
     assignments, and evaluation always agree bit-for-bit.
 
-    ``chunk_norms`` is :func:`chunk_sq_norms` of ``points``, the only part
+    ``max_sq_norm`` bounds every row's squared norm, and is the only part
     of the rows' norms that the bound ``tau`` below reads.  By default it is
-    computed here.  The engine computes it once per map block and dataset,
-    and passes it to every labelling pass on that dataset.
+    each chunk's own largest.  The engine passes d: its data lie in the unit
+    cube, so no row's squared norm exceeds it.
 
     The labels are those of :func:`_label_exact`, which sums each row's d
     squared differences to every centroid, and they do not depend on the
@@ -175,8 +165,9 @@ def label_points(
     labelled by :func:`_label_exact`.
 
     Why the filter cannot change a label.  Let u = 2^-53,
-    g_m = m u / (1 - m u), D_j = ||x - c_j||^2, and S = the largest ||x|| of
-    the chunk plus the largest ||c_j||, so that D_j <= S^2 and
+    g_m = m u / (1 - m u), D_j = ||x - c_j||^2, and S = the bound on ||x||
+    (the square root of ``max_sq_norm``, or the chunk's largest ||x||) plus
+    the largest ||c_j||, so that D_j <= S^2 and
     |F_j| <= S^2 in exact arithmetic.  A computed dot product of length d
     is within g_d |a|.|b| of the true one in any summation order, with or
     without fused multiply-adds (Higham, *Accuracy and Stability of
@@ -211,8 +202,6 @@ def label_points(
     labels = np.empty(n, dtype=np.int64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norm = np.sqrt(c_sq.max())
-    if chunk_norms is None:
-        chunk_norms = chunk_sq_norms(points)
     minus_2c = -2.0 * centroids
     index_and_one = _index_and_one(centroids.shape[0])
     for start in range(0, n, _LABEL_CHUNK_ROWS):
@@ -222,7 +211,8 @@ def label_points(
         # that stay cheap when k is small.
         f = minus_2c @ x.T
         f += c_sq[:, None]
-        s = np.sqrt(chunk_norms[start // _LABEL_CHUNK_ROWS]) + c_norm
+        x_sq = np.einsum("ij,ij->i", x, x).max() if max_sq_norm is None else max_sq_norm
+        s = np.sqrt(x_sq) + c_norm
         tau = 8 * (d + 2) * (_UNIT_ROUNDOFF * s * s + _SMALLEST_SUBNORMAL)
         near = f <= f.min(axis=0) + tau
         # Per row, the sum of the near centroids' indices and their number.

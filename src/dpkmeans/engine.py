@@ -9,11 +9,11 @@ the centroids it labels against (the previous iteration's result), and a
 final pass gives the assignment and the report's NICV.  Because the
 block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
-partition count only controls how blocks are grouped onto threads.  The
-blocks, and the statistics of recent labelling passes, are kept once per
-dataset (:class:`_MapState`), so runs on one dataset that label against
-the same centroids, as the runs of a ``compare`` grid often do, read the
-data once for them.
+partition count only controls how blocks are grouped onto threads.  Each
+run slices its own block views.  The statistics of recent labelling passes
+are the one thing kept per dataset (:class:`_PassMemo`), so runs on one
+dataset that label against the same centroids, as the runs of a
+``compare`` grid often do, read the data once for them.
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
@@ -62,7 +62,6 @@ from dpkmeans.core import (
     CentroidSet,
     Dataset,
     InvalidInputError,
-    chunk_sq_norms,
     label_points,
 )
 from dpkmeans.mechanism import (
@@ -208,9 +207,11 @@ class RunReport:
         return json.dumps(out, indent=2, sort_keys=True)
 
 
-def block_spans(n_rows: int, block_rows: int = MAP_BLOCK_ROWS) -> list[tuple[int, int]]:
+def block_spans(n_rows: int) -> list[tuple[int, int]]:
     """Fixed [start, stop) row spans covering the dataset."""
-    return [(s, min(s + block_rows, n_rows)) for s in range(0, n_rows, block_rows)]
+    return [
+        (s, min(s + MAP_BLOCK_ROWS, n_rows)) for s in range(0, n_rows, MAP_BLOCK_ROWS)
+    ]
 
 
 _Partials = tuple[np.ndarray, np.ndarray, np.ndarray, float]
@@ -229,20 +230,16 @@ def _bin_offsets(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _block_partials(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    k: int,
-    chunk_norms: np.ndarray | None = None,
-) -> _Partials:
+def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Partials:
     """Map task for one block: labels, counts, sums and the sum of every
     row's squared distance to its nearest centroid.
 
-    ``chunk_norms`` is passed on to :func:`~dpkmeans.core.label_points`.
+    The rows lie in the unit cube, so d bounds every row's squared norm for
+    :func:`~dpkmeans.core.label_points`' filter.
     """
-    labels = label_points(points, centroids, chunk_norms)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
     d = points.shape[1]
+    labels = label_points(points, centroids, d)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
     # One bincount over the (label, dimension) bins of the row-major points:
     # each row is added exactly once, in dataset order within the block, as
     # an unbuffered np.add.at would, so the sums are bit-identical to it.
@@ -255,7 +252,7 @@ def _block_partials(
     return labels, counts, sums, float(diff.sum())
 
 
-#: Most bytes of labelling-pass statistics one dataset's map state keeps.
+#: Most bytes of labelling-pass statistics kept for one dataset.
 #: An entry counts its arrays, its key's bytes and ``_PASS_ENTRY_OVERHEAD``
 #: for its Python objects: about 650 bytes at k=2, d=4 (a 451-run ``compare``
 #: grid on 748 rows keeps about 2,100) and 5.8 KB at k=20, d=16.
@@ -263,14 +260,8 @@ PASS_MEMO_BYTES = 4 * 2**20
 _PASS_ENTRY_OVERHEAD = 512
 
 
-class _MapState:
-    """One dataset's map layout, and what its labelling passes found.
-
-    The layout is the fixed row blocks and each block's
-    :func:`~dpkmeans.core.chunk_sq_norms`, which every labelling pass reads.
-    They are a few values per block, not one per row: a run-long (n,) array
-    of row norms splits the heap's free space, and under glibc malloc kept
-    about 25 MB more resident on 200k x 16 data.
+class _PassMemo:
+    """What one dataset's labelling passes found.
 
     A pass's statistics depend only on the data and the centroids' bytes,
     never on the partition count.  So the read-only (counts, sums,
@@ -285,9 +276,7 @@ class _MapState:
     is dropped with its dataset and no report holds it.
     """
 
-    def __init__(self, data: Dataset):
-        self.blocks = [data.points[s:e] for s, e in block_spans(data.n_rows)]
-        self.chunk_norms = [chunk_sq_norms(b) for b in self.blocks]
+    def __init__(self) -> None:
         self.passes: OrderedDict[tuple, _PassStats] = OrderedDict()
         self.pass_bytes = 0
         self._lock = threading.Lock()
@@ -316,8 +305,7 @@ def _entry_bytes(key: tuple, counts: np.ndarray, sums: np.ndarray) -> int:
     return len(key[1]) + counts.nbytes + sums.nbytes + _PASS_ENTRY_OVERHEAD
 
 
-#: Map state per dataset (hashed by identity).  Two threads may build one
-#: dataset's state twice, with the same values.
+#: Pass memo per dataset (hashed by identity).
 _MAP_STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -328,19 +316,17 @@ def _pass_key(centroids: np.ndarray) -> tuple:
 class _BlockAggregator:
     """Runs the map phase over a dataset's blocks, optionally on a thread pool.
 
-    The blocks, their chunk norms and the memo of earlier passes are the
-    dataset's :class:`_MapState`; the pool is the run's own.
+    The block views and the pool are the run's own; the memo of earlier
+    passes is the dataset's :class:`_PassMemo`.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
-        state = _MAP_STATES.get(data)
-        if state is None:
-            state = _MAP_STATES.setdefault(data, _MapState(data))
-        self._state = state
+        self._memo = _MAP_STATES.setdefault(data, _PassMemo())
+        self._blocks = [data.points[s:e] for s, e in block_spans(data.n_rows)]
+        n_blocks = len(self._blocks)
         self._executor: ThreadPoolExecutor | None = None
-        self._groups: list[np.ndarray] = []
-        n_blocks = len(self._state.blocks)
-        if workers > 1 and n_partitions > 1 and n_blocks > 1:
+        self._groups = [range(n_blocks)]
+        if workers > 1 and n_blocks > 1:
             self._groups = [
                 g for g in np.array_split(np.arange(n_blocks), n_partitions) if g.size
             ]
@@ -358,7 +344,7 @@ class _BlockAggregator:
         Centroids with the same bytes as a kept pass's get its read-only
         values back without a read of the data.
         """
-        stats = self._state.lookup(_pass_key(centroids))
+        stats = self._memo.lookup(_pass_key(centroids))
         if stats is None:
             stats = self.labelling_pass(centroids)[:3]
         return stats
@@ -372,24 +358,17 @@ class _BlockAggregator:
         Block partials merge in ascending block order, so every result is
         independent of the partition count.
         """
-        blocks, chunk_norms = self._state.blocks, self._state.chunk_norms
+        blocks = self._blocks
         k = centroids.shape[0]
 
         def work(indices) -> list[_Partials]:
-            return [
-                _block_partials(blocks[b], centroids, k, chunk_norms[b]) for b in indices
-            ]
+            return [_block_partials(blocks[b], centroids, k) for b in indices]
 
-        if self._executor is None:
-            per_block = work(range(len(blocks)))
-        else:
-            # Groups are consecutive block ranges and map() keeps their
-            # order, so the partials arrive in ascending block order.
-            per_block = [
-                partial
-                for group in self._executor.map(work, self._groups)
-                for partial in group
-            ]
+        # Groups are consecutive block ranges and map() keeps their order, so
+        # the partials arrive in ascending block order.  A serial pass runs
+        # its one group through the builtin map.
+        run = map if self._executor is None else self._executor.map
+        per_block = [partial for group in run(work, self._groups) for partial in group]
 
         # Block 0's partials are fresh arrays from bincount, which never
         # yields -0.0, so starting the fold from them equals starting it
@@ -401,7 +380,7 @@ class _BlockAggregator:
             sq_dist += block_sq_dist
         if len(per_block) > 1:
             labels = np.concatenate([p[0] for p in per_block])
-        self._state.store(_pass_key(centroids), counts, sums, sq_dist)
+        self._memo.store(_pass_key(centroids), counts, sums, sq_dist)
         return counts, sums, sq_dist, labels
 
 
@@ -457,7 +436,7 @@ def _run_lloyd(
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
     charged to the ledger before its exact counts and sums are read, from
-    the data or from the map state's memo, and the new centroids are one
+    the data or from the dataset's pass memo, and the new centroids are one
     :func:`~dpkmeans.mechanism.noisy_mean` of them, at epsilon / (d + 1) for
     each cluster's d + 1 statistics, cluster j's noise from stream (t, j).
     A step with ``None`` is exact.  RU_DPKM and NONPRIVATE stop once a step

@@ -85,7 +85,9 @@ def load_csv(
     file, a second pass splits every line and raises at the first one that
     the same per-record check refuses.  Numbers are read as by ``float``,
     except that a token with ``_`` digit groups or non-ASCII characters is
-    refused, as is a quoted field that spans lines.
+    refused, as is a quoted field that spans lines.  The file is read as
+    UTF-8, and a byte sequence that is not UTF-8 is refused with its line
+    number.
     """
     if not columns:
         raise InvalidInputError("need at least one feature column")
@@ -136,30 +138,35 @@ def load_csv(
             yield line
 
     # Universal newlines end every line in "\n", as csv ends its records.
-    with open(path) as fh:
-        lines = kept_lines(fh, split_every_line=False)
-        # A file with no kept line raises here, before numpy could warn
-        # that its input contained no data.
-        first = next(lines, None)
-        if first is None:
-            raise CsvFormatError(f"{path}: no usable data rows")
-        try:
-            points = np.loadtxt(
-                itertools.chain([first], lines),
-                dtype=np.float64,
-                delimiter=",",
-                comments=None,
-                usecols=[c.index for c in columns],
-                quotechar='"',
-                ndmin=2,
-            )
-        except ValueError as exc:
-            # numpy reads lines ahead of converting them, so the error it
-            # saw may not be the file's first: rescan in file order.
-            fh.seek(0)
-            for _ in kept_lines(fh, split_every_line=True):
-                pass
-            raise CsvFormatError(f"{path}: {exc}") from exc
+    # A UnicodeDecodeError is a ValueError, so it can reach the rescan below,
+    # which then raises it again.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = kept_lines(fh, split_every_line=False)
+            # A file with no kept line raises here, before numpy could warn
+            # that its input contained no data.
+            first = next(lines, None)
+            if first is None:
+                raise CsvFormatError(f"{path}: no usable data rows")
+            try:
+                points = np.loadtxt(
+                    itertools.chain([first], lines),
+                    dtype=np.float64,
+                    delimiter=",",
+                    comments=None,
+                    usecols=[c.index for c in columns],
+                    quotechar='"',
+                    ndmin=2,
+                )
+            except ValueError as exc:
+                # numpy reads lines ahead of converting them, so the error it
+                # saw may not be the file's first: rescan in file order.
+                fh.seek(0)
+                for _ in kept_lines(fh, split_every_line=True):
+                    pass
+                raise CsvFormatError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from exc
 
     if rows_dropped:
         logger.info("%s: dropped %d row(s) with missing values", path, rows_dropped)
@@ -170,6 +177,19 @@ def load_csv(
         rows_read=len(points) + rows_dropped,
         rows_dropped=rows_dropped,
     )
+
+
+def _undecodable_line(path: str) -> int:
+    """The 1-based line, counted as universal newlines count them, that
+    holds the first byte of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[: exc.start]
+    # The appended byte ends the prefix in an unterminated last line.
+    return len((raw + b"x").splitlines())
 
 
 def normalize(

@@ -47,6 +47,8 @@ STREAM_MEMO_SIZE = 1024
 # Smallest positive double.  Clamping the inverse-CDF argument here keeps the
 # log finite at the u = 0 endpoint without disturbing any other draw.
 _LOG_FLOOR = 5e-324
+# Above -log(_LOG_FLOOR) = 744.44, the largest magnitude of a unit draw.
+_UNIT_DRAW_BOUND = 745.0
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -124,10 +126,19 @@ def perturb_aggregate(
 
     Returns:
         New noisy (counts, sums); the inputs are not modified.
+
+    Raises:
+        InvalidInputError: ``epsilon_share`` is not positive and finite, or
+            is so small that a scaled draw could overflow to infinity.
     """
     if not 0.0 < epsilon_share < np.inf:
         raise InvalidInputError(
             f"epsilon share must be positive and finite, got {epsilon_share}"
+        )
+    scale = SENSITIVITY / epsilon_share
+    if scale * _UNIT_DRAW_BOUND == np.inf:
+        raise InvalidInputError(
+            f"epsilon share {epsilon_share} is too small: its noise overflows"
         )
     k, d = sums.shape
     if counts.shape != (k,) or unit_noise.shape != (k, d + 1):
@@ -135,7 +146,7 @@ def perturb_aggregate(
             f"need ({k},) counts and ({k}, {d + 1}) noise for ({k}, {d}) sums, "
             f"got {counts.shape} and {unit_noise.shape}"
         )
-    noise = unit_noise * (SENSITIVITY / epsilon_share)
+    noise = unit_noise * scale
     return counts + noise[:, 0], sums + noise[:, 1:]
 
 

@@ -1,8 +1,12 @@
 """Shared fixtures: synthetic datasets shaped like the reference corpora."""
 
+import importlib
+import pkgutil
+import weakref
+
 import pytest
 
-from dpkmeans import canopy, core, engine, mechanism
+import dpkmeans
 from dpkmeans.ingestion import synthetic_blobs
 
 # Two-cluster data with the reference shape (N=748, d=4) and a size split
@@ -14,6 +18,24 @@ BLOOD_WEIGHTS = [0.6122, 0.3878]
 ADULT_SHAPE = dict(n_rows=48842, n_dims=6, n_centers=5, seed=17)
 
 
+def process_memos() -> dict[str, object]:
+    """Every process-wide memo of the ``dpkmeans`` modules, by dotted name.
+
+    A memo is a module-level function with ``cache_clear`` (an
+    ``lru_cache``) or a module-level ``weakref.WeakKeyDictionary``.  Each is
+    named after the module that defines it, not one that imports it.
+    """
+    memos: dict[str, object] = {}
+    for info in pkgutil.iter_modules(dpkmeans.__path__, "dpkmeans."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if isinstance(value, weakref.WeakKeyDictionary):
+                memos[f"{info.name}.{name}"] = value
+            elif callable(getattr(value, "cache_clear", None)):
+                memos[f"{value.__module__}.{value.__qualname__}"] = value
+    return memos
+
+
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Every test starts with the process-wide memos empty.
@@ -21,16 +43,11 @@ def cold_memos():
     The dataset fixtures are session-scoped, so without this a test that
     counts memo hits or labelling passes would see what earlier tests left.
     """
-    for memo in (
-        mechanism.derive_stream_seed,
-        mechanism.stream_unit_noise,
-        engine._random_row_indices,
-        engine._bin_offsets,
-        core._index_and_one,
-    ):
-        memo.cache_clear()
-    canopy._SUMMARIES.clear()
-    engine._MAP_STATES.clear()
+    for memo in process_memos().values():
+        if isinstance(memo, weakref.WeakKeyDictionary):
+            memo.clear()
+        else:
+            memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -199,9 +199,9 @@ class TestSelectInitialCentroids:
         data = Dataset(points=small_blobs.points, normalized=True)
         summary = _canopy_summary(data, 3, CanopyParams(subsample_size=100), 8)
         points = draw_subsample(data, 100, derive_stream_seed(8, 0, 0))
-        top = run_canopy(points, summary.t1, summary.t2)[:3]
+        top = run_canopy(points, *default_thresholds(points))[:3]
         sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in top])
-        assert (summary.halvings, summary.t1) == (0, default_thresholds(points)[0])
+        assert summary.halvings == 0
         assert np.array_equal(summary.sums, sums)
 
     def test_heavy_noise_still_lands_in_unit_cube(self, small_blobs):
@@ -258,7 +258,10 @@ class TestSelectInitialCentroids:
         assert start.shape == (2, 2)
         assert notes == ["canopy radii halved 2x to reach 2 canopies"]
         summary = _canopy_summary(data, 2, params, 2)
-        assert (summary.t1, summary.t2) == (0.125, 0.1)
+        top = run_canopy(data.points, 0.125, 0.1)
+        sums = np.vstack([data.points[c.tight_member_indices].sum(axis=0) for c in top])
+        assert (summary.halvings, summary.n_canopies) == (2, len(top))
+        assert np.array_equal(summary.sums, sums)
 
     def test_unnormalized_data_rejected(self):
         data = Dataset(points=np.array([[2.0, 3.0], [4.0, 5.0]]))
@@ -375,7 +378,9 @@ class TestCanopySummary:
         data = Dataset(points=blood_like.points, normalized=True)
         start, _, _ = select_initial_centroids(data, k, CanopyParams(), 0)
         summary = _canopy_summary(data, k, CanopyParams(), 0)
-        top = run_canopy(data.points, summary.t1, summary.t2)[:k]
+        t1, t2 = default_thresholds(data.points)
+        scale = 0.5**summary.halvings
+        top = run_canopy(data.points, scale * t1, scale * t2)[:k]
         expected = np.vstack([data.points[c.tight_member_indices].mean(axis=0) for c in top])
         assert np.array_equal(start, expected)
 
@@ -388,7 +393,7 @@ class TestCanopySummary:
         with pytest.raises(ValueError):
             summary.sums[0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            summary.t1 = 1.0
+            summary.halvings = 1
 
     def test_entry_dropped_with_its_dataset(self, small_blobs):
         data = Dataset(points=small_blobs.points, normalized=True)

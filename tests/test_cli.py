@@ -434,3 +434,33 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "plan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", ["2e-308", "1e-307"])
+@pytest.mark.parametrize("variant", ["edpdcs", "rf", "ru"])
+def test_epsilon_whose_noise_overflows_exits_1_and_writes_nothing(
+    out_dir, capsys, variant, eps
+):
+    # At 2e-308 every variant's noise scale is infinite.  At 1e-307 EDPDCS's
+    # start has a finite scale, but its draws could overflow: it wrote NaN.
+    argv = ["--eps", eps, "--synthetic", "200,4,2", "--k", "2"]
+    assert main(["run", "--variant", variant, *argv]) == 1
+    assert "noise overflows" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+
+
+def test_compare_at_an_overflowing_epsilon_exits_1_and_writes_nothing(out_dir, capsys):
+    argv = ["--eps", "2e-308", "--synthetic", "200,4,2", "--k", "2", "--seeds", "2"]
+    assert main(["compare", *argv]) == 1
+    assert "noise overflows" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+
+
+def test_csv_that_is_not_utf8_exits_2_and_writes_nothing(out_dir, capsys):
+    path = out_dir / "blood.csv"
+    lines = BLOOD_SAMPLE.encode().splitlines()[:4]
+    lines[2] = lines[2][:-1] + b"\xff"  # the ignored label column
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["run", "--dataset", str(path), "--preset", "blood"]) == 2
+    assert "blood.csv:3: not UTF-8" in capsys.readouterr().err
+    assert [p.name for p in out_dir.iterdir()] == ["blood.csv"]

@@ -201,22 +201,16 @@ class TestLabelPointsChunks:
         assert got[tied].tolist() == [1, 1, 1, 1]
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
-    def test_supplied_chunk_norms_at_chunk_boundary_ties(self):
+    def test_unit_cube_bound_at_chunk_boundary_ties(self):
+        # The engine's bound: d, the largest squared norm in the unit cube.
         rng = np.random.Generator(np.random.PCG64(1))
         pts = rng.random((3 * self.CHUNK + 17, 2)) * 0.1
         centroids = np.array([[0.0, 0.0], [0.25, 0.5], [0.9, 0.9], [0.75, 0.5]])
         tied = [self.CHUNK - 1, self.CHUNK, 2 * self.CHUNK - 1, 2 * self.CHUNK]
         pts[tied] = 0.5
-        got = label_points(pts, centroids, core.chunk_sq_norms(pts))
+        got = label_points(pts, centroids, max_sq_norm=2)
         assert got[tied].tolist() == [1, 1, 1, 1]
-        assert np.array_equal(got, label_points(pts, centroids))
-
-    @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
-    def test_chunk_norms_are_each_chunks_largest_row_norm(self, n):
-        pts = np.random.Generator(np.random.PCG64(n)).random((n, 3))
-        sq = np.einsum("ij,ij->i", pts, pts)
-        want = [sq[s : s + self.CHUNK].max() for s in range(0, n, self.CHUNK)]
-        assert core.chunk_sq_norms(pts).tolist() == want
+        assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
     def test_temporary_bounded_by_one_chunk(self):
         n, d, k = 40_000, 16, 20
@@ -281,11 +275,12 @@ class TestLabelPointsFilter:
         assert np.array_equal(got, _broadcast_labels(points, centroids))
 
     @settings(max_examples=200, deadline=None)
-    @given(_labelling_inputs())
-    def test_supplied_chunk_norms_change_nothing(self, inputs):
+    @given(_labelling_inputs(), st.sampled_from([1.0, 1.0 + 2**-52, 4.0, 1e6]))
+    def test_any_bound_on_the_row_norms_matches_oracle(self, inputs, factor):
         points, centroids = inputs
-        got = label_points(points, centroids, core.chunk_sq_norms(points))
-        assert np.array_equal(got, label_points(points, centroids))
+        largest = float(np.einsum("ij,ij->i", points, points).max(initial=0.0))
+        got = label_points(points, centroids, max_sq_norm=largest * factor)
+        assert np.array_equal(got, _broadcast_labels(points, centroids))
 
     @pytest.mark.parametrize(
         "case",

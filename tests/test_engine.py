@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpkmeans import engine
+from dpkmeans import core, engine
 from dpkmeans.canopy import CanopyParams, select_initial_centroids
 from dpkmeans.core import (
     CentroidSet,
@@ -62,8 +62,9 @@ class TestBlockSpans:
     def test_small_input_single_block(self):
         assert block_spans(10) == [(0, 10)]
 
-    def test_custom_block_rows(self):
-        assert block_spans(7, block_rows=3) == [(0, 3), (3, 6), (6, 7)]
+    def test_one_row_past_two_blocks(self):
+        n = 2 * engine.MAP_BLOCK_ROWS + 1
+        assert block_spans(n) == [(0, 4096), (4096, 8192), (8192, 8193)]
 
 
 class TestMapAssign:
@@ -116,6 +117,33 @@ class TestBlockPartials:
         assert np.array_equal(counts, np.bincount(labels, minlength=k))
         diff = pts - centroids[labels]
         assert sq_dist == float((diff * diff).sum())
+
+    @pytest.mark.parametrize(
+        "case", ["corners", "dyadic bisectors", "rows as centroids", "near duplicates"]
+    )
+    def test_unit_cube_labels_are_the_exact_paths(self, case):
+        # The map task bounds every row's squared norm by d, which rows at
+        # the cube's far corner reach exactly.
+        rng = np.random.Generator(np.random.PCG64(12))
+        n, d = 3000, 5
+        if case == "near duplicates":
+            # Pairs of centroids 1e-15 apart: many rows are nearer one of a
+            # pair than the other by less than the product's rounding error.
+            pts = rng.random((n, d))
+            base = rng.random((3, d))
+            nudged = base + 1e-15 * rng.standard_normal((3, d))
+            centroids = np.clip(np.vstack([base, nudged]), 0.0, 1.0)
+        elif case == "corners":
+            pts = rng.integers(0, 2, (n, d)).astype(np.float64)
+            centroids = rng.integers(0, 3, (6, d)) / 2.0
+        elif case == "dyadic bisectors":
+            pts = rng.integers(0, 9, (n, d)) / 8.0
+            centroids = rng.integers(0, 5, (6, d)) / 4.0
+        else:
+            pts = rng.random((n, d))
+            centroids = pts[rng.choice(n, 6, replace=False)]
+        labels = engine._block_partials(pts, centroids, 6)[0]
+        assert np.array_equal(labels, core._label_exact(pts, centroids))
 
 
 class TestReduceCluster:
@@ -466,7 +494,7 @@ def _grid_jsons(data, k, n_partitions=1):
 
 
 class TestPassMemo:
-    """The per-dataset map state's memo of labelling-pass statistics."""
+    """The per-dataset memo of labelling-pass statistics."""
 
     def _count_passes(self, monkeypatch):
         passes = []
@@ -510,7 +538,7 @@ class TestPassMemo:
                 events.append(("charge", phase))
                 return super().charge(phase, amount)
 
-        original = engine._MapState.lookup
+        original = engine._PassMemo.lookup
 
         def lookup(self, key):
             stats = original(self, key)
@@ -518,7 +546,7 @@ class TestPassMemo:
             return stats
 
         monkeypatch.setattr(engine, "BudgetLedger", Ledger)
-        monkeypatch.setattr(engine._MapState, "lookup", lookup)
+        monkeypatch.setattr(engine._PassMemo, "lookup", lookup)
         runs = []
         for _ in range(2):
             events.clear()

@@ -291,6 +291,16 @@ class TestLoadCsvRefusals:
         with pytest.raises(CsvFormatError, match=r"span\.csv:1: quoted field spans lines"):
             load_csv(str(path), BLOOD_COLUMNS, has_header=True)
 
+    @pytest.mark.parametrize("rows_before", [1, 3000])
+    def test_bytes_that_are_not_utf8(self, tmp_path, rows_before):
+        # 3000 rows put the bad byte past the first read, so the bulk parse
+        # meets it and the rescan raises.
+        path = tmp_path / "latin.csv"
+        lines = [b"a,b,c,d,e"] + [b"1,2,3,4,0"] * rows_before + [b"5,6,7,8,\xff", b"1,2,3,4,1"]
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(CsvFormatError, match=rf"latin\.csv:{rows_before + 2}: not UTF-8"):
+            load_csv(str(path), BLOOD_COLUMNS, has_header=True)
+
     @pytest.mark.parametrize(
         "text", ["", "\n \n", "a,b,c,d,e\n", "?,2,3,4,0\n1,2,?,4,1\n"]
     )

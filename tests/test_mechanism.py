@@ -231,6 +231,21 @@ class TestPerturbAggregate:
         with pytest.raises(InvalidInputError):
             perturb_aggregate(*self._stats(), share, stream_unit_noise(0, 1, 1, 5))
 
+    @pytest.mark.parametrize("share", [1e-309, 1e-306])
+    def test_share_whose_noise_overflows_refused(self, share):
+        # 1 / 1e-309 overflows; 1 / 1e-306 is finite, but a unit draw of
+        # up to 744 times it is not.
+        with pytest.raises(InvalidInputError, match="noise overflows"):
+            perturb_aggregate(*self._stats(), share, stream_unit_noise(0, 1, 1, 5))
+
+    def test_smallest_share_keeps_the_largest_draw_finite(self):
+        largest = laplace_inverse_cdf(np.array([0.0]), 1.0)
+        for share in (1e-300, 746.0 / np.finfo(np.float64).max):
+            noisy_counts, noisy_sums = perturb_aggregate(
+                *self._stats(k=1, d=1), share, np.hstack([largest, -largest])[None, :]
+            )
+            assert np.isfinite(noisy_counts).all() and np.isfinite(noisy_sums).all()
+
     def test_distinct_streams_are_independent_bookkeeping(self):
         # Parallel composition across clusters: each row its own stream.
         counts, sums = self._stats(k=3)
