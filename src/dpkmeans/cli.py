@@ -239,30 +239,29 @@ def _resolve_k(args: argparse.Namespace, default_k: int | None) -> int:
     raise InvalidInputError("--k is required for this dataset selection")
 
 
-def _planner_inputs(
-    args: argparse.Namespace, n_rows: int, n_dims: int, k: int, eps: float
-) -> PlannerInputs:
-    """Planner inputs for a shape and budget, with the planner flags that were given."""
-    kwargs = dict(n_rows=n_rows, n_dims=n_dims, k=k, epsilon_total=eps)
-    if args.rho is not None:
-        kwargs["rho"] = args.rho
-    if args.mse_threshold is not None:
-        kwargs["mse_threshold"] = args.mse_threshold
-    if args.t_cap is not None:
-        kwargs["t_cap"] = args.t_cap
-    if args.eps_m_override is not None:
-        kwargs["epsilon_m_override"] = args.eps_m_override
-    return PlannerInputs(**kwargs)
+#: Each input flag, under the ``Variant`` predicate that says whether a
+#: variant reads it, mapped to the ``PlannerInputs`` or ``CanopyParams`` field
+#: it sets.  ``run`` refuses a flag its variant does not read.  ``--eps`` sets
+#: no field here: each command reads the budget itself.
+_INPUT_FLAGS = {
+    "takes_planner_inputs": {
+        "rho": "rho",
+        "mse_threshold": "mse_threshold",
+        "t_cap": "t_cap",
+        "eps_m_override": "epsilon_m_override",
+    },
+    "has_canopy_start": {"t1": "t1", "t2": "t2", "subsample": "subsample_size"},
+    "spends_epsilon": {"eps": None},
+}
 
 
-def _canopy_params(args: argparse.Namespace) -> CanopyParams:
-    kwargs = {}
-    if args.t1 is not None or args.t2 is not None:
-        kwargs["t1"] = args.t1
-        kwargs["t2"] = args.t2
-    if args.subsample is not None:
-        kwargs["subsample_size"] = args.subsample
-    return CanopyParams(**kwargs)
+def _given_fields(args: argparse.Namespace, reads: str) -> dict:
+    """The fields that the given flags under ``reads`` set, by field name."""
+    return {
+        field: getattr(args, flag)
+        for flag, field in _INPUT_FLAGS[reads].items()
+        if getattr(args, flag) is not None
+    }
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -278,7 +277,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         n_rows, n_dims = data.n_rows, data.n_dims
     else:
         raise InvalidInputError("plan needs --n and --d, or a dataset selection")
-    plan = make_plan(_planner_inputs(args, n_rows, n_dims, args.k, args.eps))
+    given = _given_fields(args, "takes_planner_inputs")
+    plan = make_plan(PlannerInputs(n_rows, n_dims, args.k, args.eps, **given))
 
     print(f"dataset shape        N={n_rows} d={n_dims} k={args.k}")
     print(f"epsilon total        {plan.epsilon_total:g}")
@@ -291,15 +291,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"epsilon per count    {plan.epsilon_count:.6g}")
     print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
-
-
-#: The flags that feed each input a variant may read, by the ``Variant``
-#: predicate that says whether it does; a variant that does not refuses them.
-_INPUT_FLAGS = {
-    "takes_planner_inputs": ("rho", "mse_threshold", "t_cap", "eps_m_override"),
-    "has_canopy_start": ("t1", "t2", "subsample"),
-    "spends_epsilon": ("eps",),
-}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -321,9 +312,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if variant.spends_epsilon:
         epsilon = 1.0 if args.eps is None else args.eps
     if variant.takes_planner_inputs:
-        inputs = _planner_inputs(args, data.n_rows, data.n_dims, k, epsilon)
+        given = _given_fields(args, "takes_planner_inputs")
+        inputs = PlannerInputs(data.n_rows, data.n_dims, k, epsilon, **given)
     if variant.has_canopy_start:
-        canopy = _canopy_params(args)
+        canopy = CanopyParams(**_given_fields(args, "has_canopy_start"))
     if variant is Variant.EDPDCS:
         _, _, report = run_edpdcs(data, k, inputs, canopy, config)
     else:
@@ -349,14 +341,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     data, default_k = _load_dataset(args)
     k = _resolve_k(args, default_k)
     epsilons = _parse_list(args.eps, "--eps")
+    given = _given_fields(args, "takes_planner_inputs")
     summary = compare_variants(
         data,
         k,
         epsilons,
         args.seeds,
         base_seed=args.seed,
-        planner_inputs=_planner_inputs(args, data.n_rows, data.n_dims, k, epsilons[0]),
-        canopy_params=_canopy_params(args),
+        planner_inputs=PlannerInputs(data.n_rows, data.n_dims, k, epsilons[0], **given),
+        canopy_params=CanopyParams(**_given_fields(args, "has_canopy_start")),
         n_partitions=args.partitions,
         threads=args.threads,
     )

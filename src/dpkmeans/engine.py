@@ -394,22 +394,23 @@ def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
-def _random_row_indices(n_rows: int, k: int, seed: int) -> np.ndarray:
-    """Sorted, read-only indices of k distinct rows drawn from ``seed``.
+def _random_row_indices(n_rows: int, k: int, master_seed: int) -> np.ndarray:
+    """Sorted, read-only indices of k distinct rows, drawn from stream
+    (0, 1) of ``master_seed``.
 
     Memoized on public integers, like
     :func:`~dpkmeans.mechanism.stream_unit_noise`: the runs of one master
     seed in a ``compare`` grid draw it once.  It holds no data.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(derive_stream_seed(master_seed, 0, 1)))
     idx = np.sort(rng.choice(n_rows, size=k, replace=False))
     idx.setflags(write=False)
     return idx
 
 
-def _random_row_centroids(data: Dataset, k: int, seed: int) -> np.ndarray:
+def _random_row_centroids(data: Dataset, k: int, master_seed: int) -> np.ndarray:
     # Fancy indexing copies: the start shares no memory with the data.
-    return data.points[_random_row_indices(data.n_rows, k, seed)]
+    return data.points[_random_row_indices(data.n_rows, k, master_seed)]
 
 
 def _run_lloyd(
@@ -525,9 +526,7 @@ def _run_lloyd(
         )
         notes.extend(init_notes)
     else:
-        start = _random_row_centroids(
-            data, k, derive_stream_seed(config.master_seed, 0, 1)
-        )
+        start = _random_row_centroids(data, k, config.master_seed)
 
     trace = [
         {

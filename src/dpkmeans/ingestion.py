@@ -87,7 +87,7 @@ def load_csv(
     except that a token with ``_`` digit groups or non-ASCII characters is
     refused, as is a quoted field that spans lines.  The file is read as
     UTF-8, and a byte sequence that is not UTF-8 is refused with its line
-    number.
+    number.  A UTF-8 byte-order mark at the start of the file is skipped.
     """
     if not columns:
         raise InvalidInputError("need at least one feature column")
@@ -141,7 +141,7 @@ def load_csv(
     # A UnicodeDecodeError is a ValueError, so it can reach the rescan below,
     # which then raises it again.
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = kept_lines(fh, split_every_line=False)
             # A file with no kept line raises here, before numpy could warn
             # that its input contained no data.

@@ -55,14 +55,13 @@ class BudgetExhaustedError(RuntimeError):
     """A phase tried to charge more privacy budget than remains."""
 
 
-@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
 def derive_stream_seed(master_seed: int, iteration: int, cluster_index: int) -> int:
     """Deterministic child seed for one (iteration, cluster) noise stream.
 
     Uses numpy's ``SeedSequence`` spawning arithmetic so distinct key tuples
     give statistically independent streams while identical tuples always
-    reproduce the same one.  Memoized, as a pure function of three public
-    integers.
+    reproduce the same one.  Not memoized: the memos of the streams and of
+    the random start it seeds already skip its repeated calls.
     """
     if iteration < 0 or cluster_index < 0:
         raise InvalidInputError("iteration and cluster_index must be >= 0")
@@ -79,30 +78,22 @@ def laplace_inverse_cdf(u: np.ndarray, scale: float) -> np.ndarray:
     return -scale * np.sign(u - 0.5) * np.log(np.maximum(w, _LOG_FLOOR))
 
 
-def stream_uniforms(master_seed: int, iteration: int, n_streams: int, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of the streams (iteration, 0 .. n_streams - 1).
+@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
+def stream_unit_noise(master_seed: int, iteration: int, n_streams: int, n: int) -> np.ndarray:
+    """The first ``n`` Laplace draws at scale 1 of the streams (iteration,
+    0 .. n_streams - 1), read-only.
 
-    Row j of the (n_streams, n) result is what
-    ``Generator(PCG64(derive_stream_seed(master_seed, iteration, j))).random(n)``
-    returns.
+    Row j of the (n_streams, n) result is ``laplace_inverse_cdf`` at scale 1
+    of what ``Generator(PCG64(derive_stream_seed(master_seed, iteration,
+    j))).random(n)`` returns.  Memoized: repeated keys return the same array.
     """
     if n_streams < 0 or n < 0:
         raise InvalidInputError(f"need n_streams, n >= 0, got {n_streams}, {n}")
-    out = np.empty((n_streams, n))
+    uniforms = np.empty((n_streams, n))
     for j in range(n_streams):
         seed = derive_stream_seed(master_seed, iteration, j)
-        out[j] = np.random.Generator(np.random.PCG64(seed)).random(n)
-    return out
-
-
-@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
-def stream_unit_noise(master_seed: int, iteration: int, n_streams: int, n: int) -> np.ndarray:
-    """Read-only ``laplace_inverse_cdf(stream_uniforms(...), 1.0)``.
-
-    The streams' first ``n`` Laplace draws at scale 1.  Memoized: repeated
-    keys return the same array.
-    """
-    out = laplace_inverse_cdf(stream_uniforms(master_seed, iteration, n_streams, n), 1.0)
+        uniforms[j] = np.random.Generator(np.random.PCG64(seed)).random(n)
+    out = laplace_inverse_cdf(uniforms, 1.0)
     out.setflags(write=False)
     return out
 

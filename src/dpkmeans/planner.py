@@ -136,7 +136,12 @@ def minimal_iteration_budget(inputs: PlannerInputs) -> float:
         2 k^3 d (1 + d)^2 (1 + rho^2) / (N^2 epsilon^2),
 
     not the error of one cluster or of one coordinate.  The count's own
-    noise is not in the model.  Setting the total to the threshold gives
+    noise is not in the model.  At rho > 0 the (1 + rho^2) factor
+    understates the error of unequal clusters: it is below the mean of
+    (n_bar / n_j)^2 over the cluster sizes n_j, which is 1.165 for sizes
+    458 and 290, where 1 + rho^2 is 1.05.  A draw through ``noisy_mean``
+    at those sizes, every true coordinate at 0.5, read 1.40 times the
+    model (ROADMAP item 11).  Setting the total to the threshold gives
     the closed form:
 
         epsilon_m = sqrt( (2 / threshold) * k^3 * d * (1 + d)^2

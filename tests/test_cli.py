@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from dpkmeans import cli
+from dpkmeans.canopy import CanopyParams
 from dpkmeans.cli import main
+from dpkmeans.engine import Variant
 from dpkmeans.evaluation import RunReport
+from dpkmeans.planner import PlannerInputs
 
 BLOOD_SAMPLE = """\
 Recency,Frequency,Monetary,Time,Donated
@@ -349,6 +354,78 @@ def test_compare_builds_each_run_as_run_does(out_dir):
             RunReport(**blob, timings_ms={}).comparable_json()
             == RunReport(**alone, timings_ms={}).comparable_json()
         ), (variant, eps, seed)
+
+
+class TestInputFlagTable:
+    """``cli._INPUT_FLAGS`` names every input field once, and each command
+    declares the flags it builds its inputs from."""
+
+    #: A value for each field, distinct from its default.
+    VALUES = {
+        "rho": 0.3,
+        "mse_threshold": 0.05,
+        "t_cap": 4,
+        "epsilon_m_override": 0.2,
+        "t1": 0.5,
+        "t2": 0.25,
+        "subsample_size": 200,
+    }
+    SHAPE_AND_BUDGET = {"n_rows", "n_dims", "k", "epsilon_total"}
+
+    @staticmethod
+    def _names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    def test_table_sets_every_input_field_once(self):
+        table = cli._INPUT_FLAGS
+        set_fields = [f for flags in table.values() for f in flags.values() if f]
+        assert len(set_fields) == len(set(set_fields))
+        assert set(table["takes_planner_inputs"].values()) == (
+            self._names(PlannerInputs) - self.SHAPE_AND_BUDGET
+        )
+        assert set(table["has_canopy_start"].values()) == self._names(CanopyParams)
+        assert set(table["spends_epsilon"]) == {"eps"}
+        for reads in table:
+            assert isinstance(getattr(Variant, reads), property), reads
+
+    @staticmethod
+    def _flags(*reads):
+        return [flag for r in reads for flag in cli._INPUT_FLAGS[r]]
+
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("run", []),
+            ("compare", []),
+            ("plan", ["--k", "2", "--eps", "1"]),
+        ],
+    )
+    def test_each_command_declares_the_flags_it_reads(self, command, required):
+        reads = ["takes_planner_inputs"]
+        if command != "plan":
+            reads += ["has_canopy_start", "spends_epsilon"]
+        for flag in self._flags(*reads):
+            text = "--" + flag.replace("_", "-")
+            args = cli.build_parser().parse_args([command, *required, text, "1"])
+            assert float(getattr(args, flag)) == 1.0, (command, flag)
+
+    def test_plan_declares_no_canopy_flag(self, capsys):
+        for flag in self._flags("has_canopy_start"):
+            text = "--" + flag.replace("_", "-")
+            rc = main(["plan", "--n", "50", "--d", "2", "--k", "2", "--eps", "1", text, "1"])
+            assert rc == 1
+            assert f"unrecognized arguments: {text} 1" in capsys.readouterr().err
+
+    def test_run_passes_each_flag_to_its_field(self, out_dir):
+        flags = []
+        for reads in ("takes_planner_inputs", "has_canopy_start"):
+            for flag, field in cli._INPUT_FLAGS[reads].items():
+                flags += ["--" + flag.replace("_", "-"), str(self.VALUES[field])]
+        assert main(["run", "--synthetic", "400,2,2", "--eps", "50", *flags]) == 0
+        config = json.loads((out_dir / "run_report.json").read_text())["config"]
+        given = {**config["planner_inputs"], **config["canopy"]}
+        for field, value in self.VALUES.items():
+            assert given[field] == value, field
 
 
 class TestInvalidNumbers:

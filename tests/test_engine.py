@@ -26,7 +26,7 @@ from dpkmeans.engine import (
     run_edpdcs,
 )
 from dpkmeans.evaluation import compare_variants, nicv
-from dpkmeans.ingestion import synthetic_blobs
+from dpkmeans.ingestion import normalize, synthetic_blobs
 from dpkmeans.mechanism import derive_stream_seed, laplace_inverse_cdf, noisy_mean
 from dpkmeans.planner import PlannerInputs, make_plan, minimal_iteration_budget
 
@@ -646,7 +646,7 @@ class TestRandomRowStart:
         for master_seed, n, k in [(0, 748, 2), (7, 50, 5), (3, 9, 9)]:
             seed = derive_stream_seed(master_seed, 0, 1)
             want = np.random.Generator(np.random.PCG64(seed)).choice(n, k, replace=False)
-            assert np.array_equal(engine._random_row_indices(n, k, seed), np.sort(want))
+            assert np.array_equal(engine._random_row_indices(n, k, master_seed), np.sort(want))
 
     def test_memo_is_read_only_and_start_is_a_fresh_copy(self, small_blobs):
         idx = engine._random_row_indices(small_blobs.n_rows, 3, 11)
@@ -879,6 +879,77 @@ class TestValidation:
         assert report.nicv == pytest.approx(
             nicv(small_blobs, cs, labels), abs=1e-15
         )
+
+
+def _normalized(points):
+    return normalize(Dataset(points=np.asarray(points, dtype=np.float64)))[0]
+
+
+#: Inputs at the edge of what a run can do, as (data, k, epsilon, canopies
+#: the canopy start finds, at most k).  Every dataset is one map block.
+EDGES = {
+    "k_above_distinct_rows": (
+        _normalized(np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], 40, axis=0)),
+        5,
+        1.0,
+        3,
+    ),
+    "all_columns_constant": (_normalized(np.full((60, 3), 7.0)), 3, 1.0, 1),
+    "n_equals_k": (
+        _normalized(np.random.Generator(np.random.PCG64(0)).random((6, 2))),
+        6,
+        1.0,
+        6,
+    ),
+    "epsilon_1e308": (synthetic_blobs(300, 3, 3, seed=1), 3, 1e308, 3),
+}
+
+
+class TestEdgesEndWithANote:
+    """Each edge input finishes, for every variant, with finite centroids in
+    the unit cube, the budget the variant owes and the notes that say why."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_run_finishes_in_the_cube_with_its_spend_and_notes(self, edge, variant):
+        data, k, epsilon, canopies = EDGES[edge]
+        assert data.n_rows < engine.MAP_BLOCK_ROWS
+        if variant is Variant.NONPRIVATE:
+            epsilon = None
+        cs, labels, report = _run_variant(data, k, variant, epsilon)
+        centroids = cs.centroids
+        assert centroids.shape == (k, data.n_dims)
+        assert np.isfinite(centroids).all()
+        assert (centroids >= 0.0).all() and (centroids <= 1.0).all()
+        assert labels.n_rows == data.n_rows and math.isfinite(report.nicv)
+
+        notes = list(report.notes)
+        if variant is Variant.NONPRIVATE:
+            assert (report.epsilon, report.budget_spent) == (None, 0.0)
+        elif variant is Variant.RU_DPKM:
+            owed = 0.0
+            for t in range(1, report.iterations_run + 1):
+                owed += epsilon / 2.0 ** (t + 1)
+            assert report.budget_spent == owed
+            assert report.budget_remaining == epsilon - owed
+            assert notes.pop() == (
+                f"residual budget {epsilon - owed:.6g} left by halving schedule"
+            )
+        else:
+            assert report.budget_spent == pytest.approx(epsilon, rel=1e-12)
+            assert report.budget_remaining == pytest.approx(0.0, abs=1e-9 * epsilon)
+        if notes and notes[-1].startswith("converged at iteration"):
+            assert variant in (Variant.RU_DPKM, Variant.NONPRIVATE)
+            notes.pop()
+        else:
+            assert variant is not Variant.NONPRIVATE, notes
+        if variant.has_canopy_start and canopies < k:
+            fill = f"filled {k - canopies} centroid(s) with uniform random points"
+            assert notes.pop() == fill
+            assert notes.pop().endswith(f"to reach {canopies} canopies")
+        if variant.has_canopy_start and notes:
+            assert notes.pop().startswith("canopy radii halved ")
+        assert notes == []
 
 
 class TestEndToEndProperties:

@@ -264,6 +264,41 @@ class TestLoadCsvAgainstReference:
             )
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_bom_led_adult_file_loads_as_without_it(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(ADULT_SAMPLE.encode())
+        marked.write_bytes(self.BOM + ADULT_SAMPLE.encode())
+        want = load_csv(str(plain), ADULT_COLUMNS)
+        got = load_csv(str(marked), ADULT_COLUMNS)
+        assert got.data.points.tobytes() == want.data.points.tobytes()
+        assert (got.rows_read, got.rows_dropped) == (want.rows_read, want.rows_dropped)
+
+    def test_bad_value_keeps_its_line_number(self, tmp_path):
+        # The bulk parse refuses the file, so the rescan, which rereads it
+        # from the start, must skip the mark too.
+        path = tmp_path / "bad.csv"
+        lines = ADULT_SAMPLE.splitlines(keepends=True)
+        lines[2] = lines[2].replace("38,", "3x8,", 1)
+        path.write_bytes(self.BOM + "".join(lines).encode())
+        with pytest.raises(
+            CsvFormatError, match=r"bad\.csv:3: column 'age' has non-numeric value '3x8'"
+        ):
+            load_csv(str(path), ADULT_COLUMNS)
+
+    def test_bom_led_blood_file_with_header(self, tmp_path, blood_csv):
+        path = tmp_path / "header.csv"
+        path.write_bytes(self.BOM + b"a,b,c,d,label\n" + BLOOD_SAMPLE.encode())
+        got = load_csv(str(path), BLOOD_COLUMNS, has_header=True)
+        want = load_csv(blood_csv, BLOOD_COLUMNS)
+        assert got.data.points.tobytes() == want.data.points.tobytes()
+        assert got.rows_read == want.rows_read == 6
+
+
 class TestLoadCsvRefusals:
     """Inputs ``float`` and ``csv`` accept but the bulk parser does not read."""
 

@@ -14,7 +14,6 @@ from dpkmeans.mechanism import (
     laplace_inverse_cdf,
     noisy_mean,
     perturb_aggregate,
-    stream_uniforms,
     stream_unit_noise,
 )
 from dpkmeans.planner import PlannerInputs
@@ -68,30 +67,30 @@ class TestLaplaceSampler:
         a = stream_unit_noise(42, 3, 2, 16)
         stream_unit_noise.cache_clear()
         assert np.array_equal(a, stream_unit_noise(42, 3, 2, 16))
-        assert np.array_equal(stream_uniforms(42, 3, 2, 16), stream_uniforms(42, 3, 2, 16))
 
     def test_scalar_draws_match_vector_stream(self):
         # Row j of a block is cluster j's own stream, drawn one value at a
         # time or all at once.
-        block = stream_uniforms(9, 2, 3, 5)
+        block = stream_unit_noise(9, 2, 3, 5)
         for j in range(3):
             rng = np.random.Generator(np.random.PCG64(derive_stream_seed(9, 2, j)))
-            assert np.array_equal(block[j], [rng.random() for _ in range(5)])
+            want = [laplace_inverse_cdf(rng.random(1), 1.0)[0] for _ in range(5)]
+            assert block[j].tobytes() == np.array(want).tobytes()
 
     def test_draw_count_bookkeeping(self):
         # A block holds exactly n_streams * n draws, and a longer read of a
         # stream starts with the shorter one (the canopy start relies on it).
-        assert stream_uniforms(0, 1, 4, 7).shape == (4, 7)
-        longer = stream_uniforms(0, 1, 1, 30)
-        assert np.array_equal(longer[0, :12], stream_uniforms(0, 1, 1, 12)[0])
+        assert stream_unit_noise(0, 1, 4, 7).shape == (4, 7)
+        longer = stream_unit_noise(0, 1, 1, 30)
+        assert np.array_equal(longer[0, :12], stream_unit_noise(0, 1, 1, 12)[0])
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(InvalidInputError):
             laplace_inverse_cdf(np.array([0.3]), 0.0)
         with pytest.raises(InvalidInputError):
-            stream_uniforms(0, 1, 1, -1)
+            stream_unit_noise(0, 1, 1, -1)
         with pytest.raises(InvalidInputError):
-            stream_uniforms(0, 1, -1, 1)
+            stream_unit_noise(0, 1, -1, 1)
 
     @pytest.mark.parametrize("scale", NON_FINITE)
     def test_non_finite_scale_rejected(self, scale):
@@ -127,9 +126,8 @@ class TestStreamMemo:
             block[0, 0] = 0.5
 
     def test_block_is_the_unit_scale_inverse_cdf(self):
-        assert stream_unit_noise(1, 2, 3, 4).tobytes() == laplace_inverse_cdf(
-            stream_uniforms(1, 2, 3, 4), 1.0
-        ).tobytes()
+        want = np.array([_laplace(derive_stream_seed(1, 2, j), 4, 1.0) for j in range(3)])
+        assert stream_unit_noise(1, 2, 3, 4).tobytes() == want.tobytes()
 
     def test_scaled_unit_noise_is_the_draw_at_that_scale(self):
         # Byte for byte, so inf, -inf and -0.0 (at u = 0.5) must match too.
