@@ -12,6 +12,7 @@ noise from (1, 0).
 
 from __future__ import annotations
 
+import heapq
 import logging
 import weakref
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dpkmeans.core import Dataset, InvalidInputError
+from dpkmeans.core import Dataset, InvalidInputError, rounding_margin
 from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_unit_noise
 
 logger = logging.getLogger(__name__)
@@ -83,7 +84,10 @@ class _CanopySummary:
 
     Attributes:
         halvings: How many times the radii were halved.
-        n_canopies: Canopies made by the last pass.
+        n_canopies: Canopies made by the last pass.  Only the halving note
+            reads it, so only when ``halvings > 0``; a pass after a
+            halving runs to the end, while the first pass stops once its
+            top k are settled.
         counts: Exact tight member counts of the top min(k, n_canopies)
             canopies in rank order (read-only).
         sums: Their exact tight coordinate sums, one row each (read-only).
@@ -121,7 +125,9 @@ def default_thresholds(points: np.ndarray) -> tuple[float, float]:
     return 2.0 * t2, t2
 
 
-def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
+def run_canopy(
+    points: np.ndarray, t1: float, t2: float, top: int | None = None
+) -> list[Canopy]:
     """Single-pass canopy clustering over the given rows.
 
     Repeatedly pops the lowest-index remaining candidate as a canopy seed,
@@ -132,28 +138,87 @@ def run_canopy(points: np.ndarray, t1: float, t2: float) -> list[Canopy]:
 
     The tight member sets of the returned canopies partition the rows:
     disjoint by construction, and every row is retired by exactly one seed.
+
+    Given ``top``, the pass stops as soon as no later canopy can enter the
+    first ``top`` of the ranking, and returns the canopies made so far,
+    ranked; their first ``top`` are those of the full pass, and their tight
+    sets partition the rows retired so far.  The stop is exact: a later
+    canopy's loose count is at most the number of candidates left, and it
+    ranks after every earlier canopy of equal count, so once no more
+    candidates are left than the ``top``-th largest loose count so far, the
+    first ``top`` are final.
+
+    Membership is that of the direct squared distance
+    ``((x - s) ** 2).sum()``, bit for bit.  Each seed s gets the squared
+    distances of the candidates x from one matrix-vector product,
+    ||x||^2 + ||s||^2 - 2 x.s, with every ||x||^2 computed once per call.
+    With S twice the largest ||x||, that value and the direct sum both lie
+    within g_{d+2} S^2 of the exact squared distance (the bound of
+    :func:`~dpkmeans.core.label_points`), far inside the margin ``tau`` of
+    :func:`~dpkmeans.core.rounding_margin`.  So a candidate whose value is
+    more than ``tau`` from both t1^2 and t2^2 falls on the same side of
+    each either way (the rounded difference keeps its sign and shrinks by at
+    most a factor 1 + u); the others are measured directly.  When S^2
+    overflows, ``tau`` is infinite and every candidate, NaN values included,
+    is measured directly.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must be a non-empty 2-D array")
+    # A NaN seed is at distance NaN from itself, so it would never retire.
+    if not np.isfinite(points).all():
+        raise InvalidInputError("points contain NaN or infinite values")
     # False for NaN radii, which would otherwise retire no row and never stop.
     if not 0.0 < t2 <= t1 < np.inf:
         raise InvalidInputError(f"canopy radii need 0 < t2 <= t1 < inf, got t1={t1}, t2={t2}")
+    if top is not None and top < 1:
+        raise InvalidInputError(f"top must be >= 1, got {top}")
 
     t1_sq = t1 * t1
     t2_sq = t2 * t2
-    candidates = np.arange(points.shape[0], dtype=np.int64)
+    # The candidates' rows, row indices and squared norms; ``alive`` marks
+    # the rows not yet retired, and retired rows are dropped once they are
+    # the majority.
+    rows = points
+    index = np.arange(points.shape[0], dtype=np.int64)
+    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    tau = rounding_margin(points.shape[1], 2.0 * np.sqrt(sq_norms.max()))
+    alive = np.ones(rows.shape[0], dtype=bool)
+    n_alive = rows.shape[0]
+    seed = 0
+    largest: list[int] = []  # min-heap of the ``top`` largest loose counts
     canopies: list[Canopy] = []
-    while candidates.size:
-        seed = int(candidates[0])
-        d2 = ((points[candidates] - points[seed]) ** 2).sum(axis=1)
-        tight_mask = d2 <= t2_sq
-        # The seed is at distance 0, so it is always the first tight member
-        # and is retired with the rest of the tight set.
-        canopies.append(
-            Canopy(int(np.count_nonzero(d2 <= t1_sq)), candidates[tight_mask])
-        )
-        candidates = candidates[~tight_mask]
+    while n_alive:
+        if 2 * n_alive < rows.shape[0]:
+            rows, index, sq_norms = rows[alive], index[alive], sq_norms[alive]
+            alive = np.ones(n_alive, dtype=bool)
+            seed = 0
+        seed += int(np.argmax(alive[seed:]))
+        d2 = rows @ (-2.0 * rows[seed])
+        d2 += sq_norms
+        d2 += sq_norms[seed]
+        settled = np.abs(d2 - t1_sq) > tau
+        settled &= np.abs(d2 - t2_sq) > tau
+        direct = np.flatnonzero(alive & ~settled)
+        if direct.size:
+            d2[direct] = ((rows[direct] - rows[seed]) ** 2).sum(axis=1)
+        # The seed's direct distance is exactly 0, so it is always the first
+        # tight member and is retired with the rest of the tight set.
+        d2[seed] = 0.0
+        tight = d2 <= t2_sq
+        tight &= alive
+        size = int(np.count_nonzero((d2 <= t1_sq) & alive))
+        members = index[tight]
+        canopies.append(Canopy(size, members))
+        alive &= ~tight
+        n_alive -= members.size
+        if top is not None:
+            if len(largest) < top:
+                heapq.heappush(largest, size)
+            else:
+                heapq.heappushpop(largest, size)
+            if len(largest) == top and n_alive <= largest[0]:
+                break
 
     return sorted(canopies, key=lambda canopy: -canopy.size)
 
@@ -198,7 +263,8 @@ def _canopy_summary(
         t1, t2 = float(params.t1), float(params.t2)
     else:
         t1, t2 = default_thresholds(points)
-    canopies = run_canopy(points, t1, t2)
+    # Only the top k canopies are read, unless a halving note must count them all.
+    canopies = run_canopy(points, t1, t2, top=k)
     halvings = 0
     while len(canopies) < k and halvings < _MAX_THRESHOLD_RETRIES:
         t1, t2 = 0.5 * t1, 0.5 * t2

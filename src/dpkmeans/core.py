@@ -114,15 +114,37 @@ class Assignment:
         return self.labels.shape[0]
 
 
-#: Rows labelled per step of :func:`label_points`.  Bounds its temporaries to
-#: one (rows, k) float64 array, plus one (rows, k, d) array for the rows the
-#: filter cannot settle, whatever the number of rows.
-_LABEL_CHUNK_ROWS = 1024
+#: Most (centroid, row) pairs labelled per step of :func:`label_points`, so
+#: that a chunk holds max(1, 20480 // k) rows: 1024 at k=20, 4096 at k=5.
+#: Bounds its temporaries to one (k, rows) float64 array, plus one
+#: (rows, k, d) array for the rows the filter cannot settle, whatever the
+#: number of rows.
+_LABEL_CHUNK_ENTRIES = 20_480
 
 #: Unit roundoff of float64, and its smallest positive value, twice the most
 #: a product that underflows can lose.
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def label_chunk_rows(k: int) -> int:
+    """Rows per chunk of :func:`label_points` for ``k`` centroids."""
+    return max(1, _LABEL_CHUNK_ENTRIES // k)
+
+
+def rounding_margin(d: int, s: float) -> float:
+    """tau = 8 (d + 2) (u S^2 + eta), the margin of both distance filters.
+
+    ``s`` is S, a bound on ||x|| + ||c|| over the pairs compared in d
+    dimensions.  A squared distance, or one less ||x||^2, computed through
+    dot products, and the direct sum of the d squared differences both lie
+    well inside ``tau`` of their exact values: :func:`label_points` gives
+    the bound, and :func:`dpkmeans.canopy.run_canopy` reads it too.
+
+    ``tau`` is infinite exactly when S^2 overflows: u (S^2) is S^2 scaled by
+    a power of two, where (u S) S would stay finite.
+    """
+    return 8 * (d + 2) * (_UNIT_ROUNDOFF * (s * s) + _SMALLEST_SUBNORMAL)
 
 
 def _label_exact(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -156,7 +178,9 @@ def label_points(
 
     The labels are those of :func:`_label_exact`, which sums each row's d
     squared differences to every centroid, and they do not depend on the
-    chunking.  Rows go through in chunks of ``_LABEL_CHUNK_ROWS``.  A matrix
+    chunking.  Rows go through in chunks of :func:`label_chunk_rows`, at most
+    20,480 (centroid, row) pairs each, so small k still gives numpy calls
+    long enough to pay for themselves.  A matrix
     product first computes, for each centroid c and row x, the filter value
     F = ||c||^2 - 2 c.x, which is the squared distance less ||x||^2 and so
     orders the centroids of a row the same way.  A row keeps the filter's
@@ -204,8 +228,9 @@ def label_points(
     c_norm = np.sqrt(c_sq.max())
     minus_2c = -2.0 * centroids
     index_and_one = _index_and_one(centroids.shape[0])
-    for start in range(0, n, _LABEL_CHUNK_ROWS):
-        stop = min(start + _LABEL_CHUNK_ROWS, n)
+    chunk = label_chunk_rows(centroids.shape[0])
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
         x = points[start:stop]
         # (k, rows): the reductions run along axis 0, in contiguous passes
         # that stay cheap when k is small.
@@ -213,7 +238,7 @@ def label_points(
         f += c_sq[:, None]
         x_sq = np.einsum("ij,ij->i", x, x).max() if max_sq_norm is None else max_sq_norm
         s = np.sqrt(x_sq) + c_norm
-        tau = 8 * (d + 2) * (_UNIT_ROUNDOFF * s * s + _SMALLEST_SUBNORMAL)
+        tau = rounding_margin(d, s)
         near = f <= f.min(axis=0) + tau
         # Per row, the sum of the near centroids' indices and their number.
         index_sum, n_near = index_and_one @ near.astype(np.float64)

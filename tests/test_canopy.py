@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpkmeans import canopy
 from dpkmeans.canopy import (
@@ -25,6 +25,63 @@ from dpkmeans.planner import PlannerInputs, make_plan
 THREE_POINTS = np.array([[0.0, 0.0], [0.05, 0.0], [0.9, 0.9]])
 
 NON_FINITE_RADII = [(np.nan, np.nan), (1.0, np.nan), (np.inf, 0.1), (np.inf, np.inf)]
+
+
+def reference_run_canopy(points, t1, t2):
+    """The loop ``run_canopy`` replaced, kept as the reference: each seed's
+    squared distances summed directly over the remaining candidates, and
+    every canopy made.  Returns (loose count, tight indices) pairs, ranked."""
+    t1_sq, t2_sq = t1 * t1, t2 * t2
+    candidates = np.arange(points.shape[0], dtype=np.int64)
+    canopies = []
+    while candidates.size:
+        seed = int(candidates[0])
+        d2 = ((points[candidates] - points[seed]) ** 2).sum(axis=1)
+        tight_mask = d2 <= t2_sq
+        canopies.append((int(np.count_nonzero(d2 <= t1_sq)), candidates[tight_mask]))
+        candidates = candidates[~tight_mask]
+    return sorted(canopies, key=lambda canopy: -canopy[0])
+
+
+@st.composite
+def _canopy_inputs(draw):
+    """Rows and radii built to sit on the radii: rows drawn from a small
+    pool (duplicates, tied loose counts), radii equal to a distance between
+    two rows or a few ulps either side, radii whose squares underflow or
+    that cover the cube, and coordinates scaled to 1e154 (squares
+    overflow) or 1e-160 (products underflow)."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(
+        st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0]),
+        st.floats(0.0, 1.0),
+    )
+    vec = st.lists(coord, min_size=d, max_size=d)
+    pool = draw(st.lists(vec, min_size=1, max_size=n))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e154, 1.3e154, 1e-160]))
+    points = scale * np.array([pool[i] for i in rows]).reshape(n, d)
+
+    def radius():
+        kind = draw(st.sampled_from(["row distance", "row distance", "tiny", "cover", "any"]))
+        if kind == "row distance":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            r = float(np.sqrt(((points[i] - points[j]) ** 2).sum()))
+            toward = draw(st.sampled_from([0.0, np.inf]))
+            for _ in range(draw(st.integers(0, 2))):
+                r = float(np.nextafter(r, toward))
+        elif kind == "tiny":
+            r = 1e-170
+        elif kind == "cover":
+            r = scale * draw(st.sampled_from([2.0 * np.sqrt(d), 1e200]))
+        else:
+            r = scale * draw(st.floats(0.0, 2.0))
+        # Two equal rows are at distance 0, which is not a radius; an
+        # overflowing one still covers everything at 1e300.
+        return min(r, 1e300) if r > 0.0 else 1e-170
+
+    t1, t2 = sorted([radius(), radius()], reverse=True)
+    return points, t1, t2
 
 
 def _huge_budget_share(n_rows, n_dims, k):
@@ -103,6 +160,50 @@ class TestRunCanopy:
             assert not seen & tight
             seen |= tight
         assert seen == set(range(n_rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_canopy_inputs())
+    # S^2 overflows though S does not: the margin must then be infinite.
+    @example((np.array([[0.0, 1e154, 0.0]] * 5 + [[0.0, 1e154, 1.25e153]]), 1e-170, 1e-170))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_the_direct_loop(self, inputs):
+        points, t1, t2 = inputs
+        expected = reference_run_canopy(points, t1, t2)
+
+        def same(got, want):
+            assert [c.size for c in got] == [size for size, _ in want]
+            for canopy, (_, tight) in zip(got, want):
+                assert np.array_equal(canopy.tight_member_indices, tight)
+
+        same(run_canopy(points, t1, t2), expected)
+        for top in range(1, len(expected) + 1):
+            got = run_canopy(points, t1, t2, top=top)
+            assert len(got) >= top
+            same(got[:top], expected[:top])
+
+    @pytest.mark.parametrize("top, made", [(1, 3), (2, 3), (3, 5), (5, 5), (None, 5)])
+    def test_stops_once_the_top_is_settled(self, top, made):
+        # Separated groups of identical rows, created with sizes 9, 9, 3, 2
+        # and 7.  After the third canopy 9 rows are left, no more than the
+        # largest and the second-largest count so far: no later canopy can
+        # enter the top 1 or 2.  The third-largest count is 3, and 7 rows
+        # are left after the fourth, so the top 3 runs to the end.
+        pts = np.repeat(0.2 * np.arange(5.0), [9, 9, 3, 2, 7])[:, None]
+        got = run_canopy(pts, t1=0.05, t2=0.05, top=top)
+        assert len(got) == made
+        assert [c.size for c in got] == sorted([9, 9, 3, 2, 7][:made], reverse=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # A NaN seed is never within any radius of itself, so the pass
+        # would never retire it.
+        pts = np.array([[0.1, 0.2], [bad, 0.3], [0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            run_canopy(pts, 0.4, 0.2)
+
+    def test_top_must_be_positive(self):
+        with pytest.raises(InvalidInputError):
+            run_canopy(THREE_POINTS, 0.2, 0.1, top=0)
 
     def test_invalid_radii_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -372,6 +473,20 @@ class TestCanopySummary:
                     assert a_report.comparable_json() == b_report.comparable_json()
                     assert np.array_equal(a_labels.labels, b_labels.labels)
                     assert np.array_equal(a_centroids.centroids, b_centroids.centroids)
+
+    def test_first_pass_stops_at_top_k_and_halvings_run_to_the_end(self, monkeypatch):
+        tops = []
+        real = canopy.run_canopy
+
+        def recorded(points, t1, t2, top=None):
+            tops.append(top)
+            return real(points, t1, t2, top=top)
+
+        monkeypatch.setattr(canopy, "run_canopy", recorded)
+        data = Dataset(points=_clumps(), normalized=True)
+        summary = _canopy_summary(data, 2, CanopyParams(t1=0.5, t2=0.4), 0)
+        assert summary.halvings == 2
+        assert tops == [2, None, None]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_start_is_the_tight_rows_mean(self, blood_like, k):

@@ -177,46 +177,63 @@ def _broadcast_labels(points, centroids):
     return np.argmin(d2, axis=1)
 
 
-class TestLabelPointsChunks:
-    CHUNK = core._LABEL_CHUNK_ROWS
+#: Centroid counts whose chunks the tie tests cross: 10240, 4096, 1024 and
+#: 975 rows.
+TIE_KS = [2, 5, 20, 21]
 
+
+def _ties_at_chunk_boundaries(k):
+    """Rows near the origin, four of them at 0.5 on the boundaries of the
+    first chunks, and k centroids of which two, a < b, are exactly as far
+    from 0.5 and nearer to it than the rest.  Returns rows, centroids, the
+    tied rows and a."""
+    chunk = core.label_chunk_rows(k)
+    rng = np.random.Generator(np.random.PCG64(1))
+    pts = rng.random((3 * chunk + 17, 2)) * 0.1
+    tied = [chunk - 1, chunk, 2 * chunk - 1, 2 * chunk]
+    pts[tied] = 0.5
+    centroids = np.column_stack([np.full(k, 0.95), 0.95 - 0.01 * np.arange(k)])
+    a, b = k // 2 - 1, k - 1
+    centroids[a], centroids[b] = [0.25, 0.5], [0.75, 0.5]
+    return pts, centroids, tied, a
+
+
+class TestLabelPointsChunks:
     @pytest.mark.parametrize("d,k", [(1, 3), (4, 2), (9, 5), (16, 20)])
     def test_bit_equal_to_one_shot_broadcast_across_chunks(self, d, k):
         rng = np.random.Generator(np.random.PCG64(d * 100 + k))
-        pts = rng.random((3 * self.CHUNK + 17, d))
+        pts = rng.random((3 * core.label_chunk_rows(k) + 17, d))
         centroids = rng.random((k, d))
         got = label_points(pts, centroids)
         assert got.dtype == np.int64
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
-    def test_ties_at_chunk_boundaries_prefer_lowest_index(self):
-        rng = np.random.Generator(np.random.PCG64(1))
-        pts = rng.random((3 * self.CHUNK + 17, 2)) * 0.1
-        # Rows at 0.5 are exactly as far from centroids 1 and 3, and nearer
-        # to them than to 0 and 2 (points near the origin go to 0).
-        centroids = np.array([[0.0, 0.0], [0.25, 0.5], [0.9, 0.9], [0.75, 0.5]])
-        tied = [self.CHUNK - 1, self.CHUNK, 2 * self.CHUNK - 1, 2 * self.CHUNK]
-        pts[tied] = 0.5
+    @pytest.mark.parametrize(
+        "k, rows", [(2, 10240), (5, 4096), (20, 1024), (21, 975), (20481, 1)]
+    )
+    def test_chunk_holds_at_most_20480_pairs(self, k, rows):
+        assert core.label_chunk_rows(k) == rows
+
+    @pytest.mark.parametrize("k", TIE_KS)
+    def test_ties_at_chunk_boundaries_prefer_lowest_index(self, k):
+        pts, centroids, tied, a = _ties_at_chunk_boundaries(k)
         got = label_points(pts, centroids)
-        assert got[tied].tolist() == [1, 1, 1, 1]
+        assert got[tied].tolist() == [a] * 4
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
-    def test_unit_cube_bound_at_chunk_boundary_ties(self):
+    @pytest.mark.parametrize("k", TIE_KS)
+    def test_unit_cube_bound_at_chunk_boundary_ties(self, k):
         # The engine's bound: d, the largest squared norm in the unit cube.
-        rng = np.random.Generator(np.random.PCG64(1))
-        pts = rng.random((3 * self.CHUNK + 17, 2)) * 0.1
-        centroids = np.array([[0.0, 0.0], [0.25, 0.5], [0.9, 0.9], [0.75, 0.5]])
-        tied = [self.CHUNK - 1, self.CHUNK, 2 * self.CHUNK - 1, 2 * self.CHUNK]
-        pts[tied] = 0.5
+        pts, centroids, tied, a = _ties_at_chunk_boundaries(k)
         got = label_points(pts, centroids, max_sq_norm=2)
-        assert got[tied].tolist() == [1, 1, 1, 1]
+        assert got[tied].tolist() == [a] * 4
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
     def test_temporary_bounded_by_one_chunk(self):
         n, d, k = 40_000, 16, 20
         rng = np.random.Generator(np.random.PCG64(2))
         pts, centroids = rng.random((n, d)), rng.random((k, d))
-        chunk_bytes = self.CHUNK * k * d * 8
+        chunk_bytes = core.label_chunk_rows(k) * k * d * 8
         # The bound is under an eighth of the one-shot (n, k, d) temporary.
         assert 8 * 4 * chunk_bytes < n * k * d * 8
         tracemalloc.start()
@@ -265,8 +282,6 @@ def _labelling_inputs(draw):
 
 
 class TestLabelPointsFilter:
-    CHUNK = core._LABEL_CHUNK_ROWS
-
     @settings(max_examples=200, deadline=None)
     @given(_labelling_inputs())
     def test_bit_equal_to_broadcast_oracle(self, inputs):
@@ -296,7 +311,8 @@ class TestLabelPointsFilter:
     )
     def test_adversarial_inputs_match_oracle_across_chunks(self, case):
         rng = np.random.Generator(np.random.PCG64(7))
-        n, d = 2 * self.CHUNK + 5, 3
+        # Six centroids in every case: chunks of 3413 rows.
+        n, d = 2 * core.label_chunk_rows(6) + 5, 3
         pts = rng.random((n, d))
         if case == "duplicate centroids":
             centroids = rng.random((4, d))[[0, 1, 0, 2, 1, 3]]
@@ -324,7 +340,8 @@ class TestLabelPointsFilter:
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
 
     @pytest.mark.parametrize(
-        "n,d,k", [(0, 3, 2), (0, 1, 1), (5, 1, 1), (1029, 1, 4), (7, 4, 1)]
+        # 5125 rows: one 5120-row chunk of k=4 and 5 rows more.
+        "n,d,k", [(0, 3, 2), (0, 1, 1), (5, 1, 1), (5125, 1, 4), (7, 4, 1)]
     )
     def test_degenerate_shapes(self, n, d, k):
         rng = np.random.Generator(np.random.PCG64(n + 10 * d + 100 * k))
@@ -377,7 +394,7 @@ class TestLabelPointsFilter:
         # exactly one near centroid, whatever its F values.
         rows = self._count_exact_rows(monkeypatch)
         rng = np.random.Generator(np.random.PCG64(11))
-        n, d = 2 * self.CHUNK + 5, 3
+        n, d = 2 * core.label_chunk_rows(k) + 5, 3
         pts = point_scale * (1.0 + rng.random((n, d)))
         centroids = centroid_scale * (1.0 + rng.random((k, d)))
         got = label_points(pts, centroids)

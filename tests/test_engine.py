@@ -1041,3 +1041,16 @@ class TestEndToEndProperties:
             assert report.comparable_json() == report0.comparable_json()
             assert np.array_equal(labels.labels, labels0.labels)
             assert np.array_equal(cs.centroids, cs0.centroids)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_k5_label_chunks_do_not_change_results_across_partitions(self, variant):
+        # At k=5 a label chunk holds 4096 rows; three blocks and a part.
+        n = 3 * engine.MAP_BLOCK_ROWS + 300
+        data = synthetic_blobs(n, 6, 5, seed=4)
+        epsilon = None if variant is Variant.NONPRIVATE else 1.0
+        jsons = []
+        for parts in (1, 2):
+            engine._MAP_STATES.clear()  # every partition count reads the data
+            _, _, report = _run_variant(data, 5, variant, epsilon, n_partitions=parts, threads=2)
+            jsons.append(report.comparable_json())
+        assert jsons[0] == jsons[1]
