@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import heapq
 import logging
-import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dpkmeans.core import Dataset, InvalidInputError, rounding_margin
+from dpkmeans.core import Dataset, InvalidInputError, dataset_store, rounding_margin
 from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_unit_noise
 
 logger = logging.getLogger(__name__)
@@ -76,11 +76,8 @@ class Canopy:
     tight_member_indices: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _CanopySummary:
+class _CanopySummary(NamedTuple):
     """The data-only part of the canopy start, shared by runs (no noise).
-
-    Exact raw-data state: it stays in the process and no report holds it.
 
     Attributes:
         halvings: How many times the radii were halved.
@@ -97,11 +94,6 @@ class _CanopySummary:
     n_canopies: int
     counts: np.ndarray
     sums: np.ndarray
-
-
-#: Summaries per dataset (hashed by identity) and per key.  Two threads may
-#: compute one entry twice, with the same values.
-_SUMMARIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def default_thresholds(points: np.ndarray) -> tuple[float, float]:
@@ -247,14 +239,14 @@ def _canopy_summary(
     k, the radii, the subsample size and, when the subsample is smaller
     than the data, the subsample seed, stream (0, 0) of ``master_seed``;
     later calls with the same dataset object and those values return the
-    stored summary.
+    summary kept in its store, until the store drops it.
     """
     seed = None
     if params.subsample_size < data.n_rows:
         seed = derive_stream_seed(master_seed, 0, 0)
-    key = (params.subsample_size, seed, params.t1, params.t2, k)
-    per_data = _SUMMARIES.setdefault(data, {})
-    summary = per_data.get(key)
+    store = dataset_store(data)
+    key = ("canopy", params.subsample_size, seed, params.t1, params.t2, k)
+    summary = store.get(key)
     if summary is not None:
         return summary
 
@@ -274,11 +266,7 @@ def _canopy_summary(
     chosen = canopies[:k]
     counts = np.array([c.tight_member_indices.shape[0] for c in chosen], np.float64)
     sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in chosen])
-    counts.setflags(write=False)
-    sums.setflags(write=False)
-    summary = _CanopySummary(halvings, len(canopies), counts, sums)
-    per_data[key] = summary
-    return summary
+    return store.put(key, _CanopySummary(halvings, len(canopies), counts, sums))
 
 
 def select_initial_centroids(

@@ -11,8 +11,8 @@ block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
 partition count only controls how blocks are grouped onto threads.  Each
 run slices its own block views.  The statistics of recent labelling passes
-are the one thing kept per dataset (:class:`_PassMemo`), so runs on one
-dataset that label against the same centroids, as the runs of a
+are kept in the dataset's store (:func:`~dpkmeans.core.dataset_store`), so
+runs on one dataset that label against the same centroids, as the runs of a
 ``compare`` grid often do, read the data once for them.
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
@@ -46,10 +46,7 @@ import functools
 import json
 import math
 import os
-import threading
 import time
-import weakref
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -62,10 +59,10 @@ from dpkmeans.core import (
     CentroidSet,
     Dataset,
     InvalidInputError,
+    dataset_store,
     label_points,
 )
 from dpkmeans.mechanism import (
-    STREAM_MEMO_SIZE,
     BudgetLedger,
     derive_stream_seed,
     noisy_mean,
@@ -252,76 +249,21 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
     return labels, counts, sums, float(diff.sum())
 
 
-#: Most bytes of labelling-pass statistics kept for one dataset.
-#: An entry counts its arrays, its key's bytes and ``_PASS_ENTRY_OVERHEAD``
-#: for its Python objects: about 650 bytes at k=2, d=4 (a 451-run ``compare``
-#: grid on 748 rows keeps about 2,100) and 5.8 KB at k=20, d=16.
-PASS_MEMO_BYTES = 4 * 2**20
-_PASS_ENTRY_OVERHEAD = 512
-
-
-class _PassMemo:
-    """What one dataset's labelling passes found.
-
-    A pass's statistics depend only on the data and the centroids' bytes,
-    never on the partition count.  So the read-only (counts, sums,
-    squared-distance sum) of the most recently used passes, up to
-    ``PASS_MEMO_BYTES``, are kept by the centroids' shape and bytes.  The
-    runs of one ``compare`` grid label against many of the same centroids:
-    RF_DPKM and RU_DPKM start from the same rows at every epsilon of a
-    master seed, and RU_DPKM's late, very noisy steps land on the same cube
-    corners.  No entry holds labels, which would cost n integers each.
-
-    Exact raw-data state, like the canopy summary: it stays in the process,
-    is dropped with its dataset and no report holds it.
-    """
-
-    def __init__(self) -> None:
-        self.passes: OrderedDict[tuple, _PassStats] = OrderedDict()
-        self.pass_bytes = 0
-        self._lock = threading.Lock()
-
-    def lookup(self, key: tuple) -> _PassStats | None:
-        with self._lock:
-            stats = self.passes.get(key)
-            if stats is not None:
-                self.passes.move_to_end(key)
-            return stats
-
-    def store(self, key: tuple, counts: np.ndarray, sums: np.ndarray, sq_dist: float) -> None:
-        counts.setflags(write=False)
-        sums.setflags(write=False)
-        with self._lock:
-            if key not in self.passes:
-                self.pass_bytes += _entry_bytes(key, counts, sums)
-            self.passes[key] = (counts, sums, sq_dist)
-            self.passes.move_to_end(key)
-            while self.pass_bytes > PASS_MEMO_BYTES:
-                old_key, (old_counts, old_sums, _) = self.passes.popitem(last=False)
-                self.pass_bytes -= _entry_bytes(old_key, old_counts, old_sums)
-
-
-def _entry_bytes(key: tuple, counts: np.ndarray, sums: np.ndarray) -> int:
-    return len(key[1]) + counts.nbytes + sums.nbytes + _PASS_ENTRY_OVERHEAD
-
-
-#: Pass memo per dataset (hashed by identity).
-_MAP_STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _pass_key(centroids: np.ndarray) -> tuple:
-    return centroids.shape, centroids.tobytes()
+    """A pass's key in the dataset's store: its statistics depend only on the
+    data and the centroids' bytes, never on the partition count."""
+    return "pass", centroids.shape, centroids.tobytes()
 
 
 class _BlockAggregator:
     """Runs the map phase over a dataset's blocks, optionally on a thread pool.
 
-    The block views and the pool are the run's own; the memo of earlier
-    passes is the dataset's :class:`_PassMemo`.
+    The block views and the pool are the run's own; earlier passes are kept
+    in the dataset's store.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
-        self._memo = _MAP_STATES.setdefault(data, _PassMemo())
+        self._store = dataset_store(data)
         self._blocks = [data.points[s:e] for s, e in block_spans(data.n_rows)]
         n_blocks = len(self._blocks)
         self._executor: ThreadPoolExecutor | None = None
@@ -344,7 +286,7 @@ class _BlockAggregator:
         Centroids with the same bytes as a kept pass's get its read-only
         values back without a read of the data.
         """
-        stats = self._memo.lookup(_pass_key(centroids))
+        stats = self._store.get(_pass_key(centroids))
         if stats is None:
             stats = self.labelling_pass(centroids)[:3]
         return stats
@@ -380,7 +322,7 @@ class _BlockAggregator:
             sq_dist += block_sq_dist
         if len(per_block) > 1:
             labels = np.concatenate([p[0] for p in per_block])
-        self._memo.store(_pass_key(centroids), counts, sums, sq_dist)
+        self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
         return counts, sums, sq_dist, labels
 
 
@@ -393,24 +335,21 @@ def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
     return math.sqrt(((new - old) ** 2).sum(axis=1).max())
 
 
-@functools.lru_cache(maxsize=STREAM_MEMO_SIZE)
-def _random_row_indices(n_rows: int, k: int, master_seed: int) -> np.ndarray:
-    """Sorted, read-only indices of k distinct rows, drawn from stream
-    (0, 1) of ``master_seed``.
-
-    Memoized on public integers, like
-    :func:`~dpkmeans.mechanism.stream_unit_noise`: the runs of one master
-    seed in a ``compare`` grid draw it once.  It holds no data.
-    """
-    rng = np.random.Generator(np.random.PCG64(derive_stream_seed(master_seed, 0, 1)))
-    idx = np.sort(rng.choice(n_rows, size=k, replace=False))
-    idx.setflags(write=False)
-    return idx
-
-
 def _random_row_centroids(data: Dataset, k: int, master_seed: int) -> np.ndarray:
+    """Copies of k distinct rows, at sorted indices drawn from stream (0, 1)
+    of ``master_seed``.
+
+    The indices are kept in the dataset's store, so the runs of one master
+    seed in a ``compare`` grid draw them once.
+    """
+    store = dataset_store(data)
+    key = ("rows", k, master_seed)
+    entry = store.get(key)
+    if entry is None:
+        rng = np.random.Generator(np.random.PCG64(derive_stream_seed(master_seed, 0, 1)))
+        entry = store.put(key, (np.sort(rng.choice(data.n_rows, size=k, replace=False)),))
     # Fancy indexing copies: the start shares no memory with the data.
-    return data.points[_random_row_indices(data.n_rows, k, master_seed)]
+    return data.points[entry[0]]
 
 
 def _run_lloyd(
@@ -437,7 +376,7 @@ def _run_lloyd(
 
     Each step is an (iteration, epsilon) pair.  A step with an epsilon is
     charged to the ledger before its exact counts and sums are read, from
-    the data or from the dataset's pass memo, and the new centroids are one
+    the data or from the dataset's store, and the new centroids are one
     :func:`~dpkmeans.mechanism.noisy_mean` of them, at epsilon / (d + 1) for
     each cluster's d + 1 statistics, cluster j's noise from stream (t, j).
     A step with ``None`` is exact.  RU_DPKM and NONPRIVATE stop once a step

@@ -60,8 +60,8 @@ def derive_stream_seed(master_seed: int, iteration: int, cluster_index: int) -> 
 
     Uses numpy's ``SeedSequence`` spawning arithmetic so distinct key tuples
     give statistically independent streams while identical tuples always
-    reproduce the same one.  Not memoized: the memos of the streams and of
-    the random start it seeds already skip its repeated calls.
+    reproduce the same one.  Not memoized: the stream memo and the dataset
+    store's random-row entries already skip its repeated calls.
     """
     if iteration < 0 or cluster_index < 0:
         raise InvalidInputError("iteration and cluster_index must be >= 0")

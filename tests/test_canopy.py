@@ -1,12 +1,8 @@
-import dataclasses
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpkmeans import canopy
+from dpkmeans import canopy, core
 from dpkmeans.canopy import (
     CanopyParams,
     _canopy_summary,
@@ -410,12 +406,13 @@ def _run(data, variant, k, params, seed):
 
 
 def _counting(monkeypatch, name):
+    """What each call of ``canopy.<name>`` returned, in call order."""
     calls = []
     real = getattr(canopy, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(canopy, name, counted)
     return calls
@@ -507,13 +504,33 @@ class TestCanopySummary:
             summary.counts[0] = 0.0
         with pytest.raises(ValueError):
             summary.sums[0, 0] = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             summary.halvings = 1
 
-    def test_entry_dropped_with_its_dataset(self, small_blobs):
-        data = Dataset(points=small_blobs.points, normalized=True)
-        entry = weakref.ref(_canopy_summary(data, 3, CanopyParams(), 0))
-        assert entry() is not None
-        del data
-        gc.collect()
-        assert entry() is None
+    def test_summary_evicted_by_passes_is_recomputed_bit_for_bit(self, monkeypatch):
+        data = synthetic_blobs(600, 3, 3, seed=4)
+        inputs = PlannerInputs(n_rows=600, n_dims=3, k=3, epsilon_total=1.0)
+        config = EngineConfig(master_seed=2)
+        summaries = _counting(monkeypatch, "_canopy_summary")
+        passes = _counting(monkeypatch, "run_canopy")
+        jsons = [run_edpdcs(data, 3, inputs, config=config)[2].comparable_json()]
+        sizes = {}
+        for key, (_, size) in core._STORES[data].entries.items():
+            sizes.setdefault(key[0], set()).add(size)
+        (one,) = sizes["pass"]
+        (canopy_bytes,) = sizes["canopy"]
+        assert canopy_bytes < one
+        # Room for two passes: a run's second pass evicts its summary.
+        monkeypatch.setattr(core, "STORE_BYTES", 2 * one)
+        core._STORES.pop(data)
+        for _ in range(2):
+            jsons.append(run_edpdcs(data, 3, inputs, config=config)[2].comparable_json())
+            assert all(key[0] == "pass" for key in core._STORES[data].entries)
+        assert jsons[0] == jsons[1] == jsons[2]
+        # Each run computed the summary anew, with the same bytes.
+        assert len(passes) == len(summaries) == 3
+        first, _, last = summaries
+        assert last is not first
+        assert (last.halvings, last.n_canopies) == (first.halvings, first.n_canopies)
+        assert last.counts.tobytes() == first.counts.tobytes()
+        assert last.sums.tobytes() == first.sums.tobytes()

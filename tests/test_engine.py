@@ -317,7 +317,7 @@ class TestRunEdpdcs:
         inputs = PlannerInputs(n_rows=10_000, n_dims=3, k=3, epsilon_total=1.0)
         reports = {}
         for parts in (1, 3):
-            engine._MAP_STATES.clear()  # every partition count reads the data
+            core._STORES.pop(data, None)  # every partition count reads the data
             cfg = EngineConfig(
                 variant=Variant.EDPDCS, n_partitions=parts, master_seed=0, threads=2
             )
@@ -493,8 +493,24 @@ def _grid_jsons(data, k, n_partitions=1):
     return [r.comparable_json() for r in summary.runs]
 
 
+def _store_lookups(monkeypatch, kind, log=None):
+    """Log ("hit" or "miss", kind) for every lookup of a ``kind`` key in a
+    dataset's store."""
+    log = [] if log is None else log
+    original = core._DatasetStore.get
+
+    def get(self, key):
+        value = original(self, key)
+        if key[0] == kind:
+            log.append(("miss" if value is None else "hit", kind))
+        return value
+
+    monkeypatch.setattr(core._DatasetStore, "get", get)
+    return log
+
+
 class TestPassMemo:
-    """The per-dataset memo of labelling-pass statistics."""
+    """The labelling-pass statistics kept in a dataset's store."""
 
     def _count_passes(self, monkeypatch):
         passes = []
@@ -538,15 +554,8 @@ class TestPassMemo:
                 events.append(("charge", phase))
                 return super().charge(phase, amount)
 
-        original = engine._PassMemo.lookup
-
-        def lookup(self, key):
-            stats = original(self, key)
-            events.append(("hit" if stats is not None else "miss", None))
-            return stats
-
         monkeypatch.setattr(engine, "BudgetLedger", Ledger)
-        monkeypatch.setattr(engine._PassMemo, "lookup", lookup)
+        _store_lookups(monkeypatch, "pass", events)
         runs = []
         for _ in range(2):
             events.clear()
@@ -554,46 +563,38 @@ class TestPassMemo:
             runs.append((list(events), report.comparable_json()))
         (cold, cold_json), (warm, warm_json) = runs
         assert warm_json == cold_json
-        assert [e for e in cold if e[0] != "charge"] == [("miss", None)] * (len(cold) // 2)
-        assert [e for e in warm if e[0] != "charge"] == [("hit", None)] * (len(warm) // 2)
+        assert [e for e in cold if e[0] != "charge"] == [("miss", "pass")] * (len(cold) // 2)
+        assert [e for e in warm if e[0] != "charge"] == [("hit", "pass")] * (len(warm) // 2)
         # The same charges, each just before its step's lookup.
         assert [e for e in warm if e[0] == "charge"] == [e for e in cold if e[0] == "charge"]
         assert [e[0] for e in warm] == ["charge", "hit"] * (len(warm) // 2)
 
     def test_entries_are_read_only_statistics_within_the_bound(self, small_blobs, monkeypatch):
         compare_variants(small_blobs, 3, [0.5, 1.0], n_seeds=2)
-        state = engine._MAP_STATES[small_blobs]
-        assert state.passes
-        total = 0
-        for key, entry in state.passes.items():
-            counts, sums, sq_dist = entry
-            assert key[0] == (3, small_blobs.n_dims)
-            assert counts.shape == (3,) and sums.shape == key[0]
+        store = core._STORES[small_blobs]
+        passes = [(key, entry) for key, entry in store.entries.items() if key[0] == "pass"]
+        assert passes
+        for key, ((counts, sums, sq_dist), one) in passes:
+            assert key[1] == (3, small_blobs.n_dims)
+            assert counts.shape == (3,) and sums.shape == key[1]
             assert not counts.flags.writeable and not sums.flags.writeable
             assert isinstance(sq_dist, float)
-            total += engine._entry_bytes(key, counts, sums)
-        assert state.pass_bytes == total <= engine.PASS_MEMO_BYTES
+            assert one == len(key[2]) + counts.nbytes + sums.nbytes + core._ENTRY_OVERHEAD
+        sizes = [size for _, size in store.entries.values()]
+        assert store.nbytes == sum(sizes) <= core.STORE_BYTES
 
-        # A budget of three entries keeps the three most recently used.
-        one = engine._entry_bytes(key, counts, sums)
-        monkeypatch.setattr(engine, "PASS_MEMO_BYTES", 3 * one)
-        engine._MAP_STATES.clear()
+        # A bound of three pass entries keeps the three most recently used.
+        monkeypatch.setattr(core, "STORE_BYTES", 3 * one)
+        core._STORES.pop(small_blobs)
         rng = np.random.Generator(np.random.PCG64(1))
         starts = [CentroidSet(centroids=rng.random((3, 3))) for _ in range(5)]
         cfg = EngineConfig(variant=Variant.NONPRIVATE, nonprivate_max_iters=1)
         for start in starts:
             run_baseline(small_blobs, 3, None, cfg, initial_centroids=start)
-        state = engine._MAP_STATES[small_blobs]
-        assert len(state.passes) == 3 and state.pass_bytes == 3 * one
+        store = core._STORES[small_blobs]
+        assert len(store.entries) == 3 and store.nbytes == 3 * one
         # The last run's start, then its one step's result, stayed.
-        assert list(state.passes)[1] == engine._pass_key(starts[-1].centroids)
-
-    def test_state_is_dropped_with_its_dataset(self):
-        data = synthetic_blobs(300, 2, 2, seed=1)
-        _run_variant(data, 2, Variant.RF_DPKM, 1.0)
-        assert len(engine._MAP_STATES) == 1
-        del data
-        assert len(engine._MAP_STATES) == 0
+        assert list(store.entries)[1] == engine._pass_key(starts[-1].centroids)
 
     def test_threads_sharing_one_state(self, monkeypatch):
         # More workers than cores against one small memo: every pass must
@@ -605,9 +606,8 @@ class TestPassMemo:
         for c in centroids:
             agg = engine._BlockAggregator(data, 1, 1)
             want.append(agg.labelling_pass(c)[:3])
-        engine._MAP_STATES.clear()
-        one = engine._entry_bytes(engine._pass_key(centroids[0]), *want[0][:2])
-        monkeypatch.setattr(engine, "PASS_MEMO_BYTES", 4 * one)
+        _, one = core._STORES.pop(data).entries[engine._pass_key(centroids[0])]
+        monkeypatch.setattr(core, "STORE_BYTES", 4 * one)
         errors = []
 
         def worker(offset):
@@ -637,31 +637,35 @@ class TestPassMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        state = engine._MAP_STATES[data]
-        assert state.pass_bytes == len(state.passes) * one <= 4 * one
+        store = core._STORES[data]
+        assert store.nbytes == len(store.entries) * one <= 4 * one
 
 
 class TestRandomRowStart:
     def test_indices_are_the_sorted_seeded_draw(self):
         for master_seed, n, k in [(0, 748, 2), (7, 50, 5), (3, 9, 9)]:
+            data = synthetic_blobs(n, 2, 1, seed=master_seed)
             seed = derive_stream_seed(master_seed, 0, 1)
             want = np.random.Generator(np.random.PCG64(seed)).choice(n, k, replace=False)
-            assert np.array_equal(engine._random_row_indices(n, k, master_seed), np.sort(want))
+            start = engine._random_row_centroids(data, k, master_seed)
+            assert np.array_equal(start, data.points[np.sort(want)])
+            (idx,) = core._STORES[data].get(("rows", k, master_seed))
+            assert np.array_equal(idx, np.sort(want))
 
     def test_memo_is_read_only_and_start_is_a_fresh_copy(self, small_blobs):
-        idx = engine._random_row_indices(small_blobs.n_rows, 3, 11)
-        assert not idx.flags.writeable
         start = engine._random_row_centroids(small_blobs, 3, 11)
+        (idx,) = core._STORES[small_blobs].get(("rows", 3, 11))
+        assert not idx.flags.writeable
         assert start.shape == (3, small_blobs.n_dims) and start.flags.writeable
         assert not np.shares_memory(start, small_blobs.points)
         assert np.array_equal(start, small_blobs.points[idx])
 
-    def test_grid_draws_once_per_master_seed(self, small_blobs):
-        engine._random_row_indices.cache_clear()
+    def test_grid_draws_once_per_master_seed(self, small_blobs, monkeypatch):
+        lookups = _store_lookups(monkeypatch, "rows")
         compare_variants(small_blobs, 3, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=3)
-        info = engine._random_row_indices.cache_info()
         # RF_DPKM and RU_DPKM at five epsilons share each seed's start.
-        assert (info.misses, info.hits) == (3, 2 * 5 * 3 - 3)
+        assert lookups.count(("miss", "rows")) == 3
+        assert lookups.count(("hit", "rows")) == 2 * 5 * 3 - 3
 
 
 class TestRunBaselineRf:
@@ -951,6 +955,31 @@ class TestEdgesEndWithANote:
             assert notes.pop().startswith("canopy radii halved ")
         assert notes == []
 
+    @pytest.mark.parametrize("variant", [v for v in Variant if v.spends_epsilon])
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-300])
+    def test_noise_swamps_every_count_at_a_tiny_epsilon(self, epsilon, variant):
+        # The noise dwarfs every count and sum, so it sets each centroid
+        # through the count floor of 1 and the clip to the cube.  Such a run
+        # adds no note of its own: only RU_DPKM's residual note appears.
+        data = synthetic_blobs(300, 3, 3, seed=1)
+        k, d = 3, data.n_dims
+        cs, _, report = _run_variant(data, k, variant, epsilon)
+        assert np.isfinite(cs.centroids).all()
+        assert (cs.centroids >= 0.0).all() and (cs.centroids <= 1.0).all()
+        if variant.takes_planner_inputs:
+            assert report.plan["iterations"] == 2 == report.iterations_run
+        for it in report.iterations:
+            charged = it["budget_charged"] is not None
+            assert it["noise_draws"] == (k * (d + 1) if charged else 0), it
+        if variant is Variant.RU_DPKM:
+            residual = report.budget_remaining
+            assert residual > 0.0
+            assert report.notes == [f"residual budget {residual:.6g} left by halving schedule"]
+        else:
+            assert report.budget_spent == pytest.approx(epsilon, rel=1e-12)
+            assert report.budget_remaining == pytest.approx(0.0, abs=1e-9 * epsilon)
+            assert report.notes == []
+
 
 class TestEndToEndProperties:
     @settings(max_examples=100, deadline=None)
@@ -969,7 +998,7 @@ class TestEndToEndProperties:
             epsilon = None
         comparable = set()
         for parts in (1, 3):
-            engine._MAP_STATES.clear()  # every partition count reads the data
+            core._STORES.pop(data, None)  # every partition count reads the data
             cs, labels, report = _run_variant(
                 data, k, variant, epsilon, n_partitions=parts, threads=2
             )
@@ -1034,7 +1063,7 @@ class TestEndToEndProperties:
             epsilon = None
         runs = []
         for p in (1, 2, 3):
-            engine._MAP_STATES.clear()  # every partition count reads the data
+            core._STORES.pop(data, None)  # every partition count reads the data
             runs.append(_run_variant(data, k, variant, epsilon, n_partitions=p, threads=p))
         cs0, labels0, report0 = runs[0]
         for cs, labels, report in runs[1:]:
@@ -1050,7 +1079,7 @@ class TestEndToEndProperties:
         epsilon = None if variant is Variant.NONPRIVATE else 1.0
         jsons = []
         for parts in (1, 2):
-            engine._MAP_STATES.clear()  # every partition count reads the data
+            core._STORES.pop(data, None)  # every partition count reads the data
             _, _, report = _run_variant(data, 5, variant, epsilon, n_partitions=parts, threads=2)
             jsons.append(report.comparable_json())
         assert jsons[0] == jsons[1]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dpkmeans import engine
+from dpkmeans import core
 from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
 from dpkmeans.engine import EngineConfig, Variant, run_baseline, run_edpdcs
 from dpkmeans.evaluation import (
@@ -102,7 +102,7 @@ class TestRunReport:
         inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         reports = []
         for parts in (1, 4):
-            engine._MAP_STATES.clear()  # every partition count reads the data
+            core._STORES.pop(small_blobs, None)  # every partition count reads the data
             cfg = EngineConfig(
                 variant=Variant.EDPDCS, n_partitions=parts, master_seed=5
             )
