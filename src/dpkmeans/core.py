@@ -10,6 +10,7 @@ unit hypercube bound that makes a global sensitivity of 1 valid).
 from __future__ import annotations
 
 import functools
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -201,13 +202,14 @@ def label_chunk_rows(k: int) -> int:
 
 
 def rounding_margin(d: int, s: float) -> float:
-    """tau = 8 (d + 2) (u S^2 + eta), the margin of both distance filters.
+    """tau = 8 (d + 2) (u S^2 + eta), the margin of the distance filters.
 
     ``s`` is S, a bound on ||x|| + ||c|| over the pairs compared in d
     dimensions.  A squared distance, or one less ||x||^2, computed through
     dot products, and the direct sum of the d squared differences both lie
     well inside ``tau`` of their exact values: :func:`label_points` gives
     the bound, and :func:`dpkmeans.canopy.run_canopy` reads it too.
+    :func:`certificate_bounds` takes it at 2 S.
 
     ``tau`` is infinite exactly when S^2 overflows: u (S^2) is S^2 scaled by
     a power of two, where (u S) S would stay finite.
@@ -293,7 +295,9 @@ def label_points(
     n, d = points.shape
     labels = np.empty(n, dtype=np.int64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    c_norm = np.sqrt(c_sq.max())
+    # Python floats: the same IEEE operations as numpy scalars, at half the
+    # cost per call.
+    c_norm = math.sqrt(c_sq.max())
     minus_2c = -2.0 * centroids
     index_and_one = _index_and_one(centroids.shape[0])
     chunk = label_chunk_rows(centroids.shape[0])
@@ -305,7 +309,7 @@ def label_points(
         f = minus_2c @ x.T
         f += c_sq[:, None]
         x_sq = np.einsum("ij,ij->i", x, x).max() if max_sq_norm is None else max_sq_norm
-        s = np.sqrt(x_sq) + c_norm
+        s = math.sqrt(x_sq) + c_norm
         tau = rounding_margin(d, s)
         near = f <= f.min(axis=0) + tau
         # Per row, the sum of the near centroids' indices and their number.
@@ -316,6 +320,84 @@ def label_points(
             best[refine] = _label_exact(x[refine], centroids)
         labels[start:stop] = best
     return labels
+
+
+def certificate_bounds(centroids: np.ndarray, max_sq_norm: float) -> np.ndarray:
+    """Per centroid a, the bound below which a row's squared distance to c_a
+    proves that a is the row's label.
+
+    A row x with a candidate label a is *certified* when E'_a, its d squared
+    differences to c_a summed directly in any order, is below
+    ``bounds[a]``.  Then a is the label :func:`label_points` gives x, and
+    every other centroid is strictly farther: Elkan's half-distance test
+    ("Using the Triangle Inequality to Accelerate k-Means", ICML 2003,
+    Lemma 1), with the rounding accounted for.  ``max_sq_norm`` bounds every
+    row's squared norm, as in :func:`label_points`.
+
+    ``bounds[a]`` = fl(min(Q_a, fl(S^2)) - tau), where Q_a = fl(M_a / 4),
+    M_a is the smallest directly summed squared distance from c_a to another
+    centroid (+inf when k = 1), S is :func:`label_points`' bound on
+    ||x|| + ||c||, and tau = :func:`rounding_margin` (d, 2 S).  The pairs
+    are summed in chunks of :func:`label_chunk_rows` (k) centroids, so the
+    temporaries are those of :func:`label_points`: one (rows, k) and one
+    (rows, k, d) array with rows * k <= 20,480.
+
+    Why a certified row is the strict argmin of :func:`_label_exact`.  With
+    u, g_m and eta as in :func:`label_points`, a directly summed squared
+    distance P between two vectors is computed within g_{d+2} P + d eta of
+    its exact value (each of the d squares that underflows loses at most
+    eta / 2).  That covers the E_j of :func:`_label_exact`, E'_a and every
+    computed M_aj, the least of which is M_a.  If tau is infinite, no row is
+    certified.  Otherwise fl(4 S^2) is finite.  Let
+    D_j = ||x - c_j||^2 <= S^2, so that |E_j - D_j| and |E'_a - D_a| are at
+    most e_0 = g_{d+2} S^2 + d eta, and fix j != a, with
+    M = ||c_a - c_j||^2 <= 4 S^2 and y = min(Q_a, fl(S^2)):
+
+    - M / 4 >= y - e_1, with e_1 = g_{d+2} (1 + u) S^2 + d eta.  If the
+      computed M_aj (at least M_a) is finite, M / 4 is at least
+      M_aj / 4 - g_{d+2} S^2 - d eta / 4, and Q_a exceeds M_a / 4 by at
+      most eta / 2, since the scaling is exact unless it underflows.  If
+      M_aj overflowed, M (1 + g_{d+2}) + d eta exceeds the largest double,
+      which is at least fl(4 S^2) = 4 fl(S^2), S^2 being far from
+      underflow.
+    - ``bounds[a]`` <= y - tau (1 - u) + u fl(S^2), for 0 <= y <= fl(S^2).
+    - So a certified row has D_a <= E'_a + e_0 < ``bounds[a]`` + e_0, and
+      M / 4 - D_a > delta = tau (1 - u) - u fl(S^2) - e_0 - e_1.
+
+    Computed, tau is at least (1 - 4u) 8 (d + 2) (4 u S^2 + eta / 2), far
+    above the other terms of delta - e_0, about (3 d + 7) u S^2 + 3 d eta,
+    so delta > e_0 >= 0 for every d >= 1; the slack also covers the
+    rounding of S itself, as in :func:`label_points`.  Then r = ||x - c_a|| < m / 2,
+    where m = sqrt(M), and by the triangle inequality D_j >= (m - r)^2, so
+    D_j - D_a >= m (m - 2r) = 2m (M / 4 - D_a) / (m / 2 + r) > 2 delta.
+    Hence E_j - E_a > 2 delta - 2 e_0 > 0: E_a is the row's strictly
+    smallest E_j, so a is the label of :func:`_label_exact`, and with it of
+    :func:`label_points`.  No row with an exact tie is certified, and no
+    row at all when c_a has a duplicate (M_a = 0 makes ``bounds[a]``
+    negative).  The cap fl(S^2), which M_a / 4 <= max ||c||^2 <= S^2
+    reaches only through rounding, keeps the bound sound when M_aj
+    overflows.  The bound assumes nothing about where the points or
+    centroids lie.
+    """
+    centroids = np.asarray(centroids, dtype=np.float64)
+    k, d = centroids.shape
+    s = math.sqrt(max_sq_norm) + math.sqrt(np.einsum("ij,ij->i", centroids, centroids).max())
+    tau = rounding_margin(d, 2.0 * s)
+    if tau == math.inf:
+        return np.full(k, -math.inf)
+    quarter = np.empty(k)
+    chunk = label_chunk_rows(k)
+    for start in range(0, k, chunk):
+        stop = min(start + chunk, k)
+        diff = centroids[start:stop, None, :] - centroids[None, :, :]
+        np.square(diff, out=diff)
+        sq = diff.sum(axis=2)
+        sq[np.arange(stop - start), np.arange(start, stop)] = math.inf
+        quarter[start:stop] = sq.min(axis=1)
+    quarter *= 0.25
+    np.minimum(quarter, s * s, out=quarter)
+    quarter -= tau
+    return quarter
 
 
 def assign_labels(data: Dataset, centroid_set: CentroidSet) -> Assignment:

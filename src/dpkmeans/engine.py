@@ -13,7 +13,9 @@ partition count only controls how blocks are grouped onto threads.  Each
 run slices its own block views.  The statistics of recent labelling passes
 are kept in the dataset's store (:func:`~dpkmeans.core.dataset_store`), so
 runs on one dataset that label against the same centroids, as the runs of a
-``compare`` grid often do, read the data once for them.
+``compare`` grid often do, read the data once for them.  Within a run, a
+row whose label from the run's latest pass provably still holds is not
+labelled again (:func:`~dpkmeans.core.certificate_bounds`).
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +62,7 @@ from dpkmeans.core import (
     CentroidSet,
     Dataset,
     InvalidInputError,
+    certificate_bounds,
     dataset_store,
     label_points,
 )
@@ -227,15 +231,42 @@ def _bin_offsets(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Partials:
+def _squared_differences(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """(x - c)^2 per row x and dimension, c the row's labelled centroid: the
+    map task sums it for NICV, and a row's sum is its certificate's distance
+    (:func:`~dpkmeans.core.certificate_bounds`)."""
+    diff = np.take(centroids, labels, axis=0)
+    np.subtract(points, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return diff
+
+
+def _block_partials(
+    points: np.ndarray,
+    centroids: np.ndarray,
+    k: int,
+    labels: np.ndarray | None = None,
+    sq_dist: float | None = None,
+) -> _Partials:
     """Map task for one block: labels, counts, sums and the sum of every
     row's squared distance to its nearest centroid.
 
-    The rows lie in the unit cube, so d bounds every row's squared norm for
-    :func:`~dpkmeans.core.label_points`' filter.
+    ``labels`` and ``sq_dist``, when given, are the block's nearest
+    centroids and that sum.  Otherwise :func:`~dpkmeans.core.label_points`
+    labels the block: its rows lie in the unit cube, so d bounds every row's
+    squared norm for the filter.
+
+    Every path sums its squared differences, and frees them, before the
+    bincount temporaries exist.  With both alive at once, glibc's heap grew
+    differently, and a 200k x 16 benchmark process peaked at 180 MB instead
+    of 157 MB in 4 of 18 runs.
     """
     d = points.shape[1]
-    labels = label_points(points, centroids, d)
+    if labels is None:
+        labels = label_points(points, centroids, d)
+        sq_dist = float(_squared_differences(points, centroids, labels).sum())
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     # One bincount over the (label, dimension) bins of the row-major points:
     # each row is added exactly once, in dataset order within the block, as
@@ -243,10 +274,52 @@ def _block_partials(points: np.ndarray, centroids: np.ndarray, k: int) -> _Parti
     bins = np.repeat(labels * d, d)
     bins += _bin_offsets(points.shape[0], d)
     sums = np.bincount(bins, weights=points.ravel(), minlength=k * d).reshape(k, d)
-    diff = np.take(centroids, labels, axis=0)
-    np.subtract(points, diff, out=diff)
-    np.multiply(diff, diff, out=diff)
-    return labels, counts, sums, float(diff.sum())
+    return labels, counts, sums, sq_dist
+
+
+#: The certificate's gate (see :class:`_BlockAggregator`).  A block probes
+#: in each of the run's first ``PROBE_PASSES`` labelling passes until one row
+#: in ``PROBE_STRIDE`` shows that at least ``CERTIFY_SHARE`` of its rows
+#: would have been certified; from its next pass on it tries the
+#: certificate.  A try that leaves more than the rest of its rows unsure
+#: relabels the block in full, and the block stops trying for the run.
+CERTIFY_SHARE = 7 / 8
+PROBE_PASSES = 2
+PROBE_STRIDE = 16
+
+
+def _certified_sq_dist(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, bounds: np.ndarray
+) -> float | None:
+    """Certify ``labels``, a block's candidates, and relabel in place the
+    rows left unsure; returns the block's squared-distance sum.
+
+    Returns None, and leaves ``labels`` as they were, when more than
+    1 - ``CERTIFY_SHARE`` of the rows are unsure.
+    """
+    diff = _squared_differences(points, centroids, labels)
+    unsure = np.flatnonzero(~(np.einsum("ij->i", diff) < bounds[labels]))
+    if unsure.size > (1.0 - CERTIFY_SHARE) * len(points):
+        return None
+    if unsure.size:
+        fresh = label_points(points[unsure], centroids, points.shape[1])
+        moved = fresh != labels[unsure]
+        rows = unsure[moved]
+        labels[rows] = fresh[moved]
+        diff[rows] = _squared_differences(points[rows], centroids, fresh[moved])
+    return float(diff.sum())
+
+
+def _probed_sq_dist(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, bounds: np.ndarray
+) -> tuple[float, bool]:
+    """A block's squared-distance sum under its nearest centroids
+    ``labels``, and whether the certificate passes at least
+    ``CERTIFY_SHARE`` of one row in ``PROBE_STRIDE``."""
+    diff = _squared_differences(points, centroids, labels)
+    probe = slice(None, None, PROBE_STRIDE)
+    passed = np.einsum("ij->i", diff[probe]) < bounds[labels[probe]]
+    return float(diff.sum()), np.count_nonzero(passed) >= CERTIFY_SHARE * passed.size
 
 
 def _pass_key(centroids: np.ndarray) -> tuple:
@@ -258,14 +331,34 @@ def _pass_key(centroids: np.ndarray) -> tuple:
 class _BlockAggregator:
     """Runs the map phase over a dataset's blocks, optionally on a thread pool.
 
-    The block views and the pool are the run's own; earlier passes are kept
-    in the dataset's store.
+    The block views, the pool and the rows' candidate labels are the run's
+    own; earlier passes are kept in the dataset's store.
+
+    A row's candidate is its label from the run's latest labelling pass,
+    stale when a pass since was served from the store.  A block that tries
+    the certificate computes its rows' squared differences to their
+    candidates first, which the squared-distance sum needs anyway, and
+    relabels through :func:`~dpkmeans.core.label_points` only the rows that
+    :func:`~dpkmeans.core.certificate_bounds` leaves unsure; a certified
+    row's candidate is its label, so every result is bit-identical.  Data of
+    one block never tries: there the extra numpy calls cost more than the
+    labelling they save.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
         self._store = dataset_store(data)
-        self._blocks = [data.points[s:e] for s, e in block_spans(data.n_rows)]
+        spans = block_spans(data.n_rows)
+        self._blocks = [data.points[s:e] for s, e in spans]
         n_blocks = len(self._blocks)
+        # Per block: whether it tries the certificate, None while it probes.
+        self._tries: list[bool | None] = [None if n_blocks > 1 else False] * n_blocks
+        self._passes = 0
+        self._candidates: list[np.ndarray] = []
+        if n_blocks > 1:
+            # Outside the malloc heap, whose freed pages glibc may keep
+            # resident after the run; untouched pages cost nothing.
+            labels = np.frombuffer(mmap.mmap(-1, 8 * data.n_rows), dtype=np.int64)
+            self._candidates = [labels[s:e] for s, e in spans]
         self._executor: ThreadPoolExecutor | None = None
         self._groups = [range(n_blocks)]
         if workers > 1 and n_blocks > 1:
@@ -300,11 +393,13 @@ class _BlockAggregator:
         Block partials merge in ascending block order, so every result is
         independent of the partition count.
         """
-        blocks = self._blocks
-        k = centroids.shape[0]
+        self._passes += 1
+        bounds = None
+        if any(tries is not False for tries in self._tries):
+            bounds = certificate_bounds(centroids, centroids.shape[1])
 
         def work(indices) -> list[_Partials]:
-            return [_block_partials(blocks[b], centroids, k) for b in indices]
+            return [self._map(b, centroids, bounds) for b in indices]
 
         # Groups are consecutive block ranges and map() keeps their order, so
         # the partials arrive in ascending block order.  A serial pass runs
@@ -324,6 +419,27 @@ class _BlockAggregator:
             labels = np.concatenate([p[0] for p in per_block])
         self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
         return counts, sums, sq_dist, labels
+
+    def _map(self, b: int, centroids: np.ndarray, bounds: np.ndarray | None) -> _Partials:
+        """Block ``b``'s partials, through the certificate when it tries it."""
+        points = self._blocks[b]
+        k = centroids.shape[0]
+        if self._tries[b]:
+            labels = self._candidates[b]
+            sq_dist = _certified_sq_dist(points, centroids, labels, bounds)
+            if sq_dist is not None:
+                return _block_partials(points, centroids, k, labels, sq_dist)
+            self._tries[b] = False
+        if self._tries[b] is False:
+            return _block_partials(points, centroids, k)
+        labels = label_points(points, centroids, points.shape[1])
+        sq_dist, passed = _probed_sq_dist(points, centroids, labels, bounds)
+        if passed:
+            self._tries[b] = True
+            self._candidates[b][:] = labels
+        elif self._passes >= PROBE_PASSES:
+            self._tries[b] = False
+        return _block_partials(points, centroids, k, labels, sq_dist)
 
 
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
@@ -384,8 +500,8 @@ def _run_lloyd(
     initialization is traced as the iteration before the first step.  Every
     trace entry's ``nicv_after`` is filled in by the next labelling pass,
     which labels every row against that entry's centroids; the last is the
-    final pass, which always labels and gives the assignment and the
-    report's NICV.
+    final pass, which always reads the data and gives the assignment and
+    the report's NICV.
     """
     variant = config.variant
     if planner_inputs is not None and not variant.takes_planner_inputs:

@@ -13,7 +13,7 @@ from dpkmeans.core import (
     assign_labels,
     label_points,
 )
-from dpkmeans.engine import _block_partials
+from dpkmeans.engine import _block_partials, _squared_differences
 
 
 def _squared_distance_oracle(a, b):
@@ -401,6 +401,128 @@ class TestLabelPointsFilter:
         assert np.array_equal(got, _broadcast_labels(pts, centroids))
         if k >= 2:
             assert sum(rows) == n
+
+
+@st.composite
+def _certificate_inputs(draw):
+    """Rows and centroids as for the filter, and a candidate per row: its
+    exact label, any label, or its label against moved centroids."""
+    points, centroids = draw(_labelling_inputs())
+    n, k = len(points), len(centroids)
+    exact = core._label_exact(points, centroids)
+    seed = draw(st.integers(0, 2**32 - 1))
+    step = draw(st.sampled_from([1e-12, 1e-3, 0.3]))
+    moved = centroids + step * np.random.Generator(np.random.PCG64(seed)).standard_normal(
+        centroids.shape
+    )
+    stale = core._label_exact(points, moved)
+    kinds = draw(st.lists(st.sampled_from(["right", "any", "stale"]), min_size=n, max_size=n))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    by_kind = {"right": exact, "any": np.array(picks, dtype=np.int64), "stale": stale}
+    candidates = np.array([by_kind[kind][i] for i, kind in enumerate(kinds)], dtype=np.int64)
+    return points, centroids, candidates
+
+
+def _certified(points, centroids, candidates, max_sq_norm):
+    """Rows whose candidate the certificate proves, with each row's squared
+    distance to it summed in two orders; both must agree."""
+    bounds = core.certificate_bounds(centroids, max_sq_norm)
+    diff = _squared_differences(points, centroids, candidates)
+    forward = np.einsum("ij->i", diff) < bounds[candidates]
+    backward = diff[:, ::-1].sum(axis=1) < bounds[candidates]
+    assert np.array_equal(forward, backward)
+    return np.flatnonzero(forward)
+
+
+def _assert_strict_argmin(points, centroids, candidates, rows):
+    """Each of ``rows`` has its candidate as the strictly smallest of the
+    exact path's summed squared distances: its label, and no tie."""
+    dist = ((points[rows, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    mine = dist[np.arange(len(rows)), candidates[rows]]
+    dist[np.arange(len(rows)), candidates[rows]] = np.inf
+    assert (dist > mine[:, None]).all()
+    assert np.array_equal(candidates[rows], core._label_exact(points[rows], centroids))
+
+
+class TestCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(_certificate_inputs(), st.sampled_from([1.0, 1.0 + 2**-52, 4.0, 1e6]))
+    def test_certified_rows_are_the_exact_paths_strict_argmin(self, inputs, factor):
+        points, centroids, candidates = inputs
+        largest = float(np.einsum("ij,ij->i", points, points).max(initial=0.0))
+        rows = _certified(points, centroids, candidates, largest * factor)
+        _assert_strict_argmin(points, centroids, candidates, rows)
+
+    def test_clear_rows_are_certified(self):
+        # Well-separated blobs in the unit cube, candidates their labels: the
+        # certificate settles nearly every row, and only right candidates.
+        rng = np.random.Generator(np.random.PCG64(4))
+        centres = rng.random((20, 16))
+        pts = np.clip(centres[rng.integers(0, 20, 4096)] + 0.02 * rng.standard_normal((4096, 16)), 0, 1)
+        centroids = centres + 0.01 * rng.standard_normal(centres.shape)
+        exact = core._label_exact(pts, centroids)
+        wrong = (exact + 1) % 20
+        right_rows = _certified(pts, centroids, exact, 16)
+        assert len(right_rows) > 0.99 * len(pts)
+        assert len(_certified(pts, centroids, wrong, 16)) == 0
+
+    def test_midpoints_of_dyadic_centroids_are_never_certified(self):
+        # Every row is exactly as far from two centroids, and its squared
+        # distances are computed exactly: the certificate's own test,
+        # distance below a quarter of the separation, fails only by tau.
+        centroids = np.array([[0.25, 0.5], [0.75, 0.5], [0.25, 0.0]])
+        pts = np.array([[0.5, 0.5], [0.5, 0.25], [0.25, 0.25], [0.5, 0.75], [0.0, 0.25]])
+        for label in range(3):
+            candidates = np.full(len(pts), label)
+            assert len(_certified(pts, centroids, candidates, 2)) == 0
+        # c_0's nearest other centroid is c_2, 0.5 away: rows (0.5, 0.5) and
+        # (0.25, 0.25) sit exactly at a quarter of its squared separation.
+        assert 0 < 0.5**2 / 4 - core.certificate_bounds(centroids, 2)[0] < 1e-12
+
+    def test_duplicate_centroids_certify_nothing_near_them(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        centroids = rng.random((4, 3))[[0, 1, 2, 0, 3]]
+        bounds = core.certificate_bounds(centroids, 3)
+        assert bounds[0] < 0 and bounds[3] < 0
+        pts = rng.random((500, 3))
+        for label in (0, 3):
+            assert len(_certified(pts, centroids, np.full(500, label), 3)) == 0
+
+    def test_one_centroid_is_bounded_by_the_norm_cap(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        pts, centroid = rng.random((300, 4)), rng.random((1, 4))
+        s = 2.0 + float(np.sqrt((centroid**2).sum()))
+        bound = core.certificate_bounds(centroid, 4)
+        assert bound.tolist() == [s * s - core.rounding_margin(4, 2 * s)]
+        assert len(_certified(pts, centroid, np.zeros(300, dtype=np.int64), 4)) == 300
+
+    @pytest.mark.parametrize("max_sq_norm", [0.25e308, 1e308])
+    def test_overflowing_bound_certifies_nothing(self, max_sq_norm):
+        # 4 S^2 overflows, so tau is infinite.  The row at the origin is as
+        # far from both centroids: unchecked, the overflowing separation
+        # would have certified it.
+        centroids = np.array([[0.7e154], [-0.7e154]])
+        assert core.certificate_bounds(centroids, max_sq_norm).tolist() == [-np.inf] * 2
+        pts = np.array([[0.0], [0.5e154]])
+        for label in (0, 1):
+            assert len(_certified(pts, centroids, np.full(2, label), max_sq_norm)) == 0
+
+    def test_temporaries_bounded_by_one_chunk(self):
+        # The separations of k centroids, k x k of them, are taken in chunks
+        # of label_points' rows: no temporary holds all k^2.
+        k, d = 3000, 2
+        centroids = np.random.Generator(np.random.PCG64(8)).random((k, d))
+        chunk_bytes = core.label_chunk_rows(k) * k * d * 8
+        assert 8 * 4 * chunk_bytes < k * k * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            core.certificate_bounds(centroids, d)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk_bytes
 
 
 class TestDataset:

@@ -435,6 +435,31 @@ class TestReportSchema:
             assert set(blob["config"]["canopy"]) == CANOPY_KEYS
 
 
+def _count_rows(monkeypatch):
+    """Per labelling pass, the row counts of the blocks the map task read and
+    of the calls to ``label_points``, each in the order they came."""
+    passes = []
+    labelling_pass = engine._BlockAggregator.labelling_pass
+    block_partials = engine._block_partials
+
+    def counting_pass(self, centroids):
+        passes.append(([], []))
+        return labelling_pass(self, centroids)
+
+    def counting_partials(points, *args):
+        passes[-1][0].append(len(points))
+        return block_partials(points, *args)
+
+    def counting_labels(points, *args):
+        passes[-1][1].append(len(points))
+        return label_points(points, *args)
+
+    monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", counting_pass)
+    monkeypatch.setattr(engine, "_block_partials", counting_partials)
+    monkeypatch.setattr(engine, "label_points", counting_labels)
+    return passes
+
+
 class TestLabellingPasses:
     @pytest.mark.parametrize(
         "variant,epsilon",
@@ -458,18 +483,19 @@ class TestLabellingPasses:
         assert report.nicv == report.iterations[-1]["nicv_after"]
         assert np.array_equal(labels.labels, assign_labels(data, cs).labels)
 
-    def test_edpdcs_labels_every_row_once_per_planned_iteration(self, monkeypatch):
+    def test_edpdcs_reads_every_row_once_per_planned_iteration(self, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        rows = []
-
-        def counting(points, *args, **kwargs):
-            rows.append(len(points))
-            return label_points(points, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "label_points", counting)
-        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 3.0)
-        assert sum(rows) == report.iterations_run * data.n_rows
-        assert max(rows) <= engine.MAP_BLOCK_ROWS
+        passes = _count_rows(monkeypatch)
+        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
+        assert len(passes) == report.iterations_run
+        blocks = [stop - start for start, stop in block_spans(data.n_rows)]
+        for read, labelled in passes:
+            assert read == blocks
+            assert max(labelled, default=0) <= engine.MAP_BLOCK_ROWS
+        # The first pass labels every row; each later pass is certified, and
+        # labels fewer.
+        assert sum(passes[0][1]) == data.n_rows
+        assert all(sum(labelled) < data.n_rows for _, labelled in passes[1:])
 
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
         def slow(*args, **kwargs):
@@ -507,6 +533,76 @@ def _store_lookups(monkeypatch, kind, log=None):
 
     monkeypatch.setattr(core._DatasetStore, "get", get)
     return log
+
+
+class TestCertificateGate:
+    """The certificate changes which rows ``label_points`` sees, never a
+    byte of a result."""
+
+    RUNS = [
+        (Variant.EDPDCS, 1.0),
+        (Variant.NONPRIVATE, None),
+        (Variant.RU_DPKM, 1.0),
+        # Its first step, from the same rows as RU_DPKM's, is served from
+        # the store, so its first labelling pass is its second step.
+        (Variant.RF_DPKM, 1.0),
+    ]
+
+    def _runs(self, data, n_partitions, lookups):
+        core._STORES.pop(data, None)
+        out = []
+        for variant, epsilon in self.RUNS:
+            lookups.clear()
+            _, labels, report = _run_variant(data, 4, variant, epsilon, n_partitions=n_partitions)
+            out.append((report.comparable_json(), labels.labels.tobytes()))
+        assert lookups[0] == ("hit", "pass")
+        return out
+
+    def test_gate_off_and_on_give_the_same_bytes(self, monkeypatch):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        passes = _count_rows(monkeypatch)
+        lookups = _store_lookups(monkeypatch, "pass")
+        on = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
+        # Every run reads every row in each pass; with the gate on, whole
+        # passes go by with a few hundred rows labelled.
+        assert all(sum(read) == data.n_rows for read, _ in passes)
+        assert sum(sum(labelled) < data.n_rows / 8 for _, labelled in passes) >= 10
+        passes.clear()
+        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
+        off = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
+        assert all(sum(labelled) == data.n_rows for _, labelled in passes)
+        assert off == on
+
+    def test_stale_candidates_after_a_stored_pass(self, monkeypatch):
+        # The run's candidates come from its latest labelling pass, not from
+        # a pass the store served since.
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
+        c1, c2, c3, c4 = (np.array(it["centroids_after"]) for it in report.iterations[:4])
+
+        def passes():
+            core._STORES.pop(data, None)
+            engine._BlockAggregator(data, 1, 1).labelling_pass(c3)
+            agg = engine._BlockAggregator(data, 2, 2)
+            try:
+                got = [agg.labelling_pass(c1), agg.labelling_pass(c2), agg.statistics(c3)]
+                return got + [agg.labelling_pass(c4)]
+            finally:
+                agg.close()
+
+        counted = _count_rows(monkeypatch)
+        on = passes()
+        # The c4 pass certifies from the c2 pass's labels, and relabels the
+        # rows whose label moved since.
+        *_, (_, labelled) = counted
+        assert 0 < sum(labelled) < data.n_rows / 8
+        assert not np.array_equal(on[1][3], on[3][3])
+        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
+        off = passes()
+        for got, want in zip(on, off):
+            assert [np.asarray(v).tobytes() for v in got] == [
+                np.asarray(v).tobytes() for v in want
+            ]
 
 
 class TestPassMemo:
