@@ -15,7 +15,9 @@ are kept in the dataset's store (:func:`~dpkmeans.core.dataset_store`), so
 runs on one dataset that label against the same centroids, as the runs of a
 ``compare`` grid often do, read the data once for them.  Within a run, a
 row whose label from the run's latest pass provably still holds is not
-labelled again (:func:`~dpkmeans.core.certificate_bounds`).
+labelled again (:func:`~dpkmeans.core.certificate_bounds`), and a still
+block, one where no row's label moved, keeps its counts and sums from the
+pass that gave those labels.
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
@@ -290,10 +292,13 @@ PROBE_STRIDE = 16
 
 def _certified_sq_dist(
     points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, bounds: np.ndarray
-) -> float | None:
+) -> tuple[float, bool] | None:
     """Certify ``labels``, a block's candidates, and relabel in place the
-    rows left unsure; returns the block's squared-distance sum.
+    rows left unsure; returns the block's squared-distance sum and whether
+    any row's label moved.
 
+    An unsure row may keep its label.  Only a moved label changes the
+    block's counts and sums, so a block where none moved keeps them.
     Returns None, and leaves ``labels`` as they were, when more than
     1 - ``CERTIFY_SHARE`` of the rows are unsure.
     """
@@ -301,13 +306,14 @@ def _certified_sq_dist(
     unsure = np.flatnonzero(~(np.einsum("ij->i", diff) < bounds[labels]))
     if unsure.size > (1.0 - CERTIFY_SHARE) * len(points):
         return None
+    rows = unsure
     if unsure.size:
         fresh = label_points(points[unsure], centroids, points.shape[1])
         moved = fresh != labels[unsure]
         rows = unsure[moved]
         labels[rows] = fresh[moved]
         diff[rows] = _squared_differences(points[rows], centroids, fresh[moved])
-    return float(diff.sum())
+    return float(diff.sum()), rows.size > 0
 
 
 def _probed_sq_dist(
@@ -343,6 +349,11 @@ class _BlockAggregator:
     row's candidate is its label, so every result is bit-identical.  Data of
     one block never tries: there the extra numpy calls cost more than the
     labelling they save.
+
+    A block that tries also keeps the read-only counts and sums of its
+    candidates, written whenever they are.  Counts and sums depend only on
+    the block's rows and their labels, so a still block, one where no row's
+    label moved, returns its kept counts and sums without summing again.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
@@ -353,6 +364,8 @@ class _BlockAggregator:
         # Per block: whether it tries the certificate, None while it probes.
         self._tries: list[bool | None] = [None if n_blocks > 1 else False] * n_blocks
         self._passes = 0
+        # Per block that tries: the counts and sums of its candidates.
+        self._kept: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_blocks
         self._candidates: list[np.ndarray] = []
         if n_blocks > 1:
             # Outside the malloc heap, whose freed pages glibc may keep
@@ -407,39 +420,56 @@ class _BlockAggregator:
         run = map if self._executor is None else self._executor.map
         per_block = [partial for group in run(work, self._groups) for partial in group]
 
-        # Block 0's partials are fresh arrays from bincount, which never
-        # yields -0.0, so starting the fold from them equals starting it
-        # from zeros.
+        # Block 0's partials come from bincount, which never yields -0.0, so
+        # starting the fold from them equals starting it from zeros.  Kept
+        # partials are read-only: the first addition makes fresh arrays,
+        # with the bits an addition in place would give.
         labels, counts, sums, sq_dist = per_block[0]
-        for _, block_counts, block_sums, block_sq_dist in per_block[1:]:
-            counts += block_counts
-            sums += block_sums
-            sq_dist += block_sq_dist
         if len(per_block) > 1:
+            _, block_counts, block_sums, block_sq_dist = per_block[1]
+            counts, sums = counts + block_counts, sums + block_sums
+            sq_dist += block_sq_dist
+            for _, block_counts, block_sums, block_sq_dist in per_block[2:]:
+                counts += block_counts
+                sums += block_sums
+                sq_dist += block_sq_dist
             labels = np.concatenate([p[0] for p in per_block])
         self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
         return counts, sums, sq_dist, labels
 
     def _map(self, b: int, centroids: np.ndarray, bounds: np.ndarray | None) -> _Partials:
-        """Block ``b``'s partials, through the certificate when it tries it."""
+        """Block ``b``'s partials, through the certificate when it tries it;
+        a still block's counts and sums are its kept ones."""
         points = self._blocks[b]
         k = centroids.shape[0]
         if self._tries[b]:
             labels = self._candidates[b]
-            sq_dist = _certified_sq_dist(points, centroids, labels, bounds)
-            if sq_dist is not None:
-                return _block_partials(points, centroids, k, labels, sq_dist)
+            certified = _certified_sq_dist(points, centroids, labels, bounds)
+            if certified is not None:
+                sq_dist, moved = certified
+                if moved:
+                    self._keep(b, _block_partials(points, centroids, k, labels, sq_dist))
+                return (labels, *self._kept[b], sq_dist)
             self._tries[b] = False
+            self._kept[b] = None
         if self._tries[b] is False:
             return _block_partials(points, centroids, k)
         labels = label_points(points, centroids, points.shape[1])
         sq_dist, passed = _probed_sq_dist(points, centroids, labels, bounds)
+        partials = _block_partials(points, centroids, k, labels, sq_dist)
         if passed:
             self._tries[b] = True
             self._candidates[b][:] = labels
+            self._keep(b, partials)
         elif self._passes >= PROBE_PASSES:
             self._tries[b] = False
-        return _block_partials(points, centroids, k, labels, sq_dist)
+        return partials
+
+    def _keep(self, b: int, partials: _Partials) -> None:
+        _, counts, sums, _ = partials
+        counts.setflags(write=False)
+        sums.setflags(write=False)
+        self._kept[b] = counts, sums
 
 
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:

@@ -437,17 +437,25 @@ class TestReportSchema:
 
 def _count_rows(monkeypatch):
     """Per labelling pass, the row counts of the blocks the map task read and
-    of the calls to ``label_points``, each in the order they came."""
+    of the calls to ``label_points``, each in the order they came, and the
+    indices of the blocks whose counts and sums were summed, not kept."""
     passes = []
     labelling_pass = engine._BlockAggregator.labelling_pass
+    map_block = engine._BlockAggregator._map
     block_partials = engine._block_partials
+    current = threading.local()
 
     def counting_pass(self, centroids):
-        passes.append(([], []))
+        passes.append(([], [], []))
         return labelling_pass(self, centroids)
 
+    def counting_map(self, b, *args):
+        passes[-1][0].append(len(self._blocks[b]))
+        current.block = b
+        return map_block(self, b, *args)
+
     def counting_partials(points, *args):
-        passes[-1][0].append(len(points))
+        passes[-1][2].append(current.block)
         return block_partials(points, *args)
 
     def counting_labels(points, *args):
@@ -455,6 +463,7 @@ def _count_rows(monkeypatch):
         return label_points(points, *args)
 
     monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", counting_pass)
+    monkeypatch.setattr(engine._BlockAggregator, "_map", counting_map)
     monkeypatch.setattr(engine, "_block_partials", counting_partials)
     monkeypatch.setattr(engine, "label_points", counting_labels)
     return passes
@@ -489,13 +498,13 @@ class TestLabellingPasses:
         _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
         assert len(passes) == report.iterations_run
         blocks = [stop - start for start, stop in block_spans(data.n_rows)]
-        for read, labelled in passes:
+        for read, labelled, _ in passes:
             assert read == blocks
             assert max(labelled, default=0) <= engine.MAP_BLOCK_ROWS
         # The first pass labels every row; each later pass is certified, and
         # labels fewer.
         assert sum(passes[0][1]) == data.n_rows
-        assert all(sum(labelled) < data.n_rows for _, labelled in passes[1:])
+        assert all(sum(labelled) < data.n_rows for _, labelled, _ in passes[1:])
 
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
         def slow(*args, **kwargs):
@@ -565,12 +574,15 @@ class TestCertificateGate:
         on = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
         # Every run reads every row in each pass; with the gate on, whole
         # passes go by with a few hundred rows labelled.
-        assert all(sum(read) == data.n_rows for read, _ in passes)
-        assert sum(sum(labelled) < data.n_rows / 8 for _, labelled in passes) >= 10
+        assert all(sum(read) == data.n_rows for read, _, _ in passes)
+        assert sum(sum(labelled) < data.n_rows / 8 for _, labelled, _ in passes) >= 10
+        # ... and still blocks keep their counts and sums.
+        assert sum(len(summed) for _, _, summed in passes) < sum(len(r) for r, _, _ in passes)
         passes.clear()
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         off = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
-        assert all(sum(labelled) == data.n_rows for _, labelled in passes)
+        assert all(sum(labelled) == data.n_rows for _, labelled, _ in passes)
+        assert all(len(summed) == len(read) for read, _, summed in passes)
         assert off == on
 
     def test_stale_candidates_after_a_stored_pass(self, monkeypatch):
@@ -594,7 +606,7 @@ class TestCertificateGate:
         on = passes()
         # The c4 pass certifies from the c2 pass's labels, and relabels the
         # rows whose label moved since.
-        *_, (_, labelled) = counted
+        *_, (_, labelled, _) = counted
         assert 0 < sum(labelled) < data.n_rows / 8
         assert not np.array_equal(on[1][3], on[3][3])
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
@@ -603,6 +615,98 @@ class TestCertificateGate:
             assert [np.asarray(v).tobytes() for v in got] == [
                 np.asarray(v).tobytes() for v in want
             ]
+
+
+class TestKeptPartials:
+    """A block that tries the certificate and where no row's label moved
+    keeps the counts and sums of its candidates instead of summing them."""
+
+    def test_later_passes_sum_only_blocks_with_a_moved_label(self, monkeypatch):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        spans = block_spans(data.n_rows)
+        passes = _count_rows(monkeypatch)
+        seen = []
+        counted_pass = engine._BlockAggregator.labelling_pass
+
+        def labelling_pass(self, centroids):
+            tries = list(self._tries)
+            out = counted_pass(self, centroids)
+            seen.append((tries, out[3].copy()))
+            return out
+
+        monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", labelling_pass)
+        _run_variant(data, 4, Variant.EDPDCS, 1.0)
+        kept = 0
+        for (_, _, summed), (tries, labels), (_, before) in zip(passes[1:], seen[1:], seen):
+            if not all(tries):
+                assert summed == list(range(len(spans)))
+                continue
+            moved = [b for b, (s, e) in enumerate(spans) if (labels[s:e] != before[s:e]).any()]
+            assert summed == moved
+            kept += len(spans) - len(moved)
+        assert kept > 0
+
+    def _two_blocks(self, monkeypatch):
+        # Blocks of 16 and 12 rows near two centroids on the line y = 1/2.
+        # Row 15 is unsure against them but keeps its label; row 21 lies
+        # near their bisector.
+        monkeypatch.setattr(engine, "MAP_BLOCK_ROWS", 16)
+        rng = np.random.Generator(np.random.PCG64(4))
+        points = np.where(np.arange(28)[:, None] % 2, [0.75, 0.5], [0.25, 0.5])
+        points = points + rng.uniform(-0.02, 0.02, (28, 2))
+        points[15] = [0.3, 0.95]
+        points[21] = [0.48, 0.5]
+        return Dataset(points=points, normalized=True)
+
+    def test_unsure_rows_that_keep_their_labels_keep_the_partials(self, monkeypatch):
+        data = self._two_blocks(monkeypatch)
+        start = np.array([[0.25, 0.5], [0.75, 0.5]])
+        # Every label stays; then row 21 moves to the nearer second centroid.
+        nudged = np.array([[0.25, 0.5], [0.75, 0.5 + 2.0**-10]])
+        pulled = np.array([[0.25, 0.5], [0.70, 0.5]])
+
+        def passes():
+            agg = engine._BlockAggregator(data, 1, 1)
+            return agg, [agg.labelling_pass(c) for c in (start, nudged, pulled)]
+
+        counted = _count_rows(monkeypatch)
+        agg, on = passes()
+        assert [(labelled, summed) for _, labelled, summed in counted] == [
+            ([16, 12], [0, 1]),  # both blocks probe and pass
+            ([1], []),  # row 15 is relabelled, and stays
+            ([1, 1], [1]),  # row 15 stays; row 21 moves
+        ]
+        assert on[1][3][21] == 0 and on[2][3][21] == 1
+        # The kept partials are read-only and never the pass's sums.
+        for counts, sums in agg._kept:
+            assert not counts.flags.writeable and not sums.flags.writeable
+            with pytest.raises(ValueError):
+                counts += 1.0
+            assert not np.shares_memory(counts, on[2][0])
+            assert not np.shares_memory(sums, on[2][1])
+        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
+        off = passes()[1]
+        for got, want in zip(on, off):
+            assert [np.asarray(v).tobytes() for v in got] == [
+                np.asarray(v).tobytes() for v in want
+            ]
+
+    def test_one_block_never_keeps_partials(self, blood_like, monkeypatch):
+        # The shape of the benchmark's paper grid: one block of 748 rows.
+        passes = _count_rows(monkeypatch)
+        aggregators = []
+        counted_close = engine._BlockAggregator.close
+
+        def close(self):
+            aggregators.append(self)
+            return counted_close(self)
+
+        monkeypatch.setattr(engine._BlockAggregator, "close", close)
+        for variant, epsilon in TestCertificateGate.RUNS:
+            _run_variant(blood_like, 2, variant, epsilon)
+        assert len(aggregators) == 4 and passes
+        assert all(agg._kept == [None] for agg in aggregators)
+        assert all(p == ([748], [748], [0]) for p in passes)
 
 
 class TestPassMemo:
