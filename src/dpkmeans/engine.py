@@ -136,8 +136,14 @@ class EngineConfig:
             raise InvalidInputError(
                 f"n_partitions must be >= 1, got {self.n_partitions}"
             )
-        if self.master_seed < 0:
+        # The noise streams read int(master_seed), so 1.5 or True would run
+        # as seed 1 and be reported as given.
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise InvalidInputError(f"master_seed must be an integer, got {seed!r}")
+        if seed < 0:
             raise InvalidInputError("master_seed must be >= 0")
+        object.__setattr__(self, "master_seed", int(seed))
         if self.threads is not None and self.threads < 1:
             raise InvalidInputError(f"threads must be >= 1, got {self.threads}")
         if self.nonprivate_max_iters < 1:
@@ -217,6 +223,7 @@ def block_spans(n_rows: int) -> list[tuple[int, int]]:
     ]
 
 
+#: A map task's (labels, counts, sums, squared-distance sum) of one block.
 _Partials = tuple[np.ndarray, np.ndarray, np.ndarray, float]
 #: A labelling pass's exact (counts, sums, squared-distance sum).
 _PassStats = tuple[np.ndarray, np.ndarray, float]
@@ -227,6 +234,8 @@ def _bin_offsets(n: int, d: int) -> np.ndarray:
     """Read-only 0 .. d-1, n times: the dimension of each row-major entry.
 
     A run's blocks have at most two row counts, the full block and the last.
+    Broadcasting the bins instead was slower per block: 156 -> 186 us at
+    4096 x 16 and 63 -> 99 us at 4096 x 6.
     """
     out = np.tile(np.arange(d), n)
     out.setflags(write=False)
@@ -245,30 +254,12 @@ def _squared_differences(
     return diff
 
 
-def _block_partials(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    k: int,
-    labels: np.ndarray | None = None,
-    sq_dist: float | None = None,
-) -> _Partials:
-    """Map task for one block: labels, counts, sums and the sum of every
-    row's squared distance to its nearest centroid.
-
-    ``labels`` and ``sq_dist``, when given, are the block's nearest
-    centroids and that sum.  Otherwise :func:`~dpkmeans.core.label_points`
-    labels the block: its rows lie in the unit cube, so d bounds every row's
-    squared norm for the filter.
-
-    Every path sums its squared differences, and frees them, before the
-    bincount temporaries exist.  With both alive at once, glibc's heap grew
-    differently, and a 200k x 16 benchmark process peaked at 180 MB instead
-    of 157 MB in 4 of 18 runs.
-    """
+def _counts_and_sums(
+    points: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's read-only per-cluster counts and coordinate sums under
+    ``labels``."""
     d = points.shape[1]
-    if labels is None:
-        labels = label_points(points, centroids, d)
-        sq_dist = float(_squared_differences(points, centroids, labels).sum())
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     # One bincount over the (label, dimension) bins of the row-major points:
     # each row is added exactly once, in dataset order within the block, as
@@ -276,15 +267,17 @@ def _block_partials(
     bins = np.repeat(labels * d, d)
     bins += _bin_offsets(points.shape[0], d)
     sums = np.bincount(bins, weights=points.ravel(), minlength=k * d).reshape(k, d)
-    return labels, counts, sums, sq_dist
+    counts.setflags(write=False)
+    sums.setflags(write=False)
+    return counts, sums
 
 
-#: The certificate's gate (see :class:`_BlockAggregator`).  A block probes
-#: in each of the run's first ``PROBE_PASSES`` labelling passes until one row
-#: in ``PROBE_STRIDE`` shows that at least ``CERTIFY_SHARE`` of its rows
-#: would have been certified; from its next pass on it tries the
-#: certificate.  A try that leaves more than the rest of its rows unsure
-#: relabels the block in full, and the block stops trying for the run.
+#: The certificate's gate (see :class:`_BlockAggregator`).  A block that
+#: keeps nothing probes in each of the run's first ``PROBE_PASSES``
+#: labelling passes: once at least ``CERTIFY_SHARE`` of one row in
+#: ``PROBE_STRIDE`` would have been certified, it keeps its counts and sums
+#: and tries the certificate from its next pass on.  A try that certifies
+#: less than ``CERTIFY_SHARE`` of the block's rows drops what it keeps.
 CERTIFY_SHARE = 7 / 8
 PROBE_PASSES = 2
 PROBE_STRIDE = 16
@@ -292,20 +285,17 @@ PROBE_STRIDE = 16
 
 def _certified_sq_dist(
     points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, bounds: np.ndarray
-) -> tuple[float, bool] | None:
+) -> tuple[float, bool, bool]:
     """Certify ``labels``, a block's candidates, and relabel in place the
-    rows left unsure; returns the block's squared-distance sum and whether
-    any row's label moved.
+    rows left unsure; returns the block's squared-distance sum, whether any
+    row's label moved, and whether at least ``CERTIFY_SHARE`` of the rows
+    were certified.
 
     An unsure row may keep its label.  Only a moved label changes the
     block's counts and sums, so a block where none moved keeps them.
-    Returns None, and leaves ``labels`` as they were, when more than
-    1 - ``CERTIFY_SHARE`` of the rows are unsure.
     """
     diff = _squared_differences(points, centroids, labels)
     unsure = np.flatnonzero(~(np.einsum("ij->i", diff) < bounds[labels]))
-    if unsure.size > (1.0 - CERTIFY_SHARE) * len(points):
-        return None
     rows = unsure
     if unsure.size:
         fresh = label_points(points[unsure], centroids, points.shape[1])
@@ -313,19 +303,8 @@ def _certified_sq_dist(
         rows = unsure[moved]
         labels[rows] = fresh[moved]
         diff[rows] = _squared_differences(points[rows], centroids, fresh[moved])
-    return float(diff.sum()), rows.size > 0
-
-
-def _probed_sq_dist(
-    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, bounds: np.ndarray
-) -> tuple[float, bool]:
-    """A block's squared-distance sum under its nearest centroids
-    ``labels``, and whether the certificate passes at least
-    ``CERTIFY_SHARE`` of one row in ``PROBE_STRIDE``."""
-    diff = _squared_differences(points, centroids, labels)
-    probe = slice(None, None, PROBE_STRIDE)
-    passed = np.einsum("ij->i", diff[probe]) < bounds[labels[probe]]
-    return float(diff.sum()), np.count_nonzero(passed) >= CERTIFY_SHARE * passed.size
+    certified = unsure.size <= (1.0 - CERTIFY_SHARE) * len(points)
+    return float(diff.sum()), rows.size > 0, certified
 
 
 def _pass_key(centroids: np.ndarray) -> tuple:
@@ -341,19 +320,19 @@ class _BlockAggregator:
     own; earlier passes are kept in the dataset's store.
 
     A row's candidate is its label from the run's latest labelling pass,
-    stale when a pass since was served from the store.  A block that tries
-    the certificate computes its rows' squared differences to their
-    candidates first, which the squared-distance sum needs anyway, and
-    relabels through :func:`~dpkmeans.core.label_points` only the rows that
+    stale when a pass since was served from the store.  A block that keeps
+    the counts and sums of its candidates tries the certificate: it computes
+    its rows' squared differences to their candidates first, which the
+    squared-distance sum needs anyway, and relabels through
+    :func:`~dpkmeans.core.label_points` only the rows that
     :func:`~dpkmeans.core.certificate_bounds` leaves unsure; a certified
-    row's candidate is its label, so every result is bit-identical.  Data of
-    one block never tries: there the extra numpy calls cost more than the
-    labelling they save.
-
-    A block that tries also keeps the read-only counts and sums of its
-    candidates, written whenever they are.  Counts and sums depend only on
-    the block's rows and their labels, so a still block, one where no row's
-    label moved, returns its kept counts and sums without summing again.
+    row's candidate is its label, so every result is bit-identical.  Counts
+    and sums depend only on the block's rows and their labels, so a still
+    block, one where no row's label moved, returns its kept ones without
+    summing again.  What a block keeps is its only state: it starts keeping
+    after a passing probe, and stops after a try that certifies too few
+    rows.  Data of one block never probes: there the extra numpy calls cost
+    more than the labelling they save.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
@@ -361,10 +340,8 @@ class _BlockAggregator:
         spans = block_spans(data.n_rows)
         self._blocks = [data.points[s:e] for s, e in spans]
         n_blocks = len(self._blocks)
-        # Per block: whether it tries the certificate, None while it probes.
-        self._tries: list[bool | None] = [None if n_blocks > 1 else False] * n_blocks
         self._passes = 0
-        # Per block that tries: the counts and sums of its candidates.
+        # Per block: the read-only counts and sums of its candidates, or None.
         self._kept: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_blocks
         self._candidates: list[np.ndarray] = []
         if n_blocks > 1:
@@ -407,12 +384,13 @@ class _BlockAggregator:
         independent of the partition count.
         """
         self._passes += 1
+        probes = len(self._blocks) > 1 and self._passes <= PROBE_PASSES
         bounds = None
-        if any(tries is not False for tries in self._tries):
+        if probes or any(kept is not None for kept in self._kept):
             bounds = certificate_bounds(centroids, centroids.shape[1])
 
         def work(indices) -> list[_Partials]:
-            return [self._map(b, centroids, bounds) for b in indices]
+            return [self._map(b, centroids, bounds, probes) for b in indices]
 
         # Groups are consecutive block ranges and map() keeps their order, so
         # the partials arrive in ascending block order.  A serial pass runs
@@ -421,9 +399,9 @@ class _BlockAggregator:
         per_block = [partial for group in run(work, self._groups) for partial in group]
 
         # Block 0's partials come from bincount, which never yields -0.0, so
-        # starting the fold from them equals starting it from zeros.  Kept
-        # partials are read-only: the first addition makes fresh arrays,
-        # with the bits an addition in place would give.
+        # starting the fold from them equals starting it from zeros.  Every
+        # block's counts and sums are read-only: the first addition makes
+        # fresh arrays, with the bits an addition in place would give.
         labels, counts, sums, sq_dist = per_block[0]
         if len(per_block) > 1:
             _, block_counts, block_sums, block_sq_dist = per_block[1]
@@ -437,39 +415,48 @@ class _BlockAggregator:
         self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
         return counts, sums, sq_dist, labels
 
-    def _map(self, b: int, centroids: np.ndarray, bounds: np.ndarray | None) -> _Partials:
-        """Block ``b``'s partials, through the certificate when it tries it;
-        a still block's counts and sums are its kept ones."""
+    def _map(
+        self, b: int, centroids: np.ndarray, bounds: np.ndarray | None, probes: bool
+    ) -> _Partials:
+        """Block ``b``'s labels, counts, sums and the sum of every row's
+        squared distance to its nearest centroid.
+
+        A block that keeps counts and sums tries the certificate, and keeps
+        them while the try certifies enough rows; a still block's are its
+        kept ones.  Any other block is labelled in full: its rows lie in the
+        unit cube, so d bounds every row's squared norm for the filter.  In
+        a pass that ``probes``, the block keeps its counts and sums when the
+        probe passes.
+
+        Every path sums its squared differences, and frees them, before the
+        bincount temporaries exist.  With both alive at once, glibc's heap
+        grew differently, and a 200k x 16 benchmark process peaked at 180 MB
+        instead of 157 MB in 4 of 18 runs.
+        """
         points = self._blocks[b]
         k = centroids.shape[0]
-        if self._tries[b]:
+        kept = self._kept[b]
+        if kept is not None:
             labels = self._candidates[b]
-            certified = _certified_sq_dist(points, centroids, labels, bounds)
-            if certified is not None:
-                sq_dist, moved = certified
-                if moved:
-                    self._keep(b, _block_partials(points, centroids, k, labels, sq_dist))
-                return (labels, *self._kept[b], sq_dist)
-            self._tries[b] = False
-            self._kept[b] = None
-        if self._tries[b] is False:
-            return _block_partials(points, centroids, k)
+            sq_dist, moved, certified = _certified_sq_dist(points, centroids, labels, bounds)
+            if moved:
+                kept = _counts_and_sums(points, labels, k)
+            self._kept[b] = kept if certified else None
+            return labels, *kept, sq_dist
         labels = label_points(points, centroids, points.shape[1])
-        sq_dist, passed = _probed_sq_dist(points, centroids, labels, bounds)
-        partials = _block_partials(points, centroids, k, labels, sq_dist)
+        diff = _squared_differences(points, centroids, labels)
+        sq_dist = float(diff.sum())
+        passed = False
+        if probes:
+            probe = slice(None, None, PROBE_STRIDE)
+            sure = np.einsum("ij->i", diff[probe]) < bounds[labels[probe]]
+            passed = np.count_nonzero(sure) >= CERTIFY_SHARE * sure.size
+        del diff
+        counts, sums = _counts_and_sums(points, labels, k)
         if passed:
-            self._tries[b] = True
             self._candidates[b][:] = labels
-            self._keep(b, partials)
-        elif self._passes >= PROBE_PASSES:
-            self._tries[b] = False
-        return partials
-
-    def _keep(self, b: int, partials: _Partials) -> None:
-        _, counts, sums, _ = partials
-        counts.setflags(write=False)
-        sums.setflags(write=False)
-        self._kept[b] = counts, sums
+            self._kept[b] = counts, sums
+        return labels, counts, sums, sq_dist
 
 
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:

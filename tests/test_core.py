@@ -13,7 +13,7 @@ from dpkmeans.core import (
     assign_labels,
     label_points,
 )
-from dpkmeans.engine import _block_partials, _squared_differences
+from dpkmeans.engine import _squared_differences
 
 
 def _squared_distance_oracle(a, b):
@@ -28,7 +28,7 @@ def _sq_dist(a, b):
     """The squared distance the map task sums for NICV, for one row and one
     centroid."""
     a, b = np.array([a], dtype=float), np.array([b], dtype=float)
-    return _block_partials(a, b, 1)[3]
+    return float(_squared_differences(a, b, np.zeros(1, dtype=np.int64)).sum())
 
 
 def _nearest(x, centroid_set):

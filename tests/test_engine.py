@@ -67,11 +67,18 @@ class TestBlockSpans:
         assert block_spans(n) == [(0, 4096), (4096, 8192), (8192, 8193)]
 
 
+def _one_block_pass(points, centroids):
+    """A one-block labelling pass: counts, sums, squared-distance sum, labels."""
+    data = Dataset(points=np.asarray(points, dtype=np.float64), normalized=True)
+    agg = engine._BlockAggregator(data, 1, 1)
+    return agg.labelling_pass(np.asarray(centroids, dtype=np.float64))
+
+
 class TestMapAssign:
     def test_two_cluster_example(self):
         pts = np.array([[0.0, 0.1], [0.1, 0.0], [0.9, 1.0]])
         centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
-        labels, counts, sums, sq_dist = engine._block_partials(pts, centroids, 2)
+        counts, sums, sq_dist, labels = _one_block_pass(pts, centroids)
         assert labels.tolist() == [0, 0, 1]
         assert counts.tolist() == [2.0, 1.0]
         assert sums[0] == pytest.approx([0.1, 0.1])
@@ -81,23 +88,23 @@ class TestMapAssign:
     def test_empty_cluster_has_zero_count_and_sums(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0]])
         centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
-        _, counts, sums, _ = engine._block_partials(pts, centroids, 2)
+        counts, sums, _, _ = _one_block_pass(pts, centroids)
         assert counts.tolist() == [2.0, 0.0]
         assert sums[0] == pytest.approx([0.1, 0.0])
         assert sums[1].tolist() == [0.0, 0.0]
 
     def test_empty_partition_yields_empty_map(self):
-        labels, counts, sums, sq_dist = engine._block_partials(
-            np.empty((0, 2)), np.array([[0.5, 0.5]]), 1
-        )
+        pts, centroids = np.empty((0, 2)), np.array([[0.5, 0.5]])
+        labels = label_points(pts, centroids, 2)
+        counts, sums = engine._counts_and_sums(pts, labels, 1)
         assert labels.shape == (0,)
         assert counts.tolist() == [0.0] and sums.tolist() == [[0.0, 0.0]]
-        assert sq_dist == 0.0
+        assert float(engine._squared_differences(pts, centroids, labels).sum()) == 0.0
 
     def test_counts_total_the_partition(self):
         rng = np.random.Generator(np.random.PCG64(0))
         pts = rng.random((321, 3))
-        _, counts, sums, _ = engine._block_partials(pts, rng.random((4, 3)), 4)
+        counts, sums, _, _ = _one_block_pass(pts, rng.random((4, 3)))
         assert counts.sum() == 321.0
         assert sums.sum(axis=0) == pytest.approx(pts.sum(axis=0))
 
@@ -106,10 +113,10 @@ class TestBlockPartials:
     @pytest.mark.parametrize("d,k", [(4, 2), (6, 5), (16, 20), (1, 7)])
     def test_sums_bit_equal_to_unbuffered_add_at(self, d, k):
         rng = np.random.Generator(np.random.PCG64(d * 31 + k))
-        pts = rng.random((4096, d))
+        pts = rng.random((engine.MAP_BLOCK_ROWS, d))
         centroids = rng.random((k, d))
         centroids[-1] = 50.0  # never nearest: an empty cluster
-        labels, counts, sums, sq_dist = engine._block_partials(pts, centroids, k)
+        counts, sums, sq_dist, labels = _one_block_pass(pts, centroids)
         want = np.zeros((k, d))
         np.add.at(want, label_points(pts, centroids), pts)
         assert np.array_equal(sums, want)
@@ -142,8 +149,17 @@ class TestBlockPartials:
         else:
             pts = rng.random((n, d))
             centroids = pts[rng.choice(n, 6, replace=False)]
-        labels = engine._block_partials(pts, centroids, 6)[0]
+        labels = label_points(pts, centroids, d)
         assert np.array_equal(labels, core._label_exact(pts, centroids))
+
+
+def _block_map(points, centroids):
+    """One block's labels, counts, sums and squared-distance sum, from the
+    kernels the map task calls."""
+    labels = label_points(points, centroids, points.shape[1])
+    counts, sums = engine._counts_and_sums(points, labels, len(centroids))
+    sq_dist = float(engine._squared_differences(points, centroids, labels).sum())
+    return labels, counts, sums, sq_dist
 
 
 class TestReduceCluster:
@@ -162,7 +178,7 @@ class TestReduceCluster:
         counts = np.zeros(4)
         sums = np.zeros((4, 3))
         for start, stop in block_spans(data.n_rows):
-            _, c, s, _ = engine._block_partials(data.points[start:stop], centroids, 4)
+            _, c, s, _ = _block_map(data.points[start:stop], centroids)
             counts += c
             sums += s
         for parts in (1, 2, 3):
@@ -191,7 +207,7 @@ class TestReduceCluster:
         spans = block_spans(data.n_rows)
         assert len(spans) == 3
         for start, stop in spans:
-            lab, c, s, sq = engine._block_partials(data.points[start:stop], centroids, 4)
+            lab, c, s, sq = _block_map(data.points[start:stop], centroids)
             counts += c
             sums += s
             sq_dist += sq
@@ -265,6 +281,25 @@ class TestEngineConfig:
     def test_invalid_threads(self):
         with pytest.raises(InvalidInputError):
             EngineConfig(variant=Variant.EDPDCS, threads=0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", None])
+    def test_non_integer_master_seed_refused(self, seed):
+        # The noise streams read int(master_seed): 1.5 and True used to run
+        # as seed 1 and be reported as given.
+        with pytest.raises(InvalidInputError, match="master_seed must be an integer"):
+            EngineConfig(variant=Variant.EDPDCS, master_seed=seed)
+
+    def test_compare_refuses_a_non_integer_base_seed(self, small_blobs):
+        with pytest.raises(InvalidInputError, match="master_seed must be an integer"):
+            compare_variants(small_blobs, 3, [1.0], n_seeds=1, base_seed=1.5)
+
+    def test_numpy_integer_master_seed_runs_as_the_int(self, small_blobs):
+        reports = []
+        for seed in (1, np.int64(1), np.uint8(1)):
+            cfg = EngineConfig(variant=Variant.RU_DPKM, master_seed=seed)
+            assert type(cfg.master_seed) is int
+            reports.append(run_baseline(small_blobs, 3, 1.0, cfg)[2].to_json())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_resolved_threads_never_exceeds_partitions(self):
         cfg = EngineConfig(variant=Variant.EDPDCS, n_partitions=2, threads=16)
@@ -442,7 +477,7 @@ def _count_rows(monkeypatch):
     passes = []
     labelling_pass = engine._BlockAggregator.labelling_pass
     map_block = engine._BlockAggregator._map
-    block_partials = engine._block_partials
+    counts_and_sums = engine._counts_and_sums
     current = threading.local()
 
     def counting_pass(self, centroids):
@@ -454,9 +489,9 @@ def _count_rows(monkeypatch):
         current.block = b
         return map_block(self, b, *args)
 
-    def counting_partials(points, *args):
+    def counting_sums(points, *args):
         passes[-1][2].append(current.block)
-        return block_partials(points, *args)
+        return counts_and_sums(points, *args)
 
     def counting_labels(points, *args):
         passes[-1][1].append(len(points))
@@ -464,7 +499,7 @@ def _count_rows(monkeypatch):
 
     monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", counting_pass)
     monkeypatch.setattr(engine._BlockAggregator, "_map", counting_map)
-    monkeypatch.setattr(engine, "_block_partials", counting_partials)
+    monkeypatch.setattr(engine, "_counts_and_sums", counting_sums)
     monkeypatch.setattr(engine, "label_points", counting_labels)
     return passes
 
@@ -629,7 +664,7 @@ class TestKeptPartials:
         counted_pass = engine._BlockAggregator.labelling_pass
 
         def labelling_pass(self, centroids):
-            tries = list(self._tries)
+            tries = [kept is not None for kept in self._kept]
             out = counted_pass(self, centroids)
             seen.append((tries, out[3].copy()))
             return out
@@ -686,6 +721,37 @@ class TestKeptPartials:
             assert not np.shares_memory(sums, on[2][1])
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         off = passes()[1]
+        for got, want in zip(on, off):
+            assert [np.asarray(v).tobytes() for v in got] == [
+                np.asarray(v).tobytes() for v in want
+            ]
+
+    def test_a_failed_try_labels_only_its_unsure_rows_and_stops(self, monkeypatch):
+        data = self._two_blocks(monkeypatch)
+        start = np.array([[0.25, 0.5], [0.75, 0.5]])
+        # The second centroid pulled towards the first: in each block the
+        # rows near x = 3/4, half of them, are unsure.  Row 21 moves.
+        pulled = np.array([[0.25, 0.5], [0.40, 0.5]])
+
+        def passes():
+            agg = engine._BlockAggregator(data, 1, 1)
+            got, kept = [], []
+            for c in (start, pulled, start):
+                got.append(agg.labelling_pass(c))
+                kept.append([k is not None for k in agg._kept])
+            return got, kept
+
+        counted = _count_rows(monkeypatch)
+        on, kept = passes()
+        assert [(labelled, summed) for _, labelled, summed in counted] == [
+            ([16, 12], [0, 1]),  # both blocks probe and pass
+            ([8, 6], [1]),  # both tries fail, having labelled their unsure rows
+            ([16, 12], [0, 1]),  # a probe would pass again, but none runs
+        ]
+        assert kept == [[True, True], [False, False], [False, False]]
+        assert on[0][3][21] == 0 and on[1][3][21] == 1
+        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
+        off, _ = passes()
         for got, want in zip(on, off):
             assert [np.asarray(v).tobytes() for v in got] == [
                 np.asarray(v).tobytes() for v in want
