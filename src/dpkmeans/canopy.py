@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dpkmeans.core import Dataset, InvalidInputError, dataset_store, rounding_margin
+from dpkmeans.core import Dataset, InvalidInputError, as_int, dataset_store, rounding_margin
 from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_unit_noise
 
 logger = logging.getLogger(__name__)
@@ -52,6 +52,9 @@ class CanopyParams:
     subsample_size: int = DEFAULT_SUBSAMPLE_SIZE
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "subsample_size", as_int(self.subsample_size, "subsample_size")
+        )
         if self.subsample_size < 1:
             raise InvalidInputError(
                 f"subsample_size must be >= 1, got {self.subsample_size}"

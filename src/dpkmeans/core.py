@@ -23,6 +23,17 @@ class InvalidInputError(ValueError):
     """An argument violated a documented precondition."""
 
 
+def as_int(value: object, name: str) -> int:
+    """``value``, a Python or numpy integer, as an ``int``.
+
+    Anything else is refused, ``bool`` included: 2.5 would run as 2 where a
+    ``range`` or a seed reads it, and be reported as given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_float_matrix(points: np.ndarray | list, name: str) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
@@ -293,7 +304,6 @@ def label_points(
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     n, d = points.shape
-    labels = np.empty(n, dtype=np.int64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     # Python floats: the same IEEE operations as numpy scalars, at half the
     # cost per call.
@@ -301,7 +311,10 @@ def label_points(
     minus_2c = -2.0 * centroids
     index_and_one = _index_and_one(centroids.shape[0])
     chunk = label_chunk_rows(centroids.shape[0])
-    for start in range(0, n, chunk):
+    starts = range(0, n, chunk)
+    # Rows that fit one chunk get that chunk's labels, with no copy.
+    labels = None if len(starts) == 1 else np.empty(n, dtype=np.int64)
+    for start in starts:
         stop = min(start + chunk, n)
         x = points[start:stop]
         # (k, rows): the reductions run along axis 0, in contiguous passes
@@ -318,6 +331,8 @@ def label_points(
         refine = n_near != 1.0
         if refine.any():
             best[refine] = _label_exact(x[refine], centroids)
+        if labels is None:
+            return best
         labels[start:stop] = best
     return labels
 

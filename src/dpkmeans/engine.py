@@ -64,6 +64,7 @@ from dpkmeans.core import (
     CentroidSet,
     Dataset,
     InvalidInputError,
+    as_int,
     certificate_bounds,
     dataset_store,
     label_points,
@@ -132,18 +133,16 @@ class EngineConfig:
     nonprivate_max_iters: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("n_partitions", "master_seed", "nonprivate_max_iters"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.threads is not None:
+            object.__setattr__(self, "threads", as_int(self.threads, "threads"))
         if self.n_partitions < 1:
             raise InvalidInputError(
                 f"n_partitions must be >= 1, got {self.n_partitions}"
             )
-        # The noise streams read int(master_seed), so 1.5 or True would run
-        # as seed 1 and be reported as given.
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise InvalidInputError(f"master_seed must be an integer, got {seed!r}")
-        if seed < 0:
+        if self.master_seed < 0:
             raise InvalidInputError("master_seed must be >= 0")
-        object.__setattr__(self, "master_seed", int(seed))
         if self.threads is not None and self.threads < 1:
             raise InvalidInputError(f"threads must be >= 1, got {self.threads}")
         if self.nonprivate_max_iters < 1:
@@ -223,8 +222,9 @@ def block_spans(n_rows: int) -> list[tuple[int, int]]:
     ]
 
 
-#: A map task's (labels, counts, sums, squared-distance sum) of one block.
-_Partials = tuple[np.ndarray, np.ndarray, np.ndarray, float]
+#: A map task's labels, (counts, sums) or None, and squared-distance sum of
+#: one block.
+_Partials = tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float]
 #: A labelling pass's exact (counts, sums, squared-distance sum).
 _PassStats = tuple[np.ndarray, np.ndarray, float]
 
@@ -317,7 +317,10 @@ class _BlockAggregator:
     """Runs the map phase over a dataset's blocks, optionally on a thread pool.
 
     The block views, the pool and the rows' candidate labels are the run's
-    own; earlier passes are kept in the dataset's store.
+    own.  Each pass computes only what its caller reads: a step pass
+    (:meth:`statistics`) the counts, sums and squared-distance sum of a
+    Lloyd step, which the dataset's store keeps; the final pass
+    (:meth:`final_pass`) the labels and the squared-distance sum.
 
     A row's candidate is its label from the run's latest labelling pass,
     stale when a pass since was served from the store.  A block that keeps
@@ -331,8 +334,9 @@ class _BlockAggregator:
     block, one where no row's label moved, returns its kept ones without
     summing again.  What a block keeps is its only state: it starts keeping
     after a passing probe, and stops after a try that certifies too few
-    rows.  Data of one block never probes: there the extra numpy calls cost
-    more than the labelling they save.
+    rows, or one in the final pass that moves a label.  Data of one block
+    never probes: there the extra numpy calls cost more than the labelling
+    they save.
     """
 
     def __init__(self, data: Dataset, n_partitions: int, workers: int):
@@ -341,8 +345,9 @@ class _BlockAggregator:
         self._blocks = [data.points[s:e] for s, e in spans]
         n_blocks = len(self._blocks)
         self._passes = 0
-        # Per block: the read-only counts and sums of its candidates, or None.
-        self._kept: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_blocks
+        # Block -> the read-only counts and sums of its candidates, for the
+        # blocks that keep them: a pass needs bounds only while one does.
+        self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._candidates: list[np.ndarray] = []
         if n_blocks > 1:
             # Outside the malloc heap, whose freed pages glibc may keep
@@ -350,7 +355,6 @@ class _BlockAggregator:
             labels = np.frombuffer(mmap.mmap(-1, 8 * data.n_rows), dtype=np.int64)
             self._candidates = [labels[s:e] for s, e in spans]
         self._executor: ThreadPoolExecutor | None = None
-        self._groups = [range(n_blocks)]
         if workers > 1 and n_blocks > 1:
             self._groups = [
                 g for g in np.array_split(np.arange(n_blocks), n_partitions) if g.size
@@ -363,63 +367,87 @@ class _BlockAggregator:
             self._executor = None
 
     def statistics(self, centroids: np.ndarray) -> _PassStats:
-        """The exact per-cluster counts and sums against ``centroids``, and
-        the sum over all rows of the squared distance to the nearest one.
+        """A Lloyd step's exact per-cluster counts and sums against
+        ``centroids``, and the sum over all rows of the squared distance to
+        the nearest one.
 
         Centroids with the same bytes as a kept pass's get its read-only
-        values back without a read of the data.
+        values back without a read of the data; any others get a
+        :meth:`labelling_pass`.
         """
         stats = self._store.get(_pass_key(centroids))
         if stats is None:
-            stats = self.labelling_pass(centroids)[:3]
+            stats = self.labelling_pass(centroids)
         return stats
 
-    def labelling_pass(
-        self, centroids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """One pass over every block against ``centroids``: the
-        :meth:`statistics`, which it keeps, and every row's label.
+    def labelling_pass(self, centroids: np.ndarray) -> _PassStats:
+        """A step pass: one read of every block against ``centroids`` for
+        the :meth:`statistics`, which it puts in the store.  It joins no
+        labels: only the blocks that keep counts and sums keep theirs.
 
         Block partials merge in ascending block order, so every result is
         independent of the partition count.
         """
         self._passes += 1
         probes = len(self._blocks) > 1 and self._passes <= PROBE_PASSES
-        bounds = None
-        if probes or any(kept is not None for kept in self._kept):
-            bounds = certificate_bounds(centroids, centroids.shape[1])
-
-        def work(indices) -> list[_Partials]:
-            return [self._map(b, centroids, bounds, probes) for b in indices]
-
-        # Groups are consecutive block ranges and map() keeps their order, so
-        # the partials arrive in ascending block order.  A serial pass runs
-        # its one group through the builtin map.
-        run = map if self._executor is None else self._executor.map
-        per_block = [partial for group in run(work, self._groups) for partial in group]
-
+        per_block = self._map_blocks(centroids, probes, final=False)
         # Block 0's partials come from bincount, which never yields -0.0, so
         # starting the fold from them equals starting it from zeros.  Every
         # block's counts and sums are read-only: the first addition makes
         # fresh arrays, with the bits an addition in place would give.
-        labels, counts, sums, sq_dist = per_block[0]
+        _, (counts, sums), sq_dist = per_block[0]
         if len(per_block) > 1:
-            _, block_counts, block_sums, block_sq_dist = per_block[1]
+            _, (block_counts, block_sums), block_sq_dist = per_block[1]
             counts, sums = counts + block_counts, sums + block_sums
             sq_dist += block_sq_dist
-            for _, block_counts, block_sums, block_sq_dist in per_block[2:]:
+            for _, (block_counts, block_sums), block_sq_dist in per_block[2:]:
                 counts += block_counts
                 sums += block_sums
                 sq_dist += block_sq_dist
-            labels = np.concatenate([p[0] for p in per_block])
-        self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
-        return counts, sums, sq_dist, labels
+        return self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
+
+    def final_pass(self, centroids: np.ndarray) -> tuple[float, np.ndarray]:
+        """The run's last pass: the sum over all rows of the squared distance
+        to the nearest of ``centroids``, added in ascending block order, and
+        every row's label.  It sums no counts and sums, neither probes nor
+        starts keeping, and puts nothing in the store: a run's last centroids
+        are labelled by its final pass alone.
+        """
+        per_block = self._map_blocks(centroids, probes=False, final=True)
+        sq_dist = per_block[0][2]
+        for _, _, block_sq_dist in per_block[1:]:
+            sq_dist += block_sq_dist
+        labels = [partial[0] for partial in per_block]
+        return sq_dist, labels[0] if len(labels) == 1 else np.concatenate(labels)
+
+    def _map_blocks(self, centroids: np.ndarray, probes: bool, final: bool) -> list[_Partials]:
+        """Every block's :meth:`_map` partials, in ascending block order.  A
+        serial pass maps its blocks in a plain loop, which costs less per
+        pass than a closure mapped through the builtin ``map``."""
+        bounds = None
+        if probes or self._kept:
+            bounds = certificate_bounds(centroids, centroids.shape[1])
+        if self._executor is None:
+            per_block = []
+            for b in range(len(self._blocks)):
+                per_block.append(self._map(b, centroids, bounds, probes, final))
+            return per_block
+
+        def work(indices) -> list[_Partials]:
+            return [self._map(b, centroids, bounds, probes, final) for b in indices]
+
+        # Groups are consecutive block ranges and map() keeps their order, so
+        # the partials arrive in ascending block order.
+        groups = self._executor.map(work, self._groups)
+        return [partial for group in groups for partial in group]
 
     def _map(
-        self, b: int, centroids: np.ndarray, bounds: np.ndarray | None, probes: bool
+        self, b: int, centroids: np.ndarray, bounds: np.ndarray | None, probes: bool, final: bool
     ) -> _Partials:
-        """Block ``b``'s labels, counts, sums and the sum of every row's
-        squared distance to its nearest centroid.
+        """Block ``b``'s labels, counts and sums, and the sum of every row's
+        squared distance to its nearest centroid.  The ``final`` pass tells
+        it to sum no counts and sums: it gives None for them, unless the
+        block keeps them.
 
         A block that keeps counts and sums tries the certificate, and keeps
         them while the try certifies enough rows; a still block's are its
@@ -435,28 +463,33 @@ class _BlockAggregator:
         """
         points = self._blocks[b]
         k = centroids.shape[0]
-        kept = self._kept[b]
+        kept = self._kept.get(b)
         if kept is not None:
             labels = self._candidates[b]
             sq_dist, moved, certified = _certified_sq_dist(points, centroids, labels, bounds)
             if moved:
-                kept = _counts_and_sums(points, labels, k)
-            self._kept[b] = kept if certified else None
-            return labels, *kept, sq_dist
+                kept = None if final else _counts_and_sums(points, labels, k)
+            if certified and kept is not None:
+                self._kept[b] = kept
+            else:
+                del self._kept[b]
+            return labels, kept, sq_dist
         labels = label_points(points, centroids, points.shape[1])
         diff = _squared_differences(points, centroids, labels)
         sq_dist = float(diff.sum())
+        if final:
+            return labels, None, sq_dist
         passed = False
         if probes:
             probe = slice(None, None, PROBE_STRIDE)
             sure = np.einsum("ij->i", diff[probe]) < bounds[labels[probe]]
             passed = np.count_nonzero(sure) >= CERTIFY_SHARE * sure.size
         del diff
-        counts, sums = _counts_and_sums(points, labels, k)
+        kept = _counts_and_sums(points, labels, k)
         if passed:
             self._candidates[b][:] = labels
-            self._kept[b] = counts, sums
-        return labels, counts, sums, sq_dist
+            self._kept[b] = kept
+        return labels, kept, sq_dist
 
 
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
@@ -517,10 +550,11 @@ def _run_lloyd(
     initialization is traced as the iteration before the first step.  Every
     trace entry's ``nicv_after`` is filled in by the next labelling pass,
     which labels every row against that entry's centroids; the last is the
-    final pass, which always reads the data and gives the assignment and
-    the report's NICV.
+    final pass, which always reads the data, gives the assignment and the
+    report's NICV, and computes nothing else.
     """
     variant = config.variant
+    k = as_int(k, "k")
     if planner_inputs is not None and not variant.takes_planner_inputs:
         raise InvalidInputError(f"{variant.value} takes no planner_inputs")
     if canopy_params is not None and not variant.has_canopy_start:
@@ -650,7 +684,7 @@ def _run_lloyd(
                 notes.append(stop[1].format(t=t, shift=shift))
                 break
         t0 = time.perf_counter()
-        _, _, sq_dist, labels = aggregator.labelling_pass(centroids)
+        sq_dist, labels = aggregator.final_pass(centroids)
         trace[-1]["nicv_after"] = sq_dist / data.n_rows
         final_ms = 1e3 * (time.perf_counter() - t0)
     finally:

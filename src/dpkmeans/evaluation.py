@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from dpkmeans.canopy import CanopyParams
-from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError
+from dpkmeans.core import Assignment, CentroidSet, Dataset, InvalidInputError, as_int
 from dpkmeans.engine import EngineConfig, RunReport, Variant, run_baseline, run_edpdcs
 from dpkmeans.planner import PlannerInputs
 
@@ -160,6 +160,7 @@ def compare_variants(
     epsilons must not repeat.  The first run that raises stops the sweep
     with its error.
     """
+    n_seeds, base_seed = as_int(n_seeds, "n_seeds"), as_int(base_seed, "base_seed")
     if n_seeds < 1:
         raise InvalidInputError(f"n_seeds must be >= 1, got {n_seeds}")
     if not epsilons:

@@ -17,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from dpkmeans.core import Dataset, InvalidInputError
+from dpkmeans.core import Dataset, InvalidInputError, as_int
 
 logger = logging.getLogger(__name__)
 
@@ -287,6 +287,8 @@ def synthetic_blobs(
     [0, 1], rarely pile up on the cube boundary.  ``weights`` skews how
     many rows each blob receives (default: even split).
     """
+    n_rows, n_dims = as_int(n_rows, "n_rows"), as_int(n_dims, "n_dims")
+    n_centers, seed = as_int(n_centers, "n_centers"), as_int(seed, "seed")
     if n_rows < 1 or n_dims < 1 or n_centers < 1:
         raise InvalidInputError("n_rows, n_dims, n_centers must all be >= 1")
     if seed < 0:

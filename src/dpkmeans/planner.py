@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from dpkmeans.core import InvalidInputError
+from dpkmeans.core import InvalidInputError, as_int
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,8 @@ class PlannerInputs:
     epsilon_m_override: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_rows", "n_dims", "k", "t_cap"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.k < 1:
             raise InvalidInputError(f"k must be >= 1, got {self.k}")
         if self.n_rows < self.k:

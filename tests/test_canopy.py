@@ -388,6 +388,14 @@ class TestCanopyParams:
         with pytest.raises(InvalidInputError):
             CanopyParams(subsample_size=0)
 
+    def test_subsample_size_must_be_an_integer(self):
+        # 2.5 and True used to raise numpy's TypeError mid-run.
+        for value in [2.5, 2.0, True, False, "2"]:
+            with pytest.raises(InvalidInputError, match="subsample_size must be an integer"):
+                CanopyParams(subsample_size=value)
+        params = CanopyParams(subsample_size=np.int64(100))
+        assert type(params.subsample_size) is int and params == CanopyParams(subsample_size=100)
+
 
 def _clumps():
     # Two clumps that the radii t1=0.5, t2=0.4 merge; halving twice splits them.
@@ -520,8 +528,10 @@ class TestCanopySummary:
         (one,) = sizes["pass"]
         (canopy_bytes,) = sizes["canopy"]
         assert canopy_bytes < one
-        # Room for two passes: a run's second pass evicts its summary.
-        monkeypatch.setattr(core, "STORE_BYTES", 2 * one)
+        # Room for a pass and less than a summary: a run's summary evicts the
+        # last run's pass, and its step pass, against the same start, evicts
+        # the summary.
+        monkeypatch.setattr(core, "STORE_BYTES", one + canopy_bytes - 1)
         core._STORES.pop(data)
         for _ in range(2):
             jsons.append(run_edpdcs(data, 3, inputs, config=config)[2].comparable_json())

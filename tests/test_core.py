@@ -249,6 +249,20 @@ class TestLabelPointsChunks:
     def test_no_rows(self):
         assert label_points(np.empty((0, 3)), np.zeros((2, 3))).shape == (0,)
 
+    @pytest.mark.parametrize("k", [2, 20])
+    def test_one_chunk_edge_gives_the_exact_paths_labels(self, k):
+        # Rows that fit one chunk get that chunk's labels: no rows, exactly
+        # one chunk, and one row past it.
+        chunk = core.label_chunk_rows(k)
+        rng = np.random.Generator(np.random.PCG64(k))
+        centroids = rng.random((k, 3))
+        for n in (0, chunk, chunk + 1):
+            pts = rng.random((n, 3))
+            for bound in (None, 3):
+                got = label_points(pts, centroids, bound)
+                assert got.dtype == np.int64 and got.shape == (n,)
+                assert np.array_equal(got, core._label_exact(pts, centroids))
+
 
 @st.composite
 def _labelling_inputs(draw):

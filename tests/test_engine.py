@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import sys
 import threading
 import time
@@ -68,10 +69,15 @@ class TestBlockSpans:
 
 
 def _one_block_pass(points, centroids):
-    """A one-block labelling pass: counts, sums, squared-distance sum, labels."""
+    """A one-block step pass's counts, sums and squared-distance sum, and the
+    labels of a final pass against the same centroids."""
     data = Dataset(points=np.asarray(points, dtype=np.float64), normalized=True)
     agg = engine._BlockAggregator(data, 1, 1)
-    return agg.labelling_pass(np.asarray(centroids, dtype=np.float64))
+    centroids = np.asarray(centroids, dtype=np.float64)
+    counts, sums, sq_dist = agg.labelling_pass(centroids)
+    final_sq_dist, labels = agg.final_pass(centroids)
+    assert final_sq_dist == sq_dist
+    return counts, sums, sq_dist, labels
 
 
 class TestMapAssign:
@@ -184,7 +190,7 @@ class TestReduceCluster:
         for parts in (1, 2, 3):
             agg = engine._BlockAggregator(data, parts, min(parts, 2))
             try:
-                got_counts, got_sums, _, _ = agg.labelling_pass(centroids)
+                got_counts, got_sums, _ = agg.labelling_pass(centroids)
             finally:
                 agg.close()
             assert np.array_equal(got_counts, counts)
@@ -217,12 +223,13 @@ class TestReduceCluster:
             agg = engine._BlockAggregator(data, parts, min(parts, 2))
             try:
                 got = agg.labelling_pass(centroids)
+                final = agg.final_pass(centroids)
             finally:
                 agg.close()
             assert got[0].tobytes() == counts.tobytes()
             assert got[1].tobytes() == sums.tobytes()
-            assert got[2] == sq_dist
-            assert np.array_equal(got[3], np.concatenate(labels))
+            assert got[2] == final[0] == sq_dist
+            assert np.array_equal(final[1], np.concatenate(labels))
 
     def test_empty_cluster_keeps_previous_centroid(self):
         start = np.array([[0.05, 0.05], [0.3, 0.7]])
@@ -290,8 +297,27 @@ class TestEngineConfig:
             EngineConfig(variant=Variant.EDPDCS, master_seed=seed)
 
     def test_compare_refuses_a_non_integer_base_seed(self, small_blobs):
-        with pytest.raises(InvalidInputError, match="master_seed must be an integer"):
+        with pytest.raises(InvalidInputError, match="base_seed must be an integer"):
             compare_variants(small_blobs, 3, [1.0], n_seeds=1, base_seed=1.5)
+
+    @pytest.mark.parametrize("field", ["n_partitions", "threads", "nonprivate_max_iters"])
+    def test_counts_must_be_integers(self, field):
+        # 2.5 partitions used to run and be reported as 2.5, and True as true.
+        for value in [2.5, 2.0, True, False, "2"]:
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+                EngineConfig(variant=Variant.RU_DPKM, **{field: value})
+        cfg = EngineConfig(variant=Variant.RU_DPKM, **{field: np.int64(2)})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 2
+
+    @pytest.mark.parametrize("variant", [Variant.EDPDCS, Variant.RU_DPKM])
+    def test_k_must_be_an_integer(self, small_blobs, variant):
+        # k=True used to run as k=1 and be reported as true.
+        for k in [2.5, 2.0, True, False, "2"]:
+            with pytest.raises(InvalidInputError, match="k must be an integer"):
+                _run_variant(small_blobs, k, variant, 1.0)
+        want = _run_variant(small_blobs, 2, variant, 1.0)[2].to_json()
+        report = _run_variant(small_blobs, np.int64(2), variant, 1.0)[2]
+        assert type(report.k) is int and report.to_json() == want
 
     def test_numpy_integer_master_seed_runs_as_the_int(self, small_blobs):
         reports = []
@@ -473,35 +499,44 @@ class TestReportSchema:
 def _count_rows(monkeypatch):
     """Per labelling pass, the row counts of the blocks the map task read and
     of the calls to ``label_points``, each in the order they came, and the
-    indices of the blocks whose counts and sums were summed, not kept."""
-    passes = []
-    labelling_pass = engine._BlockAggregator.labelling_pass
+    indices of the blocks whose counts and sums were summed, not kept.
+
+    Returns the step passes' list and the final passes' list.
+    """
+    steps, finals = [], []
+    running = []  # the running pass's entry
     map_block = engine._BlockAggregator._map
     counts_and_sums = engine._counts_and_sums
     current = threading.local()
 
-    def counting_pass(self, centroids):
-        passes.append(([], [], []))
-        return labelling_pass(self, centroids)
+    def counting(passes, labelling_pass):
+        def counting_pass(self, centroids):
+            passes.append(([], [], []))
+            running[:] = passes[-1:]
+            return labelling_pass(self, centroids)
+
+        return counting_pass
 
     def counting_map(self, b, *args):
-        passes[-1][0].append(len(self._blocks[b]))
+        running[0][0].append(len(self._blocks[b]))
         current.block = b
         return map_block(self, b, *args)
 
     def counting_sums(points, *args):
-        passes[-1][2].append(current.block)
+        running[0][2].append(current.block)
         return counts_and_sums(points, *args)
 
     def counting_labels(points, *args):
-        passes[-1][1].append(len(points))
+        running[0][1].append(len(points))
         return label_points(points, *args)
 
-    monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", counting_pass)
-    monkeypatch.setattr(engine._BlockAggregator, "_map", counting_map)
+    aggregator = engine._BlockAggregator
+    monkeypatch.setattr(aggregator, "labelling_pass", counting(steps, aggregator.labelling_pass))
+    monkeypatch.setattr(aggregator, "final_pass", counting(finals, aggregator.final_pass))
+    monkeypatch.setattr(aggregator, "_map", counting_map)
     monkeypatch.setattr(engine, "_counts_and_sums", counting_sums)
     monkeypatch.setattr(engine, "label_points", counting_labels)
-    return passes
+    return steps, finals
 
 
 class TestLabellingPasses:
@@ -529,9 +564,10 @@ class TestLabellingPasses:
 
     def test_edpdcs_reads_every_row_once_per_planned_iteration(self, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        passes = _count_rows(monkeypatch)
+        steps, finals = _count_rows(monkeypatch)
         _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
-        assert len(passes) == report.iterations_run
+        assert len(steps) == report.iterations_run - 1 and len(finals) == 1
+        passes = steps + finals
         blocks = [stop - start for start, stop in block_spans(data.n_rows)]
         for read, labelled, _ in passes:
             assert read == blocks
@@ -540,6 +576,8 @@ class TestLabellingPasses:
         # labels fewer.
         assert sum(passes[0][1]) == data.n_rows
         assert all(sum(labelled) < data.n_rows for _, labelled, _ in passes[1:])
+        # The final pass sums no counts and sums.
+        assert finals[0][2] == []
 
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
         def slow(*args, **kwargs):
@@ -604,20 +642,23 @@ class TestCertificateGate:
 
     def test_gate_off_and_on_give_the_same_bytes(self, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        passes = _count_rows(monkeypatch)
+        steps, finals = _count_rows(monkeypatch)
         lookups = _store_lookups(monkeypatch, "pass")
         on = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
         # Every run reads every row in each pass; with the gate on, whole
         # passes go by with a few hundred rows labelled.
-        assert all(sum(read) == data.n_rows for read, _, _ in passes)
-        assert sum(sum(labelled) < data.n_rows / 8 for _, labelled, _ in passes) >= 10
+        assert all(sum(read) == data.n_rows for read, _, _ in steps + finals)
+        assert sum(sum(labelled) < data.n_rows / 8 for _, labelled, _ in steps + finals) >= 10
         # ... and still blocks keep their counts and sums.
-        assert sum(len(summed) for _, _, summed in passes) < sum(len(r) for r, _, _ in passes)
-        passes.clear()
+        assert sum(len(summed) for _, _, summed in steps) < sum(len(r) for r, _, _ in steps)
+        assert all(summed == [] for _, _, summed in finals)
+        steps.clear()
+        finals.clear()
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         off = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
-        assert all(sum(labelled) == data.n_rows for _, labelled, _ in passes)
-        assert all(len(summed) == len(read) for read, _, summed in passes)
+        assert all(sum(labelled) == data.n_rows for _, labelled, _ in steps + finals)
+        assert all(len(summed) == len(read) for read, _, summed in steps)
+        assert all(summed == [] for _, _, summed in finals)
         assert off == on
 
     def test_stale_candidates_after_a_stored_pass(self, monkeypatch):
@@ -633,17 +674,17 @@ class TestCertificateGate:
             agg = engine._BlockAggregator(data, 2, 2)
             try:
                 got = [agg.labelling_pass(c1), agg.labelling_pass(c2), agg.statistics(c3)]
-                return got + [agg.labelling_pass(c4)]
+                return got + [agg.labelling_pass(c4), agg.final_pass(c4)]
             finally:
                 agg.close()
 
-        counted = _count_rows(monkeypatch)
+        steps, _ = _count_rows(monkeypatch)
         on = passes()
         # The c4 pass certifies from the c2 pass's labels, and relabels the
         # rows whose label moved since.
-        *_, (_, labelled, _) = counted
+        *_, (_, labelled, _) = steps
         assert 0 < sum(labelled) < data.n_rows / 8
-        assert not np.array_equal(on[1][3], on[3][3])
+        assert not np.array_equal(label_points(data.points, c2), on[4][1])
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         off = passes()
         for got, want in zip(on, off):
@@ -659,15 +700,14 @@ class TestKeptPartials:
     def test_later_passes_sum_only_blocks_with_a_moved_label(self, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
         spans = block_spans(data.n_rows)
-        passes = _count_rows(monkeypatch)
+        passes, _ = _count_rows(monkeypatch)
         seen = []
         counted_pass = engine._BlockAggregator.labelling_pass
 
         def labelling_pass(self, centroids):
-            tries = [kept is not None for kept in self._kept]
-            out = counted_pass(self, centroids)
-            seen.append((tries, out[3].copy()))
-            return out
+            tries = [b in self._kept for b in range(len(spans))]
+            seen.append((tries, label_points(data.points, centroids)))
+            return counted_pass(self, centroids)
 
         monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", labelling_pass)
         _run_variant(data, 4, Variant.EDPDCS, 1.0)
@@ -702,18 +742,21 @@ class TestKeptPartials:
 
         def passes():
             agg = engine._BlockAggregator(data, 1, 1)
-            return agg, [agg.labelling_pass(c) for c in (start, nudged, pulled)]
+            got = [agg.labelling_pass(c) for c in (start, nudged, pulled)]
+            return agg, got + [agg.final_pass(pulled)]
 
-        counted = _count_rows(monkeypatch)
+        steps, finals = _count_rows(monkeypatch)
         agg, on = passes()
-        assert [(labelled, summed) for _, labelled, summed in counted] == [
+        assert [(labelled, summed) for _, labelled, summed in steps] == [
             ([16, 12], [0, 1]),  # both blocks probe and pass
             ([1], []),  # row 15 is relabelled, and stays
             ([1, 1], [1]),  # row 15 stays; row 21 moves
         ]
-        assert on[1][3][21] == 0 and on[2][3][21] == 1
+        assert finals == [([16, 12], [1], [])]  # row 15 is still unsure, and stays
+        assert label_points(data.points, nudged)[21] == 0 and on[3][1][21] == 1
         # The kept partials are read-only and never the pass's sums.
-        for counts, sums in agg._kept:
+        assert sorted(agg._kept) == [0, 1]
+        for counts, sums in agg._kept.values():
             assert not counts.flags.writeable and not sums.flags.writeable
             with pytest.raises(ValueError):
                 counts += 1.0
@@ -738,18 +781,18 @@ class TestKeptPartials:
             got, kept = [], []
             for c in (start, pulled, start):
                 got.append(agg.labelling_pass(c))
-                kept.append([k is not None for k in agg._kept])
+                kept.append([b in agg._kept for b in range(2)])
             return got, kept
 
-        counted = _count_rows(monkeypatch)
+        steps, _ = _count_rows(monkeypatch)
         on, kept = passes()
-        assert [(labelled, summed) for _, labelled, summed in counted] == [
+        assert [(labelled, summed) for _, labelled, summed in steps] == [
             ([16, 12], [0, 1]),  # both blocks probe and pass
             ([8, 6], [1]),  # both tries fail, having labelled their unsure rows
             ([16, 12], [0, 1]),  # a probe would pass again, but none runs
         ]
         assert kept == [[True, True], [False, False], [False, False]]
-        assert on[0][3][21] == 0 and on[1][3][21] == 1
+        assert [label_points(data.points, c)[21] for c in (start, pulled)] == [0, 1]
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         off, _ = passes()
         for got, want in zip(on, off):
@@ -757,9 +800,41 @@ class TestKeptPartials:
                 np.asarray(v).tobytes() for v in want
             ]
 
+    def test_threads_keep_what_one_thread_keeps(self, monkeypatch):
+        # More workers than cores update one map of kept blocks: every pass
+        # must leave the same blocks keeping, and give the same bytes, as a
+        # serial pass.
+        monkeypatch.setattr(engine, "MAP_BLOCK_ROWS", 64)
+        data = synthetic_blobs(64 * 40 + 9, 2, 3, seed=7)
+        _, _, report = _run_variant(data, 3, Variant.EDPDCS, 30.0)
+        centroids = [np.array(it["centroids_after"]) for it in report.iterations]
+
+        def passes(n_partitions, workers):
+            core._STORES.pop(data, None)
+            agg = engine._BlockAggregator(data, n_partitions, workers)
+            try:
+                got = []
+                for c in centroids:
+                    got.append([v.tobytes() for v in agg.labelling_pass(c)[:2]])
+                    got.append(sorted(agg._kept))
+                sq_dist, labels = agg.final_pass(centroids[-1])
+                return got + [sq_dist, labels.tobytes(), sorted(agg._kept)]
+            finally:
+                agg.close()
+
+        serial = passes(1, 1)
+        assert any(serial[1:-3:2])  # some blocks keep
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert passes(8, 6) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_one_block_never_keeps_partials(self, blood_like, monkeypatch):
         # The shape of the benchmark's paper grid: one block of 748 rows.
-        passes = _count_rows(monkeypatch)
+        steps, finals = _count_rows(monkeypatch)
         aggregators = []
         counted_close = engine._BlockAggregator.close
 
@@ -768,25 +843,101 @@ class TestKeptPartials:
             return counted_close(self)
 
         monkeypatch.setattr(engine._BlockAggregator, "close", close)
-        for variant, epsilon in TestCertificateGate.RUNS:
-            _run_variant(blood_like, 2, variant, epsilon)
-        assert len(aggregators) == 4 and passes
-        assert all(agg._kept == [None] for agg in aggregators)
-        assert all(p == ([748], [748], [0]) for p in passes)
+        reports = [
+            _run_variant(blood_like, 2, variant, epsilon)[2]
+            for variant, epsilon in TestCertificateGate.RUNS
+        ]
+        assert len(aggregators) == 4 and steps
+        assert all(agg._kept == {} for agg in aggregators)
+        # Each step pass that reads the data sums its one block once; the
+        # final passes sum nothing.
+        assert all(p == ([748], [748], [0]) for p in steps)
+        assert finals == [([748], [748], [])] * 4
+        # The store holds the step passes' entries only: a run's last
+        # centroids are labelled by its final pass alone.
+        step_keys = {
+            engine._pass_key(np.array(it["centroids_after"]))
+            for report in reports
+            for it in report.iterations[:-1]
+        }
+        stored = {key for key in core._STORES[blood_like].entries if key[0] == "pass"}
+        assert stored == step_keys
+
+
+class TestFinalPass:
+    """A run's final pass gives the labels and the squared-distance sum, and
+    nothing else."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    def test_final_pass_neither_probes_nor_stores(self, n_partitions, monkeypatch):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        events = []
+        final_pass = engine._BlockAggregator.final_pass
+        bounds = engine.certificate_bounds
+        put = core._DatasetStore.put
+
+        def final(self, centroids):
+            events.append(("final", len(self._kept)))
+            try:
+                return final_pass(self, centroids)
+            finally:
+                events.append(("end", len(self._kept)))
+
+        def counting_bounds(*args):
+            events.append(("bounds",))
+            return bounds(*args)
+
+        def counting_put(self, key, value):
+            events.append(("put", key[0]))
+            return put(self, key, value)
+
+        monkeypatch.setattr(engine._BlockAggregator, "final_pass", final)
+        monkeypatch.setattr(engine, "certificate_bounds", counting_bounds)
+        monkeypatch.setattr(core._DatasetStore, "put", counting_put)
+        runs = []
+        # The second run's steps are all served from the store, so its final
+        # pass is its first read of the data, where a step pass would probe.
+        for _ in range(2):
+            events.clear()
+            cs, labels, report = _run_variant(
+                data, 4, Variant.EDPDCS, 1.0, n_partitions=n_partitions
+            )
+            (start,) = [i for i, event in enumerate(events) if event[0] == "final"]
+            runs.append((report.comparable_json(), labels.labels.tobytes(), events[start:]))
+            want = label_points(data.points, cs.centroids)
+            assert np.array_equal(labels.labels, want)
+            sq_dist = 0.0
+            for s, e in block_spans(data.n_rows):
+                diff = engine._squared_differences(data.points[s:e], cs.centroids, want[s:e])
+                sq_dist += float(diff.sum())
+            assert report.nicv == sq_dist / data.n_rows
+        (cold_json, cold_labels, cold), (warm_json, warm_labels, warm) = runs
+        assert (warm_json, warm_labels) == (cold_json, cold_labels)
+        # Cold, blocks keep counts and sums from the step passes, so the
+        # final pass needs bounds for their tries; it puts nothing.
+        assert cold[0][1] > 0 and cold[1:] == [("bounds",), cold[-1]]
+        # Warm, no block keeps anything and none probes: no bounds, no put.
+        assert warm == [("final", 0), ("end", 0)]
 
 
 class TestPassMemo:
     """The labelling-pass statistics kept in a dataset's store."""
 
     def _count_passes(self, monkeypatch):
+        """The centroids' bytes of every pass that reads the data, step or
+        final."""
         passes = []
-        original = engine._BlockAggregator.labelling_pass
 
-        def counting(self, centroids):
-            passes.append(centroids.tobytes())
-            return original(self, centroids)
+        def counting(original):
+            def counted(self, centroids):
+                passes.append(centroids.tobytes())
+                return original(self, centroids)
 
-        monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", counting)
+            return counted
+
+        for name in ("labelling_pass", "final_pass"):
+            original = getattr(engine._BlockAggregator, name)
+            monkeypatch.setattr(engine._BlockAggregator, name, counting(original))
         return passes
 
     def test_warm_grid_rerun_is_byte_identical_to_cold(self, small_blobs, monkeypatch):
@@ -811,6 +962,18 @@ class TestPassMemo:
         two = _grid_jsons(data, 4, n_partitions=2)
         assert two == one
         assert len(passes) == len(one)
+
+    def test_readme_quotes_the_grids_store_hits(self, blood_like, monkeypatch):
+        # The 451-run grid of ``compare --seeds 30`` over the blood layout.
+        lookups = _store_lookups(monkeypatch, "pass")
+        summary = compare_variants(blood_like, 2, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=30)
+        assert len(summary.runs) == 451
+        quote = (
+            f"{lookups.count(('hit', 'pass')):,} of {len(lookups):,} step passes"
+            " are served from the store, and the 451 final passes read the data"
+        )
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert quote in " ".join(readme.split())
 
     def test_hit_comes_after_the_step_charge(self, small_blobs, monkeypatch):
         events = []
@@ -859,8 +1022,9 @@ class TestPassMemo:
             run_baseline(small_blobs, 3, None, cfg, initial_centroids=start)
         store = core._STORES[small_blobs]
         assert len(store.entries) == 3 and store.nbytes == 3 * one
-        # The last run's start, then its one step's result, stayed.
-        assert list(store.entries)[1] == engine._pass_key(starts[-1].centroids)
+        # Each run's one step pass, against its start, put the only entry;
+        # the last three runs' stayed.
+        assert list(store.entries) == [engine._pass_key(s.centroids) for s in starts[2:]]
 
     def test_threads_sharing_one_state(self, monkeypatch):
         # More workers than cores against one small memo: every pass must
@@ -871,7 +1035,7 @@ class TestPassMemo:
         want = []
         for c in centroids:
             agg = engine._BlockAggregator(data, 1, 1)
-            want.append(agg.labelling_pass(c)[:3])
+            want.append(agg.labelling_pass(c))
         _, one = core._STORES.pop(data).entries[engine._pass_key(centroids[0])]
         monkeypatch.setattr(core, "STORE_BYTES", 4 * one)
         errors = []

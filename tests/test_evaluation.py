@@ -147,6 +147,17 @@ class TestRunReport:
 
 
 class TestCompareVariants:
+    @pytest.mark.parametrize("field", ["n_seeds", "base_seed"])
+    def test_seed_counts_must_be_integers(self, small_blobs, field):
+        # n_seeds=2.5 used to raise TypeError, and base_seed=True ran as 1.
+        kwargs = dict(n_seeds=1, base_seed=1)
+        for value in [2.5, 2.0, True, False, "2"]:
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+                compare_variants(small_blobs, 3, [1.0], **{**kwargs, field: value})
+        want = compare_variants(small_blobs, 3, [1.0], **kwargs).to_json()
+        got = compare_variants(small_blobs, 3, [1.0], **{**kwargs, field: np.int64(1)})
+        assert got.to_json() == want
+
     def test_full_grid_shapes(self, small_blobs):
         summary = compare_variants(small_blobs, 3, [0.5, 1.0], 2)
         dp_cells = [c for c in summary.cells if c.variant != "NONPRIVATE"]

@@ -411,6 +411,18 @@ class TestPresets:
 
 
 class TestSyntheticBlobs:
+    @pytest.mark.parametrize("field", ["n_rows", "n_dims", "n_centers", "seed"])
+    def test_counts_must_be_integers(self, field):
+        # n_rows=300.0, seed=1.5 and n_dims=True used to raise TypeError.
+        kwargs = dict(n_rows=300, n_dims=2, n_centers=2, seed=1)
+        for value in [2.5, 2.0, True, False, "2"]:
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+                synthetic_blobs(**{**kwargs, field: value})
+        got = synthetic_blobs(**{**kwargs, field: np.int64(kwargs[field])})
+        want = synthetic_blobs(**kwargs)
+        assert np.array_equal(got.points, want.points)
+        assert got.source_label == want.source_label
+
     def test_shape_and_bounds(self):
         data = synthetic_blobs(500, 4, 3, seed=0)
         assert data.n_rows == 500

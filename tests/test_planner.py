@@ -2,6 +2,7 @@ import logging
 import math
 from decimal import Decimal, getcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -249,6 +250,17 @@ class TestValidation:
             PlannerInputs(
                 n_rows=10, n_dims=2, k=2, epsilon_total=1.0, epsilon_m_override=0.0
             )
+
+    @pytest.mark.parametrize("field", ["n_rows", "n_dims", "k", "t_cap"])
+    def test_counts_must_be_integers(self, field):
+        # t_cap=3.5 used to plan 3.5 iterations at epsilon / 3.5.
+        kwargs = dict(n_rows=30000, n_dims=2, k=2, epsilon_total=1.0, t_cap=3)
+        for value in [2.5, 2.0, True, False, "2"]:
+            with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+                PlannerInputs(**{**kwargs, field: value})
+        inputs = PlannerInputs(**{**kwargs, field: np.int64(kwargs[field])})
+        assert type(getattr(inputs, field)) is int
+        assert make_plan(inputs) == make_plan(PlannerInputs(**kwargs))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
