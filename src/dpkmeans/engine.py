@@ -9,15 +9,11 @@ the centroids it labels against (the previous iteration's result), and a
 final pass gives the assignment and the report's NICV.  Because the
 block boundaries and the merge order never depend on how many workers are
 used, results are bit-for-bit identical across partition counts -- the
-partition count only controls how blocks are grouped onto threads.  Each
-run slices its own block views.  The statistics of recent labelling passes
-are kept in the dataset's store (:func:`~dpkmeans.core.dataset_store`), so
-runs on one dataset that label against the same centroids, as the runs of a
-``compare`` grid often do, read the data once for them.  Within a run, a
-row whose label from the run's latest pass provably still holds is not
-labelled again (:func:`~dpkmeans.core.certificate_bounds`), and a still
-block, one where no row's label moved, keeps its counts and sums from the
-pass that gave those labels.
+partition count only controls how blocks are grouped onto threads.
+
+After set-up, every read of the raw rows goes through the run's
+:class:`_Boundary`, which holds the run's budget ledger and the dataset's
+store (:func:`~dpkmeans.core.dataset_store`).
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
@@ -27,7 +23,7 @@ said once, by :class:`Variant`'s predicates, and every caller asks them.  A
 variant is an initialization, a list of (iteration, epsilon or None) steps
 and an optional stop rule:
 
-- ``EDPDCS``: canopy initialization (charged as the first iteration) plus
+- ``EDPDCS``: canopy initialization (the plan's first iteration) plus
   planner-scheduled noisy Lloyd steps at a uniform per-iteration budget.
 - ``RF_DPKM``: random-row initialization, planner-scheduled noisy steps.
 - ``RU_DPKM``: random-row initialization, budget-halving schedule with a
@@ -225,8 +221,6 @@ def block_spans(n_rows: int) -> list[tuple[int, int]]:
 #: A map task's labels, (counts, sums) or None, and squared-distance sum of
 #: one block.
 _Partials = tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float]
-#: A labelling pass's exact (counts, sums, squared-distance sum).
-_PassStats = tuple[np.ndarray, np.ndarray, float]
 
 
 @functools.lru_cache(maxsize=4)
@@ -272,7 +266,7 @@ def _counts_and_sums(
     return counts, sums
 
 
-#: The certificate's gate (see :class:`_BlockAggregator`).  A block that
+#: The certificate's gate (see :class:`_Boundary`).  A block that
 #: keeps nothing probes in each of the run's first ``PROBE_PASSES``
 #: labelling passes: once at least ``CERTIFY_SHARE`` of one row in
 #: ``PROBE_STRIDE`` would have been certified, it keeps its counts and sums
@@ -313,13 +307,17 @@ def _pass_key(centroids: np.ndarray) -> tuple:
     return "pass", centroids.shape, centroids.tobytes()
 
 
-class _BlockAggregator:
-    """Runs the map phase over a dataset's blocks, optionally on a thread pool.
+class _Boundary:
+    """A run's one reader of raw rows after set-up, with its budget ledger,
+    its master seed and its dataset's store.  Each public method says
+    whether what it returns is released, into the report or the centroids,
+    or evaluator-only; one that spends budget charges the ledger before it
+    reads the rows or the store's exact statistics of them.
 
-    The block views, the pool and the rows' candidate labels are the run's
-    own.  Each pass computes only what its caller reads: a step pass
-    (:meth:`statistics`) the counts, sums and squared-distance sum of a
-    Lloyd step, which the dataset's store keeps; the final pass
+    The block views, the thread pool if any and the rows' candidate labels
+    are the run's own.  Each pass computes only what its caller reads: a
+    step pass (:meth:`_statistics`) the counts, sums and squared-distance
+    sum of a Lloyd step, which the dataset's store keeps; the final pass
     (:meth:`final_pass`) the labels and the squared-distance sum.
 
     A row's candidate is its label from the run's latest labelling pass,
@@ -339,7 +337,10 @@ class _BlockAggregator:
     they save.
     """
 
-    def __init__(self, data: Dataset, n_partitions: int, workers: int):
+    def __init__(self, data: Dataset, config: EngineConfig, epsilon: float | None):
+        self.ledger = None if epsilon is None else BudgetLedger(total=epsilon)
+        self._data = data
+        self._seed = config.master_seed
         self._store = dataset_store(data)
         spans = block_spans(data.n_rows)
         self._blocks = [data.points[s:e] for s, e in spans]
@@ -355,10 +356,10 @@ class _BlockAggregator:
             labels = np.frombuffer(mmap.mmap(-1, 8 * data.n_rows), dtype=np.int64)
             self._candidates = [labels[s:e] for s, e in spans]
         self._executor: ThreadPoolExecutor | None = None
+        workers = config.resolved_threads()
         if workers > 1 and n_blocks > 1:
-            self._groups = [
-                g for g in np.array_split(np.arange(n_blocks), n_partitions) if g.size
-            ]
+            groups = np.array_split(np.arange(n_blocks), config.n_partitions)
+            self._groups = [g for g in groups if g.size]
             self._executor = ThreadPoolExecutor(max_workers=workers)
 
     def close(self) -> None:
@@ -366,28 +367,72 @@ class _BlockAggregator:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    def statistics(self, centroids: np.ndarray) -> _PassStats:
+    def canopy_start(
+        self, k: int, params: CanopyParams, epsilon: float | None
+    ) -> tuple[np.ndarray, int, list[str]]:
+        """Released: the canopy start's centroids, noise draws and notes
+        (:func:`~dpkmeans.canopy.select_initial_centroids`).  Given an
+        ``epsilon``, it charges ``"init"`` before the canopy pass reads the
+        rows, at epsilon / (d + 1) per statistic; without one it is exact."""
+        share = None
+        if epsilon is not None:
+            self.ledger.charge("init", epsilon)
+            share = epsilon / (self._data.n_dims + 1)
+        return select_initial_centroids(self._data, k, params, self._seed, share)
+
+    def random_rows(self, k: int) -> np.ndarray:
+        """Released and uncharged, a known leak: copies of k distinct rows,
+        at sorted indices drawn from stream (0, 1) of the master seed, kept
+        in the dataset's store so that the runs of one master seed in a
+        ``compare`` grid draw them once."""
+        key = ("rows", k, self._seed)
+        entry = self._store.get(key)
+        if entry is None:
+            rng = np.random.Generator(np.random.PCG64(derive_stream_seed(self._seed, 0, 1)))
+            rows = rng.choice(self._data.n_rows, size=k, replace=False)
+            entry = self._store.put(key, (np.sort(rows),))
+        # Fancy indexing copies: the start shares no memory with the data.
+        return self._data.points[entry[0]]
+
+    def step(
+        self, t: int, epsilon: float | None, centroids: np.ndarray
+    ) -> tuple[np.ndarray, int, float]:
+        """Lloyd step ``t`` from ``centroids``: the new centroids and their
+        noise draws, released, and the squared-distance sum, evaluator-only.
+        Given an ``epsilon``, it charges ``"iteration-t"`` before it reads
+        the exact counts and sums, and releases their
+        :func:`~dpkmeans.mechanism.noisy_mean` at epsilon / (d + 1) per
+        statistic, cluster j's noise from stream (t, j).  Without one the
+        step is exact.
+        """
+        if epsilon is not None:
+            self.ledger.charge(f"iteration-{t}", epsilon)
+        counts, sums, sq_dist = self._statistics(centroids)
+        if epsilon is None:
+            # An empty cluster keeps its centroid.
+            new = centroids.copy()
+            np.divide(sums, counts[:, None], out=new, where=counts[:, None] > 0)
+            return new, 0, sq_dist
+        k, d = centroids.shape
+        noise = stream_unit_noise(self._seed, t, k, d + 1)
+        return noisy_mean(counts, sums, epsilon / (d + 1), noise), noise.size, sq_dist
+
+    def _statistics(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """A Lloyd step's exact per-cluster counts and sums against
         ``centroids``, and the sum over all rows of the squared distance to
-        the nearest one.
-
-        Centroids with the same bytes as a kept pass's get its read-only
-        values back without a read of the data; any others get a
-        :meth:`labelling_pass`.
+        the nearest one.  Centroids with the same bytes as a kept pass's get
+        its read-only values back without a read of the data, so runs on one
+        dataset that label against the same centroids, as the runs of a
+        ``compare`` grid often do, read the data once for them.  Any others
+        get a step pass, one read of every block, whose statistics it puts
+        in the store.  It joins no labels: only the blocks that keep counts
+        and sums keep theirs.  Block partials merge in ascending block
+        order, so every result is independent of the partition count.
         """
-        stats = self._store.get(_pass_key(centroids))
-        if stats is None:
-            stats = self.labelling_pass(centroids)
-        return stats
-
-    def labelling_pass(self, centroids: np.ndarray) -> _PassStats:
-        """A step pass: one read of every block against ``centroids`` for
-        the :meth:`statistics`, which it puts in the store.  It joins no
-        labels: only the blocks that keep counts and sums keep theirs.
-
-        Block partials merge in ascending block order, so every result is
-        independent of the partition count.
-        """
+        key = _pass_key(centroids)
+        stats = self._store.get(key)
+        if stats is not None:
+            return stats
         self._passes += 1
         probes = len(self._blocks) > 1 and self._passes <= PROBE_PASSES
         per_block = self._map_blocks(centroids, probes, final=False)
@@ -404,14 +449,14 @@ class _BlockAggregator:
                 counts += block_counts
                 sums += block_sums
                 sq_dist += block_sq_dist
-        return self._store.put(_pass_key(centroids), (counts, sums, sq_dist))
+        return self._store.put(key, (counts, sums, sq_dist))
 
     def final_pass(self, centroids: np.ndarray) -> tuple[float, np.ndarray]:
-        """The run's last pass: the sum over all rows of the squared distance
-        to the nearest of ``centroids``, added in ascending block order, and
-        every row's label.  It sums no counts and sums, neither probes nor
-        starts keeping, and puts nothing in the store: a run's last centroids
-        are labelled by its final pass alone.
+        """Evaluator-only: the run's last pass, the sum over all rows of the
+        squared distance to the nearest of ``centroids``, added in ascending
+        block order, and every row's label.  It sums no counts and sums,
+        neither probes nor starts keeping, and puts nothing in the store: a
+        run's last centroids are labelled by its final pass alone.
         """
         per_block = self._map_blocks(centroids, probes=False, final=True)
         sq_dist = per_block[0][2]
@@ -501,23 +546,6 @@ def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
     return math.sqrt(((new - old) ** 2).sum(axis=1).max())
 
 
-def _random_row_centroids(data: Dataset, k: int, master_seed: int) -> np.ndarray:
-    """Copies of k distinct rows, at sorted indices drawn from stream (0, 1)
-    of ``master_seed``.
-
-    The indices are kept in the dataset's store, so the runs of one master
-    seed in a ``compare`` grid draw them once.
-    """
-    store = dataset_store(data)
-    key = ("rows", k, master_seed)
-    entry = store.get(key)
-    if entry is None:
-        rng = np.random.Generator(np.random.PCG64(derive_stream_seed(master_seed, 0, 1)))
-        entry = store.put(key, (np.sort(rng.choice(data.n_rows, size=k, replace=False)),))
-    # Fancy indexing copies: the start shares no memory with the data.
-    return data.points[entry[0]]
-
-
 def _run_lloyd(
     data: Dataset,
     k: int,
@@ -535,23 +563,16 @@ def _run_lloyd(
     schedule, planning from the data shape when none are given.  A canopy
     start takes ``canopy_params``, unless the run starts from
     ``initial_centroids``.  ``epsilon`` is None exactly for a variant that
-    spends none, which is charged nothing; every other run's budget is
-    ``epsilon``, spent through a ledger.  A planned run with a canopy start
-    (EDPDCS) charges that start as the plan's first iteration and runs
-    iterations 2 .. T; RF_DPKM runs 1 .. T from random rows.
+    spends none; every other run's budget is ``epsilon``.
 
-    Each step is an (iteration, epsilon) pair.  A step with an epsilon is
-    charged to the ledger before its exact counts and sums are read, from
-    the data or from the dataset's store, and the new centroids are one
-    :func:`~dpkmeans.mechanism.noisy_mean` of them, at epsilon / (d + 1) for
-    each cluster's d + 1 statistics, cluster j's noise from stream (t, j).
-    A step with ``None`` is exact.  RU_DPKM and NONPRIVATE stop once a step
-    moves no centroid further than their shift tolerance, and note it.  The
-    initialization is traced as the iteration before the first step.  Every
-    trace entry's ``nicv_after`` is filled in by the next labelling pass,
-    which labels every row against that entry's centroids; the last is the
-    final pass, which always reads the data, gives the assignment and the
-    report's NICV, and computes nothing else.
+    Each step is an iteration and its epsilon, or None for an exact step,
+    made by the run's :class:`_Boundary`.  RU_DPKM and NONPRIVATE stop once
+    a step moves no centroid further than their shift tolerance, and note it.
+    The initialization is traced as the iteration before the first step.
+    Every trace entry's ``nicv_after`` is filled in by the next labelling
+    pass, which labels every row against that entry's centroids; the last
+    is the final pass, which always reads the data, gives the assignment
+    and the report's NICV, and computes nothing else.
     """
     variant = config.variant
     k = as_int(k, "k")
@@ -598,7 +619,6 @@ def _run_lloyd(
 
     t_start = time.perf_counter()
     notes: list[str] = []
-    ledger = None if epsilon is None else BudgetLedger(total=epsilon)
     plan: BudgetPlan | None = None
     if variant.takes_planner_inputs:
         planner_inputs = planner_inputs or PlannerInputs(
@@ -615,58 +635,37 @@ def _run_lloyd(
         steps = [(t, None) for t in range(1, config.nonprivate_max_iters + 1)]
         stop = (NONPRIVATE_SHIFT_TOL, "converged at iteration {t}")
 
-    init_budget = None
-    init_draws = 0
-    if initial_centroids is not None:
-        start = initial_centroids.centroids
-        notes.append("started from supplied centroids")
-    elif variant.has_canopy_start:
-        canopy_params = canopy_params or CanopyParams()
-        init_share = None
-        if variant.spends_epsilon:
-            init_budget = plan.epsilon_per_iter
-            ledger.charge("init", init_budget)
-            init_share = plan.epsilon_dim
-        start, init_draws, init_notes = select_initial_centroids(
-            data, k, canopy_params, config.master_seed, init_share
-        )
-        notes.extend(init_notes)
-    else:
-        start = _random_row_centroids(data, k, config.master_seed)
-
-    trace = [
-        {
-            "iteration": steps[0][0] - 1,
-            "phase": "init",
-            "budget_charged": init_budget,
-            "noise_draws": init_draws,
-            "centroid_shift": None,
-            "centroids_after": start.tolist(),
-        }
-    ]
-    init_ms = 1e3 * (time.perf_counter() - t_start)
-    iter_ms: list[float] = []
-    centroids = start
-    threads = config.resolved_threads()
-    aggregator = _BlockAggregator(data, config.n_partitions, threads)
+    boundary = _Boundary(data, config, epsilon)
     try:
+        init_budget, init_draws = None, 0
+        if initial_centroids is not None:
+            start = initial_centroids.centroids
+            notes.append("started from supplied centroids")
+        elif variant.has_canopy_start:
+            canopy_params = canopy_params or CanopyParams()
+            init_budget = None if plan is None else plan.epsilon_per_iter
+            start, init_draws, init_notes = boundary.canopy_start(k, canopy_params, init_budget)
+            notes.extend(init_notes)
+        else:
+            start = boundary.random_rows(k)
+
+        trace = [
+            {
+                "iteration": steps[0][0] - 1,
+                "phase": "init",
+                "budget_charged": init_budget,
+                "noise_draws": init_draws,
+                "centroid_shift": None,
+                "centroids_after": start.tolist(),
+            }
+        ]
+        init_ms = 1e3 * (time.perf_counter() - t_start)
+        iter_ms: list[float] = []
+        centroids = start
         for t, epsilon in steps:
             t0 = time.perf_counter()
-            share = None
-            if epsilon is not None:
-                ledger.charge(f"iteration-{t}", epsilon)
-                share = epsilon / (data.n_dims + 1)
-            counts, sums, sq_dist = aggregator.statistics(centroids)
+            new, draws, sq_dist = boundary.step(t, epsilon, centroids)
             trace[-1]["nicv_after"] = sq_dist / data.n_rows
-            draws = 0
-            if share is not None:
-                noise = stream_unit_noise(config.master_seed, t, k, data.n_dims + 1)
-                new = noisy_mean(counts, sums, share, noise)
-                draws = noise.size
-            else:
-                # An empty cluster keeps its centroid.
-                new = centroids.copy()
-                np.divide(sums, counts[:, None], out=new, where=counts[:, None] > 0)
             shift = _max_shift(centroids, new)
             iter_ms.append(1e3 * (time.perf_counter() - t0))
             trace.append(
@@ -684,12 +683,13 @@ def _run_lloyd(
                 notes.append(stop[1].format(t=t, shift=shift))
                 break
         t0 = time.perf_counter()
-        sq_dist, labels = aggregator.final_pass(centroids)
+        sq_dist, labels = boundary.final_pass(centroids)
         trace[-1]["nicv_after"] = sq_dist / data.n_rows
         final_ms = 1e3 * (time.perf_counter() - t0)
     finally:
-        aggregator.close()
+        boundary.close()
 
+    ledger = boundary.ledger
     if variant is Variant.RU_DPKM:
         notes.append(f"residual budget {ledger.remaining:.6g} left by halving schedule")
     elif ledger is not None:
@@ -708,7 +708,7 @@ def _run_lloyd(
         budget_remaining=0.0 if ledger is None else ledger.remaining,
         plan=None if plan is None else plan.to_dict(),
         iterations=trace,
-        config=_replay_config(config, threads, planner_inputs, canopy_params),
+        config=_replay_config(config, planner_inputs, canopy_params),
         notes=notes,
         timings_ms={
             "note": "wall clock; excluded from reproducibility comparisons",
@@ -795,12 +795,11 @@ def run_baseline(
 
 def _replay_config(
     config: EngineConfig,
-    threads: int,
     planner_inputs: PlannerInputs | None,
     canopy_params: CanopyParams | None,
 ) -> dict:
     out = {
-        "threads": threads,
+        "threads": config.resolved_threads(),
         "nonprivate_max_iters": config.nonprivate_max_iters,
     }
     if planner_inputs is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import TextIO
@@ -35,9 +36,9 @@ class ColumnSpec:
     """How to treat one CSV column.
 
     Attributes:
-        index: 0-based column position in the file.
+        index: 0-based column position in the file, an integer.
         name: Human-readable column name.
-        lo, hi: Normalization range.  Filled from observed data by
+        lo, hi: Normalization range, finite.  Filled from observed data by
             :func:`normalize` when not preset.
     """
 
@@ -47,10 +48,14 @@ class ColumnSpec:
     hi: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", as_int(self.index, "column index"))
         if self.index < 0:
             raise InvalidInputError(f"column index must be >= 0, got {self.index}")
         if (self.lo is None) != (self.hi is None):
             raise InvalidInputError("lo and hi must be set together")
+        # A NaN bound passes hi < lo, and would map the column to 0.5.
+        if self.lo is not None and not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidInputError(f"range [{self.lo}, {self.hi}] must be finite")
         if self.lo is not None and self.hi < self.lo:
             raise InvalidInputError(f"empty range [{self.lo}, {self.hi}]")
 
@@ -293,8 +298,11 @@ def synthetic_blobs(
         raise InvalidInputError("n_rows, n_dims, n_centers must all be >= 1")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    # Chained comparisons are false for NaN, so these also refuse NaN and inf.
+    if not 0.0 <= spread < math.inf:
+        raise InvalidInputError(f"spread must be >= 0 and finite, got {spread}")
     if weights is not None and (
-        len(weights) != n_centers or any(w <= 0 for w in weights)
+        len(weights) != n_centers or not all(0.0 < w < math.inf for w in weights)
     ):
         raise InvalidInputError("weights must be positive, one per center")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -167,8 +167,12 @@ def iteration_count(epsilon_total: float, epsilon_m: float, t_cap: int = DEFAULT
     - otherwise T = floor(epsilon_total / epsilon_m), clamped to
       [2, t_cap].
     """
-    if epsilon_total <= 0.0 or epsilon_m <= 0.0:
-        raise InvalidInputError("budgets must be positive")
+    # Chained comparisons are false for NaN, so these also refuse NaN and inf.
+    if not (0.0 < epsilon_total < math.inf and 0.0 < epsilon_m < math.inf):
+        raise InvalidInputError(
+            f"budgets must be positive and finite, got {epsilon_total} and {epsilon_m}"
+        )
+    t_cap = as_int(t_cap, "t_cap")
     if t_cap < 2:
         raise InvalidInputError(f"t_cap must be >= 2, got {t_cap}")
     if epsilon_total <= 2.0 * epsilon_m:

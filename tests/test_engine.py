@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpkmeans import core, engine
+from dpkmeans import canopy, core, engine
 from dpkmeans.canopy import CanopyParams, select_initial_centroids
 from dpkmeans.core import (
     CentroidSet,
@@ -68,13 +68,19 @@ class TestBlockSpans:
         assert block_spans(n) == [(0, 4096), (4096, 8192), (8192, 8193)]
 
 
+def _boundary(data, n_partitions=1, threads=None, master_seed=0):
+    """A boundary on ``data`` for a run that spends no budget."""
+    config = EngineConfig(n_partitions=n_partitions, threads=threads, master_seed=master_seed)
+    return engine._Boundary(data, config, None)
+
+
 def _one_block_pass(points, centroids):
     """A one-block step pass's counts, sums and squared-distance sum, and the
     labels of a final pass against the same centroids."""
     data = Dataset(points=np.asarray(points, dtype=np.float64), normalized=True)
-    agg = engine._BlockAggregator(data, 1, 1)
+    agg = _boundary(data)
     centroids = np.asarray(centroids, dtype=np.float64)
-    counts, sums, sq_dist = agg.labelling_pass(centroids)
+    counts, sums, sq_dist = agg._statistics(centroids)
     final_sq_dist, labels = agg.final_pass(centroids)
     assert final_sq_dist == sq_dist
     return counts, sums, sq_dist, labels
@@ -188,9 +194,11 @@ class TestReduceCluster:
             counts += c
             sums += s
         for parts in (1, 2, 3):
-            agg = engine._BlockAggregator(data, parts, min(parts, 2))
+            # An empty store: each partition count's step pass reads the data.
+            core._STORES.pop(data, None)
+            agg = _boundary(data, parts, threads=2)
             try:
-                got_counts, got_sums, _ = agg.labelling_pass(centroids)
+                got_counts, got_sums, _ = agg._statistics(centroids)
             finally:
                 agg.close()
             assert np.array_equal(got_counts, counts)
@@ -220,9 +228,10 @@ class TestReduceCluster:
             labels.append(lab)
         assert counts[0] == engine.MAP_BLOCK_ROWS and counts[-1] == 0.0
         for parts in (1, 2, 3):
-            agg = engine._BlockAggregator(data, parts, min(parts, 2))
+            core._STORES.pop(data, None)
+            agg = _boundary(data, parts, threads=2)
             try:
-                got = agg.labelling_pass(centroids)
+                got = agg._statistics(centroids)
                 final = agg.final_pass(centroids)
             finally:
                 agg.close()
@@ -505,17 +514,16 @@ def _count_rows(monkeypatch):
     """
     steps, finals = [], []
     running = []  # the running pass's entry
-    map_block = engine._BlockAggregator._map
+    map_blocks = engine._Boundary._map_blocks
+    map_block = engine._Boundary._map
     counts_and_sums = engine._counts_and_sums
     current = threading.local()
 
-    def counting(passes, labelling_pass):
-        def counting_pass(self, centroids):
-            passes.append(([], [], []))
-            running[:] = passes[-1:]
-            return labelling_pass(self, centroids)
-
-        return counting_pass
+    def counting_pass(self, centroids, probes, final):
+        passes = finals if final else steps
+        passes.append(([], [], []))
+        running[:] = passes[-1:]
+        return map_blocks(self, centroids, probes, final)
 
     def counting_map(self, b, *args):
         running[0][0].append(len(self._blocks[b]))
@@ -530,10 +538,8 @@ def _count_rows(monkeypatch):
         running[0][1].append(len(points))
         return label_points(points, *args)
 
-    aggregator = engine._BlockAggregator
-    monkeypatch.setattr(aggregator, "labelling_pass", counting(steps, aggregator.labelling_pass))
-    monkeypatch.setattr(aggregator, "final_pass", counting(finals, aggregator.final_pass))
-    monkeypatch.setattr(aggregator, "_map", counting_map)
+    monkeypatch.setattr(engine._Boundary, "_map_blocks", counting_pass)
+    monkeypatch.setattr(engine._Boundary, "_map", counting_map)
     monkeypatch.setattr(engine, "_counts_and_sums", counting_sums)
     monkeypatch.setattr(engine, "label_points", counting_labels)
     return steps, finals
@@ -670,11 +676,11 @@ class TestCertificateGate:
 
         def passes():
             core._STORES.pop(data, None)
-            engine._BlockAggregator(data, 1, 1).labelling_pass(c3)
-            agg = engine._BlockAggregator(data, 2, 2)
+            _boundary(data)._statistics(c3)
+            agg = _boundary(data, 2, 2)
             try:
-                got = [agg.labelling_pass(c1), agg.labelling_pass(c2), agg.statistics(c3)]
-                return got + [agg.labelling_pass(c4), agg.final_pass(c4)]
+                got = [agg._statistics(c1), agg._statistics(c2), agg._statistics(c3)]
+                return got + [agg._statistics(c4), agg.final_pass(c4)]
             finally:
                 agg.close()
 
@@ -702,14 +708,15 @@ class TestKeptPartials:
         spans = block_spans(data.n_rows)
         passes, _ = _count_rows(monkeypatch)
         seen = []
-        counted_pass = engine._BlockAggregator.labelling_pass
+        counted_pass = engine._Boundary._map_blocks
 
-        def labelling_pass(self, centroids):
-            tries = [b in self._kept for b in range(len(spans))]
-            seen.append((tries, label_points(data.points, centroids)))
-            return counted_pass(self, centroids)
+        def map_blocks(self, centroids, probes, final):
+            if not final:
+                tries = [b in self._kept for b in range(len(spans))]
+                seen.append((tries, label_points(data.points, centroids)))
+            return counted_pass(self, centroids, probes, final)
 
-        monkeypatch.setattr(engine._BlockAggregator, "labelling_pass", labelling_pass)
+        monkeypatch.setattr(engine._Boundary, "_map_blocks", map_blocks)
         _run_variant(data, 4, Variant.EDPDCS, 1.0)
         kept = 0
         for (_, _, summed), (tries, labels), (_, before) in zip(passes[1:], seen[1:], seen):
@@ -741,8 +748,9 @@ class TestKeptPartials:
         pulled = np.array([[0.25, 0.5], [0.70, 0.5]])
 
         def passes():
-            agg = engine._BlockAggregator(data, 1, 1)
-            got = [agg.labelling_pass(c) for c in (start, nudged, pulled)]
+            core._STORES.pop(data, None)
+            agg = _boundary(data)
+            got = [agg._statistics(c) for c in (start, nudged, pulled)]
             return agg, got + [agg.final_pass(pulled)]
 
         steps, finals = _count_rows(monkeypatch)
@@ -775,12 +783,15 @@ class TestKeptPartials:
         # The second centroid pulled towards the first: in each block the
         # rows near x = 3/4, half of them, are unsure.  Row 21 moves.
         pulled = np.array([[0.25, 0.5], [0.40, 0.5]])
+        # A store that keeps nothing: the third pass, against the first's
+        # centroids, reads the data.
+        monkeypatch.setattr(core, "STORE_BYTES", 0)
 
         def passes():
-            agg = engine._BlockAggregator(data, 1, 1)
+            agg = _boundary(data)
             got, kept = [], []
             for c in (start, pulled, start):
-                got.append(agg.labelling_pass(c))
+                got.append(agg._statistics(c))
                 kept.append([b in agg._kept for b in range(2)])
             return got, kept
 
@@ -811,11 +822,11 @@ class TestKeptPartials:
 
         def passes(n_partitions, workers):
             core._STORES.pop(data, None)
-            agg = engine._BlockAggregator(data, n_partitions, workers)
+            agg = _boundary(data, n_partitions, workers)
             try:
                 got = []
                 for c in centroids:
-                    got.append([v.tobytes() for v in agg.labelling_pass(c)[:2]])
+                    got.append([v.tobytes() for v in agg._statistics(c)[:2]])
                     got.append(sorted(agg._kept))
                 sq_dist, labels = agg.final_pass(centroids[-1])
                 return got + [sq_dist, labels.tobytes(), sorted(agg._kept)]
@@ -836,13 +847,13 @@ class TestKeptPartials:
         # The shape of the benchmark's paper grid: one block of 748 rows.
         steps, finals = _count_rows(monkeypatch)
         aggregators = []
-        counted_close = engine._BlockAggregator.close
+        counted_close = engine._Boundary.close
 
         def close(self):
             aggregators.append(self)
             return counted_close(self)
 
-        monkeypatch.setattr(engine._BlockAggregator, "close", close)
+        monkeypatch.setattr(engine._Boundary, "close", close)
         reports = [
             _run_variant(blood_like, 2, variant, epsilon)[2]
             for variant, epsilon in TestCertificateGate.RUNS
@@ -872,7 +883,7 @@ class TestFinalPass:
     def test_final_pass_neither_probes_nor_stores(self, n_partitions, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
         events = []
-        final_pass = engine._BlockAggregator.final_pass
+        final_pass = engine._Boundary.final_pass
         bounds = engine.certificate_bounds
         put = core._DatasetStore.put
 
@@ -891,7 +902,7 @@ class TestFinalPass:
             events.append(("put", key[0]))
             return put(self, key, value)
 
-        monkeypatch.setattr(engine._BlockAggregator, "final_pass", final)
+        monkeypatch.setattr(engine._Boundary, "final_pass", final)
         monkeypatch.setattr(engine, "certificate_bounds", counting_bounds)
         monkeypatch.setattr(core._DatasetStore, "put", counting_put)
         runs = []
@@ -927,17 +938,13 @@ class TestPassMemo:
         """The centroids' bytes of every pass that reads the data, step or
         final."""
         passes = []
+        map_blocks = engine._Boundary._map_blocks
 
-        def counting(original):
-            def counted(self, centroids):
-                passes.append(centroids.tobytes())
-                return original(self, centroids)
+        def counted(self, centroids, probes, final):
+            passes.append(centroids.tobytes())
+            return map_blocks(self, centroids, probes, final)
 
-            return counted
-
-        for name in ("labelling_pass", "final_pass"):
-            original = getattr(engine._BlockAggregator, name)
-            monkeypatch.setattr(engine._BlockAggregator, name, counting(original))
+        monkeypatch.setattr(engine._Boundary, "_map_blocks", counted)
         return passes
 
     def test_warm_grid_rerun_is_byte_identical_to_cold(self, small_blobs, monkeypatch):
@@ -975,7 +982,13 @@ class TestPassMemo:
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         assert quote in " ".join(readme.split())
 
-    def test_hit_comes_after_the_step_charge(self, small_blobs, monkeypatch):
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    @pytest.mark.parametrize("variant,epsilon", TestCertificateGate.RUNS)
+    def test_every_read_comes_after_its_charge(self, variant, epsilon, n_partitions, monkeypatch):
+        # A charge comes before what it pays for: EDPDCS's "init" before the
+        # canopy pass reads the rows, and each noisy step's charge before its
+        # lookup in the store and, cold, its step pass.
+        data = synthetic_blobs(9000, 3, 4, seed=8)
         events = []
 
         class Ledger(engine.BudgetLedger):
@@ -983,20 +996,47 @@ class TestPassMemo:
                 events.append(("charge", phase))
                 return super().charge(phase, amount)
 
+        map_blocks = engine._Boundary._map_blocks
+        draw_subsample = canopy.draw_subsample
+
+        def reading_pass(self, centroids, probes, final):
+            events.append(("read", "final" if final else "pass"))
+            return map_blocks(self, centroids, probes, final)
+
+        def reading_subsample(*args):
+            events.append(("read", "canopy"))
+            return draw_subsample(*args)
+
         monkeypatch.setattr(engine, "BudgetLedger", Ledger)
-        _store_lookups(monkeypatch, "pass", events)
+        monkeypatch.setattr(engine._Boundary, "_map_blocks", reading_pass)
+        monkeypatch.setattr(canopy, "draw_subsample", reading_subsample)
+        for kind in ("pass", "canopy", "rows"):
+            _store_lookups(monkeypatch, kind, events)
+
+        def expected(report, cold):
+            def lookup(kind):
+                return [("miss", kind), ("read", kind)] if cold else [("hit", kind)]
+
+            want = []
+            if not variant.has_canopy_start:
+                want.append(("miss" if cold else "hit", "rows"))
+            elif epsilon is not None:
+                want += [("charge", "init")] + lookup("canopy")
+            else:
+                want += lookup("canopy")
+            for it in report.iterations[1:]:
+                if epsilon is not None:
+                    want.append(("charge", f"iteration-{it['iteration']}"))
+                want += lookup("pass")
+            return want + [("read", "final")]
+
         runs = []
-        for _ in range(2):
+        for cold in (True, False):
             events.clear()
-            _, _, report = _run_variant(small_blobs, 3, Variant.RF_DPKM, 1.0)
-            runs.append((list(events), report.comparable_json()))
-        (cold, cold_json), (warm, warm_json) = runs
-        assert warm_json == cold_json
-        assert [e for e in cold if e[0] != "charge"] == [("miss", "pass")] * (len(cold) // 2)
-        assert [e for e in warm if e[0] != "charge"] == [("hit", "pass")] * (len(warm) // 2)
-        # The same charges, each just before its step's lookup.
-        assert [e for e in warm if e[0] == "charge"] == [e for e in cold if e[0] == "charge"]
-        assert [e[0] for e in warm] == ["charge", "hit"] * (len(warm) // 2)
+            _, _, report = _run_variant(data, 4, variant, epsilon, n_partitions=n_partitions)
+            assert events == expected(report, cold)
+            runs.append(report.comparable_json())
+        assert runs[0] == runs[1]
 
     def test_entries_are_read_only_statistics_within_the_bound(self, small_blobs, monkeypatch):
         compare_variants(small_blobs, 3, [0.5, 1.0], n_seeds=2)
@@ -1034,18 +1074,17 @@ class TestPassMemo:
         centroids = [rng.random((3, 2)) for _ in range(12)]
         want = []
         for c in centroids:
-            agg = engine._BlockAggregator(data, 1, 1)
-            want.append(agg.labelling_pass(c))
+            want.append(_boundary(data)._statistics(c))
         _, one = core._STORES.pop(data).entries[engine._pass_key(centroids[0])]
         monkeypatch.setattr(core, "STORE_BYTES", 4 * one)
         errors = []
 
         def worker(offset):
-            agg = engine._BlockAggregator(data, 1, 1)
+            agg = _boundary(data)
             try:
                 for i in range(60):
                     j = (i * 5 + offset) % len(centroids)
-                    got = agg.statistics(centroids[j])
+                    got = agg._statistics(centroids[j])
                     if not (
                         np.array_equal(got[0], want[j][0])
                         and np.array_equal(got[1], want[j][1])
@@ -1077,13 +1116,13 @@ class TestRandomRowStart:
             data = synthetic_blobs(n, 2, 1, seed=master_seed)
             seed = derive_stream_seed(master_seed, 0, 1)
             want = np.random.Generator(np.random.PCG64(seed)).choice(n, k, replace=False)
-            start = engine._random_row_centroids(data, k, master_seed)
+            start = _boundary(data, master_seed=master_seed).random_rows(k)
             assert np.array_equal(start, data.points[np.sort(want)])
             (idx,) = core._STORES[data].get(("rows", k, master_seed))
             assert np.array_equal(idx, np.sort(want))
 
     def test_memo_is_read_only_and_start_is_a_fresh_copy(self, small_blobs):
-        start = engine._random_row_centroids(small_blobs, 3, 11)
+        start = _boundary(small_blobs, master_seed=11).random_rows(3)
         (idx,) = core._STORES[small_blobs].get(("rows", 3, 11))
         assert not idx.flags.writeable
         assert start.shape == (3, small_blobs.n_dims) and start.flags.writeable

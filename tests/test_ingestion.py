@@ -380,6 +380,26 @@ class TestNormalize:
         out, _ = normalize(Dataset(points=pts))
         assert np.array_equal(out.points, pts)
 
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(float("nan"), float("nan")), (0.0, float("nan")), (0.0, float("inf"))],
+        ids=["nan-nan", "zero-nan", "zero-inf"],
+    )
+    def test_non_finite_preset_range_refused(self, lo, hi):
+        # Each passed hi < lo and mapped the column to all 0.5 or all 0.0.
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            ColumnSpec(index=0, name="x", lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("index", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_column_index_refused(self, index):
+        # 1.5 raised numpy's TypeError from loadtxt; True read column 1.
+        with pytest.raises(InvalidInputError, match="column index must be an integer"):
+            ColumnSpec(index=index, name="x")
+
+    def test_numpy_integer_column_index_is_stored_as_int(self):
+        spec = ColumnSpec(index=np.int64(2), name="x")
+        assert spec.index == 2 and type(spec.index) is int
+
     def test_spec_count_mismatch_rejected(self):
         data = Dataset(points=np.array([[1.0, 2.0]]))
         with pytest.raises(InvalidInputError):
@@ -460,3 +480,19 @@ class TestSyntheticBlobs:
             synthetic_blobs(10, 2, 0, seed=0)
         with pytest.raises(InvalidInputError):
             synthetic_blobs(10, 2, 2, seed=0, weights=[1.0])
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_weight_refused(self, weight):
+        # Each raised numpy's "Probabilities contain NaN" from choice.
+        with pytest.raises(InvalidInputError, match="weights must be positive, one per center"):
+            synthetic_blobs(10, 2, 2, seed=0, weights=[weight, 1.0])
+
+    @pytest.mark.parametrize("spread", [float("inf"), float("nan"), -0.1])
+    def test_spread_must_be_finite_and_non_negative(self, spread):
+        # An infinite spread returned the cube's corners, clipped.
+        with pytest.raises(InvalidInputError, match="spread must be >= 0 and finite"):
+            synthetic_blobs(10, 2, 2, seed=0, spread=spread)
+
+    def test_zero_spread_puts_every_row_on_its_center(self):
+        data = synthetic_blobs(50, 2, 2, seed=0, spread=0.0)
+        assert len(np.unique(data.points, axis=0)) <= 2

@@ -105,3 +105,61 @@ def test_every_private_helper_has_a_caller_in_the_package():
     # function and class is used by the package's own code.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced(sources) == []
+
+
+def _raw_reads(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """``(module.scope, what)`` of each place in ``sources`` that names a
+    dataset's rows, ``.points``, or calls ``dataset_store``; the scope is the
+    module-level function or class it lies in, or ``<module>``."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            scope = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "points":
+                    found.add((f"{module}.{scope}", ".points"))
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", None) or getattr(func, "id", None)
+                    if name == "dataset_store":
+                        found.add((f"{module}.{scope}", "dataset_store"))
+    return found
+
+
+def test_raw_reads_are_found_in_their_scope():
+    sources = {
+        "a": (
+            "class _B:\n    def f(self, d):\n        return d.points[0]\n"
+            "def g(d):\n    return dataset_store(d)\n"
+            "def h(d):\n    return core.dataset_store(d).get(d.n_rows)\n"
+            "def dataset_store(d):\n    return d\n"
+            "x = data.points\n"
+        ),
+        "b": "def i(d, points):\n    return Dataset(points=points)\n",
+    }
+    assert _raw_reads(sources) == {
+        ("a._B", ".points"),
+        ("a.g", "dataset_store"),
+        ("a.h", "dataset_store"),
+        ("a.<module>", ".points"),
+    }
+
+
+#: Where the package reads a dataset's rows, or its store of exact
+#: statistics of them.  In the engine only the run's boundary does; the
+#: canopy start reads its subsample and keeps its summary itself.
+RAW_READERS = {
+    ("engine._Boundary", ".points"),
+    ("engine._Boundary", "dataset_store"),
+    ("core.Dataset", ".points"),
+    ("core.assign_labels", ".points"),
+    ("ingestion.normalize", ".points"),
+    ("evaluation.nicv", ".points"),
+    ("canopy.draw_subsample", ".points"),
+    ("canopy._canopy_summary", "dataset_store"),
+}
+
+
+def test_raw_rows_are_read_only_where_listed():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _raw_reads(sources) == RAW_READERS

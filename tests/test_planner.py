@@ -134,6 +134,21 @@ class TestIterationCount:
         with pytest.raises(InvalidInputError):
             iteration_count(1.0, 1.0, t_cap=1)
 
+    @pytest.mark.parametrize(
+        "eps,eps_m",
+        [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)],
+        ids=["nan-total", "inf-total", "nan-minimum", "inf-minimum"],
+    )
+    def test_non_finite_budget_refused(self, eps, eps_m):
+        # NaN raised ValueError and inf OverflowError from int(floor(...)).
+        with pytest.raises(InvalidInputError, match="budgets must be positive and finite"):
+            iteration_count(eps, eps_m)
+
+    def test_non_integer_t_cap_refused(self):
+        # t_cap=2.5 returned T = 2.5.
+        with pytest.raises(InvalidInputError, match="t_cap must be an integer"):
+            iteration_count(1.0, 0.1, t_cap=2.5)
+
 
 class TestMakePlan:
     def test_uniform_split(self):
