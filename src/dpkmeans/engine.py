@@ -295,8 +295,9 @@ def _certified_sq_dist(
         fresh = label_points(points[unsure], centroids, points.shape[1])
         moved = fresh != labels[unsure]
         rows = unsure[moved]
-        labels[rows] = fresh[moved]
-        diff[rows] = _squared_differences(points[rows], centroids, fresh[moved])
+        if rows.size:
+            labels[rows] = fresh[moved]
+            diff[rows] = _squared_differences(points[rows], centroids, fresh[moved])
     certified = unsure.size <= (1.0 - CERTIFY_SHARE) * len(points)
     return float(diff.sum()), rows.size > 0, certified
 

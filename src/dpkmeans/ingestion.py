@@ -84,19 +84,24 @@ def load_csv(
     error, reported with its line number.
 
     One pass over the file yields the lines to keep, and one
-    ``np.loadtxt`` call parses their feature columns in C.  Only lines
-    holding ``?`` or ``"`` are split with :mod:`csv` on the way, to decide
-    whether they are blank or dropped.  When the bulk parse refuses the
-    file, a second pass splits every line and raises at the first one that
-    the same per-record check refuses.  Numbers are read as by ``float``,
-    except that a token with ``_`` digit groups or non-ASCII characters is
-    refused, as is a quoted field that spans lines.  The file is read as
-    UTF-8, and a byte sequence that is not UTF-8 is refused with its line
-    number.  A UTF-8 byte-order mark at the start of the file is skipped.
+    ``np.loadtxt`` call parses their feature columns in C, which checks the
+    numbers of every kept line once.  Lines are split on the way only to
+    decide whether to keep them: a line holding ``"`` with :mod:`csv`, and
+    any other line holding ``?`` with ``str.split``.  A line with ``?`` in a
+    feature field is dropped once its feature fields before the ``?``, in
+    column order, are checked.  When the bulk parse refuses the file, a
+    second pass splits every line with :mod:`csv` and raises at the first
+    one that the same per-record check refuses, naming its line.  Numbers
+    are read as by ``float``, except that a token with ``_`` digit groups
+    or non-ASCII characters is refused, as is a quoted field that spans
+    lines.  The file is read as UTF-8, and a byte sequence that is not
+    UTF-8 is refused with its line number.  A UTF-8 byte-order mark at the
+    start of the file is skipped.
     """
     if not columns:
         raise InvalidInputError("need at least one feature column")
-    max_index = max(c.index for c in columns)
+    usecols = [c.index for c in columns]
+    max_index = max(usecols)
     rows_dropped = 0
 
     def dropped(record: list[str], line_no: int) -> bool:
@@ -124,10 +129,19 @@ def load_csv(
                 )
         return False
 
+    def incomplete(record: list[str]) -> bool:
+        """True when a record is short or holds ``?`` in a feature field."""
+        if len(record) <= max_index:
+            return True
+        for i in usecols:
+            if record[i].strip() == _MISSING_TOKEN:
+                return True
+        return False
+
     def kept_lines(fh: TextIO, split_every_line: bool) -> Iterator[str]:
         nonlocal rows_dropped
         for line_no, line in enumerate(fh, start=1):
-            if split_every_line or _MISSING_TOKEN in line or '"' in line:
+            if split_every_line or '"' in line:
                 record = next(csv.reader([line]))
                 if record and record[-1].endswith("\n"):
                     raise CsvFormatError(f"{path}:{line_no}: quoted field spans lines")
@@ -138,8 +152,16 @@ def load_csv(
                 if dropped(record, line_no):
                     rows_dropped += 1
                     continue
-            elif (has_header and line_no == 1) or not line.strip():
+            elif (has_header and line_no == 1) or line.isspace():
                 continue
+            elif _MISSING_TOKEN in line:
+                # Without quotes, csv gives the line these fields, bar the
+                # "\n" that .strip() drops.  A line with every feature field
+                # present is kept unchecked: the bulk parse reads its numbers.
+                record = line.split(",")
+                if incomplete(record) and dropped(record, line_no):
+                    rows_dropped += 1
+                    continue
             yield line
 
     # Universal newlines end every line in "\n", as csv ends its records.
@@ -159,7 +181,7 @@ def load_csv(
                     dtype=np.float64,
                     delimiter=",",
                     comments=None,
-                    usecols=[c.index for c in columns],
+                    usecols=usecols,
                     quotechar='"',
                     ndmin=2,
                 )
@@ -232,13 +254,13 @@ def normalize(
         los[j], his[j] = lo, hi
         out_cols.append(replace(spec, lo=lo, hi=hi))
 
-    span = his - los
-    safe = np.where(span > 0.0, span, 1.0)
-    scaled = (pts - los) / safe
+    span = his - los  # never negative: every range has lo <= hi
+    scaled = pts - los
+    scaled /= np.where(span > 0.0, span, 1.0)
     # Degenerate (constant) columns carry no information; park them at the
     # middle of the range so sensitivity bounds stay valid.
-    scaled = np.where(span > 0.0, scaled, 0.5)
-    scaled = np.clip(scaled, 0.0, 1.0)  # guard the exact endpoints
+    scaled[:, span == 0.0] = 0.5
+    np.clip(scaled, 0.0, 1.0, out=scaled)  # guard the exact endpoints
     return (
         Dataset(points=scaled, normalized=True, source_label=data.source_label),
         out_cols,

@@ -31,11 +31,18 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+import dpkmeans
 from dpkmeans.canopy import CanopyParams
 from dpkmeans.core import CentroidSet
 from dpkmeans.engine import (
@@ -205,6 +212,47 @@ def test_matches_golden(shape, variant, n_partitions):
         assert math.isclose(g.pop("nicv_after"), w.pop("nicv_after"), rel_tol=NICV_RTOL)
         assert g == w
     assert got == want
+
+
+#: Turns numpy's AVX-512 dispatch off, so that ``np.log`` runs its AVX2
+#: kernel.  The two kernels differ by one ulp on some inputs, and the
+#: noise of the run below passes such an input to ``np.log``.  Turning off
+#: AVX512_SPR and AVX512_ICL alone leaves its bytes as they are.
+_AVX512_OFF = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _dispatch_case_sha256() -> str:
+    """The sha256 of an RU_DPKM run whose noise hits a differing ``np.log``."""
+    _, _, report = run_baseline(
+        synthetic_blobs(748, 4, 2, seed=1),
+        2,
+        3.0,
+        EngineConfig(variant=Variant.RU_DPKM, master_seed=14),
+    )
+    return hashlib.sha256(report.comparable_json().encode()).hexdigest()
+
+
+@pytest.mark.skipif("X86_V4" not in __cpu_features__, reason="no X86_V4 dispatch to turn off")
+@pytest.mark.xfail(__cpu_features__.get("X86_V4", False), strict=True, reason="ROADMAP item 16")
+def test_released_bytes_do_not_depend_on_numpy_cpu_dispatch():
+    # The child imports this module from the same paths; only its
+    # environment turns the dispatch off.
+    paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(dpkmeans.__file__))]
+    code = (
+        f"import sys; sys.path[:0] = {paths!r}; import test_golden as t;"
+        " print(t.__cpu_features__['X86_V4'], t._dispatch_case_sha256())"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX512_OFF),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    x86_v4, sha256 = child.stdout.split()
+    assert x86_v4 == "False"
+    assert sha256 == _dispatch_case_sha256()
 
 
 def _record(shapes) -> None:

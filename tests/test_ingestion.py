@@ -253,6 +253,10 @@ class TestLoadCsvAgainstReference:
             "?,2,3,4,0\n1,2,3,4,?\n",
             "1,2,3,4\n",
             "1,2,3,4,0\n1,2,x,?,0\n",
+            "1,x,3,?,0\n",
+            "1,?,x,4,0\n1,2,3,4,0\n",
+            "1,2,3,4,?\n",
+            "a,b,c,d,is it?\n1,2,3,4,0\n",
         ],
     )
     def test_fixed_files(self, tmp_path, text):
@@ -302,10 +306,11 @@ class TestByteOrderMark:
 class TestLoadCsvRefusals:
     """Inputs ``float`` and ``csv`` accept but the bulk parser does not read."""
 
+    @pytest.mark.parametrize("label", ["0", "?"])
     @pytest.mark.parametrize("token", ["1_000", "\u0663", "\uff11.5"])
-    def test_number_syntax_outside_ascii_decimal(self, tmp_path, token):
+    def test_number_syntax_outside_ascii_decimal(self, tmp_path, token, label):
         path = tmp_path / "syntax.csv"
-        path.write_text(f"1,2,3,4,0\n1,{token},3,4,0\n", encoding="utf-8")
+        path.write_text(f"1,2,3,4,0\n1,{token},3,4,{label}\n", encoding="utf-8")
         assert float(token) > 0  # the old loop read it
         with pytest.raises(
             CsvFormatError,
