@@ -5,8 +5,8 @@ The package is organized around a small pipeline:
 - :mod:`dpkmeans.ingestion` loads CSV data and min-max normalizes features,
 - :mod:`dpkmeans.planner` turns a total privacy budget into a per-iteration
   allocation with a closed-form iteration count,
-- :mod:`dpkmeans.canopy` picks initial centroids from noisy canopy
-  pre-clusters,
+- :mod:`dpkmeans.canopy` finds the canopy pre-clusters that seed the
+  initial centroids,
 - :mod:`dpkmeans.engine` runs partitioned Lloyd iterations with Laplace
   noise injected at the reduce step and reports each run,
 - :mod:`dpkmeans.evaluation` scores runs (NICV) and drives multi-variant

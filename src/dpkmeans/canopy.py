@@ -1,29 +1,24 @@
-"""Canopy pre-clustering and noisy initial-centroid selection.
+"""Canopy pre-clustering: the data-only part of the initial-centroid selection.
 
-Cheap single-pass canopy clustering on a subsample proposes candidate
-regions; the k most populated canopies seed the k-means run.  Under
-differential privacy each seed centroid is the ratio of a noisy coordinate
-sum to a noisy member count over the canopy's tight members, so the
-initialization pass consumes one iteration's worth of budget exactly like
-a Lloyd step.  Every seed of the start derives from the run's master seed:
-the subsample draw from stream (0, 0), the random fill from (0, 1) and the
-noise from (1, 0).
+Cheap single-pass canopy clustering over the rows it is given proposes
+candidate regions; the k most populated canopies seed the k-means run.
+This module only computes: the run's boundary
+(:meth:`dpkmeans.engine._Boundary.canopy_start`) draws the subsample,
+keeps the result in the dataset's store, and turns the canopies' exact
+tight counts and sums into centroids, with noise under differential
+privacy.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dpkmeans.core import Dataset, InvalidInputError, as_int, dataset_store, rounding_margin
-from dpkmeans.mechanism import derive_stream_seed, noisy_mean, stream_unit_noise
-
-logger = logging.getLogger(__name__)
+from dpkmeans.core import InvalidInputError, as_int, rounding_margin
 
 #: Default cap on how many rows the canopy pass looks at.
 DEFAULT_SUBSAMPLE_SIZE = 20_000
@@ -79,8 +74,8 @@ class Canopy:
     tight_member_indices: np.ndarray
 
 
-class _CanopySummary(NamedTuple):
-    """The data-only part of the canopy start, shared by runs (no noise).
+class CanopySummary(NamedTuple):
+    """The data-only part of the canopy start (no noise).
 
     Attributes:
         halvings: How many times the radii were halved.
@@ -89,8 +84,8 @@ class _CanopySummary(NamedTuple):
             halving runs to the end, while the first pass stops once its
             top k are settled.
         counts: Exact tight member counts of the top min(k, n_canopies)
-            canopies in rank order (read-only).
-        sums: Their exact tight coordinate sums, one row each (read-only).
+            canopies in rank order.
+        sums: Their exact tight coordinate sums, one row each.
     """
 
     halvings: int
@@ -218,42 +213,17 @@ def run_canopy(
     return sorted(canopies, key=lambda canopy: -canopy.size)
 
 
-def draw_subsample(data: Dataset, subsample_size: int, seed: int | None) -> np.ndarray:
-    """Rows of a uniform subsample without replacement, in dataset order.
+def select_initial_centroids(points: np.ndarray, k: int, params: CanopyParams) -> CanopySummary:
+    """The data-only part of the canopy start over ``points``, the rows it
+    is given: no draw, no noise and no store.
 
-    When the dataset is no larger than the requested size the whole dataset
-    is returned and no randomness is used.
+    Derives or takes the radii, runs the canopy pass and halves the radii
+    while it yields fewer than k canopies, up to ``_MAX_THRESHOLD_RETRIES``
+    times.  Returns the halving count, the canopy count and the exact tight
+    member counts and sums of the top min(k, canopies found) canopies.
     """
-    n = data.n_rows
-    if subsample_size >= n:
-        return data.points
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return data.points[np.sort(rng.choice(n, size=subsample_size, replace=False))]
-
-
-def _canopy_summary(
-    data: Dataset, k: int, params: CanopyParams, master_seed: int
-) -> _CanopySummary:
-    """The canopy pass's outcome for ``data``, computed once per key.
-
-    Draws the subsample, derives or takes the radii, runs the canopy pass
-    and halves the radii while it yields fewer than k canopies, up to
-    ``_MAX_THRESHOLD_RETRIES`` times.  The result depends only on the data,
-    k, the radii, the subsample size and, when the subsample is smaller
-    than the data, the subsample seed, stream (0, 0) of ``master_seed``;
-    later calls with the same dataset object and those values return the
-    summary kept in its store, until the store drops it.
-    """
-    seed = None
-    if params.subsample_size < data.n_rows:
-        seed = derive_stream_seed(master_seed, 0, 0)
-    store = dataset_store(data)
-    key = ("canopy", params.subsample_size, seed, params.t1, params.t2, k)
-    summary = store.get(key)
-    if summary is not None:
-        return summary
-
-    points = draw_subsample(data, params.subsample_size, seed)
+    if k < 1:
+        raise InvalidInputError(f"k must be >= 1, got {k}")
     if params.t1 is not None:
         t1, t2 = float(params.t1), float(params.t2)
     else:
@@ -269,76 +239,4 @@ def _canopy_summary(
     chosen = canopies[:k]
     counts = np.array([c.tight_member_indices.shape[0] for c in chosen], np.float64)
     sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in chosen])
-    return store.put(key, _CanopySummary(halvings, len(canopies), counts, sums))
-
-
-def select_initial_centroids(
-    data: Dataset,
-    k: int,
-    params: CanopyParams,
-    master_seed: int,
-    epsilon_share: float | None = None,
-) -> tuple[np.ndarray, int, list[str]]:
-    """Pick k starting centroids from the most populated canopies.
-
-    Returns the (k, d) start, the number of noise draws it took and the
-    notes it made.
-
-    The canopies come from :func:`_canopy_summary`.  Given an
-    ``epsilon_share``, the centroids are the
-    :func:`~dpkmeans.mechanism.noisy_mean` of their tight members at that
-    per-statistic share.  Their noise is one sequential stream, (1, 0) of
-    ``master_seed``: d + 1 draws per canopy (count first, then
-    coordinates), in canopy rank order.  Without a share the exact
-    tight-member means are used.
-
-    When fewer than k canopies remain after the radius halving, the
-    missing centroids are filled with uniform draws over the unit cube,
-    seeded by stream (0, 1) of ``master_seed``, and a note is recorded.
-
-    Args:
-        data: Normalized dataset (required: noise scales assume [0, 1]).
-        k: Number of centroids.
-        params: Canopy tuning.
-        master_seed: The run's master seed; every seed of the start derives
-            from it.
-        epsilon_share: Budget share protecting each count and each sum, or
-            None for exact canopy means (no budget spent).
-    """
-    if not data.normalized:
-        raise InvalidInputError("initial centroid selection requires normalized data")
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-
-    summary = _canopy_summary(data, k, params, master_seed)
-    notes: list[str] = []
-    if summary.halvings:
-        notes.append(
-            f"canopy radii halved {summary.halvings}x to reach "
-            f"{summary.n_canopies} canopies"
-        )
-
-    found, d = summary.sums.shape
-    draws = 0
-    if epsilon_share is not None:
-        stream = stream_unit_noise(master_seed, 1, 1, k * (d + 1))[0].reshape(k, d + 1)
-        rows = noisy_mean(summary.counts, summary.sums, epsilon_share, stream[:found])
-        draws = found * (d + 1)
-    else:
-        # Bit for bit the mean of the tight rows, as ``mean`` also divides
-        # their sum by their number.
-        rows = summary.sums / summary.counts[:, None]
-
-    if found < k:
-        missing = k - found
-        fill_seed = derive_stream_seed(master_seed, 0, 1)
-        fill = np.random.Generator(np.random.PCG64(fill_seed)).random((missing, d))
-        rows = np.vstack([rows, fill])
-        notes.append(f"filled {missing} centroid(s) with uniform random points")
-        logger.warning(
-            "canopy pass produced %d < k=%d canopies; filled remainder randomly",
-            found,
-            k,
-        )
-
-    return rows, draws, notes
+    return CanopySummary(halvings, len(canopies), counts, sums)

@@ -12,8 +12,9 @@ used, results are bit-for-bit identical across partition counts -- the
 partition count only controls how blocks are grouped onto threads.
 
 After set-up, every read of the raw rows goes through the run's
-:class:`_Boundary`, which holds the run's budget ledger and the dataset's
-store (:func:`~dpkmeans.core.dataset_store`).
+:class:`_Boundary`, which holds the run's budget ledger, draws every one of
+its random streams and keeps the dataset's store
+(:func:`~dpkmeans.core.dataset_store`).
 
 One function, ``_run_lloyd``, runs all four variants: it checks which
 inputs the variant takes, sets the run up and runs the one Lloyd loop.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import math
 import mmap
 import os
@@ -82,6 +84,8 @@ RU_MAX_ITERS = 10
 RU_SHIFT_TOL = 1e-4
 #: Exact Lloyd stops once no centroid moves further than this.
 NONPRIVATE_SHIFT_TOL = 1e-9
+
+logger = logging.getLogger(__name__)
 
 
 class Variant(str, Enum):
@@ -315,6 +319,19 @@ class _Boundary:
     or evaluator-only; one that spends budget charges the ledger before it
     reads the rows or the store's exact statistics of them.
 
+    It is also the one place that keys on the master seed.  Each purpose
+    draws from its stream (i, j), seeded by
+    :func:`~dpkmeans.mechanism.derive_stream_seed`:
+
+    - (0, 0): the canopy start's subsample, when smaller than the data;
+    - (0, 1): the canopy start's random fill, and the random-row start;
+    - (1, 0): the EDPDCS start's noise;
+    - (t, j): step t's noise for cluster j.
+
+    Two streams serve two purposes each, a known flaw (ROADMAP item 1):
+    (0, 1), and (1, 0), which is also step 1's cluster 0 of RF_DPKM and
+    RU_DPKM.
+
     The block views, the thread pool if any and the rows' candidate labels
     are the run's own.  Each pass computes only what its caller reads: a
     step pass (:meth:`_statistics`) the counts, sums and squared-distance
@@ -371,15 +388,57 @@ class _Boundary:
     def canopy_start(
         self, k: int, params: CanopyParams, epsilon: float | None
     ) -> tuple[np.ndarray, int, list[str]]:
-        """Released: the canopy start's centroids, noise draws and notes
-        (:func:`~dpkmeans.canopy.select_initial_centroids`).  Given an
-        ``epsilon``, it charges ``"init"`` before the canopy pass reads the
-        rows, at epsilon / (d + 1) per statistic; without one it is exact."""
+        """Released: the canopy start's (k, d) centroids, noise draws and
+        notes.  Given an ``epsilon``, it charges ``"init"`` before it reads
+        the rows, and releases the :func:`~dpkmeans.mechanism.noisy_mean` of
+        the top canopies' tight members at epsilon / (d + 1) per statistic,
+        d + 1 draws per canopy in rank order; without one, their exact means.
+        :func:`~dpkmeans.canopy.select_initial_centroids` summarizes a
+        uniform subsample, in dataset order, when it is smaller than the
+        data, and all rows otherwise; the store keeps the summary under what
+        it depends on.  Missing canopies are uniform points in the cube."""
         share = None
         if epsilon is not None:
             self.ledger.charge("init", epsilon)
             share = epsilon / (self._data.n_dims + 1)
-        return select_initial_centroids(self._data, k, params, self._seed, share)
+        n = self._data.n_rows
+        seed = None
+        if params.subsample_size < n:
+            seed = derive_stream_seed(self._seed, 0, 0)
+        key = ("canopy", params.subsample_size, seed, params.t1, params.t2, k)
+        summary = self._store.get(key)
+        if summary is None:
+            points = self._data.points
+            if seed is not None:
+                rng = np.random.Generator(np.random.PCG64(seed))
+                points = points[np.sort(rng.choice(n, size=params.subsample_size, replace=False))]
+            summary = self._store.put(key, select_initial_centroids(points, k, params))
+
+        notes = []
+        if summary.halvings:
+            notes.append(
+                f"canopy radii halved {summary.halvings}x to reach "
+                f"{summary.n_canopies} canopies"
+            )
+        found, d = summary.sums.shape
+        draws = 0
+        if share is not None:
+            noise = stream_unit_noise(self._seed, 1, 1, k * (d + 1))[0].reshape(k, d + 1)
+            rows = noisy_mean(summary.counts, summary.sums, share, noise[:found])
+            draws = found * (d + 1)
+        else:
+            # Bit for bit the mean of the tight rows, as ``mean`` also divides
+            # their sum by their number.
+            rows = summary.sums / summary.counts[:, None]
+        if found < k:
+            fill_seed = derive_stream_seed(self._seed, 0, 1)
+            fill = np.random.Generator(np.random.PCG64(fill_seed)).random((k - found, d))
+            rows = np.vstack([rows, fill])
+            notes.append(f"filled {k - found} centroid(s) with uniform random points")
+            logger.warning(
+                "canopy pass produced %d < k=%d canopies; filled remainder randomly", found, k
+            )
+        return rows, draws, notes
 
     def random_rows(self, k: int) -> np.ndarray:
         """Released and uncharged, a known leak: copies of k distinct rows,
@@ -600,11 +659,14 @@ def _run_lloyd(
                 "planner inputs (N, d, k) do not match the dataset and k supplied"
             )
     if initial_centroids is not None:
-        shape = initial_centroids.centroids.shape
-        if shape != (k, data.n_dims):
+        given = initial_centroids.centroids
+        if given.shape != (k, data.n_dims):
             raise InvalidInputError(
-                f"initial centroids have shape {shape}, expected ({k}, {data.n_dims})"
+                f"initial centroids have shape {given.shape}, expected ({k}, {data.n_dims})"
             )
+        # Like every centroid the engine makes, so every NICV stays finite.
+        if not ((given >= 0.0) & (given <= 1.0)).all():
+            raise InvalidInputError("initial centroids must lie in the unit cube [0, 1]^d")
     if not variant.spends_epsilon:
         if epsilon is not None:
             raise InvalidInputError(f"{variant.value} spends no budget; pass epsilon=None")

@@ -78,8 +78,8 @@ def load_csv(
 ) -> LoadResult:
     """Load the given columns of a CSV file into a raw dataset.
 
-    Each spec in ``columns`` is one feature; columns it does not list are
-    never parsed.  Rows holding ``?`` in any feature column are dropped
+    Each spec in ``columns`` is one feature, each at its own column index;
+    columns it does not list are never parsed.  Rows holding ``?`` in any feature column are dropped
     and counted in the result.  Any other non-numeric feature value is an
     error, reported with its line number.
 
@@ -101,6 +101,9 @@ def load_csv(
     if not columns:
         raise InvalidInputError("need at least one feature column")
     usecols = [c.index for c in columns]
+    repeated = [index for n, index in enumerate(usecols) if index in usecols[:n]]
+    if repeated:
+        raise InvalidInputError(f"column index {repeated[0]} is given more than once")
     max_index = max(usecols)
     rows_dropped = 0
 

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpkmeans import canopy, core
+from dpkmeans import canopy, core, engine
 from dpkmeans.canopy import (
     CanopyParams,
-    _canopy_summary,
     default_thresholds,
-    draw_subsample,
     run_canopy,
     select_initial_centroids,
 )
@@ -80,10 +78,30 @@ def _canopy_inputs(draw):
     return points, t1, t2
 
 
-def _huge_budget_share(n_rows, n_dims, k):
+def _huge_budget(n_rows, n_dims, k):
+    """The start's share of a budget of 1e12, where its noise vanishes."""
     return make_plan(
         PlannerInputs(n_rows=n_rows, n_dims=n_dims, k=k, epsilon_total=1e12)
-    ).epsilon_dim
+    ).epsilon_per_iter
+
+
+def _clumps():
+    # Two clumps that the radii t1=0.5, t2=0.4 merge; halving twice splits them.
+    rng = np.random.Generator(np.random.PCG64(7))
+    return np.vstack([0.45 + 0.01 * rng.random((30, 2)), 0.55 + 0.01 * rng.random((30, 2))])
+
+
+def _given_rows(monkeypatch):
+    """The rows each call of the engine's ``select_initial_centroids`` was given."""
+    handed = []
+    real = engine.select_initial_centroids
+
+    def recorded(points, k, params):
+        handed.append(points)
+        return real(points, k, params)
+
+    monkeypatch.setattr(engine, "select_initial_centroids", recorded)
+    return handed
 
 
 class TestRunCanopy:
@@ -243,35 +261,64 @@ class TestDefaultThresholds:
             default_thresholds(np.zeros((1, 2)))
 
 
-class TestDrawSubsample:
-    def test_small_data_passes_through(self):
-        data = Dataset(points=THREE_POINTS, normalized=True)
-        assert np.array_equal(draw_subsample(data, 10, seed=0), THREE_POINTS)
+def _start(data, k, params, seed, epsilon=None):
+    """The canopy start of a run at master seed ``seed`` over ``data``, given
+    ``epsilon`` for the start or exact: its centroids, draws and notes."""
+    boundary = engine._Boundary(data, EngineConfig(master_seed=seed), epsilon)
+    return boundary.canopy_start(k, params, epsilon)
 
-    def test_subsample_is_sorted_unique_and_seeded(self):
+
+class TestSelectInitialCentroids:
+    """The data-only part of the start, over the rows it is given."""
+
+    def test_summarizes_the_top_k_tight_sets_of_the_rows_given(self):
+        summary = select_initial_centroids(THREE_POINTS, 2, CanopyParams(t1=0.2, t2=0.1))
+        assert (summary.halvings, summary.n_canopies) == (0, 2)
+        assert summary.counts.tolist() == [2.0, 1.0]
+        assert np.array_equal(summary.sums, [[0.05, 0.0], [0.9, 0.9]])
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(InvalidInputError, match="k must be >= 1"):
+            select_initial_centroids(THREE_POINTS, 0, CanopyParams())
+
+
+class TestCanopyStart:
+    """The start the run's boundary makes from the summary: subsample,
+    store, noise and fill."""
+
+    def test_small_data_is_summarized_whole_without_a_draw(self, monkeypatch):
+        # No larger than the subsample: every row, in order, whatever the seed.
+        handed = _given_rows(monkeypatch)
+        params = CanopyParams(t1=0.2, t2=0.1, subsample_size=10)
+        a, _, _ = _start(Dataset(points=THREE_POINTS, normalized=True), 2, params, seed=0)
+        b, _, _ = _start(Dataset(points=THREE_POINTS, normalized=True), 2, params, seed=5)
+        assert np.array_equal(a, b)
+        assert len(handed) == 2
+        assert all(np.array_equal(rows, THREE_POINTS) for rows in handed)
+
+    def test_subsample_is_sorted_unique_and_seeded(self, monkeypatch):
         # Row i is i / n, so rows drawn once each in dataset order increase
         # strictly.
         rows = np.arange(500.0)[:, None] / 500
-        data = Dataset(points=rows, normalized=True)
-        pts_a = draw_subsample(data, 100, seed=9)
-        pts_b = draw_subsample(data, 100, seed=9)
+        handed = _given_rows(monkeypatch)
+        for _ in range(2):
+            _start(Dataset(points=rows, normalized=True), 1, CanopyParams(subsample_size=100), 9)
+        pts_a, pts_b = handed
         assert pts_a.shape == (100, 1)
         assert np.array_equal(pts_a, pts_b)
         assert np.all(np.diff(pts_a[:, 0]) > 0)
         assert np.isin(pts_a, rows).all()
 
-
-class TestSelectInitialCentroids:
     def test_exact_mean_in_vanishing_noise_limit(self):
         data = Dataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), normalized=True)
         params = CanopyParams(t1=10.0, t2=10.0)
-        start, _, _ = select_initial_centroids(data, 1, params, 1, _huge_budget_share(2, 2, 1))
+        start, _, _ = _start(data, 1, params, 1, _huge_budget(2, 2, 1))
         assert start[0] == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_three_point_example_near_tight_means(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
         params = CanopyParams(t1=0.2, t2=0.1)
-        got, draws, _ = select_initial_centroids(data, 2, params, 2, _huge_budget_share(3, 2, 2))
+        got, draws, _ = _start(data, 2, params, 2, _huge_budget(3, 2, 2))
         assert got[0] == pytest.approx([0.025, 0.0], abs=1e-3)
         assert got[1] == pytest.approx([0.9, 0.9], abs=1e-3)
         assert draws == 2 * (2 + 1)
@@ -280,7 +327,7 @@ class TestSelectInitialCentroids:
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
-        _, draws, _ = select_initial_centroids(small_blobs, 3, CanopyParams(), 3, plan.epsilon_dim)
+        _, draws, _ = _start(small_blobs, 3, CanopyParams(), 3, plan.epsilon_per_iter)
         assert draws == 3 * (3 + 1)
 
     def test_deterministic_given_seed(self, small_blobs):
@@ -288,38 +335,40 @@ class TestSelectInitialCentroids:
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
         )
         params = CanopyParams(subsample_size=100)
-        a, _, _ = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
-        b, _, _ = select_initial_centroids(small_blobs, 3, params, 8, plan.epsilon_dim)
+        a, _, _ = _start(small_blobs, 3, params, 8, plan.epsilon_per_iter)
+        fresh = Dataset(points=small_blobs.points, normalized=True)
+        b, _, _ = _start(fresh, 3, params, 8, plan.epsilon_per_iter)
         assert np.array_equal(a, b)
 
     def test_subsample_drawn_from_stream_zero_zero(self, small_blobs):
         data = Dataset(points=small_blobs.points, normalized=True)
-        summary = _canopy_summary(data, 3, CanopyParams(subsample_size=100), 8)
-        points = draw_subsample(data, 100, derive_stream_seed(8, 0, 0))
+        rng = np.random.Generator(np.random.PCG64(derive_stream_seed(8, 0, 0)))
+        points = data.points[np.sort(rng.choice(400, size=100, replace=False))]
+        summary = select_initial_centroids(points, 3, CanopyParams())
         top = run_canopy(points, *default_thresholds(points))[:3]
         sums = np.vstack([points[c.tight_member_indices].sum(axis=0) for c in top])
         assert summary.halvings == 0
         assert np.array_equal(summary.sums, sums)
+        start, _, _ = _start(data, 3, CanopyParams(subsample_size=100), 8)
+        assert np.array_equal(start, summary.sums / summary.counts[:, None])
 
     def test_heavy_noise_still_lands_in_unit_cube(self, small_blobs):
         plan = make_plan(
             PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1e-4)
         )
-        got, _, _ = select_initial_centroids(small_blobs, 3, CanopyParams(), 6, plan.epsilon_dim)
+        got, _, _ = _start(small_blobs, 3, CanopyParams(), 6, plan.epsilon_per_iter)
         assert np.all(got >= 0.0) and np.all(got <= 1.0)
 
     def test_dp_disabled_returns_exact_means_without_draws(self):
         data = Dataset(points=THREE_POINTS, normalized=True)
-        start, draws, _ = select_initial_centroids(data, 2, CanopyParams(t1=0.2, t2=0.1), 0)
+        start, draws, _ = _start(data, 2, CanopyParams(t1=0.2, t2=0.1), 0)
         assert start[0] == pytest.approx([0.025, 0.0])
         assert start[1] == pytest.approx([0.9, 0.9])
         assert draws == 0
 
     def test_identical_points_fall_back_to_random_fill(self):
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
-        start, _, notes = select_initial_centroids(
-            data, 3, CanopyParams(), 1, _huge_budget_share(20, 2, 3)
-        )
+        start, _, notes = _start(data, 3, CanopyParams(), 1, _huge_budget(20, 2, 3))
         assert start.shape == (3, 2)
         assert any("filled" in note for note in notes)
         assert np.all(start >= 0.0)
@@ -331,7 +380,7 @@ class TestSelectInitialCentroids:
         # from stream (0, 1).
         data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
         plan = make_plan(PlannerInputs(n_rows=20, n_dims=2, k=3, epsilon_total=3.0))
-        start, draws, notes = select_initial_centroids(data, 3, CanopyParams(), 7, plan.epsilon_dim)
+        start, draws, notes = _start(data, 3, CanopyParams(), 7, plan.epsilon_per_iter)
         rng = np.random.Generator(np.random.PCG64(derive_stream_seed(7, 1, 0)))
         scale = 1.0 / plan.epsilon_dim
         count = 20.0 + laplace_inverse_cdf(rng.random(1), scale)[0]
@@ -346,26 +395,22 @@ class TestSelectInitialCentroids:
     def test_threshold_halving_is_reported(self):
         # Two clumps merge into one canopy at the loose default radius but
         # split after halving.
-        rng = np.random.Generator(np.random.PCG64(7))
-        clump_a = 0.45 + 0.01 * rng.random((30, 2))
-        clump_b = 0.55 + 0.01 * rng.random((30, 2))
-        data = Dataset(points=np.vstack([clump_a, clump_b]), normalized=True)
+        data = Dataset(points=_clumps(), normalized=True)
         params = CanopyParams(t1=0.5, t2=0.4)
-        start, _, notes = select_initial_centroids(data, 2, params, 2, _huge_budget_share(60, 2, 2))
+        start, _, notes = _start(data, 2, params, 2, _huge_budget(60, 2, 2))
         assert start.shape == (2, 2)
         assert notes == ["canopy radii halved 2x to reach 2 canopies"]
-        summary = _canopy_summary(data, 2, params, 2)
+        summary = select_initial_centroids(data.points, 2, params)
         top = run_canopy(data.points, 0.125, 0.1)
         sums = np.vstack([data.points[c.tight_member_indices].sum(axis=0) for c in top])
         assert (summary.halvings, summary.n_canopies) == (2, len(top))
         assert np.array_equal(summary.sums, sums)
 
-    def test_unnormalized_data_rejected(self):
+    @pytest.mark.parametrize("variant", [Variant.EDPDCS, Variant.NONPRIVATE])
+    def test_unnormalized_data_rejected(self, variant):
         data = Dataset(points=np.array([[2.0, 3.0], [4.0, 5.0]]))
-        with pytest.raises(InvalidInputError):
-            select_initial_centroids(
-                data, 1, CanopyParams(), 0, _huge_budget_share(2, 2, 1)
-            )
+        with pytest.raises(InvalidInputError, match="normalized"):
+            _run(data, variant, 1, CanopyParams(), 0)
 
 
 class TestCanopyParams:
@@ -397,12 +442,6 @@ class TestCanopyParams:
         assert type(params.subsample_size) is int and params == CanopyParams(subsample_size=100)
 
 
-def _clumps():
-    # Two clumps that the radii t1=0.5, t2=0.4 merge; halving twice splits them.
-    rng = np.random.Generator(np.random.PCG64(7))
-    return np.vstack([0.45 + 0.01 * rng.random((30, 2)), 0.55 + 0.01 * rng.random((30, 2))])
-
-
 def _run(data, variant, k, params, seed):
     config = EngineConfig(variant=variant, master_seed=seed)
     if variant is Variant.EDPDCS:
@@ -413,16 +452,16 @@ def _run(data, variant, k, params, seed):
     return run_baseline(data, k, 2.0, config)
 
 
-def _counting(monkeypatch, name):
-    """What each call of ``canopy.<name>`` returned, in call order."""
+def _counting(monkeypatch, name, module=canopy):
+    """What each call of ``module.<name>`` returned, in call order."""
     calls = []
-    real = getattr(canopy, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(real(*args, **kwargs))
         return calls[-1]
 
-    monkeypatch.setattr(canopy, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -489,25 +528,31 @@ class TestCanopySummary:
 
         monkeypatch.setattr(canopy, "run_canopy", recorded)
         data = Dataset(points=_clumps(), normalized=True)
-        summary = _canopy_summary(data, 2, CanopyParams(t1=0.5, t2=0.4), 0)
+        summary = select_initial_centroids(data.points, 2, CanopyParams(t1=0.5, t2=0.4))
         assert summary.halvings == 2
         assert tops == [2, None, None]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_start_is_the_tight_rows_mean(self, blood_like, k):
         data = Dataset(points=blood_like.points, normalized=True)
-        start, _, _ = select_initial_centroids(data, k, CanopyParams(), 0)
-        summary = _canopy_summary(data, k, CanopyParams(), 0)
+        start, _, _ = _start(data, k, CanopyParams(), 0)
+        summary = select_initial_centroids(data.points, k, CanopyParams())
         t1, t2 = default_thresholds(data.points)
         scale = 0.5**summary.halvings
         top = run_canopy(data.points, scale * t1, scale * t2)[:k]
         expected = np.vstack([data.points[c.tight_member_indices].mean(axis=0) for c in top])
         assert np.array_equal(start, expected)
 
-    def test_entries_are_read_only_and_shared(self, small_blobs):
+    def test_entries_are_read_only_and_shared(self, small_blobs, monkeypatch):
         data = Dataset(points=small_blobs.points, normalized=True)
-        summary = _canopy_summary(data, 3, CanopyParams(), 0)
-        assert _canopy_summary(data, 3, CanopyParams(), 1) is summary
+        handed = _given_rows(monkeypatch)
+        _start(data, 3, CanopyParams(), 0)
+        key = ("canopy", CanopyParams().subsample_size, None, None, None, 3)
+        summary = core._STORES[data].get(key)
+        # No subsample below the 400 rows: another master seed shares the entry.
+        _start(data, 3, CanopyParams(), 1)
+        assert len(handed) == 1
+        assert core._STORES[data].get(key) is summary
         with pytest.raises(ValueError):
             summary.counts[0] = 0.0
         with pytest.raises(ValueError):
@@ -519,7 +564,7 @@ class TestCanopySummary:
         data = synthetic_blobs(600, 3, 3, seed=4)
         inputs = PlannerInputs(n_rows=600, n_dims=3, k=3, epsilon_total=1.0)
         config = EngineConfig(master_seed=2)
-        summaries = _counting(monkeypatch, "_canopy_summary")
+        summaries = _counting(monkeypatch, "select_initial_centroids", engine)
         passes = _counting(monkeypatch, "run_canopy")
         jsons = [run_edpdcs(data, 3, inputs, config=config)[2].comparable_json()]
         sizes = {}

@@ -221,6 +221,14 @@ class TestRun:
         assert "--features" in capsys.readouterr().err
         assert not (out_dir / "run_report.json").exists()
 
+    def test_repeated_feature_index_is_usage_error(self, out_dir, blood_csv, capsys):
+        # A usage error (1), not a data error (2): the file is never read.
+        argv = ["run", "--variant", "nonprivate", "--dataset", blood_csv, "--has-header"]
+        rc = main([*argv, "--features", "0,0", "--k", "2"])
+        assert rc == 1
+        assert "error: column index 0 is given more than once" in capsys.readouterr().err
+        assert not (out_dir / "run_report.json").exists()
+
 
     @pytest.mark.parametrize(
         "variant,flags",

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpkmeans import canopy, core, engine
-from dpkmeans.canopy import CanopyParams, select_initial_centroids
+from dpkmeans import core, engine
+from dpkmeans.canopy import CanopyParams
 from dpkmeans.core import (
     CentroidSet,
     Dataset,
@@ -986,8 +986,9 @@ class TestPassMemo:
     @pytest.mark.parametrize("variant,epsilon", TestCertificateGate.RUNS)
     def test_every_read_comes_after_its_charge(self, variant, epsilon, n_partitions, monkeypatch):
         # A charge comes before what it pays for: EDPDCS's "init" before the
-        # canopy pass reads the rows, and each noisy step's charge before its
-        # lookup in the store and, cold, its step pass.
+        # canopy start's lookup in the store and, cold, its read of the rows,
+        # and each noisy step's charge before its lookup and, cold, its step
+        # pass.
         data = synthetic_blobs(9000, 3, 4, seed=8)
         events = []
 
@@ -997,19 +998,19 @@ class TestPassMemo:
                 return super().charge(phase, amount)
 
         map_blocks = engine._Boundary._map_blocks
-        draw_subsample = canopy.draw_subsample
+        select_initial_centroids = engine.select_initial_centroids
 
         def reading_pass(self, centroids, probes, final):
             events.append(("read", "final" if final else "pass"))
             return map_blocks(self, centroids, probes, final)
 
-        def reading_subsample(*args):
+        def reading_canopy(*args):
             events.append(("read", "canopy"))
-            return draw_subsample(*args)
+            return select_initial_centroids(*args)
 
         monkeypatch.setattr(engine, "BudgetLedger", Ledger)
         monkeypatch.setattr(engine._Boundary, "_map_blocks", reading_pass)
-        monkeypatch.setattr(canopy, "draw_subsample", reading_subsample)
+        monkeypatch.setattr(engine, "select_initial_centroids", reading_canopy)
         for kind in ("pass", "canopy", "rows"):
             _store_lookups(monkeypatch, kind, events)
 
@@ -1136,6 +1137,58 @@ class TestRandomRowStart:
         assert lookups.count(("miss", "rows")) == 3
         assert lookups.count(("hit", "rows")) == 2 * 5 * 3 - 3
 
+
+#: The stream (i, j) of the master seed each purpose of a run draws from;
+#: step t draws cluster j's noise from (t, j).  Two streams are shared
+#: (ROADMAP item 1): (0, 1), and (1, 0) with step 1's cluster 0.
+STREAMS = {"subsample": (0, 0), "fill": (0, 1), "random rows": (0, 1), "start noise": (1, 0)}
+
+
+class TestStreamPurposes:
+    @pytest.mark.parametrize("case", ["below subsample", "above subsample", "fill"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_each_purpose_draws_from_its_stream(self, monkeypatch, variant, case):
+        calls = []
+        real = engine.derive_stream_seed
+
+        def recorded(master_seed, iteration, cluster_index):
+            calls.append((master_seed, iteration, cluster_index))
+            return real(master_seed, iteration, cluster_index)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dpkmeans") and getattr(module, "derive_stream_seed", None) is real:
+                monkeypatch.setattr(module, "derive_stream_seed", recorded)
+        k, params = 3, None
+        if case == "fill":
+            data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
+        else:
+            data = synthetic_blobs(300, 2, 3, seed=1)
+        if case == "above subsample" and variant.has_canopy_start:
+            params = CanopyParams(subsample_size=100)
+        config = EngineConfig(variant=variant, master_seed=7)
+        if variant is Variant.EDPDCS:
+            inputs = PlannerInputs(n_rows=data.n_rows, n_dims=2, k=k, epsilon_total=3.0)
+            report = run_edpdcs(data, k, inputs, params, config)[2]
+        else:
+            epsilon = 3.0 if variant.spends_epsilon else None
+            report = run_baseline(data, k, epsilon, config, canopy_params=params)[2]
+
+        purposes = []
+        if not variant.has_canopy_start:
+            purposes.append("random rows")
+        else:
+            if params is not None:
+                purposes.append("subsample")
+            if variant.spends_epsilon:
+                purposes.append("start noise")
+            if case == "fill":
+                assert any(note.startswith("filled") for note in report.notes)
+                purposes.append("fill")
+        want = [STREAMS[purpose] for purpose in purposes]
+        for entry in report.iterations[1:]:
+            if entry["budget_charged"] is not None:
+                want += [(entry["iteration"], j) for j in range(k)]
+        assert calls == [(7, i, j) for i, j in want]
 
 class TestRunBaselineRf:
     def test_exact_spend_and_uniform_split(self, small_blobs):
@@ -1277,7 +1330,7 @@ class TestRunBaselineNonprivate:
 
     def test_matches_plain_lloyd_reference(self, small_blobs):
         # Independent dense Lloyd implementation, same canopy start.
-        start, _, _ = select_initial_centroids(small_blobs, 3, CanopyParams(), 0)
+        start, _, _ = _boundary(small_blobs).canopy_start(3, CanopyParams(), None)
         expect = np.array(start, copy=True)
         pts = small_blobs.points
         for _ in range(100):
@@ -1345,6 +1398,29 @@ class TestValidation:
             cfg = EngineConfig(variant=variant)
             with pytest.raises(InvalidInputError, match="initial centroids"):
                 run_baseline(small_blobs, 3, epsilon, cfg, initial_centroids=start)
+
+    @pytest.mark.parametrize(
+        "variant, epsilon",
+        [(Variant.RF_DPKM, 1.0), (Variant.RU_DPKM, 1.0), (Variant.NONPRIVATE, None)],
+    )
+    def test_initial_centroids_outside_the_cube_rejected(self, variant, epsilon):
+        # Far outside, the init entry's nicv_after (and RF_DPKM's first
+        # centroid_shift) overflowed to inf, which to_json wrote as Infinity.
+        data = synthetic_blobs(50, 2, 2, 0)
+        cfg = EngineConfig(variant=variant)
+        just_above, just_below = np.nextafter(1.0, 2.0), -np.nextafter(0.0, 1.0)
+        for outside in ([[1e200, 1e200], [-1e200, 2.0]], [[0.5, just_above], [0.5, 0.5]],
+                        [[0.5, 0.5], [just_below, 0.5]]):
+            start = CentroidSet(centroids=outside)
+            with pytest.raises(InvalidInputError, match="unit cube"):
+                run_baseline(data, 2, epsilon, cfg, initial_centroids=start)
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        start = CentroidSet(centroids=[[0.0, 0.0], [1.0, 1.0]])
+        report = run_baseline(data, 2, epsilon, cfg, initial_centroids=start)[2]
+        json.loads(report.to_json(), parse_constant=refuse)
 
     def test_report_nicv_matches_evaluation(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE)

@@ -50,6 +50,11 @@ def reference_load_csv(path, columns, *, has_header=False):
     """The per-field loop ``load_csv`` replaced, kept as the reference."""
     if not columns:
         raise InvalidInputError("need at least one feature column")
+    seen = set()
+    for col in columns:
+        if col.index in seen:
+            raise InvalidInputError(f"column index {col.index} is given more than once")
+        seen.add(col.index)
     max_index = max(c.index for c in columns)
 
     rows: list[list[float]] = []
@@ -228,6 +233,15 @@ class TestLoadCsv:
         cols = [ColumnSpec(index=0, name="a"), ColumnSpec(index=2, name="b")]
         result = load_csv(str(path), cols)
         assert result.data.points[0].tolist() == [1.5, 2.5]
+
+    def test_repeated_column_index_refused(self, tmp_path):
+        # Column 2 twice used to load as two identical features.
+        path = tmp_path / "twice.csv"
+        path.write_text("1.5,2,2.5\n")
+        cols = [ColumnSpec(2, "a"), ColumnSpec(0, "b"), ColumnSpec(2, "c")]
+        with pytest.raises(InvalidInputError, match="column index 2 is given more") as info:
+            load_csv(str(path), cols)
+        assert not isinstance(info.value, CsvFormatError)
 
 
 class TestLoadCsvAgainstReference:

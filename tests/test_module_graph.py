@@ -146,8 +146,8 @@ def test_raw_reads_are_found_in_their_scope():
 
 
 #: Where the package reads a dataset's rows, or its store of exact
-#: statistics of them.  In the engine only the run's boundary does; the
-#: canopy start reads its subsample and keeps its summary itself.
+#: statistics of them.  In a run only its boundary does, canopy start
+#: included.
 RAW_READERS = {
     ("engine._Boundary", ".points"),
     ("engine._Boundary", "dataset_store"),
@@ -155,11 +155,15 @@ RAW_READERS = {
     ("core.assign_labels", ".points"),
     ("ingestion.normalize", ".points"),
     ("evaluation.nicv", ".points"),
-    ("canopy.draw_subsample", ".points"),
-    ("canopy._canopy_summary", "dataset_store"),
 }
 
 
 def test_raw_rows_are_read_only_where_listed():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _raw_reads(sources) == RAW_READERS
+
+
+def test_canopy_imports_only_core():
+    # The canopy pass computes on the rows it is given: the seeds, the noise
+    # and the store stay with the run's boundary.
+    assert _graph()["dpkmeans.canopy"] == {"dpkmeans.core"}
