@@ -34,15 +34,23 @@ def as_int(value: object, name: str) -> int:
     return int(value)
 
 
-def _as_float_matrix(points: np.ndarray | list, name: str) -> np.ndarray:
+def _as_float_matrix(
+    points: np.ndarray | list, name: str
+) -> tuple[np.ndarray, float, float]:
+    """``points`` as a 2-D float64 array, with its least and greatest value.
+
+    The two values check finiteness: NaN propagates through ``min`` and
+    ``max``, and an infinity is one of them.
+    """
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-D array, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidInputError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError(f"{name} contains NaN or infinite values")
-    return arr
+    return arr, lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +60,15 @@ class Dataset:
     Compares and hashes by identity, so :func:`dataset_store` keeps what
     runs on it share.
 
+    ``points`` is kept, not copied, when ``np.asarray`` has just made it
+    from an array of another dtype, a list or a tuple, or when it is
+    already a read-only, C-contiguous float64 array that owns its memory,
+    as ``ingestion``'s loaders return.  Any other array is copied, so a
+    writeable array, a view or a memory map that the caller holds never
+    reaches a run.  Either way, set-up keeps one full-size array.
+
     Attributes:
-        points: Row-major float64 matrix, one point per row.
+        points: Read-only, row-major float64 matrix, one point per row.
         normalized: True when every coordinate is guaranteed to lie in
             [0, 1].  Noise calibration for sums assumes this.
         source_label: Free-form provenance tag (file name, generator name).
@@ -64,13 +79,20 @@ class Dataset:
     source_label: str = ""
 
     def __post_init__(self) -> None:
-        arr = _as_float_matrix(self.points, "points")
-        if self.normalized and (arr.min() < 0.0 or arr.max() > 1.0):
+        source = self.points
+        arr, lo, hi = _as_float_matrix(source, "points")
+        if self.normalized and (lo < 0.0 or hi > 1.0):
             raise InvalidInputError(
                 "normalized dataset has coordinates outside [0, 1]: "
-                f"min={arr.min():.6g} max={arr.max():.6g}"
+                f"min={lo:.6g} max={hi:.6g}"
             )
-        arr = arr.copy()
+        made = arr is not source and isinstance(source, (np.ndarray, list, tuple))
+        if not (
+            arr.flags.c_contiguous
+            and arr.flags.owndata
+            and (made or not arr.flags.writeable)
+        ):
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
@@ -157,7 +179,7 @@ class CentroidSet:
     centroids: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_float_matrix(self.centroids, "centroids")
+        arr, _, _ = _as_float_matrix(self.centroids, "centroids")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "centroids", arr)

@@ -87,16 +87,17 @@ def load_csv(
     ``np.loadtxt`` call parses their feature columns in C, which checks the
     numbers of every kept line once.  Lines are split on the way only to
     decide whether to keep them: a line holding ``"`` with :mod:`csv`, and
-    any other line holding ``?`` with ``str.split``.  A line with ``?`` in a
-    feature field is dropped once its feature fields before the ``?``, in
-    column order, are checked.  When the bulk parse refuses the file, a
-    second pass splits every line with :mod:`csv` and raises at the first
-    one that the same per-record check refuses, naming its line.  Numbers
-    are read as by ``float``, except that a token with ``_`` digit groups
-    or non-ASCII characters is refused, as is a quoted field that spans
-    lines.  The file is read as UTF-8, and a byte sequence that is not
-    UTF-8 is refused with its line number.  A UTF-8 byte-order mark at the
-    start of the file is skipped.
+    any other line holding ``?`` with ``str.split``.  A record's feature
+    fields are checked in Python only when it is short, which is refused,
+    or holds ``?`` in a feature field: such a line is dropped once its
+    feature fields before the ``?``, in column order, are checked.  When the
+    bulk parse refuses the file, a second pass splits every line with
+    :mod:`csv` and raises at the first one that the same per-record check
+    refuses, naming its line.  Numbers are read as by ``float``, except
+    that a token with ``_`` digit groups or non-ASCII characters is
+    refused, as is a quoted field that spans lines.  The file is read as
+    UTF-8, and a byte sequence that is not UTF-8 is refused with its line
+    number.  A UTF-8 byte-order mark at the start of the file is skipped.
     """
     if not columns:
         raise InvalidInputError("need at least one feature column")
@@ -152,19 +153,20 @@ def load_csv(
                     continue
                 if not record or (len(record) == 1 and not record[0].strip()):
                     continue  # blank line
-                if dropped(record, line_no):
-                    rows_dropped += 1
-                    continue
             elif (has_header and line_no == 1) or line.isspace():
                 continue
             elif _MISSING_TOKEN in line:
                 # Without quotes, csv gives the line these fields, bar the
-                # "\n" that .strip() drops.  A line with every feature field
-                # present is kept unchecked: the bulk parse reads its numbers.
+                # "\n" that .strip() drops.
                 record = line.split(",")
-                if incomplete(record) and dropped(record, line_no):
-                    rows_dropped += 1
-                    continue
+            else:
+                yield line
+                continue
+            # A record with every feature field present is kept unchecked
+            # (the rescan checks them all): the bulk parse reads its numbers.
+            if (split_every_line or incomplete(record)) and dropped(record, line_no):
+                rows_dropped += 1
+                continue
             yield line
 
     # Universal newlines end every line in "\n", as csv ends its records.
@@ -200,6 +202,7 @@ def load_csv(
 
     if rows_dropped:
         logger.info("%s: dropped %d row(s) with missing values", path, rows_dropped)
+    points.setflags(write=False)
     data = Dataset(points=points, normalized=False, source_label=path)
     return LoadResult(
         data=data,
@@ -249,6 +252,11 @@ def normalize(
         col_max = float(pts[:, j].max())
         lo = spec.lo if spec.lo is not None else col_min
         hi = spec.hi if spec.hi is not None else col_max
+        if not math.isfinite(hi - lo):
+            raise InvalidInputError(
+                f"column {spec.name!r} has range [{lo}, {hi}], wider than "
+                "a float64 can hold"
+            )
         if col_min < lo or col_max > hi:
             raise InvalidInputError(
                 f"column {spec.name!r} has values outside its preset "
@@ -264,6 +272,7 @@ def normalize(
     # middle of the range so sensitivity bounds stay valid.
     scaled[:, span == 0.0] = 0.5
     np.clip(scaled, 0.0, 1.0, out=scaled)  # guard the exact endpoints
+    scaled.setflags(write=False)
     return (
         Dataset(points=scaled, normalized=True, source_label=data.source_label),
         out_cols,
@@ -301,6 +310,10 @@ PRESETS: dict[str, tuple[list[ColumnSpec], int, bool]] = {
 }
 
 
+#: Values per chunk of the centers ``synthetic_blobs`` gathers at once (2 MB).
+_CHUNK_VALUES = 2**18
+
+
 def synthetic_blobs(
     n_rows: int,
     n_dims: int,
@@ -336,10 +349,22 @@ def synthetic_blobs(
         probs = np.full(n_centers, 1.0 / n_centers)
     else:
         probs = np.asarray(weights, dtype=np.float64)
-        probs = probs / probs.sum()
+        with np.errstate(over="ignore"):
+            total = probs.sum()
+        if not math.isfinite(total):
+            raise InvalidInputError(f"weights must have a finite sum, got {total}")
+        probs = probs / total
     owner = rng.choice(n_centers, size=n_rows, p=probs)
-    points = centers[owner] + spread * rng.standard_normal((n_rows, n_dims))
-    points = np.clip(points, 0.0, 1.0)
+    # The rows are built inside the draw: spread * z + center is the same
+    # double as center + spread * z, and only one chunk of centers is
+    # gathered at a time.
+    points = rng.standard_normal((n_rows, n_dims))
+    points *= spread
+    step = max(1, _CHUNK_VALUES // n_dims)
+    for start in range(0, n_rows, step):
+        points[start : start + step] += centers[owner[start : start + step]]
+    np.clip(points, 0.0, 1.0, out=points)
+    points.setflags(write=False)
     return Dataset(
         points=points,
         normalized=True,

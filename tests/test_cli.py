@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -188,6 +189,19 @@ class TestRun:
         )
         assert rc == 2
         assert "zap" in capsys.readouterr().err
+
+    def test_range_wider_than_float64_is_usage_error(self, out_dir, tmp_path, capsys):
+        # Every value is finite, but the column's span is not: this warned
+        # three times and then failed on "NaN or infinite values".
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,-1e308\n2,1e308\n3,0\n")
+        argv = ["run", "--variant", "nonprivate", "--dataset", str(wide),
+                "--features", "0,1", "--k", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc == 1
+        assert "column 'f1' has range [-1e+308, 1e+308]" in capsys.readouterr().err
 
     def test_bad_k_is_usage_error(self, out_dir, capsys):
         rc = main(

@@ -563,6 +563,54 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.points[0, 0] = 9.0
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([[0.1, np.nan]], "points contains NaN or infinite values"),
+            ([[0.1, np.inf]], "points contains NaN or infinite values"),
+            ([[-np.inf, 0.1]], "points contains NaN or infinite values"),
+            ([[2.0, np.nan]], "points contains NaN or infinite values"),
+            ([[0.5, 1.5]], r"outside \[0, 1\]: min=0.5 max=1.5"),
+            ([[-0.25, 0.5]], r"outside \[0, 1\]: min=-0.25 max=0.5"),
+        ],
+    )
+    def test_refusal_messages(self, points, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Dataset(points=np.array(points), normalized=True)
+
+    def test_writeable_source_is_copied(self):
+        source = np.array([[0.1, 0.2], [0.3, 0.4]])
+        data = Dataset(points=source, normalized=True)
+        source[0, 0] = 0.9
+        assert data.points is not source and data.points[0, 0] == 0.1
+        assert source.flags.writeable
+
+    def test_read_only_owned_array_is_kept(self):
+        source = np.array([[0.1, 0.2], [0.3, 0.4]])
+        source.setflags(write=False)
+        assert Dataset(points=source, normalized=True).points is source
+
+    def test_converted_array_is_kept_read_only(self):
+        data = Dataset(points=np.array([[1, 2], [3, 4]]))
+        assert data.points.dtype == np.float64 and data.points.flags.owndata
+        assert not data.points.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["view", "fortran", "memmap"])
+    def test_other_read_only_arrays_are_copied(self, kind, tmp_path):
+        base = np.arange(12, dtype=np.float64).reshape(4, 3) / 12
+        if kind == "view":
+            source = base[1:]
+        elif kind == "fortran":
+            source = np.asfortranarray(base)
+        else:
+            base.tofile(tmp_path / "rows.bin")
+            source = np.memmap(tmp_path / "rows.bin", dtype=np.float64, mode="r", shape=(4, 3))
+        source.setflags(write=False)
+        data = Dataset(points=source, normalized=True)
+        assert not np.shares_memory(data.points, source)
+        assert data.points.flags.c_contiguous and data.points.flags.owndata
+        assert np.array_equal(data.points, source)
+
 
 class TestCentroidSetAndAssignment:
     def test_centroid_set_shape(self):

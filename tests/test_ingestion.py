@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -367,6 +368,67 @@ class TestLoadCsvRefusals:
                 load_csv(str(path), BLOOD_COLUMNS, has_header=text.startswith("a"))
 
 
+class TestQuotedLines:
+    """A quoted line's feature fields are checked in Python only when it is
+    short or holds ``?`` in one, as an unquoted line's are: the bulk parse
+    reads them, and its rescan names a refused line."""
+
+    TEXT = ADULT_SAMPLE + ADULT_MISSING_ROW + ADULT_SAMPLE
+
+    @staticmethod
+    def _quote_every_field(text):
+        return "".join(
+            ",".join(f'"{field}"' for field in line.split(",")) + "\n"
+            for line in text.splitlines()
+        )
+
+    @staticmethod
+    def _quote_label(text):
+        return "".join(
+            '{},"{}, census"\n'.format(*line.rsplit(",", 1)) for line in text.splitlines()
+        )
+
+    def _outcomes(self, tmp_path, text):
+        """What ``load_csv`` makes of ``text`` unquoted and in both quotings."""
+        got = []
+        for name, quote in [
+            ("plain", str),
+            ("every", self._quote_every_field),
+            ("label", self._quote_label),
+        ]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text(quote(text))
+            outcome = _outcome(load_csv, str(path), ADULT_COLUMNS, False)
+            got.append(tuple(
+                part.replace(str(path), "F") if isinstance(part, str) else part
+                for part in outcome
+            ))
+        return got
+
+    def test_same_matrix_and_counts_as_unquoted(self, tmp_path):
+        plain, every, label = self._outcomes(tmp_path, self.TEXT)
+        assert plain[0] == (6, 6) and plain[3] == 1
+        assert every == plain and label == plain
+
+    @pytest.mark.parametrize(
+        "line_no,old,new,message",
+        [
+            (3, " 215646,", " 21x646,", "F:3: column 'fnlwgt' has non-numeric value '21x646'"),
+            (6, "50,", "5_0,", "F:6: column 'age' has value '5_0' with non-ASCII"),
+            (7, ", 0, 0, 40,", ",", "F:7: expected at least 13 columns, got 12"),
+            (5, " 13,", " ,", "F:5: column 'education_num' has non-numeric value ''"),
+        ],
+        ids=["non-numeric", "digit-group", "short", "empty"],
+    )
+    def test_same_error_line_as_unquoted(self, tmp_path, line_no, old, new, message):
+        lines = self.TEXT.splitlines(keepends=True)
+        assert old in lines[line_no - 1]
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new, 1)
+        plain, every, label = self._outcomes(tmp_path, "".join(lines))
+        assert plain[0] is CsvFormatError and plain[1].startswith(message)
+        assert every == plain and label == plain
+
+
 class TestNormalize:
     def test_simple_column(self):
         data = Dataset(points=np.array([[2.0], [4.0], [6.0]]))
@@ -418,6 +480,21 @@ class TestNormalize:
     def test_numpy_integer_column_index_is_stored_as_int(self):
         spec = ColumnSpec(index=np.int64(2), name="x")
         assert spec.index == 2 and type(spec.index) is int
+
+    @pytest.mark.parametrize("preset", [False, True], ids=["observed", "preset"])
+    def test_range_wider_than_float64_refused(self, preset):
+        # Its span overflowed to inf, which warned three times and then
+        # failed as "points contains NaN or infinite values".
+        points = [[1.0, 0.0], [2.0, 5.0]] if preset else [[1.0, -1e308], [2.0, 1e308]]
+        wide = ColumnSpec(index=1, name="b", lo=-1e308, hi=1e308) if preset else (
+            ColumnSpec(index=1, name="b")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidInputError, match=r"column 'b' has range \[-1e\+308, 1e\+308\]"
+            ):
+                normalize(Dataset(points=np.array(points)), [ColumnSpec(0, "a"), wide])
 
     def test_spec_count_mismatch_rejected(self):
         data = Dataset(points=np.array([[1.0, 2.0]]))
@@ -506,6 +583,34 @@ class TestSyntheticBlobs:
         with pytest.raises(InvalidInputError, match="weights must be positive, one per center"):
             synthetic_blobs(10, 2, 2, seed=0, weights=[weight, 1.0])
 
+    def test_weights_whose_sum_overflows_refused(self):
+        # Each weight is finite; their sum raised numpy's "Probabilities do
+        # not sum to 1" from choice.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="weights must have a finite sum"):
+                synthetic_blobs(10, 2, 2, seed=0, weights=[1e308, 1e308])
+
+    @pytest.mark.parametrize(
+        "shape,kwargs",
+        [
+            ((748, 4, 2, 11), dict(weights=[0.6122, 0.3878])),
+            ((400, 3, 3, 5), {}),
+            ((500, 5, 4, 3), dict(spread=0.0)),
+            ((40_000, 16, 20, 9), {}),  # three chunks, the last one short
+        ],
+    )
+    def test_rows_equal_the_one_shot_formula(self, shape, kwargs):
+        n_rows, n_dims, n_centers, seed = shape
+        rng = np.random.Generator(np.random.PCG64(seed))
+        centers = 0.15 + 0.7 * rng.random((n_centers, n_dims))
+        weights = np.asarray(kwargs.get("weights", np.ones(n_centers)), dtype=np.float64)
+        owner = rng.choice(n_centers, size=n_rows, p=weights / weights.sum())
+        noise = rng.standard_normal((n_rows, n_dims))
+        want = np.clip(centers[owner] + kwargs.get("spread", 0.06) * noise, 0.0, 1.0)
+        got = synthetic_blobs(*shape, **kwargs).points
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("spread", [float("inf"), float("nan"), -0.1])
     def test_spread_must_be_finite_and_non_negative(self, spread):
         # An infinite spread returned the cube's corners, clipped.
@@ -515,3 +620,52 @@ class TestSyntheticBlobs:
     def test_zero_spread_puts_every_row_on_its_center(self):
         data = synthetic_blobs(50, 2, 2, seed=0, spread=0.0)
         assert len(np.unique(data.points, axis=0)) <= 2
+
+
+def _traced_peak(make):
+    """``make()`` and the most bytes that tracemalloc saw alive during it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        made = make()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return made, peak
+
+
+@pytest.fixture(scope="module")
+def adult_layout_csv(tmp_path_factory):
+    """A 48,842-row file in the Adult layout, as large as the real one."""
+    numeric = np.random.Generator(np.random.PCG64(0)).integers(0, 100_000, (48_842, 6))
+    row = (
+        "{}, Private, {}, Bachelors, {}, Never-married, Adm-clerical,"
+        " Not-in-family, White, Male, {}, {}, {}, United-States, <=50K\n"
+    )
+    path = tmp_path_factory.mktemp("adult") / "adult.csv"
+    path.write_text("".join(row.format(*values) for values in numeric.tolist()))
+    return str(path)
+
+
+class TestSetUpMemory:
+    """Set-up keeps one full-size array: the traced peak of each loader, over
+    the size of the matrix it returns, stays near 1."""
+
+    def test_synthetic_blobs(self):
+        # Three full-size arrays (2.06x) when the rows were built apart
+        # from the draw and copied into the dataset.
+        data, peak = _traced_peak(lambda: synthetic_blobs(200_000, 16, 20, seed=0))
+        assert peak <= 1.25 * data.points.nbytes
+
+    def test_load_csv(self, adult_layout_csv):
+        # 2.01x when the dataset copied the parsed matrix.
+        loaded, peak = _traced_peak(lambda: load_csv(adult_layout_csv, ADULT_COLUMNS))
+        assert peak <= 1.5 * loaded.data.points.nbytes
+
+    def test_load_csv_then_normalize(self, adult_layout_csv):
+        # 3.01x when both datasets copied their matrix.
+        (data, _), peak = _traced_peak(
+            lambda: normalize(load_csv(adult_layout_csv, ADULT_COLUMNS).data, ADULT_COLUMNS)
+        )
+        assert peak <= 2.25 * data.points.nbytes
