@@ -8,7 +8,8 @@ Commands:
 
 Exit status: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  Report files never contain wall-clock values, so rerunning the
-same command reproduces them byte for byte; timings go to stdout only.
+same command reproduces them byte for byte; timings and the run's work
+record go to stdout only.
 
 The default output directory is the current one, overridable with the
 ``DPKMEANS_OUT_DIR`` environment variable.
@@ -334,6 +335,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     print(f"report written to {out}")
     print(f"wall clock (not in report): {report.timings_ms['total_ms']:.1f} ms")
+    work = report.work
+    print(
+        f"work (not in report): {len(work)} passes, "
+        f"{sum(entry['from_store'] for entry in work)} from the store, "
+        f"{sum(entry['rows_read'] for entry in work)} rows read, "
+        f"{sum(entry['rows_labelled'] for entry in work)} rows labelled, "
+        f"{sum(entry['blocks_summed'] for entry in work)} blocks summed"
+    )
     return EXIT_OK
 
 

@@ -51,7 +51,7 @@ import mmap
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -165,6 +165,14 @@ class RunReport:
     part of a run that is not reproducible.  ``n_partitions`` and the
     resolved thread count are excluded from :meth:`comparable_json` too:
     they affect scheduling, never results.
+
+    ``work`` is evaluator-only and excluded with the timings: one entry per
+    labelling pass, in run order, each step's and then the final pass's.
+    An entry holds ``pass`` (``"step"`` or ``"final"``), ``from_store``
+    (the dataset's store served the step, so it read no row),
+    ``rows_read``, ``rows_labelled`` (the rows given to
+    :func:`~dpkmeans.core.label_points`) and ``blocks_summed`` (the map
+    blocks whose counts and sums were summed, not kept).
     """
 
     variant: str
@@ -183,20 +191,23 @@ class RunReport:
     config: dict
     notes: list[str]
     timings_ms: dict
+    work: list[dict] = field(default_factory=list)
 
     def to_dict(self, include_timings: bool = True) -> dict:
-        """The report's fields by name.
+        """The report's fields by name; without ``include_timings``, all but
+        ``timings_ms`` and ``work``, which no file holds.
 
         The dict is new but shares the report's lists and dicts, which hold
         only JSON values, so callers copy what they mean to change.
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         if not include_timings:
-            out.pop("timings_ms", None)
+            del out["timings_ms"], out["work"]
         return out
 
     def to_json(self) -> str:
-        """The report as written to a file: every field but the timings."""
+        """The report as written to a file: every field but the timings and
+        the work record."""
         return json.dumps(
             self.to_dict(include_timings=False), indent=2, sort_keys=True
         )
@@ -223,8 +234,9 @@ def block_spans(n_rows: int) -> list[tuple[int, int]]:
 
 
 #: A map task's labels, (counts, sums) or None, and squared-distance sum of
-#: one block.
-_Partials = tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float]
+#: one block, and its work: the rows it gave ``label_points`` and whether
+#: (1) or not (0) it summed its counts and sums.
+_Partials = tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float, int, int]
 
 
 @functools.lru_cache(maxsize=4)
@@ -283,11 +295,10 @@ PROBE_STRIDE = 16
 
 def _certified_sq_dist(
     points: np.ndarray, centroids: np.ndarray, labels: np.ndarray, bounds: np.ndarray
-) -> tuple[float, bool, bool]:
+) -> tuple[float, bool, int]:
     """Certify ``labels``, a block's candidates, and relabel in place the
     rows left unsure; returns the block's squared-distance sum, whether any
-    row's label moved, and whether at least ``CERTIFY_SHARE`` of the rows
-    were certified.
+    row's label moved, and how many rows were unsure.
 
     An unsure row may keep its label.  Only a moved label changes the
     block's counts and sums, so a block where none moved keeps them.
@@ -302,8 +313,18 @@ def _certified_sq_dist(
         if rows.size:
             labels[rows] = fresh[moved]
             diff[rows] = _squared_differences(points[rows], centroids, fresh[moved])
-    certified = unsure.size <= (1.0 - CERTIFY_SHARE) * len(points)
-    return float(diff.sum()), rows.size > 0, certified
+    return float(diff.sum()), rows.size > 0, unsure.size
+
+
+def _work(kind: str, from_store: bool, read: int, labelled: int, summed: int) -> dict:
+    """One entry of a run's work record (:attr:`RunReport.work`)."""
+    return {
+        "pass": kind,
+        "from_store": from_store,
+        "rows_read": read,
+        "rows_labelled": labelled,
+        "blocks_summed": summed,
+    }
 
 
 def _pass_key(centroids: np.ndarray) -> tuple:
@@ -336,7 +357,8 @@ class _Boundary:
     are the run's own.  Each pass computes only what its caller reads: a
     step pass (:meth:`_statistics`) the counts, sums and squared-distance
     sum of a Lloyd step, which the dataset's store keeps; the final pass
-    (:meth:`final_pass`) the labels and the squared-distance sum.
+    (:meth:`final_pass`) the labels and the squared-distance sum.  Each
+    adds one entry to the run's work record, :attr:`work`.
 
     A row's candidate is its label from the run's latest labelling pass,
     stale when a pass since was served from the store.  A block that keeps
@@ -363,7 +385,8 @@ class _Boundary:
         spans = block_spans(data.n_rows)
         self._blocks = [data.points[s:e] for s, e in spans]
         n_blocks = len(self._blocks)
-        self._passes = 0
+        #: The run's work record (:attr:`RunReport.work`), one entry a pass.
+        self.work: list[dict] = []
         # Block -> the read-only counts and sums of its candidates, for the
         # blocks that keep them: a pass needs bounds only while one does.
         self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -492,24 +515,24 @@ class _Boundary:
         key = _pass_key(centroids)
         stats = self._store.get(key)
         if stats is not None:
+            self.work.append(_work("step", True, 0, 0, 0))
             return stats
-        self._passes += 1
-        probes = len(self._blocks) > 1 and self._passes <= PROBE_PASSES
+        probes = len(self._blocks) > 1 and (
+            sum(not entry["from_store"] for entry in self.work) < PROBE_PASSES
+        )
         per_block = self._map_blocks(centroids, probes, final=False)
         # Block 0's partials come from bincount, which never yields -0.0, so
         # starting the fold from them equals starting it from zeros.  Every
         # block's counts and sums are read-only: the first addition makes
         # fresh arrays, with the bits an addition in place would give.
-        _, (counts, sums), sq_dist = per_block[0]
+        counts, sums = per_block[0][1]
         if len(per_block) > 1:
-            _, (block_counts, block_sums), block_sq_dist = per_block[1]
+            block_counts, block_sums = per_block[1][1]
             counts, sums = counts + block_counts, sums + block_sums
-            sq_dist += block_sq_dist
-            for _, (block_counts, block_sums), block_sq_dist in per_block[2:]:
+            for _, (block_counts, block_sums), _, _, _ in per_block[2:]:
                 counts += block_counts
                 sums += block_sums
-                sq_dist += block_sq_dist
-        return self._store.put(key, (counts, sums, sq_dist))
+        return self._store.put(key, (counts, sums, self._record("step", per_block)))
 
     def final_pass(self, centroids: np.ndarray) -> tuple[float, np.ndarray]:
         """Evaluator-only: the run's last pass, the sum over all rows of the
@@ -519,11 +542,20 @@ class _Boundary:
         run's last centroids are labelled by its final pass alone.
         """
         per_block = self._map_blocks(centroids, probes=False, final=True)
-        sq_dist = per_block[0][2]
-        for _, _, block_sq_dist in per_block[1:]:
-            sq_dist += block_sq_dist
+        sq_dist = self._record("final", per_block)
         labels = [partial[0] for partial in per_block]
         return sq_dist, labels[0] if len(labels) == 1 else np.concatenate(labels)
+
+    def _record(self, kind: str, per_block: list[_Partials]) -> float:
+        """Adds a ``kind`` pass that read every row to the work record, and
+        returns its squared-distance sum, added in ascending block order."""
+        _, _, sq_dist, labelled, summed = per_block[0]
+        for _, _, block_sq_dist, block_labelled, block_summed in per_block[1:]:
+            sq_dist += block_sq_dist
+            labelled += block_labelled
+            summed += block_summed
+        self.work.append(_work(kind, False, self._data.n_rows, labelled, summed))
+        return sq_dist
 
     def _map_blocks(self, centroids: np.ndarray, probes: bool, final: bool) -> list[_Partials]:
         """Every block's :meth:`_map` partials, in ascending block order.  A
@@ -550,9 +582,9 @@ class _Boundary:
         self, b: int, centroids: np.ndarray, bounds: np.ndarray | None, probes: bool, final: bool
     ) -> _Partials:
         """Block ``b``'s labels, counts and sums, and the sum of every row's
-        squared distance to its nearest centroid.  The ``final`` pass tells
-        it to sum no counts and sums: it gives None for them, unless the
-        block keeps them.
+        squared distance to its nearest centroid, with its work.  The
+        ``final`` pass tells it to sum no counts and sums: it gives None for
+        them, unless the block keeps them.
 
         A block that keeps counts and sums tries the certificate, and keeps
         them while the try certifies enough rows; a still block's are its
@@ -571,19 +603,21 @@ class _Boundary:
         kept = self._kept.get(b)
         if kept is not None:
             labels = self._candidates[b]
-            sq_dist, moved, certified = _certified_sq_dist(points, centroids, labels, bounds)
+            sq_dist, moved, unsure = _certified_sq_dist(points, centroids, labels, bounds)
+            summed = 0
             if moved:
                 kept = None if final else _counts_and_sums(points, labels, k)
-            if certified and kept is not None:
+                summed = int(not final)
+            if unsure <= (1.0 - CERTIFY_SHARE) * len(points) and kept is not None:
                 self._kept[b] = kept
             else:
                 del self._kept[b]
-            return labels, kept, sq_dist
+            return labels, kept, sq_dist, unsure, summed
         labels = label_points(points, centroids, points.shape[1])
         diff = _squared_differences(points, centroids, labels)
         sq_dist = float(diff.sum())
         if final:
-            return labels, None, sq_dist
+            return labels, None, sq_dist, len(points), 0
         passed = False
         if probes:
             probe = slice(None, None, PROBE_STRIDE)
@@ -594,7 +628,7 @@ class _Boundary:
         if passed:
             self._candidates[b][:] = labels
             self._kept[b] = kept
-        return labels, kept, sq_dist
+        return labels, kept, sq_dist, len(points), 1
 
 
 def _max_shift(old: np.ndarray, new: np.ndarray) -> float:
@@ -773,6 +807,7 @@ def _run_lloyd(
         iterations=trace,
         config=_replay_config(config, planner_inputs, canopy_params),
         notes=notes,
+        work=boundary.work,
         timings_ms={
             "note": "wall clock; excluded from reproducibility comparisons",
             "init_ms": init_ms,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -157,8 +158,9 @@ def compare_variants(
     ``planner_inputs`` holds the grid's planner settings, with the first
     epsilon as ``epsilon_total``, and each cell runs a copy at its own
     epsilon; by default the planner's defaults at the data's shape.  The
-    epsilons must not repeat.  The first run that raises stops the sweep
-    with its error.
+    epsilons must not repeat, and each must be positive and finite: a bad
+    one is refused before any run.  The first run that raises stops the
+    sweep with its error.
     """
     n_seeds, base_seed = as_int(n_seeds, "n_seeds"), as_int(base_seed, "base_seed")
     if n_seeds < 1:
@@ -174,6 +176,9 @@ def compare_variants(
         raise InvalidInputError(
             "planner_inputs.epsilon_total must be the grid's first epsilon"
         )
+    for eps in epsilons:
+        if not 0.0 < eps < math.inf:
+            raise InvalidInputError(f"epsilon_total must be positive and finite, got {eps}")
 
     seeds = [base_seed + i for i in range(n_seeds)]
     cells: list[ComparisonCell] = []

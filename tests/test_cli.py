@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import warnings
 
 import pytest
@@ -113,6 +114,22 @@ class TestRun:
         assert report["variant"] == "NONPRIVATE"
         assert report["master_seed"] == 7
         assert "timings_ms" not in report
+
+    def test_work_is_printed_and_in_no_file(self, out_dir, capsys):
+        assert main(["run", "--synthetic", "9000,3,4", "--k", "4", "--seed", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        (line,) = [line for line in out if line.startswith("work ")]
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert "work" not in report
+        match = re.fullmatch(
+            r"work \(not in report\): (\d+) passes, 0 from the store, (\d+) rows read,"
+            r" (\d+) rows labelled, (\d+) blocks summed",
+            line,
+        )
+        passes, read, labelled, summed = map(int, match.groups())
+        # EDPDCS: T - 1 step passes and the final pass, each reading every row.
+        assert passes == report["iterations_run"] and read == 9000 * passes
+        assert 9000 <= labelled < read and 0 < summed <= 3 * (passes - 1)
 
     def test_rerun_is_byte_identical(self, out_dir):
         args = ["run", "--variant", "edpdcs", "--seed", "3", "--eps", "1.0"]
@@ -306,7 +323,7 @@ class TestCompare:
         blob = json.loads((out_dir / "comparison.json").read_text())
         assert len(blob["runs"]) == 3 * 2 * 2 + 1
         for run in blob["runs"]:
-            assert "timings_ms" not in run
+            assert not {"timings_ms", "work"} & set(run)
         table = capsys.readouterr().out
         assert "EDPDCS" in table and "NONPRIVATE" in table
 
@@ -462,6 +479,7 @@ class TestInvalidNumbers:
             ["run", "--synthetic", "100,2,2", "--rho", "nan"],
             ["run", "--synthetic", "100,2,2", "--variant", "ru", "--eps", "nan"],
             ["compare", "--synthetic", "100,2,2", "--k", "2", "--eps", "nan", "--seeds", "1"],
+            ["compare", "--synthetic", "100,2,2", "--k", "2", "--eps", "0.5,nan", "--seeds", "2"],
             ["compare", "--synthetic", "50,2,2", "--k", "2", "--seeds", "2", "--eps", "1,1"],
             ["run", "--synthetic", "300,2,2", "--t1", "nan", "--t2", "nan"],
             ["run", "--synthetic", "300.9,2.5,2"],
@@ -475,6 +493,7 @@ class TestInvalidNumbers:
             "run-rho-nan",
             "run-ru-eps-nan",
             "compare-eps-nan",
+            "compare-last-eps-nan",
             "compare-eps-repeated",
             "run-radii-nan",
             "run-fractional-synthetic",

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ class TestBlockPartials:
         assert np.array_equal(counts, np.bincount(labels, minlength=k))
         diff = pts - centroids[labels]
         assert sq_dist == float((diff * diff).sum())
+
+    def test_partials_are_read_only(self):
+        # A block that keeps its counts and sums keeps these arrays: a pass's
+        # merge adds them into fresh arrays, and can never write to them.
+        pts = np.random.Generator(np.random.PCG64(6)).random((50, 2))
+        for partial in engine._counts_and_sums(pts, label_points(pts, pts[:3]), 3):
+            assert not partial.flags.writeable
+            with pytest.raises(ValueError):
+                partial += 1.0
 
     @pytest.mark.parametrize(
         "case", ["corners", "dyadic bisectors", "rows as centroids", "near duplicates"]
@@ -456,6 +466,49 @@ def _run_variant(data, k, variant, epsilon, **config):
     return run_baseline(data, k, epsilon, cfg)
 
 
+def _reads(work):
+    """The entries of a work record whose pass read the data."""
+    return [entry for entry in work if not entry["from_store"]]
+
+
+class TestWorkRecord:
+    """``RunReport.work``: one entry per labelling pass, in run order."""
+
+    def test_passes_follow_the_plan_and_count_the_rows_labelled(self, monkeypatch):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        calls = []
+
+        def counting(points, *args):
+            calls.append(len(points))
+            return label_points(points, *args)
+
+        monkeypatch.setattr(engine, "label_points", counting)
+        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
+        work = report.work
+        assert [w["pass"] for w in work] == ["step"] * (report.iterations_run - 1) + ["final"]
+        assert _reads(work) == work and all(w["rows_read"] == data.n_rows for w in work)
+        assert max(calls) <= engine.MAP_BLOCK_ROWS
+        assert sum(calls) == sum(w["rows_labelled"] for w in work)
+        # The first pass labels every row; each later pass is certified, and
+        # labels fewer.  The final pass sums no counts and sums.
+        assert work[0]["rows_labelled"] == data.n_rows
+        assert all(w["rows_labelled"] < data.n_rows for w in work[1:])
+        assert work[-1]["blocks_summed"] == 0
+
+    def test_rows_read_by_the_passes_that_read(self):
+        data = synthetic_blobs(9000, 3, 4, seed=8)
+        for variant, epsilon in TestCertificateGate.RUNS:
+            work = _run_variant(data, 4, variant, epsilon)[2].work
+            assert sum(w["rows_read"] for w in work) == data.n_rows * len(_reads(work))
+            # RF_DPKM's first step is RU_DPKM's: the store serves it.
+            assert work[0]["from_store"] == (variant is Variant.RF_DPKM)
+            served = [w for w in work if w["from_store"]]
+            assert served == [
+                {"pass": "step", "from_store": True, "rows_read": 0, "rows_labelled": 0,
+                 "blocks_summed": 0}
+            ] * len(served)
+
+
 #: Keys of a written report, of each trace entry, and of ``config`` by
 #: variant (a NONPRIVATE run from given centroids has no canopy start).
 #: A new key is a deliberate change to the report format.
@@ -505,44 +558,18 @@ class TestReportSchema:
             assert set(blob["config"]["canopy"]) == CANOPY_KEYS
 
 
-def _count_rows(monkeypatch):
-    """Per labelling pass, the row counts of the blocks the map task read and
-    of the calls to ``label_points``, each in the order they came, and the
-    indices of the blocks whose counts and sums were summed, not kept.
-
-    Returns the step passes' list and the final passes' list.
-    """
-    steps, finals = [], []
-    running = []  # the running pass's entry
-    map_blocks = engine._Boundary._map_blocks
-    map_block = engine._Boundary._map
-    counts_and_sums = engine._counts_and_sums
-    current = threading.local()
-
-    def counting_pass(self, centroids, probes, final):
-        passes = finals if final else steps
-        passes.append(([], [], []))
-        running[:] = passes[-1:]
-        return map_blocks(self, centroids, probes, final)
-
-    def counting_map(self, b, *args):
-        running[0][0].append(len(self._blocks[b]))
-        current.block = b
-        return map_block(self, b, *args)
-
-    def counting_sums(points, *args):
-        running[0][2].append(current.block)
-        return counts_and_sums(points, *args)
-
-    def counting_labels(points, *args):
-        running[0][1].append(len(points))
-        return label_points(points, *args)
-
-    monkeypatch.setattr(engine._Boundary, "_map_blocks", counting_pass)
-    monkeypatch.setattr(engine._Boundary, "_map", counting_map)
-    monkeypatch.setattr(engine, "_counts_and_sums", counting_sums)
-    monkeypatch.setattr(engine, "label_points", counting_labels)
-    return steps, finals
+def _passes(data, centroids, n_partitions=1, threads=None, final=True):
+    """A step pass against each of ``centroids`` on one new boundary and, if
+    ``final``, a final pass against the last: the bytes of what each pass
+    gave, and the boundary's work record."""
+    agg = _boundary(data, n_partitions, threads)
+    try:
+        got = [agg.step(t, None, c)[::2] for t, c in enumerate(centroids, 1)]
+        if final:
+            got.append(agg.final_pass(centroids[-1]))
+        return [[np.asarray(v).tobytes() for v in values] for values in got], agg.work
+    finally:
+        agg.close()
 
 
 class TestLabellingPasses:
@@ -568,23 +595,6 @@ class TestLabellingPasses:
         assert report.nicv == report.iterations[-1]["nicv_after"]
         assert np.array_equal(labels.labels, assign_labels(data, cs).labels)
 
-    def test_edpdcs_reads_every_row_once_per_planned_iteration(self, monkeypatch):
-        data = synthetic_blobs(9000, 3, 4, seed=8)
-        steps, finals = _count_rows(monkeypatch)
-        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
-        assert len(steps) == report.iterations_run - 1 and len(finals) == 1
-        passes = steps + finals
-        blocks = [stop - start for start, stop in block_spans(data.n_rows)]
-        for read, labelled, _ in passes:
-            assert read == blocks
-            assert max(labelled, default=0) <= engine.MAP_BLOCK_ROWS
-        # The first pass labels every row; each later pass is certified, and
-        # labels fewer.
-        assert sum(passes[0][1]) == data.n_rows
-        assert all(sum(labelled) < data.n_rows for _, labelled, _ in passes[1:])
-        # The final pass sums no counts and sums.
-        assert finals[0][2] == []
-
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
         def slow(*args, **kwargs):
             time.sleep(0.02)
@@ -600,29 +610,6 @@ class TestLabellingPasses:
             assert "timings_ms" not in report.comparable_json()
 
 
-def _grid_jsons(data, k, n_partitions=1):
-    summary = compare_variants(
-        data, k, [0.5, 1.0, 3.0], n_seeds=3, base_seed=5, n_partitions=n_partitions
-    )
-    return [r.comparable_json() for r in summary.runs]
-
-
-def _store_lookups(monkeypatch, kind, log=None):
-    """Log ("hit" or "miss", kind) for every lookup of a ``kind`` key in a
-    dataset's store."""
-    log = [] if log is None else log
-    original = core._DatasetStore.get
-
-    def get(self, key):
-        value = original(self, key)
-        if key[0] == kind:
-            log.append(("miss" if value is None else "hit", kind))
-        return value
-
-    monkeypatch.setattr(core._DatasetStore, "get", get)
-    return log
-
-
 class TestCertificateGate:
     """The certificate changes which rows ``label_points`` sees, never a
     byte of a result."""
@@ -636,36 +623,34 @@ class TestCertificateGate:
         (Variant.RF_DPKM, 1.0),
     ]
 
-    def _runs(self, data, n_partitions, lookups):
-        core._STORES.pop(data, None)
-        out = []
-        for variant, epsilon in self.RUNS:
-            lookups.clear()
-            _, labels, report = _run_variant(data, 4, variant, epsilon, n_partitions=n_partitions)
-            out.append((report.comparable_json(), labels.labels.tobytes()))
-        assert lookups[0] == ("hit", "pass")
-        return out
+    def _runs(self, data):
+        """The bytes of the runs, which 1, 2 and 8 partitions must share
+        with their work records, and the passes that read the data."""
+        by_parts = []
+        for parts in (1, 2, 8):
+            core._STORES.pop(data, None)
+            runs = [_run_variant(data, 4, v, e, n_partitions=parts) for v, e in self.RUNS]
+            by_parts.append(
+                [(r.comparable_json(), labels.labels.tobytes(), r.work) for _, labels, r in runs]
+            )
+        assert by_parts[1] == by_parts[0] and by_parts[2] == by_parts[0]
+        return by_parts[0], [w for *_, work in by_parts[0] for w in _reads(work)]
 
     def test_gate_off_and_on_give_the_same_bytes(self, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        steps, finals = _count_rows(monkeypatch)
-        lookups = _store_lookups(monkeypatch, "pass")
-        on = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
-        # Every run reads every row in each pass; with the gate on, whole
-        # passes go by with a few hundred rows labelled.
-        assert all(sum(read) == data.n_rows for read, _, _ in steps + finals)
-        assert sum(sum(labelled) < data.n_rows / 8 for _, labelled, _ in steps + finals) >= 10
-        # ... and still blocks keep their counts and sums.
-        assert sum(len(summed) for _, _, summed in steps) < sum(len(r) for r, _, _ in steps)
-        assert all(summed == [] for _, _, summed in finals)
-        steps.clear()
-        finals.clear()
+        n_blocks = len(block_spans(data.n_rows))
+        on, reads = self._runs(data)
+        # With the gate on, whole passes go by with a few hundred rows
+        # labelled, and still blocks keep their counts and sums.
+        assert sum(w["rows_labelled"] < data.n_rows / 8 for w in reads) >= 4
+        steps = [w["blocks_summed"] for w in reads if w["pass"] == "step"]
+        assert sum(steps) < n_blocks * len(steps)
+        assert all(w["blocks_summed"] == 0 for w in reads if w["pass"] == "final")
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
-        off = {parts: self._runs(data, parts, lookups) for parts in (1, 2, 8)}
-        assert all(sum(labelled) == data.n_rows for _, labelled, _ in steps + finals)
-        assert all(len(summed) == len(read) for read, _, summed in steps)
-        assert all(summed == [] for _, _, summed in finals)
-        assert off == on
+        off, reads = self._runs(data)
+        assert all(w["rows_labelled"] == data.n_rows for w in reads)
+        assert all(w["blocks_summed"] == n_blocks * (w["pass"] == "step") for w in reads)
+        assert [run[:2] for run in off] == [run[:2] for run in on]
 
     def test_stale_candidates_after_a_stored_pass(self, monkeypatch):
         # The run's candidates come from its latest labelling pass, not from
@@ -676,57 +661,37 @@ class TestCertificateGate:
 
         def passes():
             core._STORES.pop(data, None)
-            _boundary(data)._statistics(c3)
-            agg = _boundary(data, 2, 2)
-            try:
-                got = [agg._statistics(c1), agg._statistics(c2), agg._statistics(c3)]
-                return got + [agg._statistics(c4), agg.final_pass(c4)]
-            finally:
-                agg.close()
+            _boundary(data).step(3, None, c3)
+            return _passes(data, [c1, c2, c3, c4], 2, 2)
 
-        steps, _ = _count_rows(monkeypatch)
-        on = passes()
+        on, work = passes()
+        assert [w["from_store"] for w in work] == [False, False, True, False, False]
         # The c4 pass certifies from the c2 pass's labels, and relabels the
-        # rows whose label moved since.
-        *_, (_, labelled, _) = steps
-        assert 0 < sum(labelled) < data.n_rows / 8
-        assert not np.array_equal(label_points(data.points, c2), on[4][1])
+        # rows whose label moved since, and a few more.
+        moved = label_points(data.points, c2) != label_points(data.points, c4)
+        assert data.n_rows / 8 > work[3]["rows_labelled"] >= np.count_nonzero(moved) > 0
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
-        off = passes()
-        for got, want in zip(on, off):
-            assert [np.asarray(v).tobytes() for v in got] == [
-                np.asarray(v).tobytes() for v in want
-            ]
+        assert passes()[0] == on
 
 
 class TestKeptPartials:
     """A block that tries the certificate and where no row's label moved
     keeps the counts and sums of its candidates instead of summing them."""
 
-    def test_later_passes_sum_only_blocks_with_a_moved_label(self, monkeypatch):
+    def test_later_passes_sum_only_blocks_with_a_moved_label(self):
         data = synthetic_blobs(9000, 3, 4, seed=8)
         spans = block_spans(data.n_rows)
-        passes, _ = _count_rows(monkeypatch)
-        seen = []
-        counted_pass = engine._Boundary._map_blocks
-
-        def map_blocks(self, centroids, probes, final):
-            if not final:
-                tries = [b in self._kept for b in range(len(spans))]
-                seen.append((tries, label_points(data.points, centroids)))
-            return counted_pass(self, centroids, probes, final)
-
-        monkeypatch.setattr(engine._Boundary, "_map_blocks", map_blocks)
-        _run_variant(data, 4, Variant.EDPDCS, 1.0)
-        kept = 0
-        for (_, _, summed), (tries, labels), (_, before) in zip(passes[1:], seen[1:], seen):
-            if not all(tries):
-                assert summed == list(range(len(spans)))
-                continue
-            moved = [b for b, (s, e) in enumerate(spans) if (labels[s:e] != before[s:e]).any()]
-            assert summed == moved
-            kept += len(spans) - len(moved)
-        assert kept > 0
+        _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
+        labels = [label_points(data.points, np.array(it["centroids_after"]))
+                  for it in report.iterations]
+        # Every block probes and passes in the first pass, and keeps to the
+        # end: a later pass sums exactly the blocks where a label moved.
+        moved = [
+            sum((before[s:e] != after[s:e]).any() for s, e in spans)
+            for before, after in zip(labels, labels[1:-1])
+        ]
+        assert [w["blocks_summed"] for w in report.work[:-1]] == [len(spans)] + moved
+        assert sum(moved) < len(spans) * len(moved)
 
     def _two_blocks(self, monkeypatch):
         # Blocks of 16 and 12 rows near two centroids on the line y = 1/2.
@@ -740,42 +705,27 @@ class TestKeptPartials:
         points[21] = [0.48, 0.5]
         return Dataset(points=points, normalized=True)
 
+    def _gate_on_and_off(self, monkeypatch, data, centroids, final):
+        """Each pass's rows labelled and blocks summed with the gate on, and
+        the same bytes as with it off."""
+        on, work = _passes(data, centroids, final=final)
+        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
+        assert _passes(data, centroids, final=final)[0] == on
+        return [(w["rows_labelled"], w["blocks_summed"]) for w in work]
+
     def test_unsure_rows_that_keep_their_labels_keep_the_partials(self, monkeypatch):
         data = self._two_blocks(monkeypatch)
         start = np.array([[0.25, 0.5], [0.75, 0.5]])
         # Every label stays; then row 21 moves to the nearer second centroid.
         nudged = np.array([[0.25, 0.5], [0.75, 0.5 + 2.0**-10]])
         pulled = np.array([[0.25, 0.5], [0.70, 0.5]])
-
-        def passes():
-            core._STORES.pop(data, None)
-            agg = _boundary(data)
-            got = [agg._statistics(c) for c in (start, nudged, pulled)]
-            return agg, got + [agg.final_pass(pulled)]
-
-        steps, finals = _count_rows(monkeypatch)
-        agg, on = passes()
-        assert [(labelled, summed) for _, labelled, summed in steps] == [
-            ([16, 12], [0, 1]),  # both blocks probe and pass
-            ([1], []),  # row 15 is relabelled, and stays
-            ([1, 1], [1]),  # row 15 stays; row 21 moves
+        assert [label_points(data.points, c)[21] for c in (nudged, pulled)] == [0, 1]
+        assert self._gate_on_and_off(monkeypatch, data, [start, nudged, pulled], True) == [
+            (28, 2),  # both blocks probe and pass
+            (1, 0),  # row 15 is relabelled, and stays
+            (2, 1),  # row 15 stays; row 21 moves
+            (1, 0),  # final: row 15 is still unsure, and stays
         ]
-        assert finals == [([16, 12], [1], [])]  # row 15 is still unsure, and stays
-        assert label_points(data.points, nudged)[21] == 0 and on[3][1][21] == 1
-        # The kept partials are read-only and never the pass's sums.
-        assert sorted(agg._kept) == [0, 1]
-        for counts, sums in agg._kept.values():
-            assert not counts.flags.writeable and not sums.flags.writeable
-            with pytest.raises(ValueError):
-                counts += 1.0
-            assert not np.shares_memory(counts, on[2][0])
-            assert not np.shares_memory(sums, on[2][1])
-        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
-        off = passes()[1]
-        for got, want in zip(on, off):
-            assert [np.asarray(v).tobytes() for v in got] == [
-                np.asarray(v).tobytes() for v in want
-            ]
 
     def test_a_failed_try_labels_only_its_unsure_rows_and_stops(self, monkeypatch):
         data = self._two_blocks(monkeypatch)
@@ -783,38 +733,21 @@ class TestKeptPartials:
         # The second centroid pulled towards the first: in each block the
         # rows near x = 3/4, half of them, are unsure.  Row 21 moves.
         pulled = np.array([[0.25, 0.5], [0.40, 0.5]])
-        # A store that keeps nothing: the third pass, against the first's
-        # centroids, reads the data.
-        monkeypatch.setattr(core, "STORE_BYTES", 0)
-
-        def passes():
-            agg = _boundary(data)
-            got, kept = [], []
-            for c in (start, pulled, start):
-                got.append(agg._statistics(c))
-                kept.append([b in agg._kept for b in range(2)])
-            return got, kept
-
-        steps, _ = _count_rows(monkeypatch)
-        on, kept = passes()
-        assert [(labelled, summed) for _, labelled, summed in steps] == [
-            ([16, 12], [0, 1]),  # both blocks probe and pass
-            ([8, 6], [1]),  # both tries fail, having labelled their unsure rows
-            ([16, 12], [0, 1]),  # a probe would pass again, but none runs
-        ]
-        assert kept == [[True, True], [False, False], [False, False]]
         assert [label_points(data.points, c)[21] for c in (start, pulled)] == [0, 1]
-        monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
-        off, _ = passes()
-        for got, want in zip(on, off):
-            assert [np.asarray(v).tobytes() for v in got] == [
-                np.asarray(v).tobytes() for v in want
-            ]
+        # A store that keeps nothing: later passes against the first's
+        # centroids read the data.
+        monkeypatch.setattr(core, "STORE_BYTES", 0)
+        centroids = [start, pulled, start, start]
+        assert self._gate_on_and_off(monkeypatch, data, centroids, False) == [
+            (28, 2),  # both blocks probe and pass
+            (14, 1),  # both tries fail, having labelled their unsure rows
+            (28, 2),  # a probe would pass again, but none runs,
+            (28, 2),  # so no block keeps
+        ]
 
     def test_threads_keep_what_one_thread_keeps(self, monkeypatch):
         # More workers than cores update one map of kept blocks: every pass
-        # must leave the same blocks keeping, and give the same bytes, as a
-        # serial pass.
+        # must label and sum what a serial pass does, and give its bytes.
         monkeypatch.setattr(engine, "MAP_BLOCK_ROWS", 64)
         data = synthetic_blobs(64 * 40 + 9, 2, 3, seed=7)
         _, _, report = _run_variant(data, 3, Variant.EDPDCS, 30.0)
@@ -822,19 +755,10 @@ class TestKeptPartials:
 
         def passes(n_partitions, workers):
             core._STORES.pop(data, None)
-            agg = _boundary(data, n_partitions, workers)
-            try:
-                got = []
-                for c in centroids:
-                    got.append([v.tobytes() for v in agg._statistics(c)[:2]])
-                    got.append(sorted(agg._kept))
-                sq_dist, labels = agg.final_pass(centroids[-1])
-                return got + [sq_dist, labels.tobytes(), sorted(agg._kept)]
-            finally:
-                agg.close()
+            return _passes(data, centroids, n_partitions, workers)
 
         serial = passes(1, 1)
-        assert any(serial[1:-3:2])  # some blocks keep
+        assert any(w["rows_labelled"] < data.n_rows for w in serial[1])  # some blocks keep
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -843,36 +767,18 @@ class TestKeptPartials:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_one_block_never_keeps_partials(self, blood_like, monkeypatch):
+    def test_one_block_never_keeps_partials(self, blood_like):
         # The shape of the benchmark's paper grid: one block of 748 rows.
-        steps, finals = _count_rows(monkeypatch)
-        aggregators = []
-        counted_close = engine._Boundary.close
-
-        def close(self):
-            aggregators.append(self)
-            return counted_close(self)
-
-        monkeypatch.setattr(engine._Boundary, "close", close)
-        reports = [
-            _run_variant(blood_like, 2, variant, epsilon)[2]
+        reads = [
+            w
             for variant, epsilon in TestCertificateGate.RUNS
+            for w in _reads(_run_variant(blood_like, 2, variant, epsilon)[2].work)
         ]
-        assert len(aggregators) == 4 and steps
-        assert all(agg._kept == {} for agg in aggregators)
-        # Each step pass that reads the data sums its one block once; the
-        # final passes sum nothing.
-        assert all(p == ([748], [748], [0]) for p in steps)
-        assert finals == [([748], [748], [])] * 4
-        # The store holds the step passes' entries only: a run's last
-        # centroids are labelled by its final pass alone.
-        step_keys = {
-            engine._pass_key(np.array(it["centroids_after"]))
-            for report in reports
-            for it in report.iterations[:-1]
-        }
-        stored = {key for key in core._STORES[blood_like].entries if key[0] == "pass"}
-        assert stored == step_keys
+        # Each pass that reads the data labels every row; each step pass sums
+        # its one block once, and the final passes sum nothing.
+        assert [w["pass"] for w in reads].count("final") == 4
+        assert all(w["rows_labelled"] == 748 for w in reads)
+        assert all(w["blocks_summed"] == (w["pass"] == "step") for w in reads)
 
 
 class TestFinalPass:
@@ -882,101 +788,79 @@ class TestFinalPass:
     @pytest.mark.parametrize("n_partitions", [1, 2])
     def test_final_pass_neither_probes_nor_stores(self, n_partitions, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        events = []
-        final_pass = engine._Boundary.final_pass
-        bounds = engine.certificate_bounds
-        put = core._DatasetStore.put
-
-        def final(self, centroids):
-            events.append(("final", len(self._kept)))
-            try:
-                return final_pass(self, centroids)
-            finally:
-                events.append(("end", len(self._kept)))
+        bounds = []
+        certificate_bounds = engine.certificate_bounds
 
         def counting_bounds(*args):
-            events.append(("bounds",))
-            return bounds(*args)
+            bounds.append(args)
+            return certificate_bounds(*args)
 
-        def counting_put(self, key, value):
-            events.append(("put", key[0]))
-            return put(self, key, value)
-
-        monkeypatch.setattr(engine._Boundary, "final_pass", final)
         monkeypatch.setattr(engine, "certificate_bounds", counting_bounds)
-        monkeypatch.setattr(core._DatasetStore, "put", counting_put)
         runs = []
         # The second run's steps are all served from the store, so its final
         # pass is its first read of the data, where a step pass would probe.
         for _ in range(2):
-            events.clear()
-            cs, labels, report = _run_variant(
+            bounds.clear()
+            _, labels, report = _run_variant(
                 data, 4, Variant.EDPDCS, 1.0, n_partitions=n_partitions
             )
-            (start,) = [i for i, event in enumerate(events) if event[0] == "final"]
-            runs.append((report.comparable_json(), labels.labels.tobytes(), events[start:]))
-            want = label_points(data.points, cs.centroids)
-            assert np.array_equal(labels.labels, want)
-            sq_dist = 0.0
-            for s, e in block_spans(data.n_rows):
-                diff = engine._squared_differences(data.points[s:e], cs.centroids, want[s:e])
-                sq_dist += float(diff.sum())
-            assert report.nicv == sq_dist / data.n_rows
+            runs.append((report.comparable_json(), labels.labels.tobytes(), report.work))
         (cold_json, cold_labels, cold), (warm_json, warm_labels, warm) = runs
         assert (warm_json, warm_labels) == (cold_json, cold_labels)
-        # Cold, blocks keep counts and sums from the step passes, so the
-        # final pass needs bounds for their tries; it puts nothing.
-        assert cold[0][1] > 0 and cold[1:] == [("bounds",), cold[-1]]
-        # Warm, no block keeps anything and none probes: no bounds, no put.
-        assert warm == [("final", 0), ("end", 0)]
+        assert [w["from_store"] for w in warm] == [True] * (len(warm) - 1) + [False]
+        # Cold, blocks keep counts and sums from the step passes and try the
+        # certificate in the final pass.  Warm, no block keeps, and the final
+        # pass neither probes nor needs bounds: it labels every row.
+        assert cold[-1]["rows_labelled"] < data.n_rows == warm[-1]["rows_labelled"]
+        assert cold[-1]["blocks_summed"] == warm[-1]["blocks_summed"] == 0
+        assert bounds == []
+        # The store holds the step passes' entries only: a run's last
+        # centroids are labelled by its final pass alone.
+        stored = {key for key in core._STORES[data].entries if key[0] == "pass"}
+        steps = json.loads(cold_json)["iterations"][:-1]
+        assert stored == {engine._pass_key(np.array(it["centroids_after"])) for it in steps}
+
+
+def _grid(data, k, n_partitions=1):
+    """A small grid's runs, and the kind of each of their passes that read."""
+    summary = compare_variants(
+        data, k, [0.5, 1.0, 3.0], n_seeds=3, base_seed=5, n_partitions=n_partitions
+    )
+    reads = [w["pass"] for r in summary.runs for w in _reads(r.work)]
+    return [r.comparable_json() for r in summary.runs], reads
 
 
 class TestPassMemo:
     """The labelling-pass statistics kept in a dataset's store."""
 
-    def _count_passes(self, monkeypatch):
-        """The centroids' bytes of every pass that reads the data, step or
-        final."""
-        passes = []
-        map_blocks = engine._Boundary._map_blocks
-
-        def counted(self, centroids, probes, final):
-            passes.append(centroids.tobytes())
-            return map_blocks(self, centroids, probes, final)
-
-        monkeypatch.setattr(engine._Boundary, "_map_blocks", counted)
-        return passes
-
-    def test_warm_grid_rerun_is_byte_identical_to_cold(self, small_blobs, monkeypatch):
-        passes = self._count_passes(monkeypatch)
-        cold = _grid_jsons(small_blobs, 3)
-        cold_passes = len(passes)
-        warm = _grid_jsons(small_blobs, 3)
+    def test_warm_grid_rerun_is_byte_identical_to_cold(self, small_blobs):
+        cold, cold_reads = _grid(small_blobs, 3)
+        warm, warm_reads = _grid(small_blobs, 3)
         assert warm == cold
-        # Without the memo a run labels once per step and once at the end.
+        # Without the store a run reads once per step and once at the end.
         # RF_DPKM and RU_DPKM at 3 epsilons share each of the 3 seeds' start,
-        # so the cold grid saves at least 5 passes a seed; the rerun labels
-        # only for its runs' final assignments.
-        runs = [json.loads(r) for r in cold]
-        steps = sum(it["phase"] == "lloyd" for r in runs for it in r["iterations"])
-        assert cold_passes <= steps + len(runs) - 5 * 3
-        assert len(passes) - cold_passes == len(runs)
+        # so the cold grid saves at least 5 passes a seed; the rerun reads
+        # only for its runs' final passes.
+        steps = sum(it["phase"] == "lloyd" for r in cold for it in json.loads(r)["iterations"])
+        assert len(cold_reads) <= steps + len(cold) - 5 * 3
+        assert warm_reads == ["final"] * len(warm)
 
-    def test_hit_at_two_partitions_reuses_one_partition_entry(self, monkeypatch):
+    def test_hit_at_two_partitions_reuses_one_partition_entry(self):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        one = _grid_jsons(data, 4)
-        passes = self._count_passes(monkeypatch)
-        two = _grid_jsons(data, 4, n_partitions=2)
+        one, _ = _grid(data, 4)
+        two, two_reads = _grid(data, 4, n_partitions=2)
         assert two == one
-        assert len(passes) == len(one)
+        assert two_reads == ["final"] * len(two)
 
-    def test_readme_quotes_the_grids_store_hits(self, blood_like, monkeypatch):
+    def test_readme_quotes_the_grids_store_hits(self, blood_like):
         # The 451-run grid of ``compare --seeds 30`` over the blood layout.
-        lookups = _store_lookups(monkeypatch, "pass")
         summary = compare_variants(blood_like, 2, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=30)
-        assert len(summary.runs) == 451
+        work = [w for r in summary.runs for w in r.work]
+        steps = [w["from_store"] for w in work if w["pass"] == "step"]
+        finals = [w["from_store"] for w in work if w["pass"] == "final"]
+        assert len(summary.runs) == len(finals) == 451 and not any(finals)
         quote = (
-            f"{lookups.count(('hit', 'pass')):,} of {len(lookups):,} step passes"
+            f"{sum(steps):,} of {len(steps):,} step passes"
             " are served from the store, and the 451 final passes read the data"
         )
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -986,56 +870,39 @@ class TestPassMemo:
     @pytest.mark.parametrize("variant,epsilon", TestCertificateGate.RUNS)
     def test_every_read_comes_after_its_charge(self, variant, epsilon, n_partitions, monkeypatch):
         # A charge comes before what it pays for: EDPDCS's "init" before the
-        # canopy start's lookup in the store and, cold, its read of the rows,
-        # and each noisy step's charge before its lookup and, cold, its step
-        # pass.
+        # canopy start's read of the rows, and each noisy step's charge
+        # before its step pass.  A read shows as a call of the canopy pass
+        # or of ``label_points``; a rerun's steps are served from the store.
         data = synthetic_blobs(9000, 3, 4, seed=8)
         events = []
 
         class Ledger(engine.BudgetLedger):
             def charge(self, phase, amount):
-                events.append(("charge", phase))
+                events.append(phase)
                 return super().charge(phase, amount)
 
-        map_blocks = engine._Boundary._map_blocks
-        select_initial_centroids = engine.select_initial_centroids
-
-        def reading_pass(self, centroids, probes, final):
-            events.append(("read", "final" if final else "pass"))
-            return map_blocks(self, centroids, probes, final)
-
-        def reading_canopy(*args):
-            events.append(("read", "canopy"))
-            return select_initial_centroids(*args)
+        def logged(event, read):
+            return lambda *args: events.append(event) or read(*args)
 
         monkeypatch.setattr(engine, "BudgetLedger", Ledger)
-        monkeypatch.setattr(engine._Boundary, "_map_blocks", reading_pass)
-        monkeypatch.setattr(engine, "select_initial_centroids", reading_canopy)
-        for kind in ("pass", "canopy", "rows"):
-            _store_lookups(monkeypatch, kind, events)
-
-        def expected(report, cold):
-            def lookup(kind):
-                return [("miss", kind), ("read", kind)] if cold else [("hit", kind)]
-
-            want = []
-            if not variant.has_canopy_start:
-                want.append(("miss" if cold else "hit", "rows"))
-            elif epsilon is not None:
-                want += [("charge", "init")] + lookup("canopy")
-            else:
-                want += lookup("canopy")
-            for it in report.iterations[1:]:
-                if epsilon is not None:
-                    want.append(("charge", f"iteration-{it['iteration']}"))
-                want += lookup("pass")
-            return want + [("read", "final")]
-
+        monkeypatch.setattr(engine, "label_points", logged("read", label_points))
+        canopy = logged("canopy", engine.select_initial_centroids)
+        monkeypatch.setattr(engine, "select_initial_centroids", canopy)
         runs = []
         for cold in (True, False):
             events.clear()
             _, _, report = _run_variant(data, 4, variant, epsilon, n_partitions=n_partitions)
-            assert events == expected(report, cold)
+            phases = [f"iteration-{it['iteration']}" for it in report.iterations[1:]]
+            assert [w["from_store"] for w in report.work] == [not cold] * len(phases) + [False]
+            want = ["init"] * (variant is Variant.EDPDCS)
+            want += ["canopy"] * (cold and variant.has_canopy_start)
+            for phase, w in zip(phases, report.work):
+                want += [phase] * (epsilon is not None) + ["read"] * (w["rows_labelled"] > 0)
+            # The final pass reads; events of one kind in a row count once.
+            want.append("read")
+            assert [e for e, _ in itertools.groupby(events)] == [
+                e for e, _ in itertools.groupby(want)
+            ]
             runs.append(report.comparable_json())
         assert runs[0] == runs[1]
 
@@ -1068,45 +935,28 @@ class TestPassMemo:
         assert list(store.entries) == [engine._pass_key(s.centroids) for s in starts[2:]]
 
     def test_threads_sharing_one_state(self, monkeypatch):
-        # More workers than cores against one small memo: every pass must
+        # More workers than cores against one small store: every pass must
         # match its cold value and the byte count must stay exact.
         data = synthetic_blobs(500, 2, 3, seed=2)
         rng = np.random.Generator(np.random.PCG64(3))
         centroids = [rng.random((3, 2)) for _ in range(12)]
-        want = []
-        for c in centroids:
-            want.append(_boundary(data)._statistics(c))
+        want = _passes(data, centroids, final=False)[0]
         _, one = core._STORES.pop(data).entries[engine._pass_key(centroids[0])]
         monkeypatch.setattr(core, "STORE_BYTES", 4 * one)
-        errors = []
+        orders = [[(i * 5 + offset) % len(centroids) for i in range(60)] for offset in range(6)]
 
-        def worker(offset):
-            agg = _boundary(data)
-            try:
-                for i in range(60):
-                    j = (i * 5 + offset) % len(centroids)
-                    got = agg._statistics(centroids[j])
-                    if not (
-                        np.array_equal(got[0], want[j][0])
-                        and np.array_equal(got[1], want[j][1])
-                        and got[2] == want[j][2]
-                    ):
-                        errors.append(j)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
+        def worker(order):
+            return _passes(data, [centroids[j] for j in order], final=False)[0]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        pool = ThreadPoolExecutor(max_workers=6)
         try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+            got = list(pool.map(worker, orders, timeout=60))
         finally:
+            pool.shutdown(wait=False)
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
+        assert got == [[want[j] for j in order] for order in orders]
         store = core._STORES[data]
         assert store.nbytes == len(store.entries) * one <= 4 * one
 
@@ -1131,11 +981,22 @@ class TestRandomRowStart:
         assert np.array_equal(start, small_blobs.points[idx])
 
     def test_grid_draws_once_per_master_seed(self, small_blobs, monkeypatch):
-        lookups = _store_lookups(monkeypatch, "rows")
-        compare_variants(small_blobs, 3, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=3)
-        # RF_DPKM and RU_DPKM at five epsilons share each seed's start.
-        assert lookups.count(("miss", "rows")) == 3
-        assert lookups.count(("hit", "rows")) == 2 * 5 * 3 - 3
+        draws = []
+        real = engine.derive_stream_seed
+
+        def recorded(master_seed, iteration, cluster_index):
+            if (iteration, cluster_index) == (0, 1):
+                draws.append(master_seed)
+            return real(master_seed, iteration, cluster_index)
+
+        monkeypatch.setattr(engine, "derive_stream_seed", recorded)
+        summary = compare_variants(small_blobs, 3, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=3)
+        # No canopy start fills, so each draw from stream (0, 1) is a
+        # random-row start: RF_DPKM and RU_DPKM at five epsilons share each
+        # seed's.
+        assert not any("filled" in note for r in summary.runs for note in r.notes)
+        assert sum(r.variant in ("RF_DPKM", "RU_DPKM") for r in summary.runs) == 2 * 5 * 3
+        assert draws == [0, 1, 2]
 
 
 #: The stream (i, j) of the master seed each purpose of a run draws from;

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -93,10 +95,10 @@ class TestRunReport:
     def test_timings_can_be_excluded(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE)
         _, _, report = run_baseline(small_blobs, 3, None, cfg)
-        assert "timings_ms" in report.to_dict()
-        assert "timings_ms" not in report.to_dict(include_timings=False)
-        # A written report never carries wall clock.
-        assert "timings_ms" not in json.loads(report.to_json())
+        assert {"timings_ms", "work"} <= set(report.to_dict())
+        assert not {"timings_ms", "work"} & set(report.to_dict(include_timings=False))
+        # A written report never carries wall clock or the work record.
+        assert not {"timings_ms", "work"} & set(json.loads(report.to_json()))
 
     def test_comparable_json_ignores_partitioning_and_timing(self, small_blobs):
         inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
@@ -133,7 +135,7 @@ class TestRunReport:
             report = run_baseline(small_blobs, 3, eps, cfg)[2]
         deep = dataclasses.asdict(report)
         comparable = {
-            k: v for k, v in deep.items() if k not in ("timings_ms", "n_partitions")
+            k: v for k, v in deep.items() if k not in ("timings_ms", "work", "n_partitions")
         }
         comparable["config"] = {
             k: v for k, v in deep["config"].items() if k != "threads"
@@ -142,7 +144,7 @@ class TestRunReport:
             comparable, indent=2, sort_keys=True
         )
         # Serializing left the report's own fields as they were.
-        written = {k: v for k, v in deep.items() if k != "timings_ms"}
+        written = {k: v for k, v in deep.items() if k not in ("timings_ms", "work")}
         assert report.to_json() == json.dumps(written, indent=2, sort_keys=True)
 
 
@@ -204,6 +206,24 @@ class TestCompareVariants:
         monkeypatch.setattr(evaluation_mod, "run_baseline", boom)
         with pytest.raises(RuntimeError, match="synthetic failure"):
             compare_variants(small_blobs, 3, [1.0], 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_epsilon_is_refused_before_any_run(self, small_blobs, monkeypatch, bad):
+        # A bad budget late in the list used to be refused by its own cell,
+        # after every run of the cells before it.
+        import dpkmeans.evaluation as evaluation_mod
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_edpdcs(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation_mod, "run_edpdcs", counting)
+        message = f"epsilon_total must be positive and finite, got {bad}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            compare_variants(small_blobs, 3, [0.5, 1.0, bad], 2)
+        assert calls == []
 
     def test_validation(self, small_blobs):
         with pytest.raises(InvalidInputError):

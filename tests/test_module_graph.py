@@ -167,3 +167,60 @@ def test_canopy_imports_only_core():
     # The canopy pass computes on the rows it is given: the seeds, the noise
     # and the store stay with the run's boundary.
     assert _graph()["dpkmeans.canopy"] == {"dpkmeans.core"}
+
+
+def _private_patches(source: str) -> list[str]:
+    """What each ``setattr`` call in ``source`` patches, of these: an
+    attribute of ``engine._Boundary`` or ``core._DatasetStore``, or an
+    underscore-named attribute of ``engine``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) != "setattr":
+            continue
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            *owner, name = first.value.split(".")  # setattr("pkg.module.name", value)
+        else:
+            owner = ast.unparse(first).split(".")
+            second = node.args[1] if len(node.args) > 1 else None
+            name = second.value if isinstance(second, ast.Constant) else None
+        if owner[-1] in ("_Boundary", "_DatasetStore") or (
+            owner[-1] == "engine" and str(name).startswith("_")
+        ):
+            found.append(".".join(owner + [str(name)]))
+    return found
+
+
+def test_private_patches_are_found():
+    source = (
+        "monkeypatch.setattr(engine._Boundary, '_map', f)\n"
+        "monkeypatch.setattr(core._DatasetStore, 'get', f)\n"
+        "monkeypatch.setattr(engine, '_counts_and_sums', f)\n"
+        "setattr(dpkmeans.engine, '_passes', 1)\n"
+        "monkeypatch.setattr('dpkmeans.engine._Boundary.close', f)\n"
+        "monkeypatch.setattr(engine, 'label_points', f)\n"
+        "monkeypatch.setattr(core, '_label_exact', f)\n"
+        "monkeypatch.setattr(engine.os, 'cpu_count', f)\n"
+    )
+    assert _private_patches(source) == [
+        "engine._Boundary._map",
+        "core._DatasetStore.get",
+        "engine._counts_and_sums",
+        "dpkmeans.engine._passes",
+        "dpkmeans.engine._Boundary.close",
+    ]
+
+
+def test_no_test_patches_the_engines_private_seams():
+    # Tests of the map side read a run's work record (``RunReport.work``)
+    # and patch only public names, so a refactor of the boundary's
+    # internals that keeps the record's values breaks no test.
+    tests = Path(__file__).parent
+    found = [
+        f"{path.name}: {patch}"
+        for path in sorted(tests.glob("*.py"))
+        for patch in _private_patches(path.read_text())
+    ]
+    assert found == []
