@@ -338,10 +338,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     work = report.work
     print(
         f"work (not in report): {len(work)} passes, "
-        f"{sum(entry['from_store'] for entry in work)} from the store, "
-        f"{sum(entry['rows_read'] for entry in work)} rows read, "
-        f"{sum(entry['rows_labelled'] for entry in work)} rows labelled, "
-        f"{sum(entry['blocks_summed'] for entry in work)} blocks summed"
+        f"{sum(entry.from_store for entry in work)} from the store, "
+        f"{sum(entry.rows_read for entry in work)} rows read, "
+        f"{sum(entry.rows_labelled for entry in work)} rows labelled, "
+        f"{sum(entry.blocks_summed for entry in work)} blocks summed"
     )
     return EXIT_OK
 

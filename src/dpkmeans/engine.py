@@ -53,6 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,6 +157,33 @@ class EngineConfig:
         return max(1, min(self.n_partitions, os.cpu_count() or 1))
 
 
+class PassWork(NamedTuple):
+    """One labelling pass's entry in a run's work record (:attr:`RunReport.work`)."""
+
+    #: ``"step"`` or ``"final"``.
+    kind: str
+    #: The dataset's store served the step, so it read no row.
+    from_store: bool
+    rows_read: int
+    #: The rows given to :func:`~dpkmeans.core.label_points`.
+    rows_labelled: int
+    #: The map blocks whose counts and sums were summed, not kept.
+    blocks_summed: int
+
+
+@functools.lru_cache(maxsize=256)
+def _pass_work(
+    kind: str, from_store: bool, rows_read: int, rows_labelled: int, blocks_summed: int
+) -> PassWork:
+    """A work entry, one object for equal entries: a grid's runs on small
+    data repeat a few entries thousands of times, and keep them all."""
+    return PassWork(kind, from_store, rows_read, rows_labelled, blocks_summed)
+
+
+#: The entry of every step pass the store serves.
+_STORE_HIT = PassWork("step", True, 0, 0, 0)
+
+
 @dataclass
 class RunReport:
     """Everything needed to understand and replay one clustering run.
@@ -166,13 +194,9 @@ class RunReport:
     resolved thread count are excluded from :meth:`comparable_json` too:
     they affect scheduling, never results.
 
-    ``work`` is evaluator-only and excluded with the timings: one entry per
-    labelling pass, in run order, each step's and then the final pass's.
-    An entry holds ``pass`` (``"step"`` or ``"final"``), ``from_store``
-    (the dataset's store served the step, so it read no row),
-    ``rows_read``, ``rows_labelled`` (the rows given to
-    :func:`~dpkmeans.core.label_points`) and ``blocks_summed`` (the map
-    blocks whose counts and sums were summed, not kept).
+    ``work`` is evaluator-only and excluded with the timings: one
+    :class:`PassWork` per labelling pass, in run order, each step's and
+    then the final pass's.
     """
 
     variant: str
@@ -191,7 +215,7 @@ class RunReport:
     config: dict
     notes: list[str]
     timings_ms: dict
-    work: list[dict] = field(default_factory=list)
+    work: list[PassWork] = field(default_factory=list)
 
     def to_dict(self, include_timings: bool = True) -> dict:
         """The report's fields by name; without ``include_timings``, all but
@@ -316,17 +340,6 @@ def _certified_sq_dist(
     return float(diff.sum()), rows.size > 0, unsure.size
 
 
-def _work(kind: str, from_store: bool, read: int, labelled: int, summed: int) -> dict:
-    """One entry of a run's work record (:attr:`RunReport.work`)."""
-    return {
-        "pass": kind,
-        "from_store": from_store,
-        "rows_read": read,
-        "rows_labelled": labelled,
-        "blocks_summed": summed,
-    }
-
-
 def _pass_key(centroids: np.ndarray) -> tuple:
     """A pass's key in the dataset's store: its statistics depend only on the
     data and the centroids' bytes, never on the partition count."""
@@ -385,8 +398,10 @@ class _Boundary:
         spans = block_spans(data.n_rows)
         self._blocks = [data.points[s:e] for s, e in spans]
         n_blocks = len(self._blocks)
-        #: The run's work record (:attr:`RunReport.work`), one entry a pass.
-        self.work: list[dict] = []
+        #: The run's work record (:attr:`RunReport.work`), one entry a pass,
+        #: and how many of its passes read the data.
+        self.work: list[PassWork] = []
+        self._reads = 0
         # Block -> the read-only counts and sums of its candidates, for the
         # blocks that keep them: a pass needs bounds only while one does.
         self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -515,11 +530,9 @@ class _Boundary:
         key = _pass_key(centroids)
         stats = self._store.get(key)
         if stats is not None:
-            self.work.append(_work("step", True, 0, 0, 0))
+            self.work.append(_STORE_HIT)
             return stats
-        probes = len(self._blocks) > 1 and (
-            sum(not entry["from_store"] for entry in self.work) < PROBE_PASSES
-        )
+        probes = len(self._blocks) > 1 and self._reads < PROBE_PASSES
         per_block = self._map_blocks(centroids, probes, final=False)
         # Block 0's partials come from bincount, which never yields -0.0, so
         # starting the fold from them equals starting it from zeros.  Every
@@ -554,7 +567,8 @@ class _Boundary:
             sq_dist += block_sq_dist
             labelled += block_labelled
             summed += block_summed
-        self.work.append(_work(kind, False, self._data.n_rows, labelled, summed))
+        self.work.append(_pass_work(kind, False, len(self._data.points), labelled, summed))
+        self._reads += 1
         return sq_dist
 
     def _map_blocks(self, centroids: np.ndarray, probes: bool, final: bool) -> list[_Partials]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -176,9 +175,8 @@ def compare_variants(
         raise InvalidInputError(
             "planner_inputs.epsilon_total must be the grid's first epsilon"
         )
-    for eps in epsilons:
-        if not 0.0 < eps < math.inf:
-            raise InvalidInputError(f"epsilon_total must be positive and finite, got {eps}")
+    # Built before any run, so a bad epsilon is refused before the sweep.
+    cell_inputs = {eps: replace(template, epsilon_total=eps) for eps in epsilons}
 
     seeds = [base_seed + i for i in range(n_seeds)]
     cells: list[ComparisonCell] = []
@@ -186,9 +184,7 @@ def compare_variants(
     for variant in Variant:
         private = variant.spends_epsilon
         for eps in epsilons if private else [None]:
-            inputs = None
-            if variant.takes_planner_inputs:
-                inputs = replace(template, epsilon_total=eps)
+            inputs = cell_inputs[eps] if variant.takes_planner_inputs else None
             canopy = canopy_params if variant.has_canopy_start else None
             reports = []
             for seed in seeds if private else seeds[:1]:

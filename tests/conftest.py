@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import sys
 import weakref
 
 import pytest
@@ -48,6 +49,16 @@ def cold_memos():
             memo.clear()
         else:
             memo.cache_clear()
+
+
+@pytest.fixture
+def busy_switches():
+    """Threads switch as often as the interpreter lets them, so that a race
+    between them shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
 
 @pytest.fixture(scope="session")

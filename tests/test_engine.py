@@ -1,10 +1,10 @@
 import dataclasses
-import itertools
 import json
 import math
 import pathlib
 import sys
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -468,7 +468,7 @@ def _run_variant(data, k, variant, epsilon, **config):
 
 def _reads(work):
     """The entries of a work record whose pass read the data."""
-    return [entry for entry in work if not entry["from_store"]]
+    return [entry for entry in work if not entry.from_store]
 
 
 class TestWorkRecord:
@@ -485,28 +485,25 @@ class TestWorkRecord:
         monkeypatch.setattr(engine, "label_points", counting)
         _, _, report = _run_variant(data, 4, Variant.EDPDCS, 1.0)
         work = report.work
-        assert [w["pass"] for w in work] == ["step"] * (report.iterations_run - 1) + ["final"]
-        assert _reads(work) == work and all(w["rows_read"] == data.n_rows for w in work)
+        assert [w.kind for w in work] == ["step"] * (report.iterations_run - 1) + ["final"]
+        assert _reads(work) == work and all(w.rows_read == data.n_rows for w in work)
         assert max(calls) <= engine.MAP_BLOCK_ROWS
-        assert sum(calls) == sum(w["rows_labelled"] for w in work)
+        assert sum(calls) == sum(w.rows_labelled for w in work)
         # The first pass labels every row; each later pass is certified, and
         # labels fewer.  The final pass sums no counts and sums.
-        assert work[0]["rows_labelled"] == data.n_rows
-        assert all(w["rows_labelled"] < data.n_rows for w in work[1:])
-        assert work[-1]["blocks_summed"] == 0
+        assert work[0].rows_labelled == data.n_rows
+        assert all(w.rows_labelled < data.n_rows for w in work[1:])
+        assert work[-1].blocks_summed == 0
 
     def test_rows_read_by_the_passes_that_read(self):
         data = synthetic_blobs(9000, 3, 4, seed=8)
         for variant, epsilon in TestCertificateGate.RUNS:
             work = _run_variant(data, 4, variant, epsilon)[2].work
-            assert sum(w["rows_read"] for w in work) == data.n_rows * len(_reads(work))
+            assert sum(w.rows_read for w in work) == data.n_rows * len(_reads(work))
             # RF_DPKM's first step is RU_DPKM's: the store serves it.
-            assert work[0]["from_store"] == (variant is Variant.RF_DPKM)
-            served = [w for w in work if w["from_store"]]
-            assert served == [
-                {"pass": "step", "from_store": True, "rows_read": 0, "rows_labelled": 0,
-                 "blocks_summed": 0}
-            ] * len(served)
+            assert work[0].from_store == (variant is Variant.RF_DPKM)
+            served = [w for w in work if w.from_store]
+            assert served == [engine.PassWork("step", True, 0, 0, 0)] * len(served)
 
 
 #: Keys of a written report, of each trace entry, and of ``config`` by
@@ -573,15 +570,11 @@ def _passes(data, centroids, n_partitions=1, threads=None, final=True):
 
 
 class TestLabellingPasses:
+    # The last two runs converge before the cap.
     @pytest.mark.parametrize(
         "variant,epsilon",
-        [
-            (Variant.EDPDCS, 3.0),
-            (Variant.RF_DPKM, 3.0),
-            (Variant.RU_DPKM, 1.0),
-            (Variant.RU_DPKM, 1e9),  # converges before the cap
-            (Variant.NONPRIVATE, None),  # converges before the cap
-        ],
+        [(Variant.EDPDCS, 3.0), (Variant.RF_DPKM, 3.0), (Variant.RU_DPKM, 1.0),
+         (Variant.RU_DPKM, 1e9), (Variant.NONPRIVATE, None)],
     )
     def test_nicv_after_is_nicv_of_centroids_after(self, variant, epsilon):
         data = synthetic_blobs(9000, 3, 4, seed=8)
@@ -592,8 +585,12 @@ class TestLabellingPasses:
             after = CentroidSet(centroids=np.array(it["centroids_after"]))
             want = nicv(data, after, assign_labels(data, after))
             assert math.isclose(it["nicv_after"], want, rel_tol=1e-12)
+        assert np.array_equal(labels.labels, label_points(data.points, cs.centroids))
+        # Exactly: the final pass adds its blocks' sums in ascending order.
+        sq_dists = (engine._squared_differences(data.points[s:e], cs.centroids, labels.labels[s:e])
+                    for s, e in block_spans(data.n_rows))
         assert report.nicv == report.iterations[-1]["nicv_after"]
-        assert np.array_equal(labels.labels, assign_labels(data, cs).labels)
+        assert report.nicv == sum(float(d.sum()) for d in sq_dists) / data.n_rows
 
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
         def slow(*args, **kwargs):
@@ -614,14 +611,10 @@ class TestCertificateGate:
     """The certificate changes which rows ``label_points`` sees, never a
     byte of a result."""
 
-    RUNS = [
-        (Variant.EDPDCS, 1.0),
-        (Variant.NONPRIVATE, None),
-        (Variant.RU_DPKM, 1.0),
-        # Its first step, from the same rows as RU_DPKM's, is served from
-        # the store, so its first labelling pass is its second step.
-        (Variant.RF_DPKM, 1.0),
-    ]
+    # RF_DPKM's first step, from the same rows as RU_DPKM's, is served from
+    # the store, so its first labelling pass is its second step.
+    RUNS = [(Variant.EDPDCS, 1.0), (Variant.NONPRIVATE, None), (Variant.RU_DPKM, 1.0),
+            (Variant.RF_DPKM, 1.0)]
 
     def _runs(self, data):
         """The bytes of the runs, which 1, 2 and 8 partitions must share
@@ -642,14 +635,14 @@ class TestCertificateGate:
         on, reads = self._runs(data)
         # With the gate on, whole passes go by with a few hundred rows
         # labelled, and still blocks keep their counts and sums.
-        assert sum(w["rows_labelled"] < data.n_rows / 8 for w in reads) >= 4
-        steps = [w["blocks_summed"] for w in reads if w["pass"] == "step"]
+        assert sum(w.rows_labelled < data.n_rows / 8 for w in reads) >= 4
+        steps = [w.blocks_summed for w in reads if w.kind == "step"]
         assert sum(steps) < n_blocks * len(steps)
-        assert all(w["blocks_summed"] == 0 for w in reads if w["pass"] == "final")
+        assert all(w.blocks_summed == 0 for w in reads if w.kind == "final")
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         off, reads = self._runs(data)
-        assert all(w["rows_labelled"] == data.n_rows for w in reads)
-        assert all(w["blocks_summed"] == n_blocks * (w["pass"] == "step") for w in reads)
+        assert all(w.rows_labelled == data.n_rows for w in reads)
+        assert all(w.blocks_summed == n_blocks * (w.kind == "step") for w in reads)
         assert [run[:2] for run in off] == [run[:2] for run in on]
 
     def test_stale_candidates_after_a_stored_pass(self, monkeypatch):
@@ -665,11 +658,11 @@ class TestCertificateGate:
             return _passes(data, [c1, c2, c3, c4], 2, 2)
 
         on, work = passes()
-        assert [w["from_store"] for w in work] == [False, False, True, False, False]
+        assert [w.from_store for w in work] == [False, False, True, False, False]
         # The c4 pass certifies from the c2 pass's labels, and relabels the
         # rows whose label moved since, and a few more.
         moved = label_points(data.points, c2) != label_points(data.points, c4)
-        assert data.n_rows / 8 > work[3]["rows_labelled"] >= np.count_nonzero(moved) > 0
+        assert data.n_rows / 8 > work[3].rows_labelled >= np.count_nonzero(moved) > 0
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         assert passes()[0] == on
 
@@ -690,7 +683,7 @@ class TestKeptPartials:
             sum((before[s:e] != after[s:e]).any() for s, e in spans)
             for before, after in zip(labels, labels[1:-1])
         ]
-        assert [w["blocks_summed"] for w in report.work[:-1]] == [len(spans)] + moved
+        assert [w.blocks_summed for w in report.work[:-1]] == [len(spans)] + moved
         assert sum(moved) < len(spans) * len(moved)
 
     def _two_blocks(self, monkeypatch):
@@ -711,7 +704,7 @@ class TestKeptPartials:
         on, work = _passes(data, centroids, final=final)
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
         assert _passes(data, centroids, final=final)[0] == on
-        return [(w["rows_labelled"], w["blocks_summed"]) for w in work]
+        return [(w.rows_labelled, w.blocks_summed) for w in work]
 
     def test_unsure_rows_that_keep_their_labels_keep_the_partials(self, monkeypatch):
         data = self._two_blocks(monkeypatch)
@@ -745,7 +738,7 @@ class TestKeptPartials:
             (28, 2),  # so no block keeps
         ]
 
-    def test_threads_keep_what_one_thread_keeps(self, monkeypatch):
+    def test_threads_keep_what_one_thread_keeps(self, monkeypatch, busy_switches):
         # More workers than cores update one map of kept blocks: every pass
         # must label and sum what a serial pass does, and give its bytes.
         monkeypatch.setattr(engine, "MAP_BLOCK_ROWS", 64)
@@ -758,14 +751,9 @@ class TestKeptPartials:
             return _passes(data, centroids, n_partitions, workers)
 
         serial = passes(1, 1)
-        assert any(w["rows_labelled"] < data.n_rows for w in serial[1])  # some blocks keep
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert passes(8, 6) == serial
-        finally:
-            sys.setswitchinterval(interval)
+        assert any(w.rows_labelled < data.n_rows for w in serial[1])  # some blocks keep
+        for _ in range(3):
+            assert passes(8, 6) == serial
 
     def test_one_block_never_keeps_partials(self, blood_like):
         # The shape of the benchmark's paper grid: one block of 748 rows.
@@ -776,43 +764,36 @@ class TestKeptPartials:
         ]
         # Each pass that reads the data labels every row; each step pass sums
         # its one block once, and the final passes sum nothing.
-        assert [w["pass"] for w in reads].count("final") == 4
-        assert all(w["rows_labelled"] == 748 for w in reads)
-        assert all(w["blocks_summed"] == (w["pass"] == "step") for w in reads)
+        assert [w.kind for w in reads].count("final") == 4
+        assert all(w.rows_labelled == 748 for w in reads)
+        assert all(w.blocks_summed == (w.kind == "step") for w in reads)
 
 
 class TestFinalPass:
     """A run's final pass gives the labels and the squared-distance sum, and
     nothing else."""
 
-    @pytest.mark.parametrize("n_partitions", [1, 2])
-    def test_final_pass_neither_probes_nor_stores(self, n_partitions, monkeypatch):
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_final_pass_neither_probes_nor_stores(self, parts, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
-        bounds = []
-        certificate_bounds = engine.certificate_bounds
+        bounds, real = [], engine.certificate_bounds
+        monkeypatch.setattr(engine, "certificate_bounds", lambda *a: bounds.append(a) or real(*a))
 
-        def counting_bounds(*args):
-            bounds.append(args)
-            return certificate_bounds(*args)
+        def run():
+            bounds.clear()
+            _, labels, report = _run_variant(data, 4, Variant.EDPDCS, 1.0, n_partitions=parts)
+            return report.comparable_json(), labels.labels.tobytes(), report.work
 
-        monkeypatch.setattr(engine, "certificate_bounds", counting_bounds)
-        runs = []
         # The second run's steps are all served from the store, so its final
         # pass is its first read of the data, where a step pass would probe.
-        for _ in range(2):
-            bounds.clear()
-            _, labels, report = _run_variant(
-                data, 4, Variant.EDPDCS, 1.0, n_partitions=n_partitions
-            )
-            runs.append((report.comparable_json(), labels.labels.tobytes(), report.work))
-        (cold_json, cold_labels, cold), (warm_json, warm_labels, warm) = runs
+        (cold_json, cold_labels, cold), (warm_json, warm_labels, warm) = run(), run()
         assert (warm_json, warm_labels) == (cold_json, cold_labels)
-        assert [w["from_store"] for w in warm] == [True] * (len(warm) - 1) + [False]
+        assert [w.from_store for w in warm] == [True] * (len(warm) - 1) + [False]
         # Cold, blocks keep counts and sums from the step passes and try the
         # certificate in the final pass.  Warm, no block keeps, and the final
         # pass neither probes nor needs bounds: it labels every row.
-        assert cold[-1]["rows_labelled"] < data.n_rows == warm[-1]["rows_labelled"]
-        assert cold[-1]["blocks_summed"] == warm[-1]["blocks_summed"] == 0
+        assert cold[-1].rows_labelled < data.n_rows == warm[-1].rows_labelled
+        assert cold[-1].blocks_summed == warm[-1].blocks_summed == 0
         assert bounds == []
         # The store holds the step passes' entries only: a run's last
         # centroids are labelled by its final pass alone.
@@ -826,7 +807,7 @@ def _grid(data, k, n_partitions=1):
     summary = compare_variants(
         data, k, [0.5, 1.0, 3.0], n_seeds=3, base_seed=5, n_partitions=n_partitions
     )
-    reads = [w["pass"] for r in summary.runs for w in _reads(r.work)]
+    reads = [w.kind for r in summary.runs for w in _reads(r.work)]
     return [r.comparable_json() for r in summary.runs], reads
 
 
@@ -856,8 +837,8 @@ class TestPassMemo:
         # The 451-run grid of ``compare --seeds 30`` over the blood layout.
         summary = compare_variants(blood_like, 2, [0.5, 1.0, 1.5, 2.0, 3.0], n_seeds=30)
         work = [w for r in summary.runs for w in r.work]
-        steps = [w["from_store"] for w in work if w["pass"] == "step"]
-        finals = [w["from_store"] for w in work if w["pass"] == "final"]
+        steps = [w.from_store for w in work if w.kind == "step"]
+        finals = [w.from_store for w in work if w.kind == "final"]
         assert len(summary.runs) == len(finals) == 451 and not any(finals)
         quote = (
             f"{sum(steps):,} of {len(steps):,} step passes"
@@ -870,39 +851,59 @@ class TestPassMemo:
     @pytest.mark.parametrize("variant,epsilon", TestCertificateGate.RUNS)
     def test_every_read_comes_after_its_charge(self, variant, epsilon, n_partitions, monkeypatch):
         # A charge comes before what it pays for: EDPDCS's "init" before the
-        # canopy start's read of the rows, and each noisy step's charge
-        # before its step pass.  A read shows as a call of the canopy pass
-        # or of ``label_points``; a rerun's steps are served from the store.
+        # canopy start's lookup in the store and, cold, its read of the rows;
+        # each noisy step's charge before its lookup and, cold, its step
+        # pass, which the store's put ends.  A pass reads the rows it gives
+        # ``label_points``, on threads in any order: calls in a row add up.
         data = synthetic_blobs(9000, 3, 4, seed=8)
         events = []
 
-        class Ledger(engine.BudgetLedger):
-            def charge(self, phase, amount):
-                events.append(phase)
-                return super().charge(phase, amount)
+        def logged(event, call):
+            return lambda *args: events.append(event(*args)) or call(*args)
 
-        def logged(event, read):
-            return lambda *args: events.append(event) or read(*args)
+        def store(data):
+            real = core.dataset_store(data)
+            return types.SimpleNamespace(
+                get=logged(lambda key: ("get", key[0]), real.get),
+                put=logged(lambda key, _: ("put", key[0]), real.put),
+            )
 
-        monkeypatch.setattr(engine, "BudgetLedger", Ledger)
-        monkeypatch.setattr(engine, "label_points", logged("read", label_points))
-        canopy = logged("canopy", engine.select_initial_centroids)
+        charge = logged(lambda _, phase, __: ("charge", phase), engine.BudgetLedger.charge)
+        monkeypatch.setattr(engine.BudgetLedger, "charge", charge)
+        monkeypatch.setattr(engine, "dataset_store", store)
+        labelled = logged(lambda points, *_: ("labelled", len(points)), label_points)
+        monkeypatch.setattr(engine, "label_points", labelled)
+        canopy = logged(lambda *_: ("read", "canopy"), engine.select_initial_centroids)
         monkeypatch.setattr(engine, "select_initial_centroids", canopy)
+
+        def expected(report, cold):
+            def lookup(kind, *reads):
+                return [("get", kind), *reads, ("put", kind)] if cold else [("get", kind)]
+
+            def read(w):
+                return [("labelled", w.rows_labelled)] * (w.rows_labelled > 0)
+
+            want = [("charge", "init")] * (variant is Variant.EDPDCS)
+            if variant.has_canopy_start:
+                want += lookup("canopy", ("read", "canopy"))
+            else:
+                want += lookup("rows")
+            for it, w in zip(report.iterations[1:], report.work):
+                want += [("charge", f"iteration-{it['iteration']}")] * (epsilon is not None)
+                want += lookup("pass", *read(w))
+            return want + read(report.work[-1])
+
         runs = []
         for cold in (True, False):
             events.clear()
             _, _, report = _run_variant(data, 4, variant, epsilon, n_partitions=n_partitions)
-            phases = [f"iteration-{it['iteration']}" for it in report.iterations[1:]]
-            assert [w["from_store"] for w in report.work] == [not cold] * len(phases) + [False]
-            want = ["init"] * (variant is Variant.EDPDCS)
-            want += ["canopy"] * (cold and variant.has_canopy_start)
-            for phase, w in zip(phases, report.work):
-                want += [phase] * (epsilon is not None) + ["read"] * (w["rows_labelled"] > 0)
-            # The final pass reads; events of one kind in a row count once.
-            want.append("read")
-            assert [e for e, _ in itertools.groupby(events)] == [
-                e for e, _ in itertools.groupby(want)
-            ]
+            assert [w.from_store for w in report.work[:-1]] == [not cold] * (len(report.work) - 1)
+            got = []
+            for event in events:
+                if got and event[0] == got[-1][0] == "labelled":
+                    event = ("labelled", got.pop()[1] + event[1])
+                got.append(event)
+            assert got == expected(report, cold)
             runs.append(report.comparable_json())
         assert runs[0] == runs[1]
 
@@ -917,8 +918,7 @@ class TestPassMemo:
             assert not counts.flags.writeable and not sums.flags.writeable
             assert isinstance(sq_dist, float)
             assert one == len(key[2]) + counts.nbytes + sums.nbytes + core._ENTRY_OVERHEAD
-        sizes = [size for _, size in store.entries.values()]
-        assert store.nbytes == sum(sizes) <= core.STORE_BYTES
+        assert store.nbytes == sum(size for _, size in store.entries.values()) <= core.STORE_BYTES
 
         # A bound of three pass entries keeps the three most recently used.
         monkeypatch.setattr(core, "STORE_BYTES", 3 * one)
@@ -934,7 +934,7 @@ class TestPassMemo:
         # the last three runs' stayed.
         assert list(store.entries) == [engine._pass_key(s.centroids) for s in starts[2:]]
 
-    def test_threads_sharing_one_state(self, monkeypatch):
+    def test_threads_sharing_one_state(self, monkeypatch, busy_switches):
         # More workers than cores against one small store: every pass must
         # match its cold value and the byte count must stay exact.
         data = synthetic_blobs(500, 2, 3, seed=2)
@@ -948,14 +948,11 @@ class TestPassMemo:
         def worker(order):
             return _passes(data, [centroids[j] for j in order], final=False)[0]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         pool = ThreadPoolExecutor(max_workers=6)
         try:
             got = list(pool.map(worker, orders, timeout=60))
         finally:
             pool.shutdown(wait=False)
-            sys.setswitchinterval(interval)
         assert got == [[want[j] for j in order] for order in orders]
         store = core._STORES[data]
         assert store.nbytes == len(store.entries) * one <= 4 * one

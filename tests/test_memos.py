@@ -14,6 +14,7 @@ from dpkmeans.planner import PlannerInputs
 TODAYS_MEMOS = {
     "dpkmeans.mechanism.stream_unit_noise": mechanism.stream_unit_noise,
     "dpkmeans.engine._bin_offsets": engine._bin_offsets,
+    "dpkmeans.engine._pass_work": engine._pass_work,
     "dpkmeans.core._index_and_one": core._index_and_one,
     "dpkmeans.core._STORES": core._STORES,
 }

@@ -170,24 +170,30 @@ def test_canopy_imports_only_core():
 
 
 def _private_patches(source: str) -> list[str]:
-    """What each ``setattr`` call in ``source`` patches, of these: an
-    attribute of ``engine._Boundary`` or ``core._DatasetStore``, or an
-    underscore-named attribute of ``engine``."""
+    """What each ``setattr`` call and each assignment to an attribute in
+    ``source`` patches, of these: any attribute of ``engine._Boundary`` or
+    ``core._DatasetStore``, and an underscore-named attribute of any module,
+    class or instance but a test's own ``self``."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        if getattr(node.func, "attr", getattr(node.func, "id", None)) != "setattr":
-            continue
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            *owner, name = first.value.split(".")  # setattr("pkg.module.name", value)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            owner, name = ast.unparse(node.value).split("."), node.attr  # owner.name = value
+        elif (
+            isinstance(node, ast.Call)
+            and node.args
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setattr"
+        ):
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                *owner, name = first.value.split(".")  # setattr("pkg.module.name", value)
+            else:
+                owner = ast.unparse(first).split(".")
+                second = node.args[1] if len(node.args) > 1 else None
+                name = second.value if isinstance(second, ast.Constant) else None
         else:
-            owner = ast.unparse(first).split(".")
-            second = node.args[1] if len(node.args) > 1 else None
-            name = second.value if isinstance(second, ast.Constant) else None
+            continue
         if owner[-1] in ("_Boundary", "_DatasetStore") or (
-            owner[-1] == "engine" and str(name).startswith("_")
+            owner != ["self"] and str(name).startswith("_")
         ):
             found.append(".".join(owner + [str(name)]))
     return found
@@ -200,17 +206,40 @@ def test_private_patches_are_found():
         "monkeypatch.setattr(engine, '_counts_and_sums', f)\n"
         "setattr(dpkmeans.engine, '_passes', 1)\n"
         "monkeypatch.setattr('dpkmeans.engine._Boundary.close', f)\n"
+        "monkeypatch.setattr(boundary, '_kept', {})\n"
+        "engine._Boundary._map = f\n"
+        "core._DatasetStore.nbytes += 1\n"
+        "engine._kept: dict = {}\n"
+        "x, engine._passes = 1, 2\n"
+        "boundary._candidates = None\n"
         "monkeypatch.setattr(engine, 'label_points', f)\n"
-        "monkeypatch.setattr(core, '_label_exact', f)\n"
         "monkeypatch.setattr(engine.os, 'cpu_count', f)\n"
+        "engine.MAP_BLOCK_ROWS = 16\n"
+        "boundary.work = []\n"
+        "self._calls = []\n"
     )
-    assert _private_patches(source) == [
-        "engine._Boundary._map",
+    assert sorted(_private_patches(source)) == [
+        "boundary._candidates",
+        "boundary._kept",
         "core._DatasetStore.get",
-        "engine._counts_and_sums",
-        "dpkmeans.engine._passes",
+        "core._DatasetStore.nbytes",
         "dpkmeans.engine._Boundary.close",
+        "dpkmeans.engine._passes",
+        "engine._Boundary._map",
+        "engine._Boundary._map",
+        "engine._counts_and_sums",
+        "engine._kept",
+        "engine._passes",
     ]
+
+
+#: The private names tests may patch, none of them the engine's: a
+#: differential test of the labelling kernel's exact path, and a count of
+#: the stdlib's pure-Python JSON encoder.
+ALLOWED_PRIVATE_PATCHES = [
+    "test_core.py: core._label_exact",
+    "test_evaluation.py: json.encoder._make_iterencode",
+]
 
 
 def test_no_test_patches_the_engines_private_seams():
@@ -223,4 +252,4 @@ def test_no_test_patches_the_engines_private_seams():
         for path in sorted(tests.glob("*.py"))
         for patch in _private_patches(path.read_text())
     ]
-    assert found == []
+    assert found == ALLOWED_PRIVATE_PATCHES
