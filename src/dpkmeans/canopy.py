@@ -103,13 +103,12 @@ def default_thresholds(points: np.ndarray) -> tuple[float, float]:
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if n < 2:
-        raise InvalidInputError("need at least 2 points to derive canopy thresholds")
-    stride = -(-n // _THRESHOLD_PROBE_ROWS)  # ceil division: keeps >= 2 of n >= 2 rows
-    probe = points[::stride]
-    mean_dist = float(pdist(probe).mean())
+    mean_dist = 0.0
+    if n > 1:
+        stride = -(-n // _THRESHOLD_PROBE_ROWS)  # ceil division: keeps >= 2 of n >= 2 rows
+        mean_dist = float(pdist(points[::stride]).mean())
     if mean_dist <= 0.0:
-        # All probed points coincide; fall back to a small absolute radius.
+        # One row, or probed rows that all coincide: a small absolute radius.
         mean_dist = 0.1
     t2 = 0.5 * mean_dist
     return 2.0 * t2, t2

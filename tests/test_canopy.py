@@ -256,9 +256,11 @@ class TestDefaultThresholds:
         t1, t2 = default_thresholds(pts)
         assert t2 > 0.0 and t1 == 2.0 * t2
 
-    def test_needs_two_points(self):
-        with pytest.raises(InvalidInputError):
-            default_thresholds(np.zeros((1, 2)))
+    def test_one_row_takes_the_coincident_rows_radii(self):
+        # One row has no pairwise distance: like rows that all coincide, it
+        # gets the small absolute radius.
+        assert default_thresholds(np.full((1, 2), 0.3)) == (0.1, 0.05)
+        assert default_thresholds(np.zeros((10, 2))) == (0.1, 0.05)
 
 
 def _start(data, k, params, seed, epsilon=None):

@@ -2,49 +2,21 @@ import dataclasses
 import json
 import math
 import pathlib
-import sys
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dpkmeans import core, engine
 from dpkmeans.canopy import CanopyParams
-from dpkmeans.core import (
-    CentroidSet,
-    Dataset,
-    InvalidInputError,
-    assign_labels,
-    label_points,
-)
-from dpkmeans.engine import (
-    EngineConfig,
-    Variant,
-    block_spans,
-    run_baseline,
-    run_edpdcs,
-)
+from dpkmeans.core import CentroidSet, Dataset, InvalidInputError, assign_labels, label_points
+from dpkmeans.engine import EngineConfig, Variant, block_spans, run_baseline, run_edpdcs
 from dpkmeans.evaluation import compare_variants, nicv
 from dpkmeans.ingestion import normalize, synthetic_blobs
-from dpkmeans.mechanism import derive_stream_seed, laplace_inverse_cdf, noisy_mean
-from dpkmeans.planner import PlannerInputs, make_plan, minimal_iteration_budget
-
-CORNERS = Dataset(
-    points=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
-    normalized=True,
-)
-
-
-def _one_exact_step(points, start):
-    """Centroids after one exact Lloyd step from ``start``."""
-    data = Dataset(points=np.array(points, dtype=np.float64), normalized=True)
-    cfg = EngineConfig(variant=Variant.NONPRIVATE, nonprivate_max_iters=1)
-    start = CentroidSet(centroids=start)
-    cs, _, _ = run_baseline(data, start.k, None, cfg, initial_centroids=start)
-    return cs.centroids
+from dpkmeans.mechanism import laplace_inverse_cdf, noisy_mean
+from dpkmeans.planner import PlannerInputs
 
 
 def _one_cluster_mean(count, sums, share, seed):
@@ -75,69 +47,7 @@ def _boundary(data, n_partitions=1, threads=None, master_seed=0):
     return engine._Boundary(data, config, None)
 
 
-def _one_block_pass(points, centroids):
-    """A one-block step pass's counts, sums and squared-distance sum, and the
-    labels of a final pass against the same centroids."""
-    data = Dataset(points=np.asarray(points, dtype=np.float64), normalized=True)
-    agg = _boundary(data)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    counts, sums, sq_dist = agg._statistics(centroids)
-    final_sq_dist, labels = agg.final_pass(centroids)
-    assert final_sq_dist == sq_dist
-    return counts, sums, sq_dist, labels
-
-
-class TestMapAssign:
-    def test_two_cluster_example(self):
-        pts = np.array([[0.0, 0.1], [0.1, 0.0], [0.9, 1.0]])
-        centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
-        counts, sums, sq_dist, labels = _one_block_pass(pts, centroids)
-        assert labels.tolist() == [0, 0, 1]
-        assert counts.tolist() == [2.0, 1.0]
-        assert sums[0] == pytest.approx([0.1, 0.1])
-        assert sums[1] == pytest.approx([0.9, 1.0])
-        assert sq_dist == pytest.approx(0.01 + 0.01 + 0.01)
-
-    def test_empty_cluster_has_zero_count_and_sums(self):
-        pts = np.array([[0.0, 0.0], [0.1, 0.0]])
-        centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
-        counts, sums, _, _ = _one_block_pass(pts, centroids)
-        assert counts.tolist() == [2.0, 0.0]
-        assert sums[0] == pytest.approx([0.1, 0.0])
-        assert sums[1].tolist() == [0.0, 0.0]
-
-    def test_empty_partition_yields_empty_map(self):
-        pts, centroids = np.empty((0, 2)), np.array([[0.5, 0.5]])
-        labels = label_points(pts, centroids, 2)
-        counts, sums = engine._counts_and_sums(pts, labels, 1)
-        assert labels.shape == (0,)
-        assert counts.tolist() == [0.0] and sums.tolist() == [[0.0, 0.0]]
-        assert float(engine._squared_differences(pts, centroids, labels).sum()) == 0.0
-
-    def test_counts_total_the_partition(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        pts = rng.random((321, 3))
-        counts, sums, _, _ = _one_block_pass(pts, rng.random((4, 3)))
-        assert counts.sum() == 321.0
-        assert sums.sum(axis=0) == pytest.approx(pts.sum(axis=0))
-
-
 class TestBlockPartials:
-    @pytest.mark.parametrize("d,k", [(4, 2), (6, 5), (16, 20), (1, 7)])
-    def test_sums_bit_equal_to_unbuffered_add_at(self, d, k):
-        rng = np.random.Generator(np.random.PCG64(d * 31 + k))
-        pts = rng.random((engine.MAP_BLOCK_ROWS, d))
-        centroids = rng.random((k, d))
-        centroids[-1] = 50.0  # never nearest: an empty cluster
-        counts, sums, sq_dist, labels = _one_block_pass(pts, centroids)
-        want = np.zeros((k, d))
-        np.add.at(want, label_points(pts, centroids), pts)
-        assert np.array_equal(sums, want)
-        assert counts[-1] == 0.0 and not sums[-1].any()
-        assert np.array_equal(counts, np.bincount(labels, minlength=k))
-        diff = pts - centroids[labels]
-        assert sq_dist == float((diff * diff).sum())
-
     def test_partials_are_read_only(self):
         # A block that keeps its counts and sums keeps these arrays: a pass's
         # merge adds them into fresh arrays, and can never write to them.
@@ -175,87 +85,7 @@ class TestBlockPartials:
         assert np.array_equal(labels, core._label_exact(pts, centroids))
 
 
-def _block_map(points, centroids):
-    """One block's labels, counts, sums and squared-distance sum, from the
-    kernels the map task calls."""
-    labels = label_points(points, centroids, points.shape[1])
-    counts, sums = engine._counts_and_sums(points, labels, len(centroids))
-    sq_dist = float(engine._squared_differences(points, centroids, labels).sum())
-    return labels, counts, sums, sq_dist
-
-
 class TestReduceCluster:
-    def test_plain_mean_without_privacy(self):
-        points = [[0.25, 0.5], [0.75, 1.0], [0.5, 0.75], [0.5, 0.75], [1.0, 0.0]]
-        c = _one_exact_step(points, np.array([[0.5, 0.7], [0.9, 0.1]]))
-        assert c[0] == pytest.approx([0.5, 0.75])
-        assert c[1] == pytest.approx([1.0, 0.0])
-
-    def test_merge_is_left_fold_over_given_order(self):
-        # The reduce's input is the labelling pass's merge of the block
-        # partials, added in ascending block order whatever the partitions.
-        rng = np.random.Generator(np.random.PCG64(4))
-        data = Dataset(points=rng.random((9000, 3)), normalized=True)
-        centroids = rng.random((4, 3))
-        counts = np.zeros(4)
-        sums = np.zeros((4, 3))
-        for start, stop in block_spans(data.n_rows):
-            _, c, s, _ = _block_map(data.points[start:stop], centroids)
-            counts += c
-            sums += s
-        for parts in (1, 2, 3):
-            # An empty store: each partition count's step pass reads the data.
-            core._STORES.pop(data, None)
-            agg = _boundary(data, parts, threads=2)
-            try:
-                got_counts, got_sums, _ = agg._statistics(centroids)
-            finally:
-                agg.close()
-            assert np.array_equal(got_counts, counts)
-            assert np.array_equal(got_sums, sums)
-
-    def test_merge_from_first_block_equals_fold_from_zeros(self):
-        # Three blocks: the first all -0.0 rows, which alone make up the
-        # cluster at the origin, and one cluster no row is nearest to.  The
-        # merge starts from block 0's partials; that must equal a left fold
-        # from zeros, down to the sign of every zero.
-        rng = np.random.Generator(np.random.PCG64(5))
-        points = 0.6 + 0.4 * rng.random((2 * engine.MAP_BLOCK_ROWS + 300, 3))
-        points[: engine.MAP_BLOCK_ROWS] = -0.0
-        data = Dataset(points=points, normalized=True)
-        centroids = np.vstack(
-            [np.zeros((1, 3)), 0.6 + 0.4 * rng.random((2, 3)), np.full((1, 3), 50.0)]
-        )
-        counts, sums, sq_dist = np.zeros(4), np.zeros((4, 3)), 0.0
-        labels = []
-        spans = block_spans(data.n_rows)
-        assert len(spans) == 3
-        for start, stop in spans:
-            lab, c, s, sq = _block_map(data.points[start:stop], centroids)
-            counts += c
-            sums += s
-            sq_dist += sq
-            labels.append(lab)
-        assert counts[0] == engine.MAP_BLOCK_ROWS and counts[-1] == 0.0
-        for parts in (1, 2, 3):
-            core._STORES.pop(data, None)
-            agg = _boundary(data, parts, threads=2)
-            try:
-                got = agg._statistics(centroids)
-                final = agg.final_pass(centroids)
-            finally:
-                agg.close()
-            assert got[0].tobytes() == counts.tobytes()
-            assert got[1].tobytes() == sums.tobytes()
-            assert got[2] == final[0] == sq_dist
-            assert np.array_equal(final[1], np.concatenate(labels))
-
-    def test_empty_cluster_keeps_previous_centroid(self):
-        start = np.array([[0.05, 0.05], [0.3, 0.7]])
-        c = _one_exact_step([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], start)
-        assert c[0] == pytest.approx([1 / 30, 1 / 30])
-        assert np.array_equal(c[1], [0.3, 0.7])
-
     def test_vanishing_noise_matches_exact_mean(self):
         c = _one_cluster_mean(4, [2.0, 3.0], 1e12, seed=0)
         assert c == pytest.approx([0.5, 0.75], abs=1e-9)
@@ -362,71 +192,6 @@ class TestEngineConfig:
 
 
 class TestRunEdpdcs:
-    def test_budget_exactly_spent(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
-        _, _, report = run_edpdcs(small_blobs, 3, inputs)
-        assert report.budget_spent == pytest.approx(1.0, abs=1e-12)
-        assert report.budget_remaining == pytest.approx(0.0, abs=1e-12)
-
-    def test_each_charged_phase_draws_k_times_d_plus_one(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=2.0)
-        _, _, report = run_edpdcs(small_blobs, 3, inputs)
-        charged = [it for it in report.iterations if it["budget_charged"]]
-        assert len(charged) == report.iterations_run
-        for it in charged:
-            assert it["noise_draws"] == 3 * (3 + 1)
-
-    def test_iteration_count_follows_plan(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
-        plan = make_plan(inputs)
-        _, _, report = run_edpdcs(small_blobs, 3, inputs)
-        assert report.iterations_run == plan.iterations
-        assert report.plan["iterations"] == plan.iterations
-
-    def test_same_seed_reproduces_bitwise(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
-        cfg = EngineConfig(variant=Variant.EDPDCS, master_seed=3)
-        cs_a, labels_a, rep_a = run_edpdcs(small_blobs, 3, inputs, config=cfg)
-        cs_b, labels_b, rep_b = run_edpdcs(small_blobs, 3, inputs, config=cfg)
-        assert np.array_equal(cs_a.centroids, cs_b.centroids)
-        assert np.array_equal(labels_a.labels, labels_b.labels)
-        assert rep_a.comparable_json() == rep_b.comparable_json()
-
-    def test_partition_count_does_not_change_results(self):
-        data = synthetic_blobs(10_000, 3, 3, seed=2)
-        inputs = PlannerInputs(n_rows=10_000, n_dims=3, k=3, epsilon_total=1.0)
-        reports = {}
-        for parts in (1, 3):
-            core._STORES.pop(data, None)  # every partition count reads the data
-            cfg = EngineConfig(
-                variant=Variant.EDPDCS, n_partitions=parts, master_seed=0, threads=2
-            )
-            cs, _, rep = run_edpdcs(data, 3, inputs, config=cfg)
-            reports[parts] = (cs.centroids, rep.comparable_json())
-        assert np.array_equal(reports[1][0], reports[3][0])
-        assert reports[1][1] == reports[3][1]
-
-    def test_final_centroids_are_noisy_and_clamped(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=0.5)
-        cs, labels, report = run_edpdcs(small_blobs, 3, inputs)
-        assert report.epsilon == 0.5
-        assert np.all(cs.centroids >= 0.0) and np.all(cs.centroids <= 1.0)
-        assert labels.labels.shape == (400,)
-
-    def test_trace_structure(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
-        _, _, report = run_edpdcs(small_blobs, 3, inputs)
-        assert report.iterations[0]["phase"] == "init"
-        assert report.iterations[0]["iteration"] == 1
-        for entry in report.iterations[1:]:
-            assert entry["phase"] == "lloyd"
-            assert entry["centroid_shift"] >= 0.0
-            assert entry["nicv_after"] > 0.0
-        # Exact per-cluster counts and sums are raw data: never traced.
-        for entry in report.iterations:
-            assert "exact_aggregates" not in entry
-            assert "noisy_aggregates" not in entry
-
     def test_missing_planner_inputs_rejected(self):
         with pytest.raises(InvalidInputError, match="planner_inputs"):
             run_edpdcs(synthetic_blobs(100, 2, 2, 0), 2, None)
@@ -447,13 +212,6 @@ class TestRunEdpdcs:
         inputs = PlannerInputs(n_rows=2, n_dims=2, k=1, epsilon_total=1.0)
         with pytest.raises(InvalidInputError):
             run_edpdcs(data, 1, inputs)
-
-    def test_k_one_huge_budget_recovers_dataset_mean(self, small_blobs):
-        inputs = PlannerInputs(n_rows=400, n_dims=3, k=1, epsilon_total=1e12)
-        cs, _, _ = run_edpdcs(small_blobs, 1, inputs)
-        assert cs.centroids[0] == pytest.approx(
-            small_blobs.points.mean(axis=0), abs=1e-6
-        )
 
 
 def _run_variant(data, k, variant, epsilon, **config):
@@ -570,28 +328,6 @@ def _passes(data, centroids, n_partitions=1, threads=None, final=True):
 
 
 class TestLabellingPasses:
-    # The last two runs converge before the cap.
-    @pytest.mark.parametrize(
-        "variant,epsilon",
-        [(Variant.EDPDCS, 3.0), (Variant.RF_DPKM, 3.0), (Variant.RU_DPKM, 1.0),
-         (Variant.RU_DPKM, 1e9), (Variant.NONPRIVATE, None)],
-    )
-    def test_nicv_after_is_nicv_of_centroids_after(self, variant, epsilon):
-        data = synthetic_blobs(9000, 3, 4, seed=8)
-        cs, labels, report = _run_variant(data, 4, variant, epsilon, n_partitions=2)
-        if epsilon in (None, 1e9):
-            assert any("converged" in n for n in report.notes)
-        for it in report.iterations:
-            after = CentroidSet(centroids=np.array(it["centroids_after"]))
-            want = nicv(data, after, assign_labels(data, after))
-            assert math.isclose(it["nicv_after"], want, rel_tol=1e-12)
-        assert np.array_equal(labels.labels, label_points(data.points, cs.centroids))
-        # Exactly: the final pass adds its blocks' sums in ascending order.
-        sq_dists = (engine._squared_differences(data.points[s:e], cs.centroids, labels.labels[s:e])
-                    for s, e in block_spans(data.n_rows))
-        assert report.nicv == report.iterations[-1]["nicv_after"]
-        assert report.nicv == sum(float(d.sum()) for d in sq_dists) / data.n_rows
-
     def test_timings_cover_the_final_pass(self, small_blobs, monkeypatch):
         def slow(*args, **kwargs):
             time.sleep(0.02)
@@ -608,31 +344,29 @@ class TestLabellingPasses:
 
 
 class TestCertificateGate:
-    """The certificate changes which rows ``label_points`` sees, never a
-    byte of a result."""
+    """The certificate changes which rows ``label_points`` sees; the
+    reference run (``test_reference_run.py``) pins every byte of a result."""
 
     # RF_DPKM's first step, from the same rows as RU_DPKM's, is served from
     # the store, so its first labelling pass is its second step.
     RUNS = [(Variant.EDPDCS, 1.0), (Variant.NONPRIVATE, None), (Variant.RU_DPKM, 1.0),
             (Variant.RF_DPKM, 1.0)]
 
-    def _runs(self, data):
-        """The bytes of the runs, which 1, 2 and 8 partitions must share
-        with their work records, and the passes that read the data."""
+    def _read_passes(self, data):
+        """The work entries of the runs' passes that read the data, which 1,
+        2 and 8 partitions must share."""
         by_parts = []
         for parts in (1, 2, 8):
-            core._STORES.pop(data, None)
-            runs = [_run_variant(data, 4, v, e, n_partitions=parts) for v, e in self.RUNS]
-            by_parts.append(
-                [(r.comparable_json(), labels.labels.tobytes(), r.work) for _, labels, r in runs]
-            )
+            fresh = Dataset(points=data.points, normalized=True)  # an empty store
+            runs = [_run_variant(fresh, 4, v, e, n_partitions=parts)[2] for v, e in self.RUNS]
+            by_parts.append([w for report in runs for w in _reads(report.work)])
         assert by_parts[1] == by_parts[0] and by_parts[2] == by_parts[0]
-        return by_parts[0], [w for *_, work in by_parts[0] for w in _reads(work)]
+        return by_parts[0]
 
-    def test_gate_off_and_on_give_the_same_bytes(self, monkeypatch):
+    def test_gate_on_labels_fewer_rows_and_sums_fewer_blocks(self, monkeypatch):
         data = synthetic_blobs(9000, 3, 4, seed=8)
         n_blocks = len(block_spans(data.n_rows))
-        on, reads = self._runs(data)
+        reads = self._read_passes(data)
         # With the gate on, whole passes go by with a few hundred rows
         # labelled, and still blocks keep their counts and sums.
         assert sum(w.rows_labelled < data.n_rows / 8 for w in reads) >= 4
@@ -640,10 +374,9 @@ class TestCertificateGate:
         assert sum(steps) < n_blocks * len(steps)
         assert all(w.blocks_summed == 0 for w in reads if w.kind == "final")
         monkeypatch.setattr(engine, "CERTIFY_SHARE", math.inf)
-        off, reads = self._runs(data)
+        reads = self._read_passes(data)
         assert all(w.rows_labelled == data.n_rows for w in reads)
         assert all(w.blocks_summed == n_blocks * (w.kind == "step") for w in reads)
-        assert [run[:2] for run in off] == [run[:2] for run in on]
 
     def test_stale_candidates_after_a_stored_pass(self, monkeypatch):
         # The run's candidates come from its latest labelling pass, not from
@@ -653,9 +386,9 @@ class TestCertificateGate:
         c1, c2, c3, c4 = (np.array(it["centroids_after"]) for it in report.iterations[:4])
 
         def passes():
-            core._STORES.pop(data, None)
-            _boundary(data).step(3, None, c3)
-            return _passes(data, [c1, c2, c3, c4], 2, 2)
+            fresh = Dataset(points=data.points, normalized=True)  # an empty store
+            _boundary(fresh).step(3, None, c3)
+            return _passes(fresh, [c1, c2, c3, c4], 2, 2)
 
         on, work = passes()
         assert [w.from_store for w in work] == [False, False, True, False, False]
@@ -747,8 +480,8 @@ class TestKeptPartials:
         centroids = [np.array(it["centroids_after"]) for it in report.iterations]
 
         def passes(n_partitions, workers):
-            core._STORES.pop(data, None)
-            return _passes(data, centroids, n_partitions, workers)
+            fresh = Dataset(points=data.points, normalized=True)  # an empty store
+            return _passes(fresh, centroids, n_partitions, workers)
 
         serial = passes(1, 1)
         assert any(w.rows_labelled < data.n_rows for w in serial[1])  # some blocks keep
@@ -797,7 +530,7 @@ class TestFinalPass:
         assert bounds == []
         # The store holds the step passes' entries only: a run's last
         # centroids are labelled by its final pass alone.
-        stored = {key for key in core._STORES[data].entries if key[0] == "pass"}
+        stored = {key for key in core.dataset_store(data).entries if key[0] == "pass"}
         steps = json.loads(cold_json)["iterations"][:-1]
         assert stored == {engine._pass_key(np.array(it["centroids_after"])) for it in steps}
 
@@ -909,7 +642,7 @@ class TestPassMemo:
 
     def test_entries_are_read_only_statistics_within_the_bound(self, small_blobs, monkeypatch):
         compare_variants(small_blobs, 3, [0.5, 1.0], n_seeds=2)
-        store = core._STORES[small_blobs]
+        store = core.dataset_store(small_blobs)
         passes = [(key, entry) for key, entry in store.entries.items() if key[0] == "pass"]
         assert passes
         for key, ((counts, sums, sq_dist), one) in passes:
@@ -922,13 +655,13 @@ class TestPassMemo:
 
         # A bound of three pass entries keeps the three most recently used.
         monkeypatch.setattr(core, "STORE_BYTES", 3 * one)
-        core._STORES.pop(small_blobs)
+        data = Dataset(points=small_blobs.points, normalized=True)  # an empty store
         rng = np.random.Generator(np.random.PCG64(1))
         starts = [CentroidSet(centroids=rng.random((3, 3))) for _ in range(5)]
         cfg = EngineConfig(variant=Variant.NONPRIVATE, nonprivate_max_iters=1)
         for start in starts:
-            run_baseline(small_blobs, 3, None, cfg, initial_centroids=start)
-        store = core._STORES[small_blobs]
+            run_baseline(data, 3, None, cfg, initial_centroids=start)
+        store = core.dataset_store(data)
         assert len(store.entries) == 3 and store.nbytes == 3 * one
         # Each run's one step pass, against its start, put the only entry;
         # the last three runs' stayed.
@@ -941,8 +674,9 @@ class TestPassMemo:
         rng = np.random.Generator(np.random.PCG64(3))
         centroids = [rng.random((3, 2)) for _ in range(12)]
         want = _passes(data, centroids, final=False)[0]
-        _, one = core._STORES.pop(data).entries[engine._pass_key(centroids[0])]
+        _, one = core.dataset_store(data).entries[engine._pass_key(centroids[0])]
         monkeypatch.setattr(core, "STORE_BYTES", 4 * one)
+        data = Dataset(points=data.points, normalized=True)  # an empty store
         orders = [[(i * 5 + offset) % len(centroids) for i in range(60)] for offset in range(6)]
 
         def worker(order):
@@ -954,24 +688,14 @@ class TestPassMemo:
         finally:
             pool.shutdown(wait=False)
         assert got == [[want[j] for j in order] for order in orders]
-        store = core._STORES[data]
+        store = core.dataset_store(data)
         assert store.nbytes == len(store.entries) * one <= 4 * one
 
 
 class TestRandomRowStart:
-    def test_indices_are_the_sorted_seeded_draw(self):
-        for master_seed, n, k in [(0, 748, 2), (7, 50, 5), (3, 9, 9)]:
-            data = synthetic_blobs(n, 2, 1, seed=master_seed)
-            seed = derive_stream_seed(master_seed, 0, 1)
-            want = np.random.Generator(np.random.PCG64(seed)).choice(n, k, replace=False)
-            start = _boundary(data, master_seed=master_seed).random_rows(k)
-            assert np.array_equal(start, data.points[np.sort(want)])
-            (idx,) = core._STORES[data].get(("rows", k, master_seed))
-            assert np.array_equal(idx, np.sort(want))
-
     def test_memo_is_read_only_and_start_is_a_fresh_copy(self, small_blobs):
         start = _boundary(small_blobs, master_seed=11).random_rows(3)
-        (idx,) = core._STORES[small_blobs].get(("rows", 3, 11))
+        (idx,) = core.dataset_store(small_blobs).get(("rows", 3, 11))
         assert not idx.flags.writeable
         assert start.shape == (3, small_blobs.n_dims) and start.flags.writeable
         assert not np.shares_memory(start, small_blobs.points)
@@ -996,88 +720,7 @@ class TestRandomRowStart:
         assert draws == [0, 1, 2]
 
 
-#: The stream (i, j) of the master seed each purpose of a run draws from;
-#: step t draws cluster j's noise from (t, j).  Two streams are shared
-#: (ROADMAP item 1): (0, 1), and (1, 0) with step 1's cluster 0.
-STREAMS = {"subsample": (0, 0), "fill": (0, 1), "random rows": (0, 1), "start noise": (1, 0)}
-
-
-class TestStreamPurposes:
-    @pytest.mark.parametrize("case", ["below subsample", "above subsample", "fill"])
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_each_purpose_draws_from_its_stream(self, monkeypatch, variant, case):
-        calls = []
-        real = engine.derive_stream_seed
-
-        def recorded(master_seed, iteration, cluster_index):
-            calls.append((master_seed, iteration, cluster_index))
-            return real(master_seed, iteration, cluster_index)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("dpkmeans") and getattr(module, "derive_stream_seed", None) is real:
-                monkeypatch.setattr(module, "derive_stream_seed", recorded)
-        k, params = 3, None
-        if case == "fill":
-            data = Dataset(points=np.full((20, 2), 0.5), normalized=True)
-        else:
-            data = synthetic_blobs(300, 2, 3, seed=1)
-        if case == "above subsample" and variant.has_canopy_start:
-            params = CanopyParams(subsample_size=100)
-        config = EngineConfig(variant=variant, master_seed=7)
-        if variant is Variant.EDPDCS:
-            inputs = PlannerInputs(n_rows=data.n_rows, n_dims=2, k=k, epsilon_total=3.0)
-            report = run_edpdcs(data, k, inputs, params, config)[2]
-        else:
-            epsilon = 3.0 if variant.spends_epsilon else None
-            report = run_baseline(data, k, epsilon, config, canopy_params=params)[2]
-
-        purposes = []
-        if not variant.has_canopy_start:
-            purposes.append("random rows")
-        else:
-            if params is not None:
-                purposes.append("subsample")
-            if variant.spends_epsilon:
-                purposes.append("start noise")
-            if case == "fill":
-                assert any(note.startswith("filled") for note in report.notes)
-                purposes.append("fill")
-        want = [STREAMS[purpose] for purpose in purposes]
-        for entry in report.iterations[1:]:
-            if entry["budget_charged"] is not None:
-                want += [(entry["iteration"], j) for j in range(k)]
-        assert calls == [(7, i, j) for i, j in want]
-
 class TestRunBaselineRf:
-    def test_exact_spend_and_uniform_split(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.RF_DPKM, master_seed=1)
-        _, _, report = run_baseline(small_blobs, 3, 1.0, cfg)
-        assert report.budget_spent == pytest.approx(1.0, abs=1e-12)
-        per_iter = 1.0 / report.iterations_run
-        for entry in report.iterations:
-            if entry["phase"] == "lloyd":
-                assert entry["budget_charged"] == pytest.approx(per_iter)
-                assert entry["noise_draws"] == 3 * (3 + 1)
-
-    def test_two_iterations_at_twice_minimal_budget(self, small_blobs):
-        eps_m = minimal_iteration_budget(
-            PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=1.0)
-        )
-        eps = 2.0 * eps_m
-        cfg = EngineConfig(variant=Variant.RF_DPKM, master_seed=0)
-        _, _, report = run_baseline(small_blobs, 3, eps, cfg)
-        assert report.iterations_run == 2
-        lloyd = [e for e in report.iterations if e["phase"] == "lloyd"]
-        assert [e["budget_charged"] for e in lloyd] == pytest.approx([eps / 2] * 2)
-
-    def test_init_is_free(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.RF_DPKM, master_seed=1)
-        _, _, report = run_baseline(small_blobs, 3, 1.0, cfg)
-        init = report.iterations[0]
-        assert init["phase"] == "init"
-        assert init["budget_charged"] is None
-        assert init["noise_draws"] == 0
-
     def test_epsilon_mismatch_with_planner_inputs_rejected(self, small_blobs):
         cfg = EngineConfig(variant=Variant.RF_DPKM)
         inputs = PlannerInputs(n_rows=400, n_dims=3, k=3, epsilon_total=2.0)
@@ -1097,29 +740,6 @@ class TestRunBaselineRf:
 
 
 class TestRunBaselineRu:
-    def test_halving_schedule_charges(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.RU_DPKM, master_seed=1)
-        _, _, report = run_baseline(small_blobs, 3, 1.0, cfg)
-        lloyd = [e for e in report.iterations if e["phase"] == "lloyd"]
-        for t, entry in enumerate(lloyd, start=1):
-            assert entry["budget_charged"] == pytest.approx(1.0 / 2 ** (t + 1))
-        expected_spent = sum(1.0 / 2 ** (t + 1) for t in range(1, len(lloyd) + 1))
-        assert report.budget_spent == pytest.approx(expected_spent, abs=1e-12)
-
-    def test_residual_budget_reported_not_spent(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.RU_DPKM, master_seed=1)
-        _, _, report = run_baseline(small_blobs, 3, 1.0, cfg)
-        assert report.budget_remaining > 0.49  # halving can never spend it all
-        assert any("residual" in note for note in report.notes)
-        if report.iterations_run == 10:
-            assert report.budget_remaining == pytest.approx(0.50048828125, abs=1e-15)
-
-    def test_never_runs_past_cap(self, small_blobs, monkeypatch):
-        monkeypatch.setattr(engine, "RU_MAX_ITERS", 3)
-        cfg = EngineConfig(variant=Variant.RU_DPKM, master_seed=4)
-        _, _, report = run_baseline(small_blobs, 3, 1.0, cfg)
-        assert report.iterations_run <= 3
-
     @pytest.mark.parametrize(
         "variant,epsilon", [(Variant.RU_DPKM, 1.0), (Variant.NONPRIVATE, None)]
     )
@@ -1156,58 +776,6 @@ class TestRunBaselineRu:
 
 
 class TestRunBaselineNonprivate:
-    def test_four_corners_single_step(self):
-        start = CentroidSet(centroids=np.array([[0.0, 0.5], [1.0, 0.5]]))
-        cfg = EngineConfig(variant=Variant.NONPRIVATE)
-        cs, labels, report = run_baseline(
-            CORNERS, 2, None, cfg, initial_centroids=start
-        )
-        assert np.array_equal(cs.centroids, np.array([[0.0, 0.5], [1.0, 0.5]]))
-        assert labels.labels.tolist() == [0, 0, 1, 1]
-        assert report.nicv == pytest.approx(0.25)
-        assert "started from supplied centroids" in report.notes
-        assert report.epsilon is None
-
-    def test_nicv_never_increases_across_iterations(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.NONPRIVATE, master_seed=0)
-        _, _, report = run_baseline(small_blobs, 3, None, cfg)
-        values = [
-            e["nicv_after"] for e in report.iterations if e["phase"] == "lloyd"
-        ]
-        assert len(values) >= 1
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_converges_and_reports_zero_budget(self, small_blobs):
-        cfg = EngineConfig(variant=Variant.NONPRIVATE)
-        _, _, report = run_baseline(small_blobs, 3, None, cfg)
-        assert report.budget_spent == 0.0
-        assert report.budget_remaining == 0.0
-        assert any("converged" in n for n in report.notes)
-        final_shift = report.iterations[-1]["centroid_shift"]
-        assert final_shift < engine.NONPRIVATE_SHIFT_TOL
-
-    def test_matches_plain_lloyd_reference(self, small_blobs):
-        # Independent dense Lloyd implementation, same canopy start.
-        start, _, _ = _boundary(small_blobs).canopy_start(3, CanopyParams(), None)
-        expect = np.array(start, copy=True)
-        pts = small_blobs.points
-        for _ in range(100):
-            d2 = ((pts[:, None, :] - expect[None, :, :]) ** 2).sum(axis=2)
-            lab = d2.argmin(axis=1)
-            new = np.vstack(
-                [
-                    pts[lab == j].mean(axis=0) if np.any(lab == j) else expect[j]
-                    for j in range(3)
-                ]
-            )
-            if np.linalg.norm(new - expect, axis=1).max() < 1e-9:
-                expect = new
-                break
-            expect = new
-        cfg = EngineConfig(variant=Variant.NONPRIVATE, master_seed=0)
-        cs, _, _ = run_baseline(small_blobs, 3, None, cfg)
-        assert cs.centroids == pytest.approx(expect, abs=1e-12)
-
     def test_epsilon_rejected(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE)
         with pytest.raises(InvalidInputError):
@@ -1283,9 +851,9 @@ class TestValidation:
     def test_report_nicv_matches_evaluation(self, small_blobs):
         cfg = EngineConfig(variant=Variant.NONPRIVATE)
         cs, labels, report = run_baseline(small_blobs, 3, None, cfg)
-        assert report.nicv == pytest.approx(
-            nicv(small_blobs, cs, labels), abs=1e-15
-        )
+        # The evaluator labels the rows itself, and gets the run's labels.
+        assert np.array_equal(assign_labels(small_blobs, cs).labels, labels.labels)
+        assert report.nicv == pytest.approx(nicv(small_blobs, cs, labels), abs=1e-15)
 
 
 def _normalized(points):
@@ -1309,6 +877,9 @@ EDGES = {
         6,
     ),
     "epsilon_1e308": (synthetic_blobs(300, 3, 3, seed=1), 3, 1e308, 3),
+    # No pairwise distance: the canopy start's radii are those of rows that
+    # coincide.
+    "one_row": (_normalized([[3.0, 4.0]]), 1, 1.0, 1),
 }
 
 
@@ -1383,106 +954,3 @@ class TestEdgesEndWithANote:
             assert report.budget_remaining == pytest.approx(0.0, abs=1e-9 * epsilon)
             assert report.notes == []
 
-
-class TestEndToEndProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        variant=st.sampled_from(list(Variant)),
-        n_rows=st.integers(8, 600),
-        n_dims=st.integers(1, 4),
-        k=st.integers(1, 4),
-        n_centers=st.integers(1, 4),
-        epsilon=st.floats(0.05, 50.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_run_invariants(self, variant, n_rows, n_dims, k, n_centers, epsilon, seed):
-        data = synthetic_blobs(n_rows, n_dims, n_centers, seed=seed)
-        if variant is Variant.NONPRIVATE:
-            epsilon = None
-        comparable = set()
-        for parts in (1, 3):
-            core._STORES.pop(data, None)  # every partition count reads the data
-            cs, labels, report = _run_variant(
-                data, k, variant, epsilon, n_partitions=parts, threads=2
-            )
-            comparable.add(report.comparable_json())
-        assert len(comparable) == 1
-
-        assert np.all(cs.centroids >= 0.0) and np.all(cs.centroids <= 1.0)
-        assert labels.n_rows == n_rows
-
-        trace = report.iterations
-        first = 1 if variant is Variant.EDPDCS else 0
-        assert [it["iteration"] for it in trace] == list(
-            range(first, first + len(trace))
-        )
-        assert report.iterations_run == trace[-1]["iteration"]
-
-        spent = 0.0
-        for it in trace:
-            if it["budget_charged"] is not None:
-                spent += it["budget_charged"]
-        assert report.budget_spent == spent
-        if variant in (Variant.EDPDCS, Variant.RF_DPKM):
-            assert spent == pytest.approx(epsilon, rel=1e-12)
-        elif variant is Variant.RU_DPKM:
-            halving = 0.0
-            for t in range(1, report.iterations_run + 1):
-                halving += epsilon / 2.0 ** (t + 1)
-            assert spent == halving
-        else:
-            assert spent == 0.0
-
-        draws = k * (n_dims + 1)
-        for it in trace[1:]:
-            assert it["noise_draws"] == (0 if it["budget_charged"] is None else draws)
-        init = trace[0]
-        if variant is Variant.EDPDCS:
-            # Canopy init draws d + 1 per canopy; a shortfall is filled with
-            # noise-free random points and noted.
-            assert init["noise_draws"] % (n_dims + 1) == 0
-            assert init["noise_draws"] == draws or any(
-                "filled" in note for note in report.notes
-            )
-        else:
-            assert init["budget_charged"] is None and init["noise_draws"] == 0
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        variant=st.sampled_from(list(Variant)),
-        n_rows=st.integers(engine.MAP_BLOCK_ROWS + 1, 3 * engine.MAP_BLOCK_ROWS + 100),
-        n_dims=st.integers(1, 3),
-        k=st.integers(1, 4),
-        epsilon=st.floats(0.05, 50.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_partition_invariance_across_blocks(
-        self, variant, n_rows, n_dims, k, epsilon, seed
-    ):
-        # Two to four map blocks, so the partitions split the block list and
-        # a merge in any order but ascending block order would show.
-        data = synthetic_blobs(n_rows, n_dims, k, seed=seed)
-        if variant is Variant.NONPRIVATE:
-            epsilon = None
-        runs = []
-        for p in (1, 2, 3):
-            core._STORES.pop(data, None)  # every partition count reads the data
-            runs.append(_run_variant(data, k, variant, epsilon, n_partitions=p, threads=p))
-        cs0, labels0, report0 = runs[0]
-        for cs, labels, report in runs[1:]:
-            assert report.comparable_json() == report0.comparable_json()
-            assert np.array_equal(labels.labels, labels0.labels)
-            assert np.array_equal(cs.centroids, cs0.centroids)
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_k5_label_chunks_do_not_change_results_across_partitions(self, variant):
-        # At k=5 a label chunk holds 4096 rows; three blocks and a part.
-        n = 3 * engine.MAP_BLOCK_ROWS + 300
-        data = synthetic_blobs(n, 6, 5, seed=4)
-        epsilon = None if variant is Variant.NONPRIVATE else 1.0
-        jsons = []
-        for parts in (1, 2):
-            core._STORES.pop(data, None)  # every partition count reads the data
-            _, _, report = _run_variant(data, 5, variant, epsilon, n_partitions=parts, threads=2)
-            jsons.append(report.comparable_json())
-        assert jsons[0] == jsons[1]

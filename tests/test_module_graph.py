@@ -253,3 +253,41 @@ def test_no_test_patches_the_engines_private_seams():
         for patch in _private_patches(path.read_text())
     ]
     assert found == ALLOWED_PRIVATE_PATCHES
+
+
+def _private_names(source: str) -> list[str]:
+    """``owner.name`` of each underscore-named name that ``source`` imports
+    or reads as an attribute; dunder names are not private."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if "._" in f".{a.name}"]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if not node.attr.endswith("__"):
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_private_names_are_found():
+    source = (
+        "from dpkmeans.engine import _Boundary, Variant\n"
+        "import dpkmeans._private\n"
+        "engine._run_lloyd(data)\n"
+        "x = core._label_exact\n"
+        "y = engine.block_spans, type(x).__name__\n"
+    )
+    assert sorted(_private_names(source)) == [
+        "core._label_exact",
+        "dpkmeans._private",
+        "dpkmeans.engine._Boundary",
+        "engine._run_lloyd",
+    ]
+
+
+def test_reference_run_reads_only_public_names_and_the_exact_labels():
+    # The reference states what the engine must compute; a private name of
+    # the engine's would let it share the code it checks.
+    source = (Path(__file__).parent / "reference_run.py").read_text()
+    assert _private_names(source) == ["core._label_exact"]
